@@ -3,27 +3,8 @@ balance total supply and demand from one-bit capacity signals alone, each
 agent following an additive-increase/multiplicative-decrease rule with a
 probabilistic back-off tied to its private marginal utility."""
 
-from .agent import (
-    AgentState,
-    AgentStepTrace,
-    Branch,
-    Role,
-    RoleParams,
-    compute_backoff_probability,
-    initial_state,
-    step,
-    update_running_average,
-)
-from .market import (
-    CapacitySignals,
-    MarketState,
-    RunResult,
-    advance_round,
-    compute_signals,
-    initialize_market,
-    replicate_series,
-    run,
-)
+from .agent import AgentStepTrace, Branch, Role, RoleParams, update_running_average
+from .market import CapacitySignals, RunResult, compute_signals, replicate_series, run
 from .metrics import (
     AgentRoundEntry,
     BandSeries,
@@ -55,13 +36,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentRoundEntry",
-    "AgentState",
     "AgentStepTrace",
     "BandSeries",
     "Branch",
     "CapacitySignals",
     "MarketConfig",
-    "MarketState",
     "Role",
     "RoleParams",
     "RoundRecord",
@@ -72,17 +51,13 @@ __all__ = [
     "UnboundedDerivativeError",
     "UtilityKind",
     "UtilitySpec",
-    "advance_round",
     "check_derivative",
-    "compute_backoff_probability",
     "compute_signals",
     "confidence_band",
     "detect_convergence",
     "export_band_series",
     "export_run",
     "generate_scenario",
-    "initial_state",
-    "initialize_market",
     "load_config_file",
     "load_records",
     "mean_abs_derivative",
@@ -91,7 +66,6 @@ __all__ = [
     "replicate_series",
     "run",
     "save_config_file",
-    "step",
     "summarize",
     "update_running_average",
     "validate_config",

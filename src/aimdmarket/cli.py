@@ -95,14 +95,6 @@ def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
     )
 
 
-def _check(config: MarketConfig, scenario: ScenarioSpec) -> None:
-    violations = validate_config(config) + validate_scenario(scenario, config)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
-        raise ValueError(f"{len(violations)} validation violation(s)")
-
-
 def _write_summary(path: Path, summary) -> None:
     path.write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
 
@@ -110,11 +102,9 @@ def _write_summary(path: Path, summary) -> None:
 def _cmd_run(args) -> int:
     config, scenario = _load_inputs(args)
     config = _apply_overrides(config, args)
-    _check(config, scenario)
-
-    args.out.mkdir(parents=True, exist_ok=True)
     result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics)
 
+    args.out.mkdir(parents=True, exist_ok=True)
     save_config_file(args.out / "run_config.json", config, scenario)
     records_path = export_run(result.records, args.format, args.out / f"records.{args.format}")
     _write_summary(args.out / "summary.json", result.summary)
@@ -126,11 +116,8 @@ def _cmd_run(args) -> int:
 def _cmd_replicate(args) -> int:
     config, scenario = _load_inputs(args)
     config = _apply_overrides(config, args)
-    _check(config, scenario)
     if args.replicates < 2:
         raise ValueError("replicate needs --replicates >= 2")
-
-    args.out.mkdir(parents=True, exist_ok=True)
     series, summaries = replicate_series(
         config,
         scenario,
@@ -140,6 +127,7 @@ def _cmd_replicate(args) -> int:
     )
     band = confidence_band(series)
 
+    args.out.mkdir(parents=True, exist_ok=True)
     save_config_file(args.out / "run_config.json", config, scenario)
     band_path = export_band_series(
         band, args.format, args.out / f"band_supplier_derivative.{args.format}"

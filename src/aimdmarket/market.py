@@ -1,4 +1,4 @@
-"""The market center: per-round aggregation, capacity signals, advancement.
+"""The market center and the simulation kernel that both run drivers use.
 
 Each round the center compares last round's total supply with total
 consumption and broadcasts at most one one-bit signal: the supplier side
@@ -6,17 +6,27 @@ is signaled on excess supply, the consumer side on excess consumption,
 nobody on an exact tie.  All agents then step synchronously.  Randomness
 is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
+
+``simulate`` advances an (agents x replicates) state, one replicate per
+seed, and yields each round's columns.  ``run`` drives it with one seed
+and records every round; ``replicate_series`` drives it once for all
+seeds and keeps only what the confidence band and the summaries need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .agent import AgentState, Role, RoleParams, initial_state, step
-from .metrics import AgentRoundEntry, RoundRecord, RunSummary, mean_derivative_series, summarize
+from .agent import BRANCHES, AgentStepTrace, Population, Role
+from .metrics import AgentRoundEntry, RoundRecord, RunSummary, summarize, summarize_final, trailing_window
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
+
+# Rounds of uniform draws generated per stream at a time: memory stays
+# O(DRAW_BLOCK x agents x replicates) whatever the horizon.
+DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -25,15 +35,6 @@ class CapacitySignals:
 
     supplier_signal: int
     consumer_signal: int
-
-
-@dataclass(frozen=True)
-class MarketState:
-    suppliers: tuple[AgentState, ...]
-    consumers: tuple[AgentState, ...]
-    round: int
-    last_total_supply: float
-    last_total_consumption: float
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,30 @@ class RunResult:
     initial_record: RoundRecord
 
 
-def compute_signals(
-    total_supply: float,
-    total_consumption: float,
-    flip_semantics: bool = False,
-) -> CapacitySignals:
+class RoundColumns(NamedTuple):
+    """One round of ``simulate``: per-agent arrays are (agents x
+    replicates), per-round totals and signals have one entry per replicate."""
+
+    round: int
+    quantity: np.ndarray
+    running_average: np.ndarray
+    derivative: np.ndarray  # u'(running_average)
+    backoff_probability: np.ndarray
+    bernoulli: np.ndarray
+    branch: np.ndarray  # indices into agent.BRANCHES
+    total_supply: np.ndarray
+    total_consumption: np.ndarray
+    supplier_signal: np.ndarray
+    consumer_signal: np.ndarray
+
+
+def _excess_sides(supply, consumption, flip_semantics: bool):
+    # (supplier, consumer) signal, for scalars or arrays of totals
+    s, c = supply > consumption, consumption > supply
+    return (c, s) if flip_semantics else (s, c)
+
+
+def compute_signals(total_supply: float, total_consumption: float, flip_semantics: bool = False) -> CapacitySignals:
     """Signal the side that was in excess last round; neither on a tie.
 
     ``flip_semantics`` selects the inverted variant (supplier signal on
@@ -58,128 +78,8 @@ def compute_signals(
     """
     if total_supply < 0 or total_consumption < 0:
         raise ValueError("totals must be nonnegative")
-    s = 1 if total_supply > total_consumption else 0
-    c = 1 if total_consumption > total_supply else 0
-    if flip_semantics:
-        s, c = c, s
-    return CapacitySignals(s, c)
-
-
-def _round_record(
-    round_index: int,
-    suppliers: tuple[AgentState, ...],
-    consumers: tuple[AgentState, ...],
-    traces: list,
-    signals: CapacitySignals,
-    total_supply: float,
-    total_consumption: float,
-) -> RoundRecord:
-    entries = []
-    sum_of_utilities = 0.0
-    for state, trace in zip(list(suppliers) + list(consumers), traces):
-        value = state.utility.evaluate(state.running_average)
-        derivative = state.utility.derivative(state.running_average)
-        sum_of_utilities += value
-        entries.append(
-            AgentRoundEntry(
-                agent_id=state.agent_id,
-                role=state.role,
-                quantity=state.quantity,
-                running_average=state.running_average,
-                utility_value=value,
-                utility_derivative=derivative,
-                trace=trace,
-            )
-        )
-    return RoundRecord(
-        round=round_index,
-        per_agent=tuple(entries),
-        total_supply=total_supply,
-        total_consumption=total_consumption,
-        signals=signals,
-        sum_of_utilities=sum_of_utilities,
-    )
-
-
-def initialize_market(config: MarketConfig, scenario: ScenarioSpec) -> tuple[MarketState, RoundRecord]:
-    """Round 0: agents take one signal-free step from the configured
-    initial quantity; no signals exist yet."""
-    suppliers, supplier_traces = [], []
-    for i, utility in enumerate(scenario.supplier_utilities):
-        state, trace = initial_state(
-            f"s{i}", Role.SUPPLIER, utility, config.initial_quantity, config.supplier_params
-        )
-        suppliers.append(state)
-        supplier_traces.append(trace)
-    consumers, consumer_traces = [], []
-    for j, utility in enumerate(scenario.consumer_utilities):
-        state, trace = initial_state(
-            f"c{j}", Role.CONSUMER, utility, config.initial_quantity, config.consumer_params
-        )
-        consumers.append(state)
-        consumer_traces.append(trace)
-
-    total_supply = sum(a.quantity for a in suppliers)
-    total_consumption = sum(a.quantity for a in consumers)
-    state = MarketState(
-        suppliers=tuple(suppliers),
-        consumers=tuple(consumers),
-        round=0,
-        last_total_supply=total_supply,
-        last_total_consumption=total_consumption,
-    )
-    record = _round_record(
-        0,
-        state.suppliers,
-        state.consumers,
-        supplier_traces + consumer_traces,
-        CapacitySignals(0, 0),
-        total_supply,
-        total_consumption,
-    )
-    return state, record
-
-
-def advance_round(
-    state: MarketState,
-    supplier_params: RoleParams,
-    consumer_params: RoleParams,
-    supplier_draws,
-    consumer_draws,
-    flip_semantics: bool = False,
-) -> tuple[MarketState, RoundRecord]:
-    """One transition of the market chain.
-
-    Signals are computed from last round's totals, every agent steps with
-    its side's signal and its own uniform draw, and the new totals are
-    recorded.  Deterministic given (state, params, draws).
-    """
-    signals = compute_signals(state.last_total_supply, state.last_total_consumption, flip_semantics)
-
-    suppliers, traces = [], []
-    for agent, draw in zip(state.suppliers, supplier_draws):
-        new_agent, trace = step(agent, signals.supplier_signal, supplier_params, draw)
-        suppliers.append(new_agent)
-        traces.append(trace)
-    consumers = []
-    for agent, draw in zip(state.consumers, consumer_draws):
-        new_agent, trace = step(agent, signals.consumer_signal, consumer_params, draw)
-        consumers.append(new_agent)
-        traces.append(trace)
-
-    total_supply = sum(a.quantity for a in suppliers)
-    total_consumption = sum(a.quantity for a in consumers)
-    new_state = MarketState(
-        suppliers=tuple(suppliers),
-        consumers=tuple(consumers),
-        round=state.round + 1,
-        last_total_supply=total_supply,
-        last_total_consumption=total_consumption,
-    )
-    record = _round_record(
-        new_state.round, new_state.suppliers, new_state.consumers, traces, signals, total_supply, total_consumption
-    )
-    return new_state, record
+    s, c = _excess_sides(total_supply, total_consumption, flip_semantics)
+    return CapacitySignals(int(s), int(c))
 
 
 def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
@@ -199,6 +99,99 @@ def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
     return suppliers, consumers
 
 
+def _side_totals(population: Population, quantity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Agent order, not np.sum's pairwise order: the totals decide the signals.
+    s = population.num_suppliers
+    return quantity[:s].cumsum(axis=0)[-1], quantity[s:].cumsum(axis=0)[-1]
+
+
+def simulate(
+    population: Population, config: MarketConfig, seeds: Sequence[int], *, flip_signal_semantics: bool = False
+) -> Iterator[RoundColumns]:
+    """Yield rounds 0..horizon of one market per seed, in lockstep.
+
+    Round 0 is the signal-free initialization step from
+    ``config.initial_quantity``.  Replicate k draws from the streams of
+    ``seeds[k]``, so it equals a single-seed run with that seed.
+    """
+    shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
+    quantity, branch = population.move(np.full(shape, float(config.initial_quantity)))
+    avg = quantity
+    marginal = population.derivative(avg)
+    supply, consumption = _side_totals(population, quantity)
+    quiet = np.zeros(len(seeds), dtype=bool)
+    yield RoundColumns(0, quantity, avg, marginal, np.zeros(shape), np.zeros(shape, dtype=bool), branch,
+                       supply, consumption, quiet, quiet)
+
+    signalled = np.empty(shape, dtype=bool)
+    streams = [sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []) for seed in seeds]
+    for first in range(1, config.horizon + 1, DRAW_BLOCK):
+        block = min(DRAW_BLOCK, config.horizon + 1 - first)
+        draws = np.empty((block, *shape))
+        for k, replicate in enumerate(streams):
+            for i, rng in enumerate(replicate):
+                draws[:, i, k] = rng.random(block)
+        for b in range(block):
+            supplier_signal, consumer_signal = _excess_sides(supply, consumption, flip_signal_semantics)
+            signalled[:s], signalled[s:] = supplier_signal, consumer_signal
+            # the average before round t holds t samples (rounds 0..t-1)
+            quantity, avg, lam, bernoulli, branch = population.update(
+                quantity, avg, first + b, marginal, signalled, draws[b]
+            )
+            marginal = population.derivative(avg)
+            supply, consumption = _side_totals(population, quantity)
+            yield RoundColumns(
+                first + b, quantity, avg, marginal, lam, bernoulli, branch, supply, consumption,
+                supplier_signal, consumer_signal,
+            )
+
+
+def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
+    violations = validate_config(config) + validate_scenario(scenario, config)
+    if violations:
+        raise ValueError("invalid run inputs: " + "; ".join(violations))
+
+
+def _round_record(population: Population, columns: RoundColumns) -> RoundRecord:
+    """The ``RoundRecord`` of replicate 0 of one round of ``simulate``."""
+    s = population.num_suppliers
+    supplier_signal = int(columns.supplier_signal[0])
+    consumer_signal = int(columns.consumer_signal[0])
+    # An unsignalled side's lambdas are all 0.0: share one float object
+    # rather than allocating one per agent-round.
+    lam = columns.backoff_probability[:, 0]
+    lambdas = (lam[:s].tolist() if supplier_signal else [0.0] * s) + (
+        lam[s:].tolist() if consumer_signal else [0.0] * (len(lam) - s)
+    )
+    entries = []
+    sum_of_utilities = 0.0
+    for agent_id, role, utility, quantity, avg, derivative, lam_i, bernoulli, branch in zip(
+        population.agent_ids,
+        population.roles,
+        population.utilities,
+        columns.quantity[:, 0].tolist(),
+        columns.running_average[:, 0].tolist(),
+        columns.derivative[:, 0].tolist(),
+        lambdas,
+        columns.bernoulli[:, 0].astype(int).tolist(),
+        columns.branch[:, 0].tolist(),
+    ):
+        value = utility.evaluate(avg)
+        sum_of_utilities += value
+        entries.append(
+            AgentRoundEntry(agent_id, role, quantity, avg, value, derivative,
+                            AgentStepTrace(lam_i, bernoulli, BRANCHES[branch]))
+        )
+    return RoundRecord(
+        round=columns.round,
+        per_agent=tuple(entries),
+        total_supply=float(columns.total_supply[0]),
+        total_consumption=float(columns.total_consumption[0]),
+        signals=CapacitySignals(supplier_signal, consumer_signal),
+        sum_of_utilities=sum_of_utilities,
+    )
+
+
 def run(
     config: MarketConfig,
     scenario: ScenarioSpec,
@@ -209,29 +202,11 @@ def run(
 
     Invalid configs or scenarios are rejected before any round executes.
     """
-    violations = validate_config(config) + validate_scenario(scenario, config)
-    if violations:
-        raise ValueError("invalid run inputs: " + "; ".join(violations))
-
-    state, initial_record = initialize_market(config, scenario)
-    supplier_rngs, consumer_rngs = agent_rng_streams(
-        config.seed, config.num_suppliers, config.num_consumers
-    )
-
-    records: list[RoundRecord] = []
-    for _ in range(config.horizon):
-        supplier_draws = [rng.random() for rng in supplier_rngs]
-        consumer_draws = [rng.random() for rng in consumer_rngs]
-        state, record = advance_round(
-            state,
-            config.supplier_params,
-            config.consumer_params,
-            supplier_draws,
-            consumer_draws,
-            flip_signal_semantics,
-        )
-        records.append(record)
-
+    _validate(config, scenario)
+    population = Population.build(config, scenario)
+    rounds = simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics)
+    initial_record = _round_record(population, next(rounds))
+    records = [_round_record(population, columns) for columns in rounds]
     summary = summarize(records if records else [initial_record], scenario)
     return RunResult(records=records, summary=summary, initial_record=initial_record)
 
@@ -247,18 +222,42 @@ def replicate_series(
     """Run ``replicates`` seeds (seed+0..R-1) against one fixed scenario.
 
     Returns the per-replicate mean utility-derivative series for ``role``
-    plus each run's summary.  Replicate k depends only on (config, k), so
-    execution order cannot change any result.
+    plus each run's summary, equal to those of ``run`` with each seed.
+    All replicates advance together in one ``simulate`` call; replicate k
+    depends only on (config, k), so no result depends on the others.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    series, summaries = [], []
-    for k in range(replicates):
-        result = run(
-            config.with_overrides(seed=config.seed + k),
+    _validate(config, scenario)
+    population = Population.build(config, scenario)
+    s = population.num_suppliers
+    members = slice(0, s) if role is Role.SUPPLIER else slice(s, None)
+    # The summary window covers the last `window` recorded rounds; with
+    # horizon 0 that is the round-0 state alone.
+    window = trailing_window(max(config.horizon, 1))
+    window_start = config.horizon + 1 - window
+    means, supply, consumption = [], np.zeros(replicates), np.zeros(replicates)
+    seeds = [config.seed + k for k in range(replicates)]
+    for columns in simulate(population, config, seeds, flip_signal_semantics=flip_signal_semantics):
+        if columns.round >= 1:
+            # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
+            # utility.ordered_sum (which starts from 0.0) does
+            member_sum = columns.derivative[members].cumsum(axis=0)[-1] + 0.0
+            means.append(member_sum / len(population.agent_ids[members]))
+        if columns.round >= window_start:  # 0.0 + left to right, as ordered_sum
+            supply += columns.total_supply
+            consumption += columns.total_consumption
+    series = np.array(means).reshape(len(means), replicates).T.tolist()
+    summaries = [
+        summarize_final(
+            columns.round,
+            window,
+            float(supply[k] / window),
+            float(consumption[k] / window),
+            columns.running_average[:, k].tolist(),
+            columns.derivative[:, k].tolist(),
             scenario,
-            flip_signal_semantics=flip_signal_semantics,
         )
-        series.append(mean_derivative_series(result.records, role))
-        summaries.append(result.summary)
+        for k in range(replicates)
+    ]
     return series, summaries

@@ -20,6 +20,7 @@ import numpy as np
 
 from .agent import AgentStepTrace, Branch, Role
 from .scenario import ScenarioSpec
+from .utility import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .market import CapacitySignals
@@ -161,13 +162,13 @@ def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[f
     out = []
     for record in records:
         values = [e.utility_derivative for e in record.per_agent if e.role is role]
-        out.append(sum(values) / len(values))
+        out.append(ordered_sum(values) / len(values))
     return out
 
 
 def mean_abs_derivative(record: RoundRecord) -> float:
     """Mean |utility derivative| over all agents in one round."""
-    return sum(abs(e.utility_derivative) for e in record.per_agent) / len(record.per_agent)
+    return ordered_sum(abs(e.utility_derivative) for e in record.per_agent) / len(record.per_agent)
 
 
 def _fmt(value) -> str:
@@ -318,42 +319,64 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
     return destination
 
 
+def trailing_window(rounds: int) -> int:
+    """Length of the "lingers around" window over ``rounds`` recorded rounds."""
+    return min(rounds, max(MIN_TRAILING_WINDOW, math.ceil(0.1 * rounds)))
+
+
 def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
     """Trailing-window totals plus per-agent closing state."""
     if not records:
         raise ValueError("summarize needs at least one round")
-    window = min(len(records), max(MIN_TRAILING_WINDOW, math.ceil(0.1 * len(records))))
+    window = trailing_window(len(records))
     tail = records[-window:]
     final = records[-1]
+    return summarize_final(
+        final.round,
+        window,
+        ordered_sum(r.total_supply for r in tail) / window,
+        ordered_sum(r.total_consumption for r in tail) / window,
+        [e.running_average for e in final.per_agent],
+        [e.utility_derivative for e in final.per_agent],
+        scenario,
+    )
 
-    supplier_sum = sum(e.utility_value for e in final.per_agent if e.role is Role.SUPPLIER)
-    consumer_sum = sum(e.utility_value for e in final.per_agent if e.role is Role.CONSUMER)
 
-    utilities = {f"s{i}": u for i, u in enumerate(scenario.supplier_utilities)}
-    utilities.update({f"c{j}": u for j, u in enumerate(scenario.consumer_utilities)})
-
+def summarize_final(
+    final_round: int,
+    window: int,
+    trailing_mean_supply: float,
+    trailing_mean_consumption: float,
+    running_averages: Sequence[float],
+    derivatives: Sequence[float],
+    scenario: ScenarioSpec,
+) -> RunSummary:
+    """The summary of a run from its trailing-window means and each
+    agent's final running average and derivative (suppliers first)."""
+    s = len(scenario.supplier_utilities)
+    utilities = scenario.supplier_utilities + scenario.consumer_utilities
+    values = [u.evaluate(avg) for u, avg in zip(utilities, running_averages)]
     agents = []
-    for e in final.per_agent:
-        optimum = utilities[e.agent_id].argmax() if e.agent_id in utilities else None
+    for k, (u, avg, derivative) in enumerate(zip(utilities, running_averages, derivatives)):
+        optimum = u.argmax()
         agents.append(
             AgentSummary(
-                agent_id=e.agent_id,
-                role=e.role,
-                final_running_average=e.running_average,
+                agent_id=f"s{k}" if k < s else f"c{k - s}",
+                role=Role.SUPPLIER if k < s else Role.CONSUMER,
+                final_running_average=avg,
                 optimum=optimum,
-                distance_to_optimum=None if optimum is None else abs(e.running_average - optimum),
-                final_derivative=e.utility_derivative,
+                distance_to_optimum=None if optimum is None else abs(avg - optimum),
+                final_derivative=derivative,
             )
         )
-
     return RunSummary(
-        final_round=final.round,
+        final_round=final_round,
         window=window,
-        trailing_mean_supply=sum(r.total_supply for r in tail) / window,
-        trailing_mean_consumption=sum(r.total_consumption for r in tail) / window,
-        final_sum_of_utilities=final.sum_of_utilities,
-        final_supplier_utility_sum=supplier_sum,
-        final_consumer_utility_sum=consumer_sum,
-        final_mean_abs_derivative=mean_abs_derivative(final),
+        trailing_mean_supply=trailing_mean_supply,
+        trailing_mean_consumption=trailing_mean_consumption,
+        final_sum_of_utilities=ordered_sum(values),
+        final_supplier_utility_sum=ordered_sum(values[:s]),
+        final_consumer_utility_sum=ordered_sum(values[s:]),
+        final_mean_abs_derivative=ordered_sum(abs(d) for d in derivatives) / len(derivatives),
         agents=tuple(agents),
     )

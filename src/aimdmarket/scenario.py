@@ -9,6 +9,7 @@ optima add up to the same constant by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .agent import RoleParams
-from .utility import UtilityKind, UtilitySpec
+from .utility import UtilityKind, UtilitySpec, ordered_sum
 
 DEFAULT_WEIGHT_RANGE = (0.5, 1.5)
 # Curvatures must keep the raw back-off probability below 1 once an agent's
@@ -223,11 +224,11 @@ def generate_scenario(
 
     if couple_utility_sum:
         if mode is ScenarioMode.BOTH_CONCAVE:
-            current = 1.5 * (sum(supplier_curvatures) + sum(consumer_curvatures))
+            current = 1.5 * (ordered_sum(supplier_curvatures) + ordered_sum(consumer_curvatures))
             factor = target_sum / current
             supplier_curvatures = [h * factor for h in supplier_curvatures]
         else:
-            current = 1.5 * sum(consumer_curvatures)
+            current = 1.5 * ordered_sum(consumer_curvatures)
             factor = target_sum / current
         consumer_curvatures = [h * factor for h in consumer_curvatures]
 
@@ -244,9 +245,25 @@ def generate_scenario(
     return ScenarioSpec(suppliers, consumers, float(target_sum), mode)
 
 
+def _not_finite(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+
+
 def validate_config(config: MarketConfig) -> list[str]:
     """Collect config violations (empty list when valid)."""
     violations = []
+    for name in ("num_suppliers", "num_consumers", "horizon", "seed"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            violations.append(f"{name} must be an integer, got {value!r}")
+    numbers = {"initial_quantity": config.initial_quantity, "gamma": config.gamma}
+    for side, params in (("supplier", config.supplier_params), ("consumer", config.consumer_params)):
+        numbers.update({f"{side}_params.{field}": getattr(params, field) for field in ("alpha", "beta", "gamma")})
+    for name, value in numbers.items():
+        if _not_finite(value):
+            violations.append(f"{name} must be a finite number, got {value!r}")
+    if violations:  # the range checks below assume finite numbers
+        return violations
     if config.num_suppliers < 1:
         violations.append(f"num_suppliers must be >= 1, got {config.num_suppliers}")
     if config.num_consumers < 1:
@@ -265,21 +282,6 @@ def validate_config(config: MarketConfig) -> list[str]:
     return violations
 
 
-def _utility_violations(label: str, u: UtilitySpec) -> list[str]:
-    violations = []
-    if u.kind is UtilityKind.QUADRATIC:
-        if u.optimum is None or u.optimum < 0:
-            violations.append(f"{label}: quadratic optimum must be nonnegative")
-        if u.curvature is None or u.curvature <= 0:
-            violations.append(f"{label}: quadratic curvature must be positive")
-    elif u.kind is UtilityKind.SQRT_MONOTONE:
-        if u.scale is None or u.scale <= 0:
-            violations.append(f"{label}: sqrt scale must be positive")
-        if u.optimum is not None:
-            violations.append(f"{label}: sqrt utility must not carry an optimum")
-    return violations
-
-
 def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
     """Collect scenario violations against its invariants and the config."""
     violations = []
@@ -291,13 +293,18 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
         violations.append(
             f"expected {config.num_consumers} consumer utilities, got {len(spec.consumer_utilities)}"
         )
-    if spec.target_sum <= 0:
+    if _not_finite(spec.target_sum):
+        violations.append(f"target_sum must be a finite number, got {spec.target_sum!r}")
+    elif spec.target_sum <= 0:
         violations.append(f"target_sum must be positive, got {spec.target_sum}")
 
     for label, u in [(f"supplier[{i}]", u) for i, u in enumerate(spec.supplier_utilities)] + [
         (f"consumer[{j}]", u) for j, u in enumerate(spec.consumer_utilities)
     ]:
-        violations.extend(_utility_violations(label, u))
+        for field in ("optimum", "curvature", "scale"):
+            value = getattr(u, field)
+            if value is not None and _not_finite(value):
+                violations.append(f"{label}: {field} must be a finite number, got {value!r}")
 
     def optima_sum(utilities) -> Optional[float]:
         total = 0.0

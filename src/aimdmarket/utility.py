@@ -13,10 +13,18 @@ The enumeration is open-ended: new families plug in by extending
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+
+def ordered_sum(values) -> float:
+    """Add floats left to right from 0.0, the array kernel's order, on every
+    Python version (from 3.12, ``sum`` of floats is compensated)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class UtilityKind(str, Enum):

@@ -1,0 +1,277 @@
+"""Scalar reference implementation of the market, one agent object at a time.
+
+This is the per-agent object path the package ran before its array
+kernel: frozen ``AgentState`` snapshots advanced by ``step``, and a
+``MarketState`` advanced by ``advance_round`` with scalar signals.  The
+tests keep it as the oracle that ``aimdmarket.market.simulate`` must
+reproduce exactly, record for record.  Its float totals use
+``utility.ordered_sum``, as the package's do, so the oracle adds in the
+same order on every Python version.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from aimdmarket.agent import EPS_AVG, AgentStepTrace, Branch, Role, RoleParams, update_running_average
+from aimdmarket.market import CapacitySignals, agent_rng_streams, compute_signals
+from aimdmarket.metrics import AgentRoundEntry, RoundRecord
+from aimdmarket.scenario import MarketConfig, ScenarioSpec
+from aimdmarket.utility import UnboundedDerivativeError, UtilitySpec, ordered_sum
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """Snapshot of one agent after round ``rounds_elapsed``.
+
+    ``running_average`` is the arithmetic mean of the agent's quantities
+    over rounds 0..rounds_elapsed (rounds_elapsed + 1 samples).
+    """
+
+    agent_id: str
+    role: Role
+    quantity: float
+    running_average: float
+    rounds_elapsed: int
+    utility: UtilitySpec
+
+
+def compute_backoff_probability(state: AgentState, params: RoleParams) -> float:
+    """Back-off probability lambda = Gamma * u'(avg) / avg, clamped to [0, 1].
+
+    Negative raw values (past the optimum) map to 0; an unbounded
+    derivative maps to 1; a near-zero average maps to 0.
+    """
+    avg = state.running_average
+    if avg < EPS_AVG:
+        return 0.0
+    try:
+        marginal = state.utility.derivative(avg)
+    except UnboundedDerivativeError:
+        return 1.0
+    raw = params.gamma * marginal / avg
+    return min(max(raw, 0.0), 1.0)
+
+
+def _move(quantity: float, utility: UtilitySpec, params: RoleParams) -> tuple[float, Branch]:
+    # Additive branch of the update: the optimum comparison uses the
+    # current quantity, not the running average.
+    optimum = utility.argmax()
+    if optimum is None or quantity <= optimum:
+        return quantity + params.alpha, Branch.ADDITIVE_INCREASE
+    return max(0.0, quantity - params.alpha), Branch.ADDITIVE_DECREASE
+
+
+def initial_state(
+    agent_id: str,
+    role: Role,
+    utility: UtilitySpec,
+    initial_quantity: float,
+    params: RoleParams,
+) -> tuple[AgentState, AgentStepTrace]:
+    """Round-0 state: the update body runs once with no signal (b = 0).
+
+    With the default initial quantity of 0 this is a single forced
+    additive increase, so every agent starts round 1 with a positive
+    quantity and running average.
+    """
+    if initial_quantity < 0:
+        raise ValueError("initial quantity must be nonnegative")
+    quantity, branch = _move(initial_quantity, utility, params)
+    state = AgentState(
+        agent_id=agent_id,
+        role=role,
+        quantity=quantity,
+        running_average=quantity,
+        rounds_elapsed=0,
+        utility=utility,
+    )
+    return state, AgentStepTrace(0.0, 0, branch)
+
+
+def step(
+    state: AgentState,
+    signal: int,
+    params: RoleParams,
+    draw: float,
+) -> tuple[AgentState, AgentStepTrace]:
+    """Advance one agent by one round.
+
+    ``draw`` is a uniform variate in [0, 1) deciding the Bernoulli trial;
+    the step is a pure function of its inputs, so identical inputs give
+    identical outputs regardless of scheduling.
+    """
+    lam = 0.0
+    bernoulli = 0
+    if signal:
+        lam = compute_backoff_probability(state, params)
+        if draw < lam:
+            bernoulli = 1
+
+    if bernoulli:
+        quantity = state.quantity * params.beta
+        branch = Branch.MULTIPLICATIVE_DECREASE
+    else:
+        quantity, branch = _move(state.quantity, state.utility, params)
+
+    samples = state.rounds_elapsed + 1
+    new_state = AgentState(
+        agent_id=state.agent_id,
+        role=state.role,
+        quantity=quantity,
+        running_average=update_running_average(state.running_average, samples, quantity),
+        rounds_elapsed=state.rounds_elapsed + 1,
+        utility=state.utility,
+    )
+    return new_state, AgentStepTrace(lam, bernoulli, branch)
+
+
+@dataclass(frozen=True)
+class MarketState:
+    suppliers: tuple[AgentState, ...]
+    consumers: tuple[AgentState, ...]
+    round: int
+    last_total_supply: float
+    last_total_consumption: float
+
+
+def _round_record(
+    round_index: int,
+    suppliers: tuple[AgentState, ...],
+    consumers: tuple[AgentState, ...],
+    traces: list,
+    signals: CapacitySignals,
+    total_supply: float,
+    total_consumption: float,
+) -> RoundRecord:
+    entries = []
+    sum_of_utilities = 0.0
+    for state, trace in zip(list(suppliers) + list(consumers), traces):
+        value = state.utility.evaluate(state.running_average)
+        derivative = state.utility.derivative(state.running_average)
+        sum_of_utilities += value
+        entries.append(
+            AgentRoundEntry(
+                agent_id=state.agent_id,
+                role=state.role,
+                quantity=state.quantity,
+                running_average=state.running_average,
+                utility_value=value,
+                utility_derivative=derivative,
+                trace=trace,
+            )
+        )
+    return RoundRecord(
+        round=round_index,
+        per_agent=tuple(entries),
+        total_supply=total_supply,
+        total_consumption=total_consumption,
+        signals=signals,
+        sum_of_utilities=sum_of_utilities,
+    )
+
+
+def initialize_market(config: MarketConfig, scenario: ScenarioSpec) -> tuple[MarketState, RoundRecord]:
+    """Round 0: agents take one signal-free step from the configured
+    initial quantity; no signals exist yet."""
+    suppliers, supplier_traces = [], []
+    for i, utility in enumerate(scenario.supplier_utilities):
+        state, trace = initial_state(
+            f"s{i}", Role.SUPPLIER, utility, config.initial_quantity, config.supplier_params
+        )
+        suppliers.append(state)
+        supplier_traces.append(trace)
+    consumers, consumer_traces = [], []
+    for j, utility in enumerate(scenario.consumer_utilities):
+        state, trace = initial_state(
+            f"c{j}", Role.CONSUMER, utility, config.initial_quantity, config.consumer_params
+        )
+        consumers.append(state)
+        consumer_traces.append(trace)
+
+    total_supply = ordered_sum(a.quantity for a in suppliers)
+    total_consumption = ordered_sum(a.quantity for a in consumers)
+    state = MarketState(
+        suppliers=tuple(suppliers),
+        consumers=tuple(consumers),
+        round=0,
+        last_total_supply=total_supply,
+        last_total_consumption=total_consumption,
+    )
+    record = _round_record(
+        0,
+        state.suppliers,
+        state.consumers,
+        supplier_traces + consumer_traces,
+        CapacitySignals(0, 0),
+        total_supply,
+        total_consumption,
+    )
+    return state, record
+
+
+def advance_round(
+    state: MarketState,
+    supplier_params: RoleParams,
+    consumer_params: RoleParams,
+    supplier_draws,
+    consumer_draws,
+    flip_semantics: bool = False,
+) -> tuple[MarketState, RoundRecord]:
+    """One transition of the market chain.
+
+    Signals are computed from last round's totals, every agent steps with
+    its side's signal and its own uniform draw, and the new totals are
+    recorded.  Deterministic given (state, params, draws).
+    """
+    signals = compute_signals(state.last_total_supply, state.last_total_consumption, flip_semantics)
+
+    suppliers, traces = [], []
+    for agent, draw in zip(state.suppliers, supplier_draws):
+        new_agent, trace = step(agent, signals.supplier_signal, supplier_params, draw)
+        suppliers.append(new_agent)
+        traces.append(trace)
+    consumers = []
+    for agent, draw in zip(state.consumers, consumer_draws):
+        new_agent, trace = step(agent, signals.consumer_signal, consumer_params, draw)
+        consumers.append(new_agent)
+        traces.append(trace)
+
+    total_supply = ordered_sum(a.quantity for a in suppliers)
+    total_consumption = ordered_sum(a.quantity for a in consumers)
+    new_state = MarketState(
+        suppliers=tuple(suppliers),
+        consumers=tuple(consumers),
+        round=state.round + 1,
+        last_total_supply=total_supply,
+        last_total_consumption=total_consumption,
+    )
+    record = _round_record(
+        new_state.round, new_state.suppliers, new_state.consumers, traces, signals, total_supply, total_consumption
+    )
+    return new_state, record
+
+
+def run_records(
+    config: MarketConfig, scenario: ScenarioSpec, flip_signal_semantics: bool = False
+) -> tuple[RoundRecord, list[RoundRecord]]:
+    """The round-0 record and the records of rounds 1..horizon, drawing
+    one uniform per agent per round from the same streams as the package."""
+    state, initial_record = initialize_market(config, scenario)
+    supplier_rngs, consumer_rngs = agent_rng_streams(
+        config.seed, config.num_suppliers, config.num_consumers
+    )
+    records = []
+    for _ in range(config.horizon):
+        supplier_draws = [rng.random() for rng in supplier_rngs]
+        consumer_draws = [rng.random() for rng in consumer_rngs]
+        state, record = advance_round(
+            state,
+            config.supplier_params,
+            config.consumer_params,
+            supplier_draws,
+            consumer_draws,
+            flip_signal_semantics,
+        )
+        records.append(record)
+    return initial_record, records

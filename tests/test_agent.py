@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from aimdmarket.agent import (
-    AgentState,
-    Branch,
-    Role,
-    RoleParams,
-    compute_backoff_probability,
-    initial_state,
-    step,
-    update_running_average,
-)
+from aimdmarket.agent import Branch, Role, RoleParams, update_running_average
 from aimdmarket.utility import UtilitySpec
+from scalar_oracle import AgentState, compute_backoff_probability, initial_state, step
 
 
 def params(alpha=5.0, beta=0.75, gamma=2.0):

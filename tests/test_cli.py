@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -6,9 +7,11 @@ from aimdmarket.cli import main
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
+    ScenarioSpec,
     generate_scenario,
     save_config_file,
 )
+from aimdmarket.utility import UtilitySpec
 
 
 @pytest.fixture
@@ -137,3 +140,62 @@ def test_flip_signal_semantics_flag(tmp_path, config_file):
     assert main(["run", "--config", str(config_file), "--flip-signal-semantics",
                  "--out", str(flipped)]) == 0
     assert (normal / "records.csv").read_bytes() != (flipped / "records.csv").read_bytes()
+
+
+def test_lambda_keeps_signed_zero(tmp_path):
+    # Round 0 leaves every agent at 5; consumption (10) exceeds supply (5),
+    # so round 1 signals the consumers, whose average 5.0 is exactly their
+    # optimum: raw lambda = 2 * (-0.0) / 5 = -0.0, and the clamp keeps it.
+    config = MarketConfig.build(1, 2, horizon=3, seed=1, initial_quantity=0.0)
+    scenario = ScenarioSpec(
+        supplier_utilities=(UtilitySpec.quadratic(10.0, 20.0),),
+        consumer_utilities=(UtilitySpec.quadratic(5.0, 20.0), UtilitySpec.quadratic(5.0, 20.0)),
+        target_sum=10.0,
+        mode=ScenarioMode.BOTH_CONCAVE,
+    )
+    path = save_config_file(tmp_path / "zero.json", config, scenario)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with (tmp_path / "out" / "records.csv").open(newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["round"] == "1" and row["role"] == "consumer"]
+    assert [(row["c_signal"], row["lambda"]) for row in rows] == [("1", "-0.0"), ("1", "-0.0")]
+
+
+BAD_FIELDS = [
+    (("config", "supplier_params", "alpha"), float("nan")),
+    (("config", "consumer_params", "alpha"), float("inf")),
+    (("config", "gamma"), float("nan")),
+    (("config", "initial_quantity"), float("nan")),
+    (("scenario", "target_sum"), float("nan")),
+    (("scenario", "consumer_utilities", 0, "optimum"), float("nan")),
+    (("scenario", "supplier_utilities", 1, "curvature"), float("inf")),
+    (("config", "horizon"), 10.5),
+    (("config", "seed"), True),
+    (("config", "num_suppliers"), "2"),
+    (("config", "num_consumers"), 3.0),
+]
+
+
+def _field_id(value):
+    return ".".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize("path,value", BAD_FIELDS, ids=_field_id)
+def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, capsys, path, value):
+    payload = json.loads(config_file.read_text())
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "violation:" in capsys.readouterr().out
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "error" in json.loads(captured.err.splitlines()[-1])
+    assert not (out / "summary.json").exists()

@@ -1,0 +1,80 @@
+"""Golden SHA-256 digests of every CLI artifact at a short horizon.
+
+The digests pin the bytes of the reference experiments' records,
+summaries and replicate bands.  A change that alters any artifact on
+purpose re-pins the affected digests here and says why in CHANGES.md.
+The horizon-0 cases pin the round-0 summaries (window 1, totals of the
+initialization step).
+"""
+
+import hashlib
+
+import pytest
+
+from aimdmarket.cli import main
+
+PAPER_A_CONFIG = "a27478438aeaeeda06e4a7225dc9e9cbd7fe29d311a14baaee6c5237d67d9f90"
+PAPER_A_SUMMARY = "ff1fac55835379e901bb28a9054a54c538b6aa24a1a65f9b0f5756ae166f3137"
+PAPER_A_H0_CONFIG = "a5d58ca3fe16b1e236f2fb3899e69a26d0cdbde1b3496a7d013f6aa101b019e7"
+REPLICATE_META = "d08ad157de55a080f8dd04d695e3000da5b34a0f5692bfd19488ba7c101d1251"
+
+GOLDENS = {
+    "paper-a-csv": (
+        ["paper-a", "--horizon", "300", "--format", "csv"],
+        {
+            "records.csv": "f95f94b2d5a9202483bf27347f606af471c49531f5760b9b28b40a65471a1eba",
+            "run_config.json": PAPER_A_CONFIG,
+            "summary.json": PAPER_A_SUMMARY,
+        },
+    ),
+    "paper-a-json": (
+        ["paper-a", "--horizon", "300", "--format", "json"],
+        {
+            "records.json": "c270175df294ac320f63a8429f95e292bbc84934f0d24bf04fd1e60bb868de19",
+            "run_config.json": PAPER_A_CONFIG,
+            "summary.json": PAPER_A_SUMMARY,
+        },
+    ),
+    "paper-b-json": (
+        ["paper-b", "--horizon", "300", "--format", "json"],
+        {
+            "records.json": "80c07cf3be36ab6f9350411ba857e3137ebd729d2d392bdd837c7b0ea4d28692",
+            "run_config.json": "a373f2bd155215c7c5f5b9dab529493670c878ecc0df13b4246480108548bb1d",
+            "summary.json": "7943a21c0b55ce54f26f374a375d9b63c855622d82a359d0e934f31a075c5f3a",
+        },
+    ),
+    "replicate-r4": (
+        ["replicate", "--reference", "paper-a", "--replicates", "4", "--horizon", "300"],
+        {
+            "band_supplier_derivative.csv": "84682f4a600f1377ad96d4d86c3391bca019c446b69528e9c1dc7759638a67a6",
+            "replicate_meta.json": REPLICATE_META,
+            "replicate_summaries.json": "49747ae1b78aec67c7eebdfc9bd5bd84ba73b87b4870653b38205328d94be2c7",
+            "run_config.json": PAPER_A_CONFIG,
+        },
+    ),
+    "paper-a-horizon-0": (
+        ["paper-a", "--horizon", "0"],
+        {
+            "records.csv": "9e16d070e42ce11c31d3850e94faa98bf3f2f5f9f5dab74ec6a1f6d7aa73f16f",
+            "run_config.json": PAPER_A_H0_CONFIG,
+            "summary.json": "131ee20384dfcc74feb54bde9d2caa7a4806c8344707a90791c803d40c946311",
+        },
+    ),
+    "replicate-horizon-0": (
+        ["replicate", "--reference", "paper-a", "--replicates", "4", "--horizon", "0"],
+        {
+            "band_supplier_derivative.csv": "88683c4ae9f568e40b5ec0504f4a754bfd01962cee82200f2a102e836c7e658a",
+            "replicate_meta.json": REPLICATE_META,
+            "replicate_summaries.json": "e3acd00a0de4a4f4e53d90fcc6d9e0dd9b3ded0ee9e77d4a786ad64a6a6c21db",
+            "run_config.json": PAPER_A_H0_CONFIG,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDENS))
+def test_cli_artifacts_match_goldens(case, tmp_path):
+    args, expected = GOLDENS[case]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == expected

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aimdmarket.agent import AgentState, Branch, Role
-from aimdmarket.market import (
-    advance_round,
-    agent_rng_streams,
-    compute_signals,
-    initialize_market,
-    replicate_series,
-    run,
-)
+from aimdmarket.agent import Branch, Role
+from aimdmarket.market import agent_rng_streams, compute_signals, replicate_series, run
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -19,6 +12,7 @@ from aimdmarket.scenario import (
     generate_scenario,
 )
 from aimdmarket.utility import UtilitySpec
+from scalar_oracle import AgentState, MarketState, advance_round, initialize_market
 
 
 def small_config(**kwargs):
@@ -73,8 +67,6 @@ def test_signals_reject_negative_totals():
 
 
 def test_advance_round_forced_backoff():
-    from aimdmarket.market import MarketState
-
     config = MarketConfig.build(1, 1, horizon=10, seed=1, initial_quantity=0.0)
     # supplier above consumer so the supplier side is signaled
     state = MarketState(
