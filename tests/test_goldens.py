@@ -15,6 +15,8 @@ from aimdmarket.cli import main
 
 PAPER_A_CONFIG = "a27478438aeaeeda06e4a7225dc9e9cbd7fe29d311a14baaee6c5237d67d9f90"
 PAPER_A_SUMMARY = "ff1fac55835379e901bb28a9054a54c538b6aa24a1a65f9b0f5756ae166f3137"
+PAPER_B_CONFIG = "a373f2bd155215c7c5f5b9dab529493670c878ecc0df13b4246480108548bb1d"
+PAPER_B_SUMMARY = "7943a21c0b55ce54f26f374a375d9b63c855622d82a359d0e934f31a075c5f3a"
 PAPER_A_H0_CONFIG = "a5d58ca3fe16b1e236f2fb3899e69a26d0cdbde1b3496a7d013f6aa101b019e7"
 REPLICATE_META = "d08ad157de55a080f8dd04d695e3000da5b34a0f5692bfd19488ba7c101d1251"
 
@@ -39,8 +41,25 @@ GOLDENS = {
         ["paper-b", "--horizon", "300", "--format", "json"],
         {
             "records.json": "80c07cf3be36ab6f9350411ba857e3137ebd729d2d392bdd837c7b0ea4d28692",
-            "run_config.json": "a373f2bd155215c7c5f5b9dab529493670c878ecc0df13b4246480108548bb1d",
-            "summary.json": "7943a21c0b55ce54f26f374a375d9b63c855622d82a359d0e934f31a075c5f3a",
+            "run_config.json": PAPER_B_CONFIG,
+            "summary.json": PAPER_B_SUMMARY,
+        },
+    ),
+    # sqrt utility values and lambda = 1 rows in CSV
+    "paper-b-csv": (
+        ["paper-b", "--horizon", "300", "--format", "csv"],
+        {
+            "records.csv": "5308bb7afc0686acec5523ff50776bd5ab3bdfdd60c3841b51ee1df27487c7cd",
+            "run_config.json": PAPER_B_CONFIG,
+            "summary.json": PAPER_B_SUMMARY,
+        },
+    ),
+    "paper-a-flipped-json": (
+        ["paper-a", "--flip-signal-semantics", "--horizon", "300", "--format", "json"],
+        {
+            "records.json": "fee3d4c0d7ff12d42ea3af93a8d4dbfcb493d6150ffc4b70d8a13b196851a3c2",
+            "run_config.json": PAPER_A_CONFIG,
+            "summary.json": "2727e38388381a61654652d36631ed369381b101707e33d4254981f6d30751f2",
         },
     ),
     "replicate-r4": (
