@@ -26,6 +26,7 @@ from .scenario import (
     save_config_file,
     validate_config,
     validate_scenario,
+    write_json,
 )
 
 
@@ -95,19 +96,16 @@ def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
     )
 
 
-def _write_summary(path: Path, summary) -> None:
-    path.write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
-
-
 def _cmd_run(args) -> int:
     config, scenario = _load_inputs(args)
     config = _apply_overrides(config, args)
     result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics)
 
+    # records first: a run with a non-finite number fails there, writing nothing
     args.out.mkdir(parents=True, exist_ok=True)
+    records_path = export_run(result.trajectory, args.format, args.out / f"records.{args.format}")
+    write_json(args.out / "summary.json", result.summary.to_dict())
     save_config_file(args.out / "run_config.json", config, scenario)
-    records_path = export_run(result.records, args.format, args.out / f"records.{args.format}")
-    _write_summary(args.out / "summary.json", result.summary)
     print(f"wrote {records_path}")
     print(f"wrote {args.out / 'summary.json'}")
     return 0
@@ -132,9 +130,7 @@ def _cmd_replicate(args) -> int:
     band_path = export_band_series(
         band, args.format, args.out / f"band_supplier_derivative.{args.format}"
     )
-    (args.out / "replicate_summaries.json").write_text(
-        json.dumps([s.to_dict() for s in summaries], indent=2) + "\n"
-    )
+    write_json(args.out / "replicate_summaries.json", [s.to_dict() for s in summaries])
     meta = {
         "base_seed": config.seed,
         "replicates": args.replicates,
@@ -142,7 +138,7 @@ def _cmd_replicate(args) -> int:
         "series": "mean_supplier_derivative",
         "level": 0.95,
     }
-    (args.out / "replicate_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(args.out / "replicate_meta.json", meta)
     print(f"wrote {band_path}")
     return 0
 
@@ -166,7 +162,7 @@ def main(argv=None) -> int:
         if args.command == "replicate":
             return _cmd_replicate(args)
         return _cmd_run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

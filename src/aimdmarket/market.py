@@ -9,42 +9,49 @@ per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
 seed, and yields each round's columns.  ``run`` drives it with one seed
-and records every round; ``replicate_series`` drives it once for all
-seeds and keeps only what the confidence band and the summaries need.
+and stores every round in the columns of a ``metrics.Trajectory``;
+``replicate_series`` drives it once for all seeds and keeps only what the
+confidence band and the summaries need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .agent import BRANCHES, AgentStepTrace, Population, Role
-from .metrics import AgentRoundEntry, RoundRecord, RunSummary, summarize, summarize_final, trailing_window
+from .agent import Population, Role
+from .metrics import CapacitySignals, RoundRecord, RunSummary, Trajectory, summarize_final, trailing_window
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
+from .utility import ordered_sum
 
 # Rounds of uniform draws generated per stream at a time: memory stays
 # O(DRAW_BLOCK x agents x replicates) whatever the horizon.
 DRAW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class CapacitySignals:
-    """The two one-bit broadcasts; never both set in the same round."""
-
-    supplier_signal: int
-    consumer_signal: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Full trajectory (rounds 1..horizon), its summary, and the round-0
-    initialization snapshot (useful as the t=0 reference point)."""
+    """The trajectory's columns (rounds 0..horizon) and its summary.
 
-    records: list[RoundRecord]
+    ``records`` (rounds 1..horizon) and ``initial_record`` (the round-0
+    initialization snapshot) are a ``RoundRecord`` view of the columns,
+    built on first access.
+    """
+
+    trajectory: Trajectory
     summary: RunSummary
-    initial_record: RoundRecord
+
+    @cached_property
+    def records(self) -> list[RoundRecord]:
+        return [self.trajectory.record(t) for t in range(1, len(self.trajectory.total_supply))]
+
+    @cached_property
+    def initial_record(self) -> RoundRecord:
+        return self.trajectory.record(0)
 
 
 class RoundColumns(NamedTuple):
@@ -152,46 +159,6 @@ def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
         raise ValueError("invalid run inputs: " + "; ".join(violations))
 
 
-def _round_record(population: Population, columns: RoundColumns) -> RoundRecord:
-    """The ``RoundRecord`` of replicate 0 of one round of ``simulate``."""
-    s = population.num_suppliers
-    supplier_signal = int(columns.supplier_signal[0])
-    consumer_signal = int(columns.consumer_signal[0])
-    # An unsignalled side's lambdas are all 0.0: share one float object
-    # rather than allocating one per agent-round.
-    lam = columns.backoff_probability[:, 0]
-    lambdas = (lam[:s].tolist() if supplier_signal else [0.0] * s) + (
-        lam[s:].tolist() if consumer_signal else [0.0] * (len(lam) - s)
-    )
-    entries = []
-    sum_of_utilities = 0.0
-    for agent_id, role, utility, quantity, avg, derivative, lam_i, bernoulli, branch in zip(
-        population.agent_ids,
-        population.roles,
-        population.utilities,
-        columns.quantity[:, 0].tolist(),
-        columns.running_average[:, 0].tolist(),
-        columns.derivative[:, 0].tolist(),
-        lambdas,
-        columns.bernoulli[:, 0].astype(int).tolist(),
-        columns.branch[:, 0].tolist(),
-    ):
-        value = utility.evaluate(avg)
-        sum_of_utilities += value
-        entries.append(
-            AgentRoundEntry(agent_id, role, quantity, avg, value, derivative,
-                            AgentStepTrace(lam_i, bernoulli, BRANCHES[branch]))
-        )
-    return RoundRecord(
-        round=columns.round,
-        per_agent=tuple(entries),
-        total_supply=float(columns.total_supply[0]),
-        total_consumption=float(columns.total_consumption[0]),
-        signals=CapacitySignals(supplier_signal, consumer_signal),
-        sum_of_utilities=sum_of_utilities,
-    )
-
-
 def run(
     config: MarketConfig,
     scenario: ScenarioSpec,
@@ -205,10 +172,25 @@ def run(
     _validate(config, scenario)
     population = Population.build(config, scenario)
     rounds = simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics)
-    initial_record = _round_record(population, next(rounds))
-    records = [_round_record(population, columns) for columns in rounds]
-    summary = summarize(records if records else [initial_record], scenario)
-    return RunResult(records=records, summary=summary, initial_record=initial_record)
+    first = next(rounds)  # preallocate every column from round 0's shapes and types
+    columns = [np.empty((config.horizon + 1, *value.shape[:-1]), value.dtype) for value in first[1:]]
+    for values in chain([first], rounds):
+        for column, value in zip(columns, values[1:]):
+            column[values.round] = value[..., 0]  # replicate 0
+    trajectory = Trajectory(population, *columns)
+    # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
+    window = trailing_window(max(config.horizon, 1))
+    tail = slice(config.horizon + 1 - window, None)
+    summary = summarize_final(
+        config.horizon,
+        window,
+        ordered_sum(trajectory.total_supply[tail].tolist()) / window,
+        ordered_sum(trajectory.total_consumption[tail].tolist()) / window,
+        trajectory.running_average[-1].tolist(),
+        trajectory.derivative[-1].tolist(),
+        scenario,
+    )
+    return RunResult(trajectory, summary)
 
 
 def replicate_series(

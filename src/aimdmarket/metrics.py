@@ -1,34 +1,51 @@
-"""Trajectory recording, convergence detection, confidence bands, export.
+"""Run trajectories as columns, convergence detection, confidence bands, export.
 
-A run is recorded as one ``RoundRecord`` per round with a full per-agent
-breakdown; utility values and derivatives are evaluated at the running
-average, which is the quantity the convergence claims are about.  Exports
-are byte-deterministic: repeated export of the same run is identical.
+A run is stored as a ``Trajectory``: (rounds x agents) arrays of each
+agent's quantity, running average, utility derivative, back-off
+probability, Bernoulli bit and branch, plus per-round totals and
+signals.  Utility values and derivatives are evaluated at the running
+average, which is the quantity the convergence claims are about.
+``RoundRecord`` is a per-round object view of the same columns, built
+only on request.  Exports are written straight from the columns, checked
+finite and written atomically, and are byte-deterministic: repeated
+export of the same run is identical.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .agent import AgentStepTrace, Branch, Role
-from .scenario import ScenarioSpec
+from .agent import BRANCHES, AgentStepTrace, Branch, Population, Role
+from .scenario import ScenarioSpec, atomic_writer
 from .utility import ordered_sum
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .market import CapacitySignals
 
 CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
     "lambda,bernoulli,branch,total_supply,total_consumption,s_signal,c_signal,sum_of_utilities"
 )
+CSV_ROW = ",".join(["%s"] * 15) + "\n"
+JSON_AGENT = (
+    '{"agent_id":"%s","role":"%s","quantity":%s,"running_average":%s,"utility_value":%s,'
+    '"utility_derivative":%s,"trace":{"backoff_probability":%s,"bernoulli":%s,"branch":"%s"}}'
+)
+JSON_ROUND = (
+    '{"round":%s,"per_agent":[%s],"total_supply":%s,"total_consumption":%s,'
+    '"signals":{"supplier_signal":%s,"consumer_signal":%s},"sum_of_utilities":%s}'
+)
+# Rounds whose export strings are built at a time: export memory stays
+# O(EXPORT_CHUNK x agents) whatever the horizon.
+EXPORT_CHUNK = 256
+# The per-agent float columns of a Trajectory, in export order.
+FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "backoff_probability")
 
 # Trailing-window rule for "lingers around" summaries: 10% of the recorded
 # horizon but at least 100 rounds, capped by what exists.
@@ -47,13 +64,81 @@ class AgentRoundEntry:
 
 
 @dataclass(frozen=True)
+class CapacitySignals:
+    """The two one-bit broadcasts; never both set in the same round."""
+
+    supplier_signal: int
+    consumer_signal: int
+
+
+@dataclass(frozen=True)
 class RoundRecord:
     round: int
     per_agent: tuple[AgentRoundEntry, ...]
     total_supply: float
     total_consumption: float
-    signals: "CapacitySignals"
+    signals: CapacitySignals
     sum_of_utilities: float
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One run as columns, named as ``market.RoundColumns``: row t holds
+    round t, row 0 the initialization step.  Per-agent arrays are (rounds
+    x agents) in ``population`` order; totals and signals have one entry
+    per round."""
+
+    population: Population
+    quantity: np.ndarray
+    running_average: np.ndarray
+    derivative: np.ndarray  # u'(running_average)
+    backoff_probability: np.ndarray
+    bernoulli: np.ndarray
+    branch: np.ndarray  # indices into agent.BRANCHES
+    total_supply: np.ndarray
+    total_consumption: np.ndarray
+    supplier_signal: np.ndarray
+    consumer_signal: np.ndarray
+
+    @cached_property
+    def utility_value(self) -> np.ndarray:
+        """u(running average) per round and agent, bit for bit as
+        ``UtilitySpec.evaluate`` computes it: its ``(z - z*) ** 2`` is libm
+        ``pow``, which ``d * d`` and ``np.square`` do not always match."""
+        p, avg = self.population, self.running_average
+        gaps = (avg - p.optimum.T).ravel().tolist()
+        squares = np.array(list(map(math.pow, gaps, repeat(2.0)))).reshape(avg.shape)
+        quadratic = -squares / p.curvature.T + 1.5 * p.curvature.T
+        return np.where(p.is_sqrt.T, p.scale.T * np.sqrt(avg), quadratic)
+
+    @cached_property
+    def sum_of_utilities(self) -> np.ndarray:
+        # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
+        # utility.ordered_sum (which starts from 0.0) does
+        return self.utility_value.cumsum(axis=1)[:, -1] + 0.0
+
+    def check_finite(self) -> None:
+        """Raise ValueError if any number the exports hold is NaN or infinite."""
+        for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"the run produced a non-finite {name}")
+
+    def record(self, t: int) -> RoundRecord:
+        """Round ``t`` as a ``RoundRecord``."""
+        p = self.population
+        entries = tuple(
+            AgentRoundEntry(agent_id, role, q, avg, value, derivative, AgentStepTrace(lam, bit, BRANCHES[code]))
+            for agent_id, role, q, avg, value, derivative, lam, bit, code in zip(
+                p.agent_ids,
+                p.roles,
+                *(getattr(self, name)[t].tolist() for name in FLOAT_COLUMNS),
+                self.bernoulli[t].astype(int).tolist(),
+                self.branch[t].tolist(),
+            )
+        )
+        signals = CapacitySignals(int(self.supplier_signal[t]), int(self.consumer_signal[t]))
+        return RoundRecord(t, entries, float(self.total_supply[t]), float(self.total_consumption[t]), signals,
+                           float(self.sum_of_utilities[t]))
 
 
 @dataclass(frozen=True)
@@ -171,80 +256,61 @@ def mean_abs_derivative(record: RoundRecord) -> float:
     return ordered_sum(abs(e.utility_derivative) for e in record.per_agent) / len(record.per_agent)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _formatted(values: np.ndarray) -> list[str]:
+    """``repr`` of every value of a float array, flattened, formatting
+    each distinct bit pattern (so 0.0 apart from -0.0) once."""
+    bits, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
 
 
-def _record_to_dict(record: RoundRecord) -> dict:
-    return {
-        "round": record.round,
-        "per_agent": [
-            {
-                "agent_id": e.agent_id,
-                "role": e.role.value,
-                "quantity": e.quantity,
-                "running_average": e.running_average,
-                "utility_value": e.utility_value,
-                "utility_derivative": e.utility_derivative,
-                "trace": {
-                    "backoff_probability": e.trace.backoff_probability,
-                    "bernoulli": e.trace.bernoulli,
-                    "branch": e.trace.branch.value,
-                },
-            }
-            for e in record.per_agent
-        ],
-        "total_supply": record.total_supply,
-        "total_consumption": record.total_consumption,
-        "signals": {
-            "supplier_signal": record.signals.supplier_signal,
-            "consumer_signal": record.signals.consumer_signal,
-        },
-        "sum_of_utilities": record.sum_of_utilities,
-    }
+def _export_rounds(trajectory: Trajectory) -> Iterator[tuple[int, list[tuple], tuple]]:
+    """Per round 1..horizon: the round, each agent's fields and the
+    round's totals, signals and utility sum, formatted for export."""
+    p, rounds = trajectory.population, len(trajectory.total_supply)
+    agents = [(agent_id, role.value) for agent_id, role in zip(p.agent_ids, p.roles)]
+    branches = [b.value for b in BRANCHES]
+    for start in range(1, rounds, EXPORT_CHUNK):
+        rows = slice(start, start + EXPORT_CHUNK)
+        fields = zip(
+            *(_formatted(getattr(trajectory, name)[rows]) for name in FLOAT_COLUMNS),
+            trajectory.bernoulli[rows].ravel().astype(int).tolist(),
+            map(branches.__getitem__, trajectory.branch[rows].ravel().tolist()),
+        )
+        totals = zip(
+            _formatted(trajectory.total_supply[rows]),
+            _formatted(trajectory.total_consumption[rows]),
+            trajectory.supplier_signal[rows].astype(int).tolist(),
+            trajectory.consumer_signal[rows].astype(int).tolist(),
+            _formatted(trajectory.sum_of_utilities[rows]),
+        )
+        for t, round_totals in zip(range(start, rounds), totals):
+            yield t, [agent + next(fields) for agent in agents], round_totals
 
 
-def export_run(records: Sequence[RoundRecord], fmt: str, destination) -> Path:
-    """Write the trajectory as CSV (one row per agent per round) or JSON.
+def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
+    """Write rounds 1..horizon as CSV (one row per agent per round) or JSON.
 
-    The CSV schema is fixed (see ``CSV_HEADER``); JSON mirrors the record
-    structure field for field.  Failures carry the destination path.
+    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object
+    per round, shaped as ``RoundRecord``.  A run with a non-finite number
+    is refused with ValueError before anything is written.  Failures
+    carry the destination path and leave no partial file.
     """
     destination = Path(destination)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format: {fmt}")
+    trajectory.check_finite()
     try:
-        if fmt == "csv":
-            with destination.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(CSV_HEADER.split(","))
-                for record in records:
-                    for e in record.per_agent:
-                        writer.writerow(
-                            [
-                                record.round,
-                                e.agent_id,
-                                e.role.value,
-                                _fmt(e.quantity),
-                                _fmt(e.running_average),
-                                _fmt(e.utility_value),
-                                _fmt(e.utility_derivative),
-                                _fmt(e.trace.backoff_probability),
-                                e.trace.bernoulli,
-                                e.trace.branch.value,
-                                _fmt(record.total_supply),
-                                _fmt(record.total_consumption),
-                                record.signals.supplier_signal,
-                                record.signals.consumer_signal,
-                                _fmt(record.sum_of_utilities),
-                            ]
-                        )
-        elif fmt == "json":
-            with destination.open("w", newline="\n") as fh:
-                json.dump([_record_to_dict(r) for r in records], fh, separators=(",", ":"))
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown export format: {fmt}")
+        with atomic_writer(destination) as fh:
+            if fmt == "csv":
+                fh.write(CSV_HEADER + "\n")
+                for t, agents, totals in _export_rounds(trajectory):
+                    fh.write("".join([CSV_ROW % (t, *agent, *totals) for agent in agents]))
+            else:
+                fh.write("[")
+                for t, agents, totals in _export_rounds(trajectory):
+                    per_agent = ",".join([JSON_AGENT % agent for agent in agents])
+                    fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent, *totals))
+                fh.write("]\n")
     except OSError as exc:
         raise OSError(f"cannot write run export to {destination}: {exc}") from exc
     return destination
@@ -252,8 +318,6 @@ def export_run(records: Sequence[RoundRecord], fmt: str, destination) -> Path:
 
 def load_records(path) -> list[RoundRecord]:
     """Re-parse a JSON export into record objects (inverse of export_run)."""
-    from .market import CapacitySignals
-
     raw = json.loads(Path(path).read_text())
     records = []
     for item in raw:
@@ -292,28 +356,24 @@ def load_records(path) -> list[RoundRecord]:
 def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
     """Write a BandSeries as CSV or JSON."""
     destination = Path(destination)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format: {fmt}")
     try:
-        if fmt == "csv":
-            with destination.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
-                for i, rnd in enumerate(band.rounds):
-                    writer.writerow(
-                        [rnd, _fmt(band.mean[i]), _fmt(band.lower[i]), _fmt(band.upper[i]), band.replicate_count]
-                    )
-        elif fmt == "json":
-            payload = {
-                "replicate_count": band.replicate_count,
-                "rounds": list(band.rounds),
-                "mean": list(band.mean),
-                "lower": list(band.lower),
-                "upper": list(band.upper),
-            }
-            with destination.open("w", newline="\n") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
+        with atomic_writer(destination) as fh:
+            if fmt == "csv":
+                fh.write("round,mean,lower,upper,replicate_count\n")
+                rows = zip(band.rounds, band.mean, band.lower, band.upper, repeat(band.replicate_count))
+                fh.write("".join(["%s,%r,%r,%r,%s\n" % row for row in rows]))
+            else:
+                payload = {
+                    "replicate_count": band.replicate_count,
+                    "rounds": list(band.rounds),
+                    "mean": list(band.mean),
+                    "lower": list(band.lower),
+                    "upper": list(band.upper),
+                }
+                json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
                 fh.write("\n")
-        else:
-            raise ValueError(f"unknown export format: {fmt}")
     except OSError as exc:
         raise OSError(f"cannot write band series to {destination}: {exc}") from exc
     return destination

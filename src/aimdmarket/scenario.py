@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -380,12 +382,35 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
     return {"paper-a": (config_a, scenario_a), "paper-b": (config_b, scenario_b)}
 
 
+@contextmanager
+def atomic_writer(path: Path):
+    """A text file that replaces ``path`` only once the block completes.
+
+    It is written beside ``path`` and moved onto it with ``os.replace``,
+    so a write that fails leaves no partial file and any earlier file
+    intact.
+    """
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with temp.open("x", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def write_json(path, payload) -> Path:
+    """Write ``payload`` as indented strict JSON (NaN and infinities are
+    refused with ValueError), atomically."""
+    path = Path(path)
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return path
+
+
 def save_config_file(path, config: MarketConfig, scenario: ScenarioSpec) -> Path:
     """Write config + scenario as one JSON document; round-trips losslessly."""
-    path = Path(path)
-    payload = {"config": config.to_dict(), "scenario": scenario.to_dict()}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return write_json(path, {"config": config.to_dict(), "scenario": scenario.to_dict()})
 
 
 def load_config_file(path) -> tuple[MarketConfig, ScenarioSpec]:

@@ -4,18 +4,24 @@ This is the per-agent object path the package ran before its array
 kernel: frozen ``AgentState`` snapshots advanced by ``step``, and a
 ``MarketState`` advanced by ``advance_round`` with scalar signals.  The
 tests keep it as the oracle that ``aimdmarket.market.simulate`` must
-reproduce exactly, record for record.  Its float totals use
+reproduce exactly, record for record, and ``export_records``, the
+record-by-record writer the package used before it wrote exports from
+columns, as the oracle whose bytes ``metrics.export_run`` must match.  Its float totals use
 ``utility.ordered_sum``, as the package's do, so the oracle adds in the
 same order on every Python version.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 from aimdmarket.agent import EPS_AVG, AgentStepTrace, Branch, Role, RoleParams, update_running_average
 from aimdmarket.market import CapacitySignals, agent_rng_streams, compute_signals
-from aimdmarket.metrics import AgentRoundEntry, RoundRecord
+from aimdmarket.metrics import CSV_HEADER, AgentRoundEntry, RoundRecord
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UnboundedDerivativeError, UtilitySpec, ordered_sum
 
@@ -275,3 +281,76 @@ def run_records(
         )
         records.append(record)
     return initial_record, records
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _record_to_dict(record: RoundRecord) -> dict:
+    return {
+        "round": record.round,
+        "per_agent": [
+            {
+                "agent_id": e.agent_id,
+                "role": e.role.value,
+                "quantity": e.quantity,
+                "running_average": e.running_average,
+                "utility_value": e.utility_value,
+                "utility_derivative": e.utility_derivative,
+                "trace": {
+                    "backoff_probability": e.trace.backoff_probability,
+                    "bernoulli": e.trace.bernoulli,
+                    "branch": e.trace.branch.value,
+                },
+            }
+            for e in record.per_agent
+        ],
+        "total_supply": record.total_supply,
+        "total_consumption": record.total_consumption,
+        "signals": {
+            "supplier_signal": record.signals.supplier_signal,
+            "consumer_signal": record.signals.consumer_signal,
+        },
+        "sum_of_utilities": record.sum_of_utilities,
+    }
+
+
+def export_records(records: Sequence[RoundRecord], fmt: str, destination) -> Path:
+    """Write records as CSV (one row per agent per round, through
+    ``csv.writer``) or JSON (``json.dump`` of each record's fields)."""
+    destination = Path(destination)
+    if fmt == "csv":
+        with destination.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER.split(","))
+            for record in records:
+                for e in record.per_agent:
+                    writer.writerow(
+                        [
+                            record.round,
+                            e.agent_id,
+                            e.role.value,
+                            _fmt(e.quantity),
+                            _fmt(e.running_average),
+                            _fmt(e.utility_value),
+                            _fmt(e.utility_derivative),
+                            _fmt(e.trace.backoff_probability),
+                            e.trace.bernoulli,
+                            e.trace.branch.value,
+                            _fmt(record.total_supply),
+                            _fmt(record.total_consumption),
+                            record.signals.supplier_signal,
+                            record.signals.consumer_signal,
+                            _fmt(record.sum_of_utilities),
+                        ]
+                    )
+    elif fmt == "json":
+        with destination.open("w", newline="\n") as fh:
+            json.dump([_record_to_dict(r) for r in records], fh, separators=(",", ":"))
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown export format: {fmt}")
+    return destination

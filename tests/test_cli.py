@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ from aimdmarket.scenario import (
     ScenarioMode,
     ScenarioSpec,
     generate_scenario,
+    reference_configs,
     save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
@@ -199,3 +201,42 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert "Traceback" not in captured.err
     assert "error" in json.loads(captured.err.splitlines()[-1])
     assert not (out / "summary.json").exists()
+
+
+@pytest.fixture
+def paper_a_config(tmp_path):
+    return save_config_file(tmp_path / "paper-a.json", *reference_configs()["paper-a"])
+
+
+# (field path, value): a supplier curvature so small that u and u' overflow
+# to infinity, and an additive step so large that (z - z*) ** 2 overflows.
+OVERFLOWING_FIELDS = [
+    (("scenario", "supplier_utilities", 0, "curvature"), 1e-320),
+    (("config", "supplier_params", "alpha"), 1e200),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path,value", OVERFLOWING_FIELDS, ids=_field_id)
+def test_non_finite_run_fails_without_artifacts(tmp_path, paper_a_config, capsys, path, value, fmt):
+    payload = json.loads(paper_a_config.read_text())
+    payload["config"]["horizon"] = 20
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(config)]) == 0  # every input is finite
+    assert "ok" in capsys.readouterr().out
+
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        assert main(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "error" in json.loads(captured.err.splitlines()[-1])
+    assert not out.exists() or not any(out.iterdir())  # no artifact, no temp file

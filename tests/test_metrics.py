@@ -16,7 +16,7 @@ from aimdmarket.metrics import (
     mean_derivative_series,
     summarize,
 )
-from aimdmarket.scenario import MarketConfig, ScenarioMode, generate_scenario
+from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, write_json
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
@@ -114,7 +114,7 @@ def test_band_ordering_invariant():
 
 def test_csv_shape_and_header(tmp_path):
     _, _, result = small_run(horizon=1, suppliers=1, consumers=1)
-    path = export_run(result.records, "csv", tmp_path / "r.csv")
+    path = export_run(result.trajectory, "csv", tmp_path / "r.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # header + one row per agent for the single round
@@ -122,35 +122,58 @@ def test_csv_shape_and_header(tmp_path):
 
 def test_csv_export_byte_identical(tmp_path):
     _, _, result = small_run(horizon=40)
-    a = export_run(result.records, "csv", tmp_path / "a.csv").read_bytes()
-    b = export_run(result.records, "csv", tmp_path / "b.csv").read_bytes()
+    a = export_run(result.trajectory, "csv", tmp_path / "a.csv").read_bytes()
+    b = export_run(result.trajectory, "csv", tmp_path / "b.csv").read_bytes()
     assert a == b
 
 
 def test_json_round_trip(tmp_path):
     _, _, result = small_run(horizon=25)
-    path = export_run(result.records, "json", tmp_path / "r.json")
+    path = export_run(result.trajectory, "json", tmp_path / "r.json")
     assert load_records(path) == result.records
 
 
 def test_json_export_byte_identical(tmp_path):
     _, _, result = small_run(horizon=25)
-    a = export_run(result.records, "json", tmp_path / "a.json").read_bytes()
-    b = export_run(result.records, "json", tmp_path / "b.json").read_bytes()
+    a = export_run(result.trajectory, "json", tmp_path / "a.json").read_bytes()
+    b = export_run(result.trajectory, "json", tmp_path / "b.json").read_bytes()
     assert a == b
 
 
 def test_export_unknown_format(tmp_path):
     _, _, result = small_run(horizon=1)
     with pytest.raises(ValueError):
-        export_run(result.records, "parquet", tmp_path / "r.x")
+        export_run(result.trajectory, "parquet", tmp_path / "r.x")
 
 
 def test_export_write_failure_carries_path(tmp_path):
     _, _, result = small_run(horizon=1)
     missing = tmp_path / "no" / "such" / "dir" / "r.csv"
     with pytest.raises(OSError, match="r.csv"):
-        export_run(result.records, "csv", missing)
+        export_run(result.trajectory, "csv", missing)
+
+
+def test_failed_writes_leave_no_partial_file(tmp_path):
+    _, _, result = small_run(horizon=3)
+    band = confidence_band([[0.0, 1.0], [2.0, 3.0]])
+    missing = tmp_path / "no" / "such" / "dir"
+    for fmt in ("csv", "json"):
+        with pytest.raises(OSError):
+            export_run(result.trajectory, fmt, missing / f"r.{fmt}")
+        with pytest.raises(OSError):
+            export_band_series(band, fmt, missing / f"band.{fmt}")
+    assert not (tmp_path / "no").exists()
+
+    earlier = tmp_path / "summary.json"
+    earlier.write_text("earlier\n")
+    with pytest.raises(ValueError):  # strict JSON: no NaN or Infinity tokens
+        write_json(earlier, {"value": float("inf")})
+    with pytest.raises(RuntimeError):
+        with atomic_writer(earlier) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert earlier.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 def test_band_export_csv_and_json(tmp_path):

@@ -2,7 +2,9 @@
 
 Records and summaries are compared by ``repr``, which tells -0.0 from
 0.0 and an int from a bool, so "equal" here means bit-identical values
-of identical types.  Run seeds and scenario seeds are fixed in advance.
+of identical types.  Exports written from the columns must equal, byte
+for byte, the oracle writer's exports of the oracle's records.  Run
+seeds and scenario seeds are fixed in advance.
 """
 
 import builtins
@@ -13,10 +15,10 @@ import pytest
 
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import mean_derivative_series, summarize
+from aimdmarket.metrics import export_run, mean_derivative_series, summarize
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, run_records, step
+from scalar_oracle import AgentState, export_records, run_records, step
 
 SCENARIO_SEEDS = (3, 12, 21)
 RUN_SEEDS = range(8)
@@ -50,9 +52,34 @@ def _exercised(kind, initial, records):
     return not records
 
 
+# Both helpers report where the outputs first differ, rather than leave
+# pytest to diff megabytes of text.
+
+
+def _assert_exports_match(trajectory, records, directory):
+    for fmt in ("csv", "json"):
+        expected = export_records(records, fmt, directory / f"oracle.{fmt}").read_bytes()
+        got = export_run(trajectory, fmt, directory / f"columns.{fmt}").read_bytes()
+        same = got == expected
+        at = None if same else next(i for i, (a, b) in enumerate(zip(got + b"$", expected + b"^")) if a != b)
+        assert same, f"{fmt} export differs from byte {at}: {got[at:at + 80]!r} vs {expected[at:at + 80]!r}"
+
+
+def _assert_utility_values_match(trajectory):
+    utilities = trajectory.population.utilities
+    rows = zip(trajectory.running_average.tolist(), trajectory.utility_value.tolist())
+    mismatched = [
+        (t, i, value, u.evaluate(avg))
+        for t, (averages, values) in enumerate(rows)
+        for i, (u, avg, value) in enumerate(zip(utilities, averages, values))
+        if repr(value) != repr(u.evaluate(avg))
+    ]
+    assert mismatched == []
+
+
 @pytest.mark.parametrize("scenario_seed", SCENARIO_SEEDS)
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_kernel_matches_oracle(variant, scenario_seed):
+def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
     overrides, mode, target, flip, kind = VARIANTS[variant]
     config = MarketConfig.build(3, 4, **{"horizon": 120, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, scenario_seed)
@@ -67,17 +94,45 @@ def test_kernel_matches_oracle(variant, scenario_seed):
     for k in RUN_SEEDS:
         seeded = config.with_overrides(seed=k)
         initial, records = run_records(seeded, scenario, flip)
-        exercised = exercised or _exercised(kind, initial, records)
         result = run(seeded, scenario, flip_signal_semantics=flip)
         assert repr(result.initial_record) == repr(initial)
         assert repr(result.records) == repr(records)
         expected_summary = summarize(records or [initial], scenario)
         assert repr(result.summary) == repr(expected_summary)
+        _assert_utility_values_match(result.trajectory)
+        if not exercised and _exercised(kind, initial, records):
+            # the first run that reaches the variant's case; the oracle's
+            # pure-Python json.dump is too slow to export every run
+            _assert_exports_match(result.trajectory, records, tmp_path)
+            exercised = True
         for role, base, (series, summaries) in batches:
             if k >= base:
                 assert repr(series[k - base]) == repr(mean_derivative_series(records, role))
                 assert repr(summaries[k - base]) == repr(expected_summary)
     assert exercised, f"{variant} never reached its case"
+
+
+@pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
+def test_utility_value_matches_evaluate(reference):
+    # Full reference runs: libm pow and d * d disagree on a handful of
+    # their 135k values, so short runs alone could miss a d * d.
+    config, scenario = reference_configs()[reference]
+    _assert_utility_values_match(run(config, scenario).trajectory)
+
+
+def test_signed_zero_lambda_export_matches_oracle(tmp_path):
+    # The consumers' round-1 lambda is a clamped raw -0.0 (see
+    # test_cli.test_lambda_keeps_signed_zero); both writers keep its sign.
+    config = MarketConfig.build(1, 2, horizon=3, seed=1, initial_quantity=0.0)
+    scenario = ScenarioSpec(
+        (UtilitySpec.quadratic(10.0, 20.0),),
+        (UtilitySpec.quadratic(5.0, 20.0), UtilitySpec.quadratic(5.0, 20.0)),
+        10.0,
+        BOTH,
+    )
+    _, records = run_records(config, scenario)
+    assert [repr(e.trace.backoff_probability) for e in records[0].per_agent[1:]] == ["-0.0", "-0.0"]
+    _assert_exports_match(run(config, scenario).trajectory, records, tmp_path)
 
 
 def _kernel_step(state, signal, params, draw):
@@ -164,7 +219,8 @@ def test_no_result_depends_on_how_sum_rounds(monkeypatch):
         result = run(config, scenario)
         initial, records = run_records(config, scenario)
         batched = replicate_series(config, scenario, 2)
-        return repr((reference_configs(), result, initial, records, summarize(records, scenario), batched))
+        return repr((reference_configs(), result.initial_record, result.records, result.summary, initial, records,
+                     summarize(records, scenario), batched))
 
     expected = outputs()
     monkeypatch.setattr(builtins, "sum", _correctly_rounded_sum)
