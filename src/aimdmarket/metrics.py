@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterator, Optional, Sequence
@@ -32,7 +32,9 @@ CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
     "lambda,bernoulli,branch,total_supply,total_consumption,s_signal,c_signal,sum_of_utilities"
 )
-CSV_ROW = ",".join(["%s"] * 15) + "\n"
+# "round,agent_id,role", the agent's seven fields, the round's five fields
+CSV_ROW = ",".join(["%s"] * 9)
+CSV_ROUND_FIELDS = "%s,%s,%s,%s,%s\n"
 JSON_AGENT = (
     '{"agent_id":"%s","role":"%s","quantity":%s,"running_average":%s,"utility_value":%s,'
     '"utility_derivative":%s,"trace":{"backoff_probability":%s,"bernoulli":%s,"branch":"%s"}}'
@@ -116,12 +118,6 @@ class Trajectory:
         # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
         # utility.ordered_sum (which starts from 0.0) does
         return self.utility_value.cumsum(axis=1)[:, -1] + 0.0
-
-    def check_finite(self) -> None:
-        """Raise ValueError if any number the exports hold is NaN or infinite."""
-        for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"the run produced a non-finite {name}")
 
     def record(self, t: int) -> RoundRecord:
         """Round ``t`` as a ``RoundRecord``."""
@@ -263,28 +259,24 @@ def _formatted(values: np.ndarray) -> list[str]:
     return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
 
 
-def _export_rounds(trajectory: Trajectory) -> Iterator[tuple[int, list[tuple], tuple]]:
-    """Per round 1..horizon: the round, each agent's fields and the
-    round's totals, signals and utility sum, formatted for export."""
-    p, rounds = trajectory.population, len(trajectory.total_supply)
-    agents = [(agent_id, role.value) for agent_id, role in zip(p.agent_ids, p.roles)]
+def _export_chunks(trajectory: Trajectory) -> Iterator[tuple[range, list[list], list[list]]]:
+    """Rounds 1..horizon, EXPORT_CHUNK at a time, as export text: the rounds, the
+    per-agent columns (flattened round by round) and the per-round columns."""
+    last = len(trajectory.total_supply)
     branches = [b.value for b in BRANCHES]
-    for start in range(1, rounds, EXPORT_CHUNK):
+    for start in range(1, last, EXPORT_CHUNK):
         rows = slice(start, start + EXPORT_CHUNK)
-        fields = zip(
-            *(_formatted(getattr(trajectory, name)[rows]) for name in FLOAT_COLUMNS),
-            trajectory.bernoulli[rows].ravel().astype(int).tolist(),
-            map(branches.__getitem__, trajectory.branch[rows].ravel().tolist()),
-        )
-        totals = zip(
+        per_agent = [_formatted(getattr(trajectory, name)[rows]) for name in FLOAT_COLUMNS]
+        per_agent.append(trajectory.bernoulli[rows].ravel().astype(int).tolist())
+        per_agent.append([branches[code] for code in trajectory.branch[rows].ravel().tolist()])
+        per_round = [
             _formatted(trajectory.total_supply[rows]),
             _formatted(trajectory.total_consumption[rows]),
             trajectory.supplier_signal[rows].astype(int).tolist(),
             trajectory.consumer_signal[rows].astype(int).tolist(),
             _formatted(trajectory.sum_of_utilities[rows]),
-        )
-        for t, round_totals in zip(range(start, rounds), totals):
-            yield t, [agent + next(fields) for agent in agents], round_totals
+        ]
+        yield range(start, min(start + EXPORT_CHUNK, last)), per_agent, per_round
 
 
 def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
@@ -298,18 +290,26 @@ def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     destination = Path(destination)
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format: {fmt}")
-    trajectory.check_finite()
+    for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
+        if not np.isfinite(getattr(trajectory, name)).all():
+            raise ValueError(f"the run produced a non-finite {name}")
+    ids, n = trajectory.population.agent_ids, len(trajectory.population.agent_ids)
+    roles = tuple(role.value for role in trajectory.population.roles)
     try:
         with atomic_writer(destination) as fh:
             if fmt == "csv":
                 fh.write(CSV_HEADER + "\n")
-                for t, agents, totals in _export_rounds(trajectory):
-                    fh.write("".join([CSV_ROW % (t, *agent, *totals) for agent in agents]))
+                for rounds, per_agent, per_round in _export_chunks(trajectory):
+                    heads = [f"{t},{agent_id},{role}" for t in rounds for agent_id, role in zip(ids, roles)]
+                    tails = chain.from_iterable(repeat(CSV_ROUND_FIELDS % fields, n) for fields in zip(*per_round))
+                    fh.write("".join(map(CSV_ROW.__mod__, zip(heads, *per_agent, tails))))
             else:
                 fh.write("[")
-                for t, agents, totals in _export_rounds(trajectory):
-                    per_agent = ",".join([JSON_AGENT % agent for agent in agents])
-                    fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent, *totals))
+                for rounds, per_agent, per_round in _export_chunks(trajectory):
+                    entries = list(map(JSON_AGENT.__mod__, zip(ids * len(rounds), roles * len(rounds), *per_agent)))
+                    for k, (t, fields) in enumerate(zip(rounds, zip(*per_round))):
+                        per_agent_json = ",".join(entries[k * n : (k + 1) * n])
+                        fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent_json, *fields))
                 fh.write("]\n")
     except OSError as exc:
         raise OSError(f"cannot write run export to {destination}: {exc}") from exc
