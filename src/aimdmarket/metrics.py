@@ -282,10 +282,10 @@ def _export_chunks(trajectory: Trajectory) -> Iterator[tuple[range, list[list], 
 def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     """Write rounds 1..horizon as CSV (one row per agent per round) or JSON.
 
-    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object
-    per round, shaped as ``RoundRecord``.  A run with a non-finite number
-    is refused with ValueError before anything is written.  Failures
-    carry the destination path and leave no partial file.
+    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object per round, shaped as
+    ``RoundRecord``, in the bytes ``json.dump`` writes: its strings (agent ids, enum values) need
+    no escaping, and a run with a non-finite number is refused with ValueError before anything
+    is written.  Failures carry the destination path and leave no partial file.
     """
     destination = Path(destination)
     if fmt not in ("csv", "json"):
