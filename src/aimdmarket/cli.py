@@ -21,9 +21,11 @@ from .metrics import confidence_band, export_band_series, export_run
 from .scenario import (
     MarketConfig,
     ScenarioSpec,
+    atomic_writer,
     load_config_file,
     reference_configs,
     save_config_file,
+    strict_json,
     validate_config,
     validate_scenario,
     write_json,
@@ -101,10 +103,13 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(config, args)
     result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics)
 
-    # records first: a run with a non-finite number fails there, writing nothing
+    # a non-finite summary fails here and a non-finite round in export_run,
+    # both before anything is written
+    summary = strict_json(result.summary.to_dict())
     args.out.mkdir(parents=True, exist_ok=True)
     records_path = export_run(result.trajectory, args.format, args.out / f"records.{args.format}")
-    write_json(args.out / "summary.json", result.summary.to_dict())
+    with atomic_writer(args.out / "summary.json") as fh:
+        fh.write(summary)
     save_config_file(args.out / "run_config.json", config, scenario)
     print(f"wrote {records_path}")
     print(f"wrote {args.out / 'summary.json'}")

@@ -177,7 +177,7 @@ def run(
     for values in chain([first], rounds):
         for column, value in zip(columns, values[1:]):
             column[values.round] = value[..., 0]  # replicate 0
-    trajectory = Trajectory(population, *columns)
+    trajectory = Trajectory(population, **dict(zip(RoundColumns._fields[1:], columns)))
     # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
     window = trailing_window(max(config.horizon, 1))
     tail = slice(config.horizon + 1 - window, None)

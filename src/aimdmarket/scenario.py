@@ -399,12 +399,17 @@ def atomic_writer(path: Path):
         temp.unlink(missing_ok=True)
 
 
+def strict_json(payload) -> str:
+    """``payload`` as indented strict JSON: NaN and infinities are refused
+    with ValueError."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(path, payload) -> Path:
-    """Write ``payload`` as indented strict JSON (NaN and infinities are
-    refused with ValueError), atomically."""
+    """Write ``payload`` as ``strict_json``, atomically."""
     path = Path(path)
     with atomic_writer(path) as fh:
-        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        fh.write(strict_json(payload))
     return path
 
 

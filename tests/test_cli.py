@@ -203,23 +203,22 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert not (out / "summary.json").exists()
 
 
-@pytest.fixture
-def paper_a_config(tmp_path):
-    return save_config_file(tmp_path / "paper-a.json", *reference_configs()["paper-a"])
-
-
-# (field path, value): a supplier curvature so small that u and u' overflow
-# to infinity, and an additive step so large that (z - z*) ** 2 overflows.
+# (reference, field path, value): a supplier curvature so small that u and
+# u' overflow to infinity; an additive step so large that (z - z*) ** 2
+# overflows; and a sqrt supplier's step that keeps every round finite but
+# overflows the summary's trailing-window sum of totals.
 OVERFLOWING_FIELDS = [
-    (("scenario", "supplier_utilities", 0, "curvature"), 1e-320),
-    (("config", "supplier_params", "alpha"), 1e200),
+    ("paper-a", ("scenario", "supplier_utilities", 0, "curvature"), 1e-320),
+    ("paper-a", ("config", "supplier_params", "alpha"), 1e200),
+    ("paper-b", ("config", "supplier_params", "alpha"), 1e305),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("path,value", OVERFLOWING_FIELDS, ids=_field_id)
-def test_non_finite_run_fails_without_artifacts(tmp_path, paper_a_config, capsys, path, value, fmt):
-    payload = json.loads(paper_a_config.read_text())
+@pytest.mark.parametrize("reference,path,value", OVERFLOWING_FIELDS, ids=_field_id)
+def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, path, value, fmt):
+    saved = save_config_file(tmp_path / f"{reference}.json", *reference_configs()[reference])
+    payload = json.loads(saved.read_text())
     payload["config"]["horizon"] = 20
     *parents, leaf = path
     target = payload

@@ -270,3 +270,14 @@ def test_replicate_series_order_independent():
         from aimdmarket.metrics import mean_derivative_series
 
         assert series[k] == mean_derivative_series(solo.records, Role.SUPPLIER)
+
+
+def test_package_root_reexports_the_public_names():
+    import aimdmarket
+    from aimdmarket import CapacitySignals, MarketConfig, RunResult, export_run, run as root_run
+
+    assert (root_run, export_run, RunResult, CapacitySignals, MarketConfig) == (
+        run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult,
+        aimdmarket.metrics.CapacitySignals, aimdmarket.scenario.MarketConfig,
+    )
+    assert all(hasattr(aimdmarket, name) for name in aimdmarket.__all__)

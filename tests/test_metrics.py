@@ -7,6 +7,8 @@ from aimdmarket.agent import Role
 from aimdmarket.market import run
 from aimdmarket.metrics import (
     CSV_HEADER,
+    _reprs,
+    _unique_reprs,
     confidence_band,
     detect_convergence,
     export_band_series,
@@ -151,6 +153,11 @@ def test_export_write_failure_carries_path(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "r.csv"
     with pytest.raises(OSError, match="r.csv"):
         export_run(result.trajectory, "csv", missing)
+
+
+def test_export_formatting_keeps_signed_zero():
+    values = np.array([[0.0, -0.0, 1.5], [-0.0, 0.1 + 0.2, 0.0]])
+    assert _reprs(values) == _unique_reprs(values) == [repr(v) for v in values.ravel().tolist()]
 
 
 def test_failed_writes_leave_no_partial_file(tmp_path):
