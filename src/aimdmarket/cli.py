@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .agent import Role
 from .market import replicate_series, run
 from .metrics import confidence_band, export_band_series, export_run
@@ -162,11 +164,14 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "replicate":
-            return _cmd_replicate(args)
-        return _cmd_run(args)
+        # numpy's overflow notices stay silent: a run that overflows is refused
+        # with one JSON error naming the field (strict_json, export_run)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "validate":
+                return _cmd_validate(args)
+            if args.command == "replicate":
+                return _cmd_replicate(args)
+            return _cmd_run(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -47,6 +49,8 @@ JSON_ROUND = (
 # Rounds whose export strings are built at a time: export memory stays
 # O(EXPORT_CHUNK x agents) whatever the horizon.
 EXPORT_CHUNK = 256
+# Bytes a worker's part is appended in at a time: parts are never read whole.
+COPY_BUFFER = 1 << 20
 # The per-agent float columns of a Trajectory, in export order.
 FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "backoff_probability")
 
@@ -265,12 +269,12 @@ def _unique_reprs(values: np.ndarray) -> list[str]:
     return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
 
 
-def _export_chunks(trajectory: Trajectory) -> Iterator[tuple[range, list[list], list[list]]]:
-    """Rounds 1..horizon, EXPORT_CHUNK at a time, as export text: the rounds, the
-    per-agent columns (flattened round by round) and the per-round columns."""
+def _export_chunks(trajectory: Trajectory, starts: range) -> Iterator[tuple[range, list[list], list[list]]]:
+    """The chunks of EXPORT_CHUNK rounds that begin at ``starts``, as export text: the
+    rounds, the per-agent columns (flattened round by round) and the per-round columns."""
     last = len(trajectory.total_supply)
     branches = [b.value for b in BRANCHES]
-    for start in range(1, last, EXPORT_CHUNK):
+    for start in starts:
         rows = slice(start, start + EXPORT_CHUNK)
         # Agents with one step size move in lockstep until they back off, so few
         # quantities are distinct (2% on paper-a, 8% on paper-b) and each is
@@ -289,6 +293,45 @@ def _export_chunks(trajectory: Trajectory) -> Iterator[tuple[range, list[list], 
         yield range(start, min(start + EXPORT_CHUNK, last)), per_agent, per_round
 
 
+def _write_rounds(fh, trajectory: Trajectory, fmt: str, starts: range) -> None:
+    """Write the rows of the chunks that begin at ``starts``: everything but the CSV header
+    and the JSON array's brackets."""
+    ids, n = trajectory.population.agent_ids, len(trajectory.population.agent_ids)
+    roles = tuple(role.value for role in trajectory.population.roles)
+    for rounds, per_agent, per_round in _export_chunks(trajectory, starts):
+        if fmt == "csv":
+            heads = [f"{t},{agent_id},{role}" for t in rounds for agent_id, role in zip(ids, roles)]
+            tails = chain.from_iterable(repeat(CSV_ROUND_FIELDS % fields, n) for fields in zip(*per_round))
+            fh.write("".join(map(CSV_ROW.__mod__, zip(heads, *per_agent, tails))))
+            continue
+        entries = list(map(JSON_AGENT.__mod__, zip(ids * len(rounds), roles * len(rounds), *per_agent)))
+        for k, (t, fields) in enumerate(zip(rounds, zip(*per_round))):
+            per_agent_json = ",".join(entries[k * n : (k + 1) * n])
+            fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent_json, *fields))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fork_share(trajectory: Trajectory, fmt: str, starts: range, part: Path) -> int:
+    """Fork a worker that writes the rounds of ``starts`` to ``part``; return its pid.
+    The worker leaves through ``os._exit`` on every path, status 0 on success."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with part.open("x", newline="") as fh:
+            _write_rounds(fh, trajectory, fmt, starts)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     """Write rounds 1..horizon as CSV (one row per agent per round) or JSON.
 
@@ -296,33 +339,48 @@ def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     ``RoundRecord``, in the bytes ``json.dump`` writes: its strings (agent ids, enum values) need
     no escaping, and a run with a non-finite number is refused with ValueError before anything
     is written.  Failures carry the destination path and leave no partial file.
+
+    Every row is a function of the stored columns alone, so the chunks are split into one
+    contiguous share per usable CPU: this process writes the first, forked workers format the
+    others into ``.part`` files beside the destination, and their bytes are appended in order.
+    The output is the same whatever the number of CPUs.
     """
     destination = Path(destination)
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format: {fmt}")
+    # also computes the cached utility columns before any worker is forked
     for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
         if not np.isfinite(getattr(trajectory, name)).all():
-            raise ValueError(f"the run produced a non-finite {name}")
-    ids, n = trajectory.population.agent_ids, len(trajectory.population.agent_ids)
-    roles = tuple(role.value for role in trajectory.population.roles)
+            raise ValueError(f"the run overflowed or went non-finite: records column {name}")
+    starts = range(1, len(trajectory.total_supply), EXPORT_CHUNK)
+    count = max(1, min(_usable_cpus(), len(starts)))
+    shares = [starts[k * len(starts) // count : (k + 1) * len(starts) // count] for k in range(count)]
+    token = os.urandom(4).hex()
+    parts = [destination.with_name(f".{destination.name}.{token}.{k}.part") for k in range(1, count)]
+    workers = []  # (pid, part, share) of every worker not yet reaped
     try:
+        for part, share in zip(parts, shares[1:]):
+            workers.append((_fork_share(trajectory, fmt, share, part), part, share))
         with atomic_writer(destination) as fh:
-            if fmt == "csv":
-                fh.write(CSV_HEADER + "\n")
-                for rounds, per_agent, per_round in _export_chunks(trajectory):
-                    heads = [f"{t},{agent_id},{role}" for t in rounds for agent_id, role in zip(ids, roles)]
-                    tails = chain.from_iterable(repeat(CSV_ROUND_FIELDS % fields, n) for fields in zip(*per_round))
-                    fh.write("".join(map(CSV_ROW.__mod__, zip(heads, *per_agent, tails))))
-            else:
-                fh.write("[")
-                for rounds, per_agent, per_round in _export_chunks(trajectory):
-                    entries = list(map(JSON_AGENT.__mod__, zip(ids * len(rounds), roles * len(rounds), *per_agent)))
-                    for k, (t, fields) in enumerate(zip(rounds, zip(*per_round))):
-                        per_agent_json = ",".join(entries[k * n : (k + 1) * n])
-                        fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent_json, *fields))
+            fh.write(CSV_HEADER + "\n" if fmt == "csv" else "[")
+            _write_rounds(fh, trajectory, fmt, shares[0])
+            while workers:
+                pid, part, share = workers.pop(0)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status:
+                    raise OSError(f"the worker writing rounds from {share[0]} exited with status {status}")
+                fh.flush()
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, fh.buffer, COPY_BUFFER)
+            if fmt == "json":
                 fh.write("]\n")
     except OSError as exc:
         raise OSError(f"cannot write run export to {destination}: {exc}") from exc
+    finally:
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.unlink(missing_ok=True)
     return destination
 
 
@@ -429,7 +487,10 @@ def summarize_final(
     agent's final running average and derivative (suppliers first)."""
     s = len(scenario.supplier_utilities)
     utilities = scenario.supplier_utilities + scenario.consumer_utilities
-    values = [u.evaluate(avg) for u, avg in zip(utilities, running_averages)]
+    try:
+        values = [u.evaluate(avg) for u, avg in zip(utilities, running_averages)]
+    except OverflowError:  # (z - z*) ** 2 past the largest float
+        raise ValueError("the run overflowed: final_sum_of_utilities is out of range") from None
     agents = []
     for k, (u, avg, derivative) in enumerate(zip(utilities, running_averages, derivatives)):
         optimum = u.argmax()

@@ -97,23 +97,23 @@ class MarketConfig:
         alpha_c: Optional[float] = None,
         beta_c: Optional[float] = None,
     ) -> "MarketConfig":
-        """Copy of this config with the given parameters replaced."""
-        g = self.gamma if gamma is None else gamma
+        """Copy of this config with the given parameters replaced; ``gamma``
+        replaces both roles' network constant too."""
         sup = RoleParams(
             self.supplier_params.alpha if alpha_s is None else alpha_s,
             self.supplier_params.beta if beta_s is None else beta_s,
-            g,
+            self.supplier_params.gamma if gamma is None else gamma,
         )
         con = RoleParams(
             self.consumer_params.alpha if alpha_c is None else alpha_c,
             self.consumer_params.beta if beta_c is None else beta_c,
-            g,
+            self.consumer_params.gamma if gamma is None else gamma,
         )
         return replace(
             self,
             seed=self.seed if seed is None else seed,
             horizon=self.horizon if horizon is None else horizon,
-            gamma=g,
+            gamma=self.gamma if gamma is None else gamma,
             supplier_params=sup,
             consumer_params=con,
         )
@@ -400,9 +400,26 @@ def atomic_writer(path: Path):
 
 
 def strict_json(payload) -> str:
-    """``payload`` as indented strict JSON: NaN and infinities are refused
-    with ValueError."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``payload`` as indented strict JSON: a NaN or an infinity, which only
+    a run that overflowed can put there, is refused with a ValueError that
+    names its field."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"the run overflowed or went non-finite: {_non_finite_field(payload)}") from None
+
+
+def _non_finite_field(value, path: str = "") -> Optional[str]:
+    """``<path> is <value>`` for the first NaN or infinity in a JSON payload."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{path} is {value!r}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(item, where) for where, item in items)), None)
 
 
 def write_json(path, payload) -> Path:

@@ -212,6 +212,9 @@ OVERFLOWING_FIELDS = [
     ("paper-a", ("config", "supplier_params", "alpha"), 1e200),
     ("paper-b", ("config", "supplier_params", "alpha"), 1e305),
 ]
+# the summary field each of them leaves non-finite or out of range
+OVERFLOWING_SUMMARY_FIELD = {1e-320: "final_sum_of_utilities", 1e200: "final_sum_of_utilities",
+                             1e305: "trailing_mean_supply"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -233,9 +236,26 @@ def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, pat
 
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow notice either
         assert main(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert "error" in json.loads(captured.err.splitlines()[-1])
+    (line,) = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["error"]
+    assert message.startswith("the run overflowed") and f": {OVERFLOWING_SUMMARY_FIELD[value]} is " in message
     assert not out.exists() or not any(out.iterdir())  # no artifact, no temp file
+
+
+def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, capsys):
+    payload = json.loads(config_file.read_text())
+    payload["config"]["supplier_params"]["gamma"] = 3.0  # the top-level gamma stays 2.0
+    config = tmp_path / "gammas.json"
+    config.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(config)]) == 1
+    assert "disagrees" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "disagrees" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+    # --gamma sets all three, so the same file runs with it
+    assert main(["run", "--config", str(config), "--gamma", "3.0", "--out", str(out)]) == 0
+    assert json.loads((out / "run_config.json").read_text())["config"]["consumer_params"]["gamma"] == 3.0

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from aimdmarket import metrics
 from aimdmarket.agent import Role
 from aimdmarket.market import run
 from aimdmarket.metrics import (
@@ -181,6 +183,37 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
             raise RuntimeError("interrupted")
     assert earlier.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+@pytest.mark.parametrize("failing", ["worker", "first share"])
+def test_failed_export_share_leaves_no_file_or_process(failing, tmp_path, monkeypatch):
+    # 4 chunks over 3 CPUs: this process writes the first share, two forked
+    # workers the others; the patched writer is inherited by the forks.
+    _, _, result = small_run(horizon=769)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    write_rounds = metrics._write_rounds
+
+    def write_or_fail(fh, trajectory, fmt, starts):
+        if (starts[0] == 1) == (failing == "first share"):
+            raise RuntimeError("share failed")
+        write_rounds(fh, trajectory, fmt, starts)
+
+    monkeypatch.setattr(metrics, "_write_rounds", write_or_fail)
+    for fmt in ("csv", "json"):
+        expected = (RuntimeError, "share failed") if failing == "first share" else (OSError, f"r.{fmt}.*status 1")
+        with pytest.raises(expected[0], match=expected[1]):
+            export_run(result.trajectory, fmt, tmp_path / f"r.{fmt}")
+        assert list(tmp_path.iterdir()) == []  # no artifact, temp file or .part file
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):
+    _, _, result = small_run(horizon=769)
+    expected = export_run(result.trajectory, "csv", tmp_path / "forked.csv").read_bytes()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert metrics._usable_cpus() == 1
+    assert export_run(result.trajectory, "csv", tmp_path / "r.csv").read_bytes() == expected
 
 
 def test_band_export_csv_and_json(tmp_path):

@@ -9,13 +9,14 @@ seeds and scenario seeds are fixed in advance.
 
 import builtins
 import math
+import os
 
 import numpy as np
 import pytest
 
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import export_run, mean_derivative_series, summarize
+from aimdmarket.metrics import EXPORT_CHUNK, export_run, mean_derivative_series, summarize
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilitySpec
 from scalar_oracle import AgentState, export_records, run_records, step
@@ -96,7 +97,10 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
         initial, records = run_records(seeded, scenario, flip)
         result = run(seeded, scenario, flip_signal_semantics=flip)
         assert repr(result.initial_record) == repr(initial)
-        assert repr(result.records) == repr(records)
+        # round by round, so a mismatch reports its round instead of a diff of the whole run
+        assert len(result.records) == len(records)
+        for got, expected in zip(result.records, records):
+            assert repr(got) == repr(expected), f"round {expected.round} differs"
         expected_summary = summarize(records or [initial], scenario)
         assert repr(result.summary) == repr(expected_summary)
         _assert_utility_values_match(result.trajectory)
@@ -133,6 +137,24 @@ def test_signed_zero_lambda_export_matches_oracle(tmp_path):
     _, records = run_records(config, scenario)
     assert [repr(e.trace.backoff_probability) for e in records[0].per_agent[1:]] == ["-0.0", "-0.0"]
     _assert_exports_match(run(config, scenario).trajectory, records, tmp_path)
+
+
+# 0, 1 and 2 chunks of EXPORT_CHUNK = 256 rounds, and 4 chunks, which 3 CPUs split 1 + 1 + 2
+@pytest.mark.parametrize("horizon", [0, 1, 256, 257, 300, 769])
+def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
+    config = MarketConfig.build(3, 4, horizon=horizon, seed=2, initial_quantity=10.0)
+    scenario = generate_scenario(config, BOTH, 300.0, 3)
+    _, records = run_records(config, scenario)
+    trajectory = run(config, scenario).trajectory
+    chunks = len(range(1, horizon + 1, EXPORT_CHUNK))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 2, 3, chunks + 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        forks.clear()
+        _assert_exports_match(trajectory, records, tmp_path)
+        assert len(forks) == 2 * (max(1, min(cpus, chunks)) - 1)  # one worker per share after the first, per format
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["columns.csv", "columns.json", "oracle.csv", "oracle.json"]
 
 
 def _kernel_step(state, signal, params, draw):
