@@ -48,24 +48,13 @@ DECREASE_MULT, INCREASE, DECREASE_ADD = range(3)
 
 @dataclass(frozen=True)
 class RoleParams:
-    """AIMD constants for one side of the market.
-
-    alpha: additive step (> 0).
-    beta: multiplicative back-off factor in (0, 1).
-    gamma: network constant scaling the back-off probability (>= 0).
-    """
+    """AIMD constants for one side of the market: the additive step alpha
+    (> 0) and the multiplicative back-off factor beta in (0, 1).  The
+    network constant Gamma is one per market, ``MarketConfig.gamma``;
+    ``scenario.validate_config`` checks all three."""
 
     alpha: float
     beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,7 @@ class Population:
     scale: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
+    gamma: float  # the market's one network constant
 
     @classmethod
     def build(cls, config: MarketConfig, scenario: ScenarioSpec) -> "Population":
@@ -125,7 +114,7 @@ class Population:
             scale=_column([u.scale if s else 1.0 for s, u in zip(sqrt, utilities)]),
             alpha=_column([p.alpha for p in params]),
             beta=_column([p.beta for p in params]),
-            gamma=_column([p.gamma for p in params]),
+            gamma=config.gamma,
         )
 
     def derivative(self, avg: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from .scenario import (
     strict_json,
     validate_config,
     validate_scenario,
-    write_json,
 )
 
 
@@ -130,14 +129,6 @@ def _cmd_replicate(args) -> int:
         flip_signal_semantics=args.flip_signal_semantics,
         role=Role.SUPPLIER,
     )
-    band = confidence_band(series)
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    save_config_file(args.out / "run_config.json", config, scenario)
-    band_path = export_band_series(
-        band, args.format, args.out / f"band_supplier_derivative.{args.format}"
-    )
-    write_json(args.out / "replicate_summaries.json", [s.to_dict() for s in summaries])
     meta = {
         "base_seed": config.seed,
         "replicates": args.replicates,
@@ -145,14 +136,29 @@ def _cmd_replicate(args) -> int:
         "series": "mean_supplier_derivative",
         "level": 0.95,
     }
-    write_json(args.out / "replicate_meta.json", meta)
+    # a non-finite summary fails here and a non-finite band in
+    # export_band_series, both before anything is written
+    texts = {"replicate_summaries.json": strict_json([s.to_dict() for s in summaries]),
+             "replicate_meta.json": strict_json(meta)}
+    args.out.mkdir(parents=True, exist_ok=True)
+    band_path = export_band_series(
+        confidence_band(series), args.format, args.out / f"band_supplier_derivative.{args.format}"
+    )
+    for name, text in texts.items():
+        with atomic_writer(args.out / name) as fh:
+            fh.write(text)
+    save_config_file(args.out / "run_config.json", config, scenario)
     print(f"wrote {band_path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    config, scenario = load_config_file(args.config)
-    violations = validate_config(config) + validate_scenario(scenario, config)
+    try:
+        config, scenario = load_config_file(args.config)
+    except ValueError as exc:  # not a config file; a missing file stays an OSError
+        violations = [str(exc)]
+    else:
+        violations = validate_config(config) + validate_scenario(scenario, config)
     if violations:
         for v in violations:
             print(f"violation: {v}")

@@ -422,8 +422,12 @@ def load_records(path) -> list[RoundRecord]:
 
 
 def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
-    """Write a BandSeries as CSV or JSON, atomically."""
+    """Write a BandSeries as CSV or JSON, atomically; a non-finite band is
+    refused with a ValueError before the file is opened."""
     destination = Path(destination)
+    for name in ("mean", "lower", "upper"):
+        if not all(map(math.isfinite, getattr(band, name))):
+            raise ValueError(f"the run overflowed or went non-finite: band column {name}")
     try:
         if fmt == "csv":
             with atomic_writer(destination) as fh:

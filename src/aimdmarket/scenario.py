@@ -48,7 +48,7 @@ class ScenarioMode(str, Enum):
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """All run parameters for one market simulation."""
+    """All run parameters for one market simulation; ``validate_config`` checks them."""
 
     num_suppliers: int
     num_consumers: int
@@ -74,12 +74,12 @@ class MarketConfig:
         seed: int = 0,
         initial_quantity: float = 0.0,
     ) -> "MarketConfig":
-        """Construct a config with both role parameter sets sharing ``gamma``."""
+        """Construct a config from each side's (alpha, beta) and the shared ``gamma``."""
         return cls(
             num_suppliers=num_suppliers,
             num_consumers=num_consumers,
-            supplier_params=RoleParams(alpha_s, beta_s, gamma),
-            consumer_params=RoleParams(alpha_c, beta_c, gamma),
+            supplier_params=RoleParams(alpha_s, beta_s),
+            consumer_params=RoleParams(alpha_c, beta_c),
             gamma=gamma,
             horizon=horizon,
             seed=seed,
@@ -97,17 +97,15 @@ class MarketConfig:
         alpha_c: Optional[float] = None,
         beta_c: Optional[float] = None,
     ) -> "MarketConfig":
-        """Copy of this config with the given parameters replaced; ``gamma``
-        replaces both roles' network constant too."""
+        """Copy of this config with the given parameters replaced (``None``
+        keeps a value); ``gamma`` is the network constant of both sides."""
         sup = RoleParams(
             self.supplier_params.alpha if alpha_s is None else alpha_s,
             self.supplier_params.beta if beta_s is None else beta_s,
-            self.supplier_params.gamma if gamma is None else gamma,
         )
         con = RoleParams(
             self.consumer_params.alpha if alpha_c is None else alpha_c,
             self.consumer_params.beta if beta_c is None else beta_c,
-            self.consumer_params.gamma if gamma is None else gamma,
         )
         return replace(
             self,
@@ -119,19 +117,12 @@ class MarketConfig:
         )
 
     def to_dict(self) -> dict:
+        # each role dict repeats gamma, as config files always have
         return {
             "num_suppliers": self.num_suppliers,
             "num_consumers": self.num_consumers,
-            "supplier_params": {
-                "alpha": self.supplier_params.alpha,
-                "beta": self.supplier_params.beta,
-                "gamma": self.supplier_params.gamma,
-            },
-            "consumer_params": {
-                "alpha": self.consumer_params.alpha,
-                "beta": self.consumer_params.beta,
-                "gamma": self.consumer_params.gamma,
-            },
+            "supplier_params": {**vars(self.supplier_params), "gamma": self.gamma},
+            "consumer_params": {**vars(self.consumer_params), "gamma": self.gamma},
             "gamma": self.gamma,
             "horizon": self.horizon,
             "seed": self.seed,
@@ -140,14 +131,19 @@ class MarketConfig:
 
     @classmethod
     def from_dict(cls, record: dict) -> "MarketConfig":
+        """Inverse of ``to_dict``.  A role's ``gamma`` key is optional; one that
+        contradicts a finite top-level ``gamma`` raises ValueError."""
         gamma = record["gamma"]
-        sup = record["supplier_params"]
-        con = record["consumer_params"]
+        params = {}
+        for side in ("supplier", "consumer"):
+            role = record[f"{side}_params"]
+            params[f"{side}_params"] = RoleParams(role["alpha"], role["beta"])
+            if not _not_finite(gamma) and role.get("gamma", gamma) != gamma:
+                raise ValueError(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
         return cls(
             num_suppliers=record["num_suppliers"],
             num_consumers=record["num_consumers"],
-            supplier_params=RoleParams(sup["alpha"], sup["beta"], sup.get("gamma", gamma)),
-            consumer_params=RoleParams(con["alpha"], con["beta"], con.get("gamma", gamma)),
+            **params,
             gamma=gamma,
             horizon=record["horizon"],
             seed=record["seed"],
@@ -258,9 +254,10 @@ def validate_config(config: MarketConfig) -> list[str]:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int):
             violations.append(f"{name} must be an integer, got {value!r}")
+    sides = (("supplier", config.supplier_params), ("consumer", config.consumer_params))
     numbers = {"initial_quantity": config.initial_quantity, "gamma": config.gamma}
-    for side, params in (("supplier", config.supplier_params), ("consumer", config.consumer_params)):
-        numbers.update({f"{side}_params.{field}": getattr(params, field) for field in ("alpha", "beta", "gamma")})
+    for side, params in sides:
+        numbers.update({f"{side}_params.{field}": value for field, value in vars(params).items()})
     for name, value in numbers.items():
         if _not_finite(value):
             violations.append(f"{name} must be a finite number, got {value!r}")
@@ -278,9 +275,11 @@ def validate_config(config: MarketConfig) -> list[str]:
         violations.append(f"initial_quantity must be nonnegative, got {config.initial_quantity}")
     if config.gamma < 0:
         violations.append(f"gamma must be nonnegative, got {config.gamma}")
-    for side, params in (("supplier", config.supplier_params), ("consumer", config.consumer_params)):
-        if params.gamma != config.gamma:
-            violations.append(f"{side}_params.gamma {params.gamma} disagrees with config gamma {config.gamma}")
+    for side, params in sides:
+        if params.alpha <= 0:
+            violations.append(f"{side}_params.alpha must be positive, got {params.alpha}")
+        if not 0 < params.beta < 1:
+            violations.append(f"{side}_params.beta must lie in (0, 1), got {params.beta}")
     return violations
 
 
@@ -307,6 +306,8 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
             value = getattr(u, field)
             if value is not None and _not_finite(value):
                 violations.append(f"{label}: {field} must be a finite number, got {value!r}")
+    if violations:  # the sums below assume a valid target and finite optima
+        return violations
 
     def optima_sum(utilities) -> Optional[float]:
         total = 0.0

@@ -19,11 +19,29 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from aimdmarket.agent import EPS_AVG, AgentStepTrace, Branch, Role, RoleParams, update_running_average
+from aimdmarket.agent import EPS_AVG, AgentStepTrace, Branch, Role, update_running_average
 from aimdmarket.market import CapacitySignals, agent_rng_streams, compute_signals
 from aimdmarket.metrics import CSV_HEADER, AgentRoundEntry, RoundRecord
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UnboundedDerivativeError, UtilitySpec, ordered_sum
+
+
+@dataclass(frozen=True)
+class RoleParams:
+    """One side's constants as the one-agent formula reads them: the
+    additive step, the back-off factor and the network constant."""
+
+    alpha: float
+    beta: float
+    gamma: float
+
+
+def role_params(config: MarketConfig) -> tuple[RoleParams, RoleParams]:
+    """The (supplier, consumer) constants of ``config``, each with its Gamma."""
+    return (
+        RoleParams(config.supplier_params.alpha, config.supplier_params.beta, config.gamma),
+        RoleParams(config.consumer_params.alpha, config.consumer_params.beta, config.gamma),
+    )
 
 
 @dataclass(frozen=True)
@@ -180,17 +198,18 @@ def _round_record(
 def initialize_market(config: MarketConfig, scenario: ScenarioSpec) -> tuple[MarketState, RoundRecord]:
     """Round 0: agents take one signal-free step from the configured
     initial quantity; no signals exist yet."""
+    supplier_params, consumer_params = role_params(config)
     suppliers, supplier_traces = [], []
     for i, utility in enumerate(scenario.supplier_utilities):
         state, trace = initial_state(
-            f"s{i}", Role.SUPPLIER, utility, config.initial_quantity, config.supplier_params
+            f"s{i}", Role.SUPPLIER, utility, config.initial_quantity, supplier_params
         )
         suppliers.append(state)
         supplier_traces.append(trace)
     consumers, consumer_traces = [], []
     for j, utility in enumerate(scenario.consumer_utilities):
         state, trace = initial_state(
-            f"c{j}", Role.CONSUMER, utility, config.initial_quantity, config.consumer_params
+            f"c{j}", Role.CONSUMER, utility, config.initial_quantity, consumer_params
         )
         consumers.append(state)
         consumer_traces.append(trace)
@@ -267,14 +286,15 @@ def run_records(
     supplier_rngs, consumer_rngs = agent_rng_streams(
         config.seed, config.num_suppliers, config.num_consumers
     )
+    supplier_params, consumer_params = role_params(config)
     records = []
     for _ in range(config.horizon):
         supplier_draws = [rng.random() for rng in supplier_rngs]
         consumer_draws = [rng.random() for rng in consumer_rngs]
         state, record = advance_round(
             state,
-            config.supplier_params,
-            config.consumer_params,
+            supplier_params,
+            consumer_params,
             supplier_draws,
             consumer_draws,
             flip_signal_semantics,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aimdmarket.agent import Branch, Role, RoleParams, update_running_average
+from aimdmarket.agent import Branch, Role, update_running_average
+from aimdmarket.scenario import MarketConfig, validate_config
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, compute_backoff_probability, initial_state, step
+from scalar_oracle import AgentState, RoleParams, compute_backoff_probability, initial_state, step
 
 
 def params(alpha=5.0, beta=0.75, gamma=2.0):
@@ -215,11 +216,12 @@ def test_gamma_zero_enters_band_and_stays():
 
 
 def test_role_params_validation():
-    with pytest.raises(ValueError):
-        RoleParams(0.0, 0.75, 2.0)
-    with pytest.raises(ValueError):
-        RoleParams(5.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        RoleParams(5.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        RoleParams(5.0, 0.75, -0.1)
+    # the role constants are checked where every run parameter is, in validate_config
+    for kwargs, field in [
+        (dict(alpha_s=0.0), "supplier_params.alpha"),
+        (dict(beta_c=1.0), "consumer_params.beta"),
+        (dict(beta_s=0.0), "supplier_params.beta"),
+        (dict(gamma=-0.1), "gamma"),
+    ]:
+        (violation,) = validate_config(MarketConfig.build(1, 1, **kwargs))
+        assert violation.startswith(f"{field} must ")

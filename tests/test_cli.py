@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import pytest
@@ -174,6 +175,12 @@ BAD_FIELDS = [
     (("config", "seed"), True),
     (("config", "num_suppliers"), "2"),
     (("config", "num_consumers"), 3.0),
+    (("config", "supplier_params", "alpha"), -1.0),
+    (("config", "consumer_params", "beta"), 1.0),
+    (("config", "supplier_params", "alpha"), "5"),
+    (("scenario", "consumer_utilities", 0, "curvature"), -1.0),
+    (("config", "supplier_params", "gamma"), 3.0),  # the top-level gamma stays 2.0
+    (("scenario", "target_sum"), "5"),
 ]
 
 
@@ -193,14 +200,15 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     bad.write_text(json.dumps(payload))
 
     assert main(["validate", "--config", str(bad)]) == 1
-    assert "violation:" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("violation:") and captured.err == ""
 
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "error" in json.loads(captured.err.splitlines()[-1])
-    assert not (out / "summary.json").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 # (reference, field path, value): a supplier curvature so small that u and
@@ -217,9 +225,13 @@ OVERFLOWING_SUMMARY_FIELD = {1e-320: "final_sum_of_utilities", 1e200: "final_sum
                              1e305: "trailing_mean_supply"}
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command,fmt",
+    [("run", "csv"), ("run", "json"), ("replicate", "csv"), ("replicate", "json")],
+    ids=["csv", "json", "replicate-csv", "replicate-json"],
+)
 @pytest.mark.parametrize("reference,path,value", OVERFLOWING_FIELDS, ids=_field_id)
-def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, path, value, fmt):
+def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, path, value, command, fmt):
     saved = save_config_file(tmp_path / f"{reference}.json", *reference_configs()[reference])
     payload = json.loads(saved.read_text())
     payload["config"]["horizon"] = 20
@@ -235,13 +247,36 @@ def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, pat
     assert "ok" in capsys.readouterr().out
 
     out = tmp_path / "out"
+    replicates = ["--replicates", "3"] if command == "replicate" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow notice either
-        assert main(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 1
+        assert main([command, "--config", str(config), "--format", fmt, *replicates, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     message = json.loads(line)["error"]
-    assert message.startswith("the run overflowed") and f": {OVERFLOWING_SUMMARY_FIELD[value]} is " in message
+    # replicate names the field within its list of summaries, as "[k].<field>"
+    where = ": " if command == "run" else r": (\[\d+\]\.)?"
+    assert message.startswith("the run overflowed")
+    assert re.search(where + f"{OVERFLOWING_SUMMARY_FIELD[value]} is ", message)
     assert not out.exists() or not any(out.iterdir())  # no artifact, no temp file
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_replicate_refuses_a_band_that_overflows(tmp_path, capsys, fmt):
+    # a sqrt supplier of scale 1e308 whose average starts near 0: u' overflows
+    # in the opening rounds, and the band with it, while every summary is finite
+    saved = save_config_file(tmp_path / "paper-b.json", *reference_configs()["paper-b"])
+    payload = json.loads(saved.read_text())
+    payload["config"].update(horizon=20, initial_quantity=0.0)
+    payload["config"]["supplier_params"]["alpha"] = 0.01
+    payload["scenario"]["supplier_utilities"][0]["scale"] = 1e308
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(payload))
+
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(config), "--replicates", "3", "--format", fmt, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "the run overflowed or went non-finite: band column mean"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, capsys):
@@ -256,6 +291,10 @@ def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, c
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     assert "disagrees" in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
-    # --gamma sets all three, so the same file runs with it
-    assert main(["run", "--config", str(config), "--gamma", "3.0", "--out", str(out)]) == 0
-    assert json.loads((out / "run_config.json").read_text())["config"]["consumer_params"]["gamma"] == 3.0
+    # a file that states two values of gamma is refused even with --gamma
+    assert main(["run", "--config", str(config), "--gamma", "3.0", "--out", str(out)]) == 1
+    capsys.readouterr()
+    # --gamma sets the one gamma, which run_config.json writes in all three places
+    assert main(["run", "--config", str(config_file), "--gamma", "3.0", "--out", str(out)]) == 0
+    written = json.loads((out / "run_config.json").read_text())["config"]
+    assert [written["gamma"], written["supplier_params"]["gamma"], written["consumer_params"]["gamma"]] == [3.0] * 3

@@ -1,13 +1,17 @@
-"""Golden SHA-256 digests of every CLI artifact at a short horizon.
+"""Golden SHA-256 digests of every CLI artifact at a short horizon, and
+of the benchmark's full-horizon workloads.
 
 The digests pin the bytes of the reference experiments' records,
 summaries and replicate bands.  A change that alters any artifact on
 purpose re-pins the affected digests here and says why in CHANGES.md.
 The horizon-0 cases pin the round-0 summaries (window 1, totals of the
-initialization step).
+initialization step).  The full-horizon digests are read from
+``perfbench/goldens.json``, the file the benchmark checks its runs against.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,20 @@ GOLDENS = {
         },
     ),
 }
+
+# the CLI arguments of perfbench/run.py's WORKLOADS; the seeds are the pinned ones
+BENCHMARK_WORKLOADS = {
+    "paper-a-csv": ["paper-a", "--format", "csv"],
+    "paper-b-json": ["paper-b", "--format", "json"],
+    "replicate-band": [
+        "replicate", "--reference", "paper-a", "--replicates", "8", "--horizon", "2000", "--format", "csv"
+    ],
+}
+BENCHMARK_GOLDENS = json.loads((Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())
+GOLDENS.update(
+    (f"full-{name}", ([*args, "--seed", str(BENCHMARK_GOLDENS[name]["seed"])], BENCHMARK_GOLDENS[name]["digests"]))
+    for name, args in BENCHMARK_WORKLOADS.items()
+)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDENS))

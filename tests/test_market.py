@@ -12,7 +12,7 @@ from aimdmarket.scenario import (
     generate_scenario,
 )
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, MarketState, advance_round, initialize_market
+from scalar_oracle import AgentState, MarketState, advance_round, initialize_market, role_params
 
 
 def small_config(**kwargs):
@@ -80,9 +80,7 @@ def test_advance_round_forced_backoff():
         last_total_supply=100.0,
         last_total_consumption=50.0,
     )
-    new_state, record = advance_round(
-        state, config.supplier_params, config.consumer_params, [0.0], [0.99]
-    )
+    new_state, record = advance_round(state, *role_params(config), [0.0], [0.99])
     # supplier signaled, lambda = 2 * (2*100/10) / 100 = 0.4, draw 0 -> cut
     assert record.signals.supplier_signal == 1
     assert new_state.suppliers[0].quantity == pytest.approx(75.0)
@@ -103,7 +101,7 @@ def test_tie_means_no_signals_everyone_moves_additively():
     assert initial.total_supply == initial.total_consumption  # 25+25 each side
     sup_rngs, con_rngs = agent_rng_streams(config.seed, 2, 2)
     new_state, record = advance_round(
-        state, config.supplier_params, config.consumer_params,
+        state, *role_params(config),
         [r.random() for r in sup_rngs], [r.random() for r in con_rngs],
     )
     assert record.signals == compute_signals(1.0, 1.0)  # both zero
@@ -200,10 +198,10 @@ def test_markov_replay_mid_trajectory():
     for _ in range(t_split - 1):
         sup_draws = [r.random() for r in sup_rngs]
         con_draws = [r.random() for r in con_rngs]
-        state, _ = advance_round(state, config.supplier_params, config.consumer_params, sup_draws, con_draws)
+        state, _ = advance_round(state, *role_params(config), sup_draws, con_draws)
     sup_draws = [r.random() for r in sup_rngs]
     con_draws = [r.random() for r in con_rngs]
-    _, record = advance_round(state, config.supplier_params, config.consumer_params, sup_draws, con_draws)
+    _, record = advance_round(state, *role_params(config), sup_draws, con_draws)
     assert record == full.records[t_split - 1]
 
 

@@ -19,7 +19,7 @@ from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run, mean_derivative_series, summarize
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, export_records, run_records, step
+from scalar_oracle import AgentState, export_records, run_records, step, RoleParams as OracleParams
 
 SCENARIO_SEEDS = (3, 12, 21)
 RUN_SEEDS = range(8)
@@ -158,7 +158,8 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
 
 
 def _kernel_step(state, signal, params, draw):
-    config = MarketConfig(1, 0, params, params, params.gamma, horizon=1, seed=0)
+    kernel_params = RoleParams(params.alpha, params.beta)
+    config = MarketConfig(1, 0, kernel_params, kernel_params, params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
     quantity, avg, lam, bernoulli, branch = population.update(
         np.array([[state.quantity]]),
@@ -197,7 +198,7 @@ def _step_cases():
 
 
 def test_single_steps_match_oracle():
-    params = RoleParams(5.0, 0.75, 2.0)
+    params = OracleParams(5.0, 0.75, 2.0)
     for quantity, avg, utility, signal, draw in _step_cases():
         state = AgentState("s0", Role.SUPPLIER, quantity, avg, 4, utility)
         new, trace = step(state, signal, params, draw)

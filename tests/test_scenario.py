@@ -155,19 +155,15 @@ def test_validate_config_catches_bad_fields():
     assert len(violations) == 4
 
 
-def test_validate_config_gamma_mismatch():
-    config = paper_geometry()
-    inconsistent = MarketConfig(
-        num_suppliers=config.num_suppliers,
-        num_consumers=config.num_consumers,
-        supplier_params=config.supplier_params,
-        consumer_params=config.consumer_params,
-        gamma=3.0,
-        horizon=config.horizon,
-        seed=config.seed,
-        initial_quantity=config.initial_quantity,
-    )
-    assert any("disagrees" in v for v in validate_config(inconsistent))
+def test_validate_config_gamma_mismatch(tmp_path):
+    # a config holds one gamma, so only a file can state two: loading refuses it
+    config, scenario = reference_configs()["paper-a"]
+    payload = json.loads(save_config_file(tmp_path / "paper-a.json", config, scenario).read_text())
+    payload["config"]["gamma"] = 3.0
+    inconsistent = tmp_path / "inconsistent.json"
+    inconsistent.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="disagrees"):
+        load_config_file(inconsistent)
 
 
 # --- reference configs ------------------------------------------------------
@@ -211,6 +207,13 @@ def test_config_file_round_trip(tmp_path):
     loaded_config, loaded_scenario = load_config_file(path)
     assert loaded_config == config
     assert loaded_scenario == scenario
+    # the role dicts' gamma keys are optional
+    payload = json.loads(path.read_text())
+    for side in ("supplier_params", "consumer_params"):
+        del payload["config"][side]["gamma"]
+    without = tmp_path / "without-role-gamma.json"
+    without.write_text(json.dumps(payload))
+    assert load_config_file(without) == (config, scenario)
 
 
 def test_config_file_is_json_with_mirrored_field_names(tmp_path):
@@ -241,9 +244,9 @@ def test_with_overrides():
     assert tweaked.horizon == 10
     assert tweaked.gamma == 0.5
     assert tweaked.supplier_params.alpha == 2.0
-    assert tweaked.supplier_params.gamma == 0.5
+    assert tweaked.to_dict()["supplier_params"]["gamma"] == 0.5
     assert tweaked.consumer_params.beta == 0.5
-    assert tweaked.consumer_params.gamma == 0.5
+    assert tweaked.to_dict()["consumer_params"]["gamma"] == 0.5
     # untouched values survive
     assert tweaked.num_consumers == 18
     assert tweaked.consumer_params.alpha == 5.0
