@@ -3,22 +3,9 @@ balance total supply and demand from one-bit capacity signals alone, each
 agent following an additive-increase/multiplicative-decrease rule with a
 probabilistic back-off tied to its private marginal utility."""
 
-from .agent import AgentStepTrace, Branch, Role, RoleParams, update_running_average
-from .market import CapacitySignals, RunResult, compute_signals, replicate_series, run
-from .metrics import (
-    AgentRoundEntry,
-    BandSeries,
-    RoundRecord,
-    RunSummary,
-    confidence_band,
-    detect_convergence,
-    export_band_series,
-    export_run,
-    load_records,
-    mean_abs_derivative,
-    mean_derivative_series,
-    summarize,
-)
+from .agent import Branch, Role, RoleParams, update_running_average
+from .market import RunResult, replicate_series, run
+from .metrics import BandSeries, RunSummary, confidence_band, detect_convergence, export_band_series, export_run
 from .scenario import (
     MarketConfig,
     ScenarioMode,
@@ -30,20 +17,16 @@ from .scenario import (
     validate_config,
     validate_scenario,
 )
-from .utility import UnboundedDerivativeError, UtilityKind, UtilitySpec, check_derivative
+from .utility import UnboundedDerivativeError, UtilityKind, UtilitySpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentRoundEntry",
-    "AgentStepTrace",
     "BandSeries",
     "Branch",
-    "CapacitySignals",
     "MarketConfig",
     "Role",
     "RoleParams",
-    "RoundRecord",
     "RunResult",
     "RunSummary",
     "ScenarioMode",
@@ -51,22 +34,16 @@ __all__ = [
     "UnboundedDerivativeError",
     "UtilityKind",
     "UtilitySpec",
-    "check_derivative",
-    "compute_signals",
     "confidence_band",
     "detect_convergence",
     "export_band_series",
     "export_run",
     "generate_scenario",
     "load_config_file",
-    "load_records",
-    "mean_abs_derivative",
-    "mean_derivative_series",
     "reference_configs",
     "replicate_series",
     "run",
     "save_config_file",
-    "summarize",
     "update_running_average",
     "validate_config",
     "validate_scenario",

@@ -57,16 +57,6 @@ class RoleParams:
     beta: float
 
 
-@dataclass(frozen=True)
-class AgentStepTrace:
-    """What one step did: the back-off probability used (0 when the agent
-    received no signal), the realized Bernoulli bit, and the branch taken."""
-
-    backoff_probability: float
-    bernoulli: int
-    branch: Branch
-
-
 def update_running_average(prev_average, prev_rounds: int, new_quantity):
     """Extend a running mean of ``prev_rounds`` samples by one sample (floats or arrays)."""
     return (prev_average * prev_rounds + new_quantity) / (prev_rounds + 1)

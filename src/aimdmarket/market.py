@@ -17,14 +17,13 @@ confidence band and the summaries need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .agent import Population, Role
-from .metrics import CapacitySignals, RoundRecord, RunSummary, Trajectory, summarize_final, trailing_window
+from .metrics import RunSummary, Trajectory, summarize_final, trailing_window
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
 
@@ -35,23 +34,10 @@ DRAW_BLOCK = 256
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """The trajectory's columns (rounds 0..horizon) and its summary.
-
-    ``records`` (rounds 1..horizon) and ``initial_record`` (the round-0
-    initialization snapshot) are a ``RoundRecord`` view of the columns,
-    built on first access.
-    """
+    """The trajectory's columns (rounds 0..horizon) and its summary."""
 
     trajectory: Trajectory
     summary: RunSummary
-
-    @cached_property
-    def records(self) -> list[RoundRecord]:
-        return [self.trajectory.record(t) for t in range(1, len(self.trajectory.total_supply))]
-
-    @cached_property
-    def initial_record(self) -> RoundRecord:
-        return self.trajectory.record(0)
 
 
 class RoundColumns(NamedTuple):
@@ -72,21 +58,10 @@ class RoundColumns(NamedTuple):
 
 
 def _excess_sides(supply, consumption, flip_semantics: bool):
-    # (supplier, consumer) signal, for scalars or arrays of totals
+    """The (supplier, consumer) signals from last round's totals: the side in
+    excess, neither on a tie; ``flip_semantics`` swaps them, for comparison studies."""
     s, c = supply > consumption, consumption > supply
     return (c, s) if flip_semantics else (s, c)
-
-
-def compute_signals(total_supply: float, total_consumption: float, flip_semantics: bool = False) -> CapacitySignals:
-    """Signal the side that was in excess last round; neither on a tie.
-
-    ``flip_semantics`` selects the inverted variant (supplier signal on
-    excess consumption and vice versa) for comparison studies.
-    """
-    if total_supply < 0 or total_consumption < 0:
-        raise ValueError("totals must be nonnegative")
-    s, c = _excess_sides(total_supply, total_consumption, flip_semantics)
-    return CapacitySignals(int(s), int(c))
 
 
 def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):

@@ -5,10 +5,9 @@ agent's quantity, running average, utility derivative, back-off
 probability, Bernoulli bit and branch, plus per-round totals and
 signals.  Utility values and derivatives are evaluated at the running
 average, which is the quantity the convergence claims are about.
-``RoundRecord`` is a per-round object view of the same columns, built
-only on request.  Exports are written straight from the columns, checked
-finite and written atomically, and are byte-deterministic: repeated
-export of the same run is identical.
+Exports are written straight from the columns, checked finite and
+written atomically, and are byte-deterministic: repeated export of the
+same run is identical.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .agent import BRANCHES, AgentStepTrace, Branch, Population, Role
+from .agent import BRANCHES, Population, Role
 from .scenario import ScenarioSpec, atomic_writer
 from .utility import ordered_sum
 
@@ -57,35 +56,6 @@ FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "
 # Trailing-window rule for "lingers around" summaries: 10% of the recorded
 # horizon but at least 100 rounds, capped by what exists.
 MIN_TRAILING_WINDOW = 100
-
-
-@dataclass(frozen=True)
-class AgentRoundEntry:
-    agent_id: str
-    role: Role
-    quantity: float
-    running_average: float
-    utility_value: float
-    utility_derivative: float
-    trace: AgentStepTrace
-
-
-@dataclass(frozen=True)
-class CapacitySignals:
-    """The two one-bit broadcasts; never both set in the same round."""
-
-    supplier_signal: int
-    consumer_signal: int
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    round: int
-    per_agent: tuple[AgentRoundEntry, ...]
-    total_supply: float
-    total_consumption: float
-    signals: CapacitySignals
-    sum_of_utilities: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,23 +93,6 @@ class Trajectory:
         # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
         # utility.ordered_sum (which starts from 0.0) does
         return self.utility_value.cumsum(axis=1)[:, -1] + 0.0
-
-    def record(self, t: int) -> RoundRecord:
-        """Round ``t`` as a ``RoundRecord``."""
-        p = self.population
-        entries = tuple(
-            AgentRoundEntry(agent_id, role, q, avg, value, derivative, AgentStepTrace(lam, bit, BRANCHES[code]))
-            for agent_id, role, q, avg, value, derivative, lam, bit, code in zip(
-                p.agent_ids,
-                p.roles,
-                *(getattr(self, name)[t].tolist() for name in FLOAT_COLUMNS),
-                self.bernoulli[t].astype(int).tolist(),
-                self.branch[t].tolist(),
-            )
-        )
-        signals = CapacitySignals(int(self.supplier_signal[t]), int(self.consumer_signal[t]))
-        return RoundRecord(t, entries, float(self.total_supply[t]), float(self.total_consumption[t]), signals,
-                           float(self.sum_of_utilities[t]))
 
 
 @dataclass(frozen=True)
@@ -243,20 +196,6 @@ def confidence_band(replicates: Sequence[Sequence[float]], level: float = 0.95) 
     )
 
 
-def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[float]:
-    """Per-round mean utility derivative (at the running average) over one role."""
-    out = []
-    for record in records:
-        values = [e.utility_derivative for e in record.per_agent if e.role is role]
-        out.append(ordered_sum(values) / len(values))
-    return out
-
-
-def mean_abs_derivative(record: RoundRecord) -> float:
-    """Mean |utility derivative| over all agents in one round."""
-    return ordered_sum(abs(e.utility_derivative) for e in record.per_agent) / len(record.per_agent)
-
-
 def _reprs(values: np.ndarray) -> list[str]:
     """``repr`` of every value of a float array, flattened."""
     return list(map(repr, values.ravel().tolist()))
@@ -335,10 +274,11 @@ def _fork_share(trajectory: Trajectory, fmt: str, starts: range, part: Path) -> 
 def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     """Write rounds 1..horizon as CSV (one row per agent per round) or JSON.
 
-    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object per round, shaped as
-    ``RoundRecord``, in the bytes ``json.dump`` writes: its strings (agent ids, enum values) need
-    no escaping, and a run with a non-finite number is refused with ValueError before anything
-    is written.  Failures carry the destination path and leave no partial file.
+    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object per round (its
+    per-agent entries, totals, signals and sum of utilities) in the bytes ``json.dump`` writes:
+    its strings (agent ids, enum values) need no escaping, and a run with a non-finite number
+    is refused with ValueError before anything is written.  Failures carry the destination
+    path and leave no partial file.
 
     Every row is a function of the stored columns alone, so the chunks are split into one
     contiguous share per usable CPU: this process writes the first, forked workers format the
@@ -384,43 +324,6 @@ def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
     return destination
 
 
-def load_records(path) -> list[RoundRecord]:
-    """Re-parse a JSON export into record objects (inverse of export_run)."""
-    raw = json.loads(Path(path).read_text())
-    records = []
-    for item in raw:
-        per_agent = tuple(
-            AgentRoundEntry(
-                agent_id=e["agent_id"],
-                role=Role(e["role"]),
-                quantity=e["quantity"],
-                running_average=e["running_average"],
-                utility_value=e["utility_value"],
-                utility_derivative=e["utility_derivative"],
-                trace=AgentStepTrace(
-                    e["trace"]["backoff_probability"],
-                    e["trace"]["bernoulli"],
-                    Branch(e["trace"]["branch"]),
-                ),
-            )
-            for e in item["per_agent"]
-        )
-        records.append(
-            RoundRecord(
-                round=item["round"],
-                per_agent=per_agent,
-                total_supply=item["total_supply"],
-                total_consumption=item["total_consumption"],
-                signals=CapacitySignals(
-                    item["signals"]["supplier_signal"],
-                    item["signals"]["consumer_signal"],
-                ),
-                sum_of_utilities=item["sum_of_utilities"],
-            )
-        )
-    return records
-
-
 def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
     """Write a BandSeries as CSV or JSON, atomically; a non-finite band is
     refused with a ValueError before the file is opened."""
@@ -458,24 +361,6 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
 def trailing_window(rounds: int) -> int:
     """Length of the "lingers around" window over ``rounds`` recorded rounds."""
     return min(rounds, max(MIN_TRAILING_WINDOW, math.ceil(0.1 * rounds)))
-
-
-def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
-    """Trailing-window totals plus per-agent closing state."""
-    if not records:
-        raise ValueError("summarize needs at least one round")
-    window = trailing_window(len(records))
-    tail = records[-window:]
-    final = records[-1]
-    return summarize_final(
-        final.round,
-        window,
-        ordered_sum(r.total_supply for r in tail) / window,
-        ordered_sum(r.total_consumption for r in tail) / window,
-        [e.running_average for e in final.per_agent],
-        [e.utility_derivative for e in final.per_agent],
-        scenario,
-    )
 
 
 def summarize_final(

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .agent import RoleParams
-from .utility import UtilityKind, UtilitySpec, ordered_sum
+from .utility import UtilityKind, UtilitySpec, is_number, ordered_sum
 
 DEFAULT_WEIGHT_RANGE = (0.5, 1.5)
 # Curvatures must keep the raw back-off probability below 1 once an agent's
@@ -170,12 +170,18 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ScenarioSpec":
-        return cls(
-            supplier_utilities=tuple(UtilitySpec.from_dict(r) for r in record["supplier_utilities"]),
-            consumer_utilities=tuple(UtilitySpec.from_dict(r) for r in record["consumer_utilities"]),
-            target_sum=record["target_sum"],
-            mode=ScenarioMode(record["mode"]),
-        )
+        """Inverse of ``to_dict``.  A utility that ``UtilitySpec`` refuses
+        raises ValueError naming its agent, as ``supplier[i]: ...``."""
+        utilities = {}
+        for side in ("supplier", "consumer"):
+            specs = []
+            for i, item in enumerate(record[f"{side}_utilities"]):
+                try:
+                    specs.append(UtilitySpec.from_dict(item))
+                except ValueError as exc:
+                    raise ValueError(f"{side}[{i}]: {exc}") from None
+            utilities[f"{side}_utilities"] = tuple(specs)
+        return cls(**utilities, target_sum=record["target_sum"], mode=ScenarioMode(record["mode"]))
 
 
 def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float, weight_range) -> list[float]:
@@ -244,42 +250,32 @@ def generate_scenario(
 
 
 def _not_finite(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+    return not is_number(value) or not math.isfinite(value)
 
 
 def validate_config(config: MarketConfig) -> list[str]:
-    """Collect config violations (empty list when valid)."""
+    """Collect config violations (empty list when valid): each field is
+    checked for its type and finiteness and, if it passes, for its range."""
+    # (field, value, integer?, range rule, the rule as text)
+    fields = [
+        ("num_suppliers", config.num_suppliers, True, lambda v: v >= 1, "must be >= 1"),
+        ("num_consumers", config.num_consumers, True, lambda v: v >= 1, "must be >= 1"),
+        ("horizon", config.horizon, True, lambda v: v >= 0, "must be nonnegative"),
+        ("seed", config.seed, True, lambda v: v >= 0, "must be nonnegative"),
+        ("initial_quantity", config.initial_quantity, False, lambda v: v >= 0, "must be nonnegative"),
+        ("gamma", config.gamma, False, lambda v: v >= 0, "must be nonnegative"),
+    ]
+    for side, params in (("supplier", config.supplier_params), ("consumer", config.consumer_params)):
+        fields.append((f"{side}_params.alpha", params.alpha, False, lambda v: v > 0, "must be positive"))
+        fields.append((f"{side}_params.beta", params.beta, False, lambda v: 0 < v < 1, "must lie in (0, 1)"))
     violations = []
-    for name in ("num_suppliers", "num_consumers", "horizon", "seed"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int):
+    for name, value, integer, in_range, rule in fields:
+        if integer and (isinstance(value, bool) or not isinstance(value, int)):
             violations.append(f"{name} must be an integer, got {value!r}")
-    sides = (("supplier", config.supplier_params), ("consumer", config.consumer_params))
-    numbers = {"initial_quantity": config.initial_quantity, "gamma": config.gamma}
-    for side, params in sides:
-        numbers.update({f"{side}_params.{field}": value for field, value in vars(params).items()})
-    for name, value in numbers.items():
-        if _not_finite(value):
+        elif not integer and _not_finite(value):
             violations.append(f"{name} must be a finite number, got {value!r}")
-    if violations:  # the range checks below assume finite numbers
-        return violations
-    if config.num_suppliers < 1:
-        violations.append(f"num_suppliers must be >= 1, got {config.num_suppliers}")
-    if config.num_consumers < 1:
-        violations.append(f"num_consumers must be >= 1, got {config.num_consumers}")
-    if config.horizon < 0:
-        violations.append(f"horizon must be nonnegative, got {config.horizon}")
-    if config.seed < 0:
-        violations.append(f"seed must be nonnegative, got {config.seed}")
-    if config.initial_quantity < 0:
-        violations.append(f"initial_quantity must be nonnegative, got {config.initial_quantity}")
-    if config.gamma < 0:
-        violations.append(f"gamma must be nonnegative, got {config.gamma}")
-    for side, params in sides:
-        if params.alpha <= 0:
-            violations.append(f"{side}_params.alpha must be positive, got {params.alpha}")
-        if not 0 < params.beta < 1:
-            violations.append(f"{side}_params.beta must lie in (0, 1), got {params.beta}")
+        elif not in_range(value):
+            violations.append(f"{name} {rule}, got {value}")
     return violations
 
 

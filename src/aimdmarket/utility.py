@@ -7,8 +7,9 @@ Two families are supported:
 * ``sqrt_monotone`` -- f(z) = l * sqrt(z), strictly increasing and concave,
   with no finite maximum.
 
-The enumeration is open-ended: new families plug in by extending
-``UtilityKind`` and the three evaluation methods, without touching agents.
+A new family extends ``UtilityKind`` and the methods here, and also the
+array forms that branch on the sqrt kind: ``agent.Population.build`` and
+``Population.derivative``, and ``metrics.Trajectory.utility_value``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ def ordered_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def is_number(value) -> bool:
+    """True for an int or a float (NaN and infinities included), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class UtilityKind(str, Enum):
     QUADRATIC = "quadratic"
     SQRT_MONOTONE = "sqrt_monotone"
@@ -36,7 +42,8 @@ class UnboundedDerivativeError(ArithmeticError):
     """The derivative diverges at the requested point (sqrt family at z=0).
 
     Raised instead of returning a sentinel so that callers decide how to
-    clamp, e.g. the agent back-off rule maps it to probability 1.
+    clamp.  The array kernel never meets it: a sqrt agent's running
+    average stays positive.
     """
 
 
@@ -55,20 +62,22 @@ class UtilitySpec:
     scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind is UtilityKind.QUADRATIC:
-            if self.optimum is None or self.optimum < 0:
-                raise ValueError("quadratic utility needs a nonnegative optimum")
-            if self.curvature is None or self.curvature <= 0:
-                raise ValueError("quadratic utility needs a positive curvature")
-            if self.scale is not None:
-                raise ValueError("scale is a sqrt_monotone parameter")
-        elif self.kind is UtilityKind.SQRT_MONOTONE:
-            if self.scale is None or self.scale <= 0:
-                raise ValueError("sqrt_monotone utility needs a positive scale")
-            if self.optimum is not None or self.curvature is not None:
-                raise ValueError("optimum/curvature are quadratic parameters")
-        else:  # pragma: no cover - enum is closed for now
-            raise ValueError(f"unknown utility kind: {self.kind}")
+        if not isinstance(self.kind, UtilityKind):
+            raise ValueError(f"unknown utility kind: {self.kind!r}")
+        quadratic = self.kind is UtilityKind.QUADRATIC
+        for name, used in (("optimum", quadratic), ("curvature", quadratic), ("scale", not quadratic)):
+            value = getattr(self, name)
+            if not used and value is not None:
+                raise ValueError(f"{name} is not a {self.kind.value} parameter")
+            if used and not is_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # a NaN or an infinity passes, for validate_scenario to report with the rest
+        if quadratic and self.optimum < 0:
+            raise ValueError(f"optimum must be nonnegative, got {self.optimum!r}")
+        if quadratic and self.curvature <= 0:
+            raise ValueError(f"curvature must be positive, got {self.curvature!r}")
+        if not quadratic and self.scale <= 0:
+            raise ValueError(f"scale must be positive, got {self.scale!r}")
 
     @classmethod
     def quadratic(cls, optimum: float, curvature: float) -> "UtilitySpec":
@@ -124,17 +133,3 @@ class UtilitySpec:
             curvature=record.get("curvature"),
             scale=record.get("scale"),
         )
-
-
-def check_derivative(u: UtilitySpec, z: float, h: float) -> float:
-    """Absolute gap between the analytic derivative and a central difference.
-
-    Test oracle: returns |u'(z) - (u(z+h) - u(z-h)) / (2h)|.
-    Requires z - h >= 0 and h > 0.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if z - h < 0:
-        raise ValueError("z - h must stay in the domain")
-    finite_diff = (u.evaluate(z + h) - u.evaluate(z - h)) / (2.0 * h)
-    return abs(u.derivative(z) - finite_diff)

@@ -6,9 +6,18 @@ kernel: frozen ``AgentState`` snapshots advanced by ``step``, and a
 tests keep it as the oracle that ``aimdmarket.market.simulate`` must
 reproduce exactly, record for record, and ``export_records``, the
 record-by-record writer the package used before it wrote exports from
-columns, as the oracle whose bytes ``metrics.export_run`` must match.  Its float totals use
-``utility.ordered_sum``, as the package's do, so the oracle adds in the
-same order on every Python version.
+columns, as the oracle whose bytes ``metrics.export_run`` must match.
+
+The per-round record objects (``RoundRecord`` and its parts) live only
+here.  ``records_from`` views a package ``metrics.Trajectory`` as the
+same records, so a mismatch can be named by its round, and ``summarize``
+and ``mean_derivative_series`` are the record-by-record reductions that
+``market.run`` and ``market.replicate_series`` must reproduce.  The
+oracle's signal rule is its own, written out apart from the kernel's,
+and ``check_derivative`` checks ``UtilitySpec.derivative`` against a
+central difference.
+Its float totals use ``utility.ordered_sum``, as the package's do, so
+the oracle adds in the same order on every Python version.
 """
 
 from __future__ import annotations
@@ -19,11 +28,132 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from aimdmarket.agent import EPS_AVG, AgentStepTrace, Branch, Role, update_running_average
-from aimdmarket.market import CapacitySignals, agent_rng_streams, compute_signals
-from aimdmarket.metrics import CSV_HEADER, AgentRoundEntry, RoundRecord
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role, update_running_average
+from aimdmarket.market import agent_rng_streams
+from aimdmarket.metrics import (
+    CSV_HEADER,
+    FLOAT_COLUMNS,
+    RunSummary,
+    Trajectory,
+    summarize_final,
+    trailing_window,
+)
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UnboundedDerivativeError, UtilitySpec, ordered_sum
+
+
+@dataclass(frozen=True)
+class AgentStepTrace:
+    """What one step did: the back-off probability used (0 when the agent
+    received no signal), the realized Bernoulli bit, and the branch taken."""
+
+    backoff_probability: float
+    bernoulli: int
+    branch: Branch
+
+
+@dataclass(frozen=True)
+class AgentRoundEntry:
+    agent_id: str
+    role: Role
+    quantity: float
+    running_average: float
+    utility_value: float
+    utility_derivative: float
+    trace: AgentStepTrace
+
+
+@dataclass(frozen=True)
+class CapacitySignals:
+    """The two one-bit broadcasts; never both set in the same round."""
+
+    supplier_signal: int
+    consumer_signal: int
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    round: int
+    per_agent: tuple[AgentRoundEntry, ...]
+    total_supply: float
+    total_consumption: float
+    signals: CapacitySignals
+    sum_of_utilities: float
+
+
+def records_from(trajectory: Trajectory) -> list[RoundRecord]:
+    """Rounds 0..horizon of a package run as records: row t is round t."""
+    p = trajectory.population
+    records = []
+    for t in range(len(trajectory.total_supply)):
+        entries = tuple(
+            AgentRoundEntry(agent_id, role, q, avg, value, derivative, AgentStepTrace(lam, bit, BRANCHES[code]))
+            for agent_id, role, q, avg, value, derivative, lam, bit, code in zip(
+                p.agent_ids,
+                p.roles,
+                *(getattr(trajectory, name)[t].tolist() for name in FLOAT_COLUMNS),
+                trajectory.bernoulli[t].astype(int).tolist(),
+                trajectory.branch[t].tolist(),
+            )
+        )
+        signals = CapacitySignals(int(trajectory.supplier_signal[t]), int(trajectory.consumer_signal[t]))
+        records.append(RoundRecord(t, entries, float(trajectory.total_supply[t]),
+                                   float(trajectory.total_consumption[t]), signals,
+                                   float(trajectory.sum_of_utilities[t])))
+    return records
+
+
+def compute_signals(total_supply: float, total_consumption: float, flip_semantics: bool = False) -> CapacitySignals:
+    """Signal the side that was in excess last round; neither on a tie.
+
+    ``flip_semantics`` selects the inverted variant (supplier signal on
+    excess consumption and vice versa) for comparison studies.
+    """
+    if total_supply < 0 or total_consumption < 0:
+        raise ValueError("totals must be nonnegative")
+    excess_supply = 1 if total_supply > total_consumption else 0
+    excess_consumption = 1 if total_consumption > total_supply else 0
+    if flip_semantics:
+        return CapacitySignals(excess_consumption, excess_supply)
+    return CapacitySignals(excess_supply, excess_consumption)
+
+
+def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
+    """Trailing-window totals plus per-agent closing state."""
+    if not records:
+        raise ValueError("summarize needs at least one round")
+    window = trailing_window(len(records))
+    tail = records[-window:]
+    final = records[-1]
+    return summarize_final(
+        final.round,
+        window,
+        ordered_sum(r.total_supply for r in tail) / window,
+        ordered_sum(r.total_consumption for r in tail) / window,
+        [e.running_average for e in final.per_agent],
+        [e.utility_derivative for e in final.per_agent],
+        scenario,
+    )
+
+
+def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[float]:
+    """Per-round mean utility derivative (at the running average) over one role."""
+    out = []
+    for record in records:
+        values = [e.utility_derivative for e in record.per_agent if e.role is role]
+        out.append(ordered_sum(values) / len(values))
+    return out
+
+
+def check_derivative(u: UtilitySpec, z: float, h: float) -> float:
+    """Absolute gap between the analytic derivative and a central difference:
+    |u'(z) - (u(z+h) - u(z-h)) / (2h)|.  Requires z - h >= 0 and h > 0."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    if z - h < 0:
+        raise ValueError("z - h must stay in the domain")
+    finite_diff = (u.evaluate(z + h) - u.evaluate(z - h)) / (2.0 * h)
+    return abs(u.derivative(z) - finite_diff)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,7 @@ import pytest
 from aimdmarket.agent import Role
 from aimdmarket.cli import main
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import (
-    confidence_band,
-    export_band_series,
-    mean_abs_derivative,
-    mean_derivative_series,
-)
+from aimdmarket.metrics import confidence_band, export_band_series
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -28,7 +23,8 @@ from aimdmarket.scenario import (
     reference_configs,
     save_config_file,
 )
-from aimdmarket.utility import UtilitySpec, check_derivative
+from aimdmarket.utility import UtilitySpec
+from scalar_oracle import check_derivative, mean_derivative_series, records_from
 
 TARGET = 900.0
 
@@ -54,9 +50,8 @@ def paper_b():
 
 def test_criterion_1_experiment_a_totals(paper_a):
     config, _, result, elapsed = paper_a
-    tail = result.records[-500:]
-    supply = sum(r.total_supply for r in tail) / 500
-    consumption = sum(r.total_consumption for r in tail) / 500
+    supply = result.trajectory.total_supply[-500:].mean()
+    consumption = result.trajectory.total_consumption[-500:].mean()
     assert abs(supply - TARGET) <= 0.05 * TARGET
     assert abs(consumption - TARGET) <= 0.05 * TARGET
     assert abs(supply - consumption) <= 0.05 * TARGET
@@ -75,9 +70,9 @@ def test_criterion_2_per_agent_optimality(paper_a):
 
 def test_criterion_3_derivative_convergence(paper_a):
     _, _, result, _ = paper_a
-    at_round_10 = mean_abs_derivative(result.records[9])
-    at_horizon = mean_abs_derivative(result.records[-1])
-    assert result.records[9].round == 10
+    # row t of a trajectory is round t
+    at_round_10 = np.abs(result.trajectory.derivative[10]).mean()
+    at_horizon = np.abs(result.trajectory.derivative[-1]).mean()
     assert at_horizon <= 0.10 * at_round_10
     report(3, f"mean |derivative| {at_round_10:.3f} at round 10 -> {at_horizon:.4f} at horizon")
 
@@ -93,9 +88,8 @@ def test_criterion_4_utility_sum_convergence(paper_a):
 
 def test_criterion_5_experiment_b(paper_b):
     _, scenario, result = paper_b
-    tail = result.records[-500:]
-    supply = sum(r.total_supply for r in tail) / 500
-    consumption = sum(r.total_consumption for r in tail) / 500
+    supply = result.trajectory.total_supply[-500:].mean()
+    consumption = result.trajectory.total_consumption[-500:].mean()
     assert abs(supply - TARGET) <= 0.07 * TARGET
     assert abs(consumption - TARGET) <= 0.07 * TARGET
     consumer_sum = result.summary.final_consumer_utility_sum
@@ -112,23 +106,17 @@ def test_criterion_5_experiment_b(paper_b):
 def test_criterion_6_gamma_zero_oracle():
     config = MarketConfig.build(4, 6, gamma=0.0, horizon=200, seed=77, initial_quantity=0.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 400.0, 55)
-    result = run(config, scenario)
+    trajectory = run(config, scenario).trajectory
     alpha = 5.0
-    optima = {f"s{i}": u.argmax() for i, u in enumerate(scenario.supplier_utilities)}
-    optima.update({f"c{j}": u.argmax() for j, u in enumerate(scenario.consumer_utilities)})
-    starts = {e.agent_id: e.quantity for e in result.initial_record.per_agent}
+    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
 
-    for agent_id, z_star in optima.items():
-        bound = max(math.ceil(abs(starts[agent_id] - z_star) / alpha), 1)
-        entered = None
-        for record in result.records:
-            entry = next(e for e in record.per_agent if e.agent_id == agent_id)
-            inside = abs(entry.quantity - z_star) <= alpha
-            if entered is None and inside:
-                entered = record.round
-            elif entered is not None:
-                assert inside, f"{agent_id} left the band at round {record.round}"
-        assert entered is not None and entered <= bound
+    for agent_id, quantity, z_star in zip(trajectory.population.agent_ids, trajectory.quantity.T, optima):
+        bound = max(math.ceil(abs(quantity[0] - z_star) / alpha), 1)
+        inside = np.abs(quantity[1:] - z_star) <= alpha  # rounds 1..horizon
+        assert inside.any(), f"{agent_id} never entered the band"
+        entered = int(inside.argmax()) + 1
+        assert inside[entered - 1 :].all(), f"{agent_id} left the band after round {entered}"
+        assert entered <= bound
     report(6, f"all {len(optima)} agents entered [z*-a, z*+a] on time and never left (exact)")
 
 
@@ -155,12 +143,11 @@ def test_criterion_7_probability_validity_fuzz():
         scenario = generate_scenario(
             config, mode, float(rng.uniform(50.0, 2000.0)), int(rng.integers(0, 10_000))
         )
-        result = run(config, scenario)
-        for record in result.records:
-            for entry in record.per_agent:
-                assert 0.0 <= entry.trace.backoff_probability <= 1.0
-                assert entry.quantity >= 0.0
-                checked_lambdas += 1
+        trajectory = run(config, scenario).trajectory
+        lam, quantity = trajectory.backoff_probability[1:], trajectory.quantity[1:]  # rounds 1..horizon
+        assert ((0.0 <= lam) & (lam <= 1.0)).all()
+        assert (quantity >= 0.0).all()
+        checked_lambdas += lam.size
         steps += config.horizon * (s + c)
     assert steps >= 100_000
     report(7, f"{checked_lambdas} agent-steps fuzzed, zero lambda/quantity violations")
@@ -219,7 +206,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     series_by_index = [None] * 4
     for k in reversed(range(4)):
         result = run(config.with_overrides(seed=config.seed + k), scenario)
-        series_by_index[k] = mean_derivative_series(result.records, Role.SUPPLIER)
+        series_by_index[k] = mean_derivative_series(records_from(result.trajectory)[1:], Role.SUPPLIER)
     reordered = export_band_series(confidence_band(series_by_index), "json", tmp_path / "band_r.json")
     assert reordered.read_bytes() == (rep1 / band_name).read_bytes()
     report(9, "CSV/JSON artifacts byte-identical across reruns and replicate orderings")

@@ -179,9 +179,15 @@ BAD_FIELDS = [
     (("config", "consumer_params", "beta"), 1.0),
     (("config", "supplier_params", "alpha"), "5"),
     (("scenario", "consumer_utilities", 0, "curvature"), -1.0),
+    (("scenario", "consumer_utilities", 0, "optimum"), "5"),
     (("config", "supplier_params", "gamma"), 3.0),  # the top-level gamma stays 2.0
     (("scenario", "target_sum"), "5"),
 ]
+# the violation a bad utility field gives, naming its agent and field
+UTILITY_VIOLATIONS = {
+    ("curvature", -1.0): "consumer[0]: curvature must be positive, got -1.0",
+    ("optimum", "5"): "consumer[0]: optimum must be a finite number, got '5'",
+}
 
 
 def _field_id(value):
@@ -202,6 +208,7 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert main(["validate", "--config", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("violation:") and captured.err == ""
+    assert UTILITY_VIOLATIONS.get((leaf, value), "") in captured.out
 
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
@@ -209,6 +216,21 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert "Traceback" not in captured.err
     assert "error" in json.loads(captured.err.splitlines()[-1])
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_validate_reports_every_config_violation(tmp_path, config_file, capsys):
+    # a field that fails the finiteness check does not hide another field's range
+    payload = json.loads(config_file.read_text())
+    payload["config"]["supplier_params"]["alpha"] = float("nan")
+    payload["config"]["consumer_params"]["beta"] = 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: supplier_params.alpha must be a finite number, got nan",
+        "violation: consumer_params.beta must lie in (0, 1), got 1.0",
+    ]
 
 
 # (reference, field path, value): a supplier curvature so small that u and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aimdmarket.agent import Branch, Role
-from aimdmarket.market import agent_rng_streams, compute_signals, replicate_series, run
+from aimdmarket.market import RoundColumns, _excess_sides, agent_rng_streams, replicate_series, run
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -12,7 +12,17 @@ from aimdmarket.scenario import (
     generate_scenario,
 )
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, MarketState, advance_round, initialize_market, role_params
+from scalar_oracle import (
+    AgentState,
+    CapacitySignals,
+    MarketState,
+    advance_round,
+    compute_signals,
+    initialize_market,
+    mean_derivative_series,
+    records_from,
+    role_params,
+)
 
 
 def small_config(**kwargs):
@@ -25,40 +35,46 @@ def small_scenario(config):
     return generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 200.0, 3)
 
 
+def same_columns(a, b):
+    """Whether two runs store equal values in every column of a round."""
+    return all(np.array_equal(getattr(a.trajectory, name), getattr(b.trajectory, name))
+               for name in RoundColumns._fields[1:])
+
+
+def signals(supply, consumption, flip=False):
+    """The kernel's (supplier, consumer) signals for lists of totals, as lists of ints."""
+    s, c = _excess_sides(np.asarray(supply), np.asarray(consumption), flip)
+    return s.astype(int).tolist(), c.astype(int).tolist()
+
+
 # --- signals --------------------------------------------------------------
 
 
 def test_signal_on_excess_supply():
-    s = compute_signals(910.0, 890.0)
-    assert (s.supplier_signal, s.consumer_signal) == (1, 0)
+    assert signals([910.0], [890.0]) == ([1], [0])
 
 
 def test_signal_on_excess_consumption():
-    s = compute_signals(890.0, 910.0)
-    assert (s.supplier_signal, s.consumer_signal) == (0, 1)
+    assert signals([890.0], [910.0]) == ([0], [1])
 
 
 def test_no_signal_on_tie():
-    s = compute_signals(900.0, 900.0)
-    assert (s.supplier_signal, s.consumer_signal) == (0, 0)
+    assert signals([900.0], [900.0]) == ([0], [0])
 
 
 def test_flipped_semantics():
-    s = compute_signals(890.0, 910.0, flip_semantics=True)
-    assert (s.supplier_signal, s.consumer_signal) == (1, 0)
-    tie = compute_signals(5.0, 5.0, flip_semantics=True)
-    assert (tie.supplier_signal, tie.consumer_signal) == (0, 0)
+    assert signals([890.0, 5.0], [910.0, 5.0], flip=True) == ([1, 0], [0, 0])
 
 
 def test_signals_never_both_set():
     rng = np.random.default_rng(1)
-    for _ in range(500):
-        x, y = rng.uniform(0.0, 1000.0, size=2)
-        s = compute_signals(float(x), float(y))
-        assert s.supplier_signal + s.consumer_signal <= 1
+    supply, consumption = rng.uniform(0.0, 1000.0, size=(2, 500))
+    s, c = _excess_sides(supply, consumption, False)
+    assert not (s & c).any()
 
 
 def test_signals_reject_negative_totals():
+    # the oracle's signal rule; the kernel's totals are sums of quantities floored at 0
     with pytest.raises(ValueError):
         compute_signals(-1.0, 5.0)
 
@@ -104,7 +120,7 @@ def test_tie_means_no_signals_everyone_moves_additively():
         state, *role_params(config),
         [r.random() for r in sup_rngs], [r.random() for r in con_rngs],
     )
-    assert record.signals == compute_signals(1.0, 1.0)  # both zero
+    assert record.signals == CapacitySignals(0, 0)
     for entry in record.per_agent:
         assert entry.trace.branch in (Branch.ADDITIVE_INCREASE, Branch.ADDITIVE_DECREASE)
         assert entry.trace.backoff_probability == 0.0
@@ -113,21 +129,21 @@ def test_tie_means_no_signals_everyone_moves_additively():
 def test_round_record_conservation():
     config = small_config()
     scenario = small_scenario(config)
-    result = run(config, scenario)
-    for record in result.records:
-        by_role_supply = sum(e.quantity for e in record.per_agent if e.role is Role.SUPPLIER)
-        by_role_cons = sum(e.quantity for e in record.per_agent if e.role is Role.CONSUMER)
-        assert record.total_supply == by_role_supply
-        assert record.total_consumption == by_role_cons
-        value_sum = sum(e.utility_value for e in record.per_agent)
-        assert record.sum_of_utilities == pytest.approx(value_sum, rel=1e-12)
+    trajectory = run(config, scenario).trajectory
+    s = trajectory.population.num_suppliers
+    for t in range(1, config.horizon + 1):
+        quantities = trajectory.quantity[t].tolist()
+        assert trajectory.total_supply[t] == sum(quantities[:s])
+        assert trajectory.total_consumption[t] == sum(quantities[s:])
+        value_sum = sum(trajectory.utility_value[t].tolist())
+        assert trajectory.sum_of_utilities[t] == pytest.approx(value_sum, rel=1e-12)
 
 
 def test_records_numbered_from_one():
     config = small_config(horizon=7)
-    result = run(config, small_scenario(config))
-    assert [r.round for r in result.records] == list(range(1, 8))
-    assert result.initial_record.round == 0
+    trajectory = run(config, small_scenario(config)).trajectory
+    # rows 0..7: round 0, the initialization step, then rounds 1..7
+    assert {len(getattr(trajectory, name)) for name in RoundColumns._fields[1:]} == {8}
 
 
 # --- run ------------------------------------------------------------------
@@ -138,7 +154,7 @@ def test_run_determinism():
     scenario = small_scenario(config)
     a = run(config, scenario)
     b = run(config, scenario)
-    assert a.records == b.records
+    assert same_columns(a, b)
     assert a.summary == b.summary
 
 
@@ -147,17 +163,17 @@ def test_run_seed_changes_trajectory():
     scenario = small_scenario(config)
     a = run(config, scenario)
     b = run(config.with_overrides(seed=8), scenario)
-    assert a.records != b.records
+    assert not same_columns(a, b)
 
 
 def test_run_horizon_zero_echoes_initial_state():
     config = small_config(horizon=0)
     scenario = small_scenario(config)
     result = run(config, scenario)
-    assert result.records == []
+    assert len(result.trajectory.total_supply) == 1  # round 0 alone
     assert result.summary.final_round == 0
-    assert result.summary.trailing_mean_supply == result.initial_record.total_supply
-    assert result.summary.trailing_mean_consumption == result.initial_record.total_consumption
+    assert result.summary.trailing_mean_supply == result.trajectory.total_supply[0]
+    assert result.summary.trailing_mean_consumption == result.trajectory.total_consumption[0]
 
 
 def test_run_rejects_invalid_config():
@@ -202,7 +218,7 @@ def test_markov_replay_mid_trajectory():
     sup_draws = [r.random() for r in sup_rngs]
     con_draws = [r.random() for r in con_rngs]
     _, record = advance_round(state, *role_params(config), sup_draws, con_draws)
-    assert record == full.records[t_split - 1]
+    assert record == records_from(full.trajectory)[t_split]
 
 
 def test_gamma_zero_market_oracle():
@@ -210,23 +226,17 @@ def test_gamma_zero_market_oracle():
         3, 4, gamma=0.0, horizon=100, seed=11, initial_quantity=0.0
     )
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 300.0, 21)
-    result = run(config, scenario)
+    trajectory = run(config, scenario).trajectory
     alpha = config.supplier_params.alpha
-    optima = {f"s{i}": u.argmax() for i, u in enumerate(scenario.supplier_utilities)}
-    optima.update({f"c{j}": u.argmax() for j, u in enumerate(scenario.consumer_utilities)})
-    starts = {e.agent_id: e.quantity for e in result.initial_record.per_agent}
+    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
 
-    for agent_id, z_star in optima.items():
-        bound = math.ceil(abs(starts[agent_id] - z_star) / alpha)
-        entered = None
-        for record in result.records:
-            entry = next(e for e in record.per_agent if e.agent_id == agent_id)
-            inside = abs(entry.quantity - z_star) <= alpha
-            if entered is None and inside:
-                entered = record.round
-            if entered is not None:
-                assert inside
-        assert entered is not None and entered <= max(bound, 1)
+    for agent_id, quantity, z_star in zip(trajectory.population.agent_ids, trajectory.quantity.T, optima):
+        bound = math.ceil(abs(quantity[0] - z_star) / alpha)
+        inside = np.abs(quantity[1:] - z_star) <= alpha  # rounds 1..horizon
+        assert inside.any(), agent_id
+        entered = int(inside.argmax()) + 1
+        assert inside[entered - 1 :].all(), agent_id
+        assert entered <= max(bound, 1)
 
 
 def test_flip_signal_semantics_changes_dynamics():
@@ -234,7 +244,7 @@ def test_flip_signal_semantics_changes_dynamics():
     scenario = small_scenario(config)
     normal = run(config, scenario)
     flipped = run(config, scenario, flip_signal_semantics=True)
-    assert normal.records != flipped.records
+    assert not same_columns(normal, flipped)
 
 
 def test_total_gap_shrinks_over_time():
@@ -244,9 +254,9 @@ def test_total_gap_shrinks_over_time():
 
     config, scenario = reference_configs()["paper-a"]
     config = config.with_overrides(horizon=1500)
-    result = run(config, scenario)
-    supply = [r.total_supply for r in result.records]
-    consumption = [r.total_consumption for r in result.records]
+    trajectory = run(config, scenario).trajectory
+    supply = trajectory.total_supply[1:].tolist()  # rounds 1..horizon
+    consumption = trajectory.total_consumption[1:].tolist()
 
     def window_gap(end):
         s = sum(supply[end - 500 : end]) / 500
@@ -265,17 +275,15 @@ def test_replicate_series_order_independent():
     # replicate k is a run with seed + k regardless of execution order
     for k in [3, 1, 0, 2]:
         solo = run(config.with_overrides(seed=config.seed + k), scenario)
-        from aimdmarket.metrics import mean_derivative_series
-
-        assert series[k] == mean_derivative_series(solo.records, Role.SUPPLIER)
+        assert series[k] == mean_derivative_series(records_from(solo.trajectory)[1:], Role.SUPPLIER)
 
 
 def test_package_root_reexports_the_public_names():
     import aimdmarket
-    from aimdmarket import CapacitySignals, MarketConfig, RunResult, export_run, run as root_run
+    from aimdmarket import MarketConfig, RunResult, RunSummary, export_run, run as root_run
 
-    assert (root_run, export_run, RunResult, CapacitySignals, MarketConfig) == (
+    assert (root_run, export_run, RunResult, RunSummary, MarketConfig) == (
         run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult,
-        aimdmarket.metrics.CapacitySignals, aimdmarket.scenario.MarketConfig,
+        aimdmarket.metrics.RunSummary, aimdmarket.scenario.MarketConfig,
     )
     assert all(hasattr(aimdmarket, name) for name in aimdmarket.__all__)

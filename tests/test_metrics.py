@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aimdmarket import metrics
-from aimdmarket.agent import Role
+from aimdmarket.agent import BRANCHES, Role
 from aimdmarket.market import run
 from aimdmarket.metrics import (
     CSV_HEADER,
@@ -15,12 +15,9 @@ from aimdmarket.metrics import (
     detect_convergence,
     export_band_series,
     export_run,
-    load_records,
-    mean_abs_derivative,
-    mean_derivative_series,
-    summarize,
 )
 from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, write_json
+from scalar_oracle import mean_derivative_series, records_from, summarize
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
@@ -132,9 +129,22 @@ def test_csv_export_byte_identical(tmp_path):
 
 
 def test_json_round_trip(tmp_path):
-    _, _, result = small_run(horizon=25)
-    path = export_run(result.trajectory, "json", tmp_path / "r.json")
-    assert load_records(path) == result.records
+    # every column of rounds 1..horizon comes back from the JSON export
+    _, _, result = small_run(horizon=25, suppliers=2, consumers=3)
+    trajectory, p = result.trajectory, result.trajectory.population
+    rounds = json.loads(export_run(trajectory, "json", tmp_path / "r.json").read_text())
+    assert [r["round"] for r in rounds] == list(range(1, 26))
+    agents = [[{**e, **e["trace"]} for e in r["per_agent"]] for r in rounds]
+    totals = [{**r, **r["signals"]} for r in rounds]
+    for column in ("quantity", "running_average", "utility_value", "derivative", "backoff_probability", "bernoulli"):
+        key = "utility_derivative" if column == "derivative" else column
+        assert np.array_equal([[e[key] for e in row] for row in agents], getattr(trajectory, column)[1:]), column
+    for column in ("total_supply", "total_consumption", "supplier_signal", "consumer_signal", "sum_of_utilities"):
+        assert np.array_equal([r[column] for r in totals], getattr(trajectory, column)[1:]), column
+    branches = [[BRANCHES[code].value for code in row] for row in trajectory.branch[1:].tolist()]
+    assert [[e["branch"] for e in row] for row in agents] == branches
+    ids = [(agent_id, role.value) for agent_id, role in zip(p.agent_ids, p.roles)]
+    assert all([(e["agent_id"], e["role"]) for e in row] == ids for row in agents)
 
 
 def test_json_export_byte_identical(tmp_path):
@@ -233,20 +243,14 @@ def test_band_export_csv_and_json(tmp_path):
 
 def test_mean_derivative_series_matches_manual():
     _, _, result = small_run(horizon=10, suppliers=2, consumers=3)
-    series = mean_derivative_series(result.records, Role.SUPPLIER)
+    records = records_from(result.trajectory)[1:]
+    series = mean_derivative_series(records, Role.SUPPLIER)
     assert len(series) == 10
     manual = [
         sum(e.utility_derivative for e in r.per_agent if e.role is Role.SUPPLIER) / 2
-        for r in result.records
+        for r in records
     ]
     assert series == manual
-
-
-def test_mean_abs_derivative_matches_manual():
-    _, _, result = small_run(horizon=5, suppliers=2, consumers=2)
-    record = result.records[-1]
-    manual = sum(abs(e.utility_derivative) for e in record.per_agent) / 4
-    assert mean_abs_derivative(record) == pytest.approx(manual)
 
 
 # --- summarize -------------------------------------------------------------------
@@ -254,13 +258,12 @@ def test_mean_abs_derivative_matches_manual():
 
 def test_summarize_single_round_equals_that_round():
     _, scenario, result = small_run(horizon=1)
-    s = result.summary
-    record = result.records[0]
+    s, trajectory = result.summary, result.trajectory
     assert s.final_round == 1
     assert s.window == 1
-    assert s.trailing_mean_supply == record.total_supply
-    assert s.trailing_mean_consumption == record.total_consumption
-    assert s.final_sum_of_utilities == record.sum_of_utilities
+    assert s.trailing_mean_supply == trajectory.total_supply[1]
+    assert s.trailing_mean_consumption == trajectory.total_consumption[1]
+    assert s.final_sum_of_utilities == trajectory.sum_of_utilities[1]
 
 
 def test_summarize_window_rule():
@@ -275,8 +278,8 @@ def test_summarize_window_rule():
 def test_summarize_totals_match_tail():
     _, _, result = small_run(horizon=30)
     s = result.summary
-    tail = result.records[-s.window :]
-    assert s.trailing_mean_supply == pytest.approx(sum(r.total_supply for r in tail) / s.window)
+    tail = result.trajectory.total_supply[-s.window :].tolist()
+    assert s.trailing_mean_supply == pytest.approx(sum(tail) / s.window)
 
 
 def test_summarize_per_agent_distances():

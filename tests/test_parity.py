@@ -16,10 +16,19 @@ import pytest
 
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import EXPORT_CHUNK, export_run, mean_derivative_series, summarize
+from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, export_records, run_records, step, RoleParams as OracleParams
+from scalar_oracle import (
+    AgentState,
+    export_records,
+    mean_derivative_series,
+    records_from,
+    run_records,
+    step,
+    summarize,
+    RoleParams as OracleParams,
+)
 
 SCENARIO_SEEDS = (3, 12, 21)
 RUN_SEEDS = range(8)
@@ -96,10 +105,11 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
         seeded = config.with_overrides(seed=k)
         initial, records = run_records(seeded, scenario, flip)
         result = run(seeded, scenario, flip_signal_semantics=flip)
-        assert repr(result.initial_record) == repr(initial)
+        got_initial, *got_records = records_from(result.trajectory)
+        assert repr(got_initial) == repr(initial)
         # round by round, so a mismatch reports its round instead of a diff of the whole run
-        assert len(result.records) == len(records)
-        for got, expected in zip(result.records, records):
+        assert len(got_records) == len(records)
+        for got, expected in zip(got_records, records):
             assert repr(got) == repr(expected), f"round {expected.round} differs"
         expected_summary = summarize(records or [initial], scenario)
         assert repr(result.summary) == repr(expected_summary)
@@ -242,7 +252,7 @@ def test_no_result_depends_on_how_sum_rounds(monkeypatch):
         result = run(config, scenario)
         initial, records = run_records(config, scenario)
         batched = replicate_series(config, scenario, 2)
-        return repr((reference_configs(), result.initial_record, result.records, result.summary, initial, records,
+        return repr((reference_configs(), records_from(result.trajectory), result.summary, initial, records,
                      summarize(records, scenario), batched))
 
     expected = outputs()

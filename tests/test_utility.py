@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aimdmarket.utility import (
-    UnboundedDerivativeError,
-    UtilityKind,
-    UtilitySpec,
-    check_derivative,
-)
+from aimdmarket.utility import UnboundedDerivativeError, UtilityKind, UtilitySpec
+from scalar_oracle import check_derivative
 
 
 def quad(optimum=50.0, curvature=10.0):
