@@ -92,6 +92,26 @@ GOLDENS = {
             "run_config.json": PAPER_A_H0_CONFIG,
         },
     ),
+    # digests taken before the block kernel: flip with R > 1, and sqrt suppliers with R > 1,
+    # each with its 100-round trailing window starting inside a 256-round block
+    "replicate-flipped-r3": (
+        ["replicate", "--reference", "paper-a", "--flip-signal-semantics", "--replicates", "3", "--horizon", "600"],
+        {
+            "band_supplier_derivative.csv": "d334eba560030baaa7de4d51f852941a47bb9787f4f924ec8f82e9d9c5ff8b32",
+            "replicate_meta.json": "3b7a07327ef1a158c58276b674dfd2d4343cc9bc80b4b51b2b335893db6c0a50",
+            "replicate_summaries.json": "69a59d67450dcb3e7e231e95b8af333f4fcef614f25995ad2595a961b454494e",
+            "run_config.json": "828f070cceb00bd86e90e4c5fcbbd75e5e9ffa38d82026c73d70af51a813f875",
+        },
+    ),
+    "replicate-paper-b-r3": (
+        ["replicate", "--reference", "paper-b", "--replicates", "3", "--horizon", "600"],
+        {
+            "band_supplier_derivative.csv": "15a19649382cf6408f354b81da90a9f2d580dbfc856065fb52fb5494034d001f",
+            "replicate_meta.json": "cb72735b8fbd588420cd8c033754422799734463c67b42f80fb9bd437a3998b4",
+            "replicate_summaries.json": "a80ec50bce4f70453c93209a55bd45ec30f09439fddfbb5b4919615194914952",
+            "run_config.json": "3034e36de14e261543d40c28633b7335356d12b1c5b1d430c25dcd5e9eb70b48",
+        },
+    ),
 }
 
 # the CLI arguments of perfbench/run.py's WORKLOADS; the seeds are the pinned ones
