@@ -8,15 +8,18 @@ below its private optimum and by -alpha above it.  Utilities without a
 finite optimum always take the increase branch when not backed off.
 
 Agents are coupled only through the one-bit side signal, so the rule runs
-in lockstep on (agents x replicates) arrays.  Every operation is
-elementwise and in the order of the one-agent formula, so each value is
-bit-identical to evaluating the agents one at a time.
+in lockstep on (agents x replicates) arrays, in place (``Population.step``).
+The clamped lambda and the branch code are recorded only and are derived
+afterwards (``clamp_probability``, ``Population.branches``).  Every
+operation is elementwise and in the order of the one-agent formula, so
+each value is bit-identical to evaluating the agents one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,48 +110,69 @@ class Population:
             gamma=config.gamma,
         )
 
-    def derivative(self, avg: np.ndarray) -> np.ndarray:
-        """u'(avg) per agent, as ``UtilitySpec.derivative`` computes it.
+    @cached_property
+    def has_sqrt(self) -> bool:
+        return bool(self.is_sqrt.any())
 
-        A sqrt agent's average is never 0: its quantity starts with an
-        additive increase and stays positive.
-        """
-        marginal = -2.0 * (avg - self.optimum) / self.curvature
-        np.divide(self.scale, 2.0 * np.sqrt(avg), out=marginal, where=self.is_sqrt)
-        return marginal
+    def widened(self, replicates: int) -> "Population":
+        """This population with every constant column broadcast to (agents x
+        ``replicates``), so that the round step's ufuncs run on same-shape arrays."""
+        shape = (len(self.agent_ids), replicates)
+        return replace(self, **{name: np.ascontiguousarray(np.broadcast_to(value, shape))
+                                for name, value in vars(self).items() if isinstance(value, np.ndarray)})
 
-    def backoff_probability(self, avg: np.ndarray, marginal: np.ndarray, signalled: np.ndarray) -> np.ndarray:
-        """lambda = clamp(Gamma * u'(avg) / avg, 0, 1) for signalled agents
-        with avg >= EPS_AVG, else 0.
+    def derivative(self, avg: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """u'(avg) per agent into ``out``, as ``UtilitySpec.derivative`` computes it.
+        A sqrt agent's average is never 0: its quantity starts with +alpha and stays positive."""
+        np.subtract(avg, self.optimum, out=out)
+        np.multiply(-2.0, out, out=out)
+        np.divide(out, self.curvature, out=out)
+        if self.has_sqrt:  # scale / (2 sqrt(avg)) over the sqrt agents' entries
+            np.sqrt(avg, out=out, where=self.is_sqrt)
+            np.multiply(2.0, out, out=out, where=self.is_sqrt)
+            np.divide(self.scale, out, out=out, where=self.is_sqrt)
+        return out
 
-        The clamp keeps a raw -0.0 as -0.0, as ``min(max(raw, 0.0), 1.0)``
-        does; ``np.maximum`` would not.
-        """
-        lam = np.zeros(avg.shape)
-        np.divide(self.gamma * marginal, avg, out=lam, where=signalled & (avg >= EPS_AVG))
-        lam = np.where(0.0 > lam, 0.0, lam)
-        return np.where(lam > 1.0, 1.0, lam)
+    def step(self, before, after, rounds: int, signalled: np.ndarray, draws: np.ndarray) -> None:
+        """One round for every agent: from ``before`` = (quantity, average,
+        u'(average)), an average of ``rounds`` samples, each agent's side
+        signal and one draw in [0, 1) each, write ``after`` = (quantity,
+        average, u'(average), raw lambda, Bernoulli bit) in place.  The raw
+        lambda (Gamma u'(avg) / avg if signalled and avg >= EPS_AVG, else 0)
+        is unclamped: a draw is below it exactly when below its clamp to
+        [0, 1], -0.0 and NaN included."""
+        quantity, avg, marginal = before
+        new_quantity, new_avg, new_marginal, raw, bernoulli = after
+        # +alpha at or below the optimum, else -alpha floored at 0: a quantity is never
+        # NaN and alpha > 0, so np.maximum meets no NaN or -0.0, where it differs from max
+        increase = np.less_equal(quantity, self.optimum, out=bernoulli)  # the bit's buffer, until the draw
+        np.subtract(quantity, self.alpha, out=new_quantity)
+        np.maximum(new_quantity, 0.0, out=new_quantity)
+        np.add(quantity, self.alpha, out=new_quantity, where=increase)
+        may_back_off = np.greater_equal(avg, EPS_AVG, out=bernoulli)
+        np.logical_and(may_back_off, signalled, out=may_back_off)
+        raw.fill(0.0)
+        np.multiply(self.gamma, marginal, out=raw, where=may_back_off)
+        np.divide(raw, avg, out=raw, where=may_back_off)
+        np.less(draws, raw, out=bernoulli)
+        np.multiply(quantity, self.beta, out=new_quantity, where=bernoulli)
+        # update_running_average, in place
+        np.multiply(avg, rounds, out=new_avg)
+        np.add(new_avg, new_quantity, out=new_avg)
+        np.divide(new_avg, rounds + 1, out=new_avg)
+        self.derivative(new_avg, new_marginal)
 
-    def move(self, quantity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Additive branch: +alpha at or below the optimum, else -alpha
-        floored at 0.  Compares the quantity, not the running average."""
-        increase = quantity <= self.optimum
-        lowered = quantity - self.alpha
-        moved = np.where(increase, quantity + self.alpha, np.where(lowered > 0.0, lowered, 0.0))
-        return moved, np.where(increase, INCREASE, DECREASE_ADD)
+    def branches(self, quantity: np.ndarray, bernoulli: np.ndarray) -> np.ndarray:
+        """The branch code of each step, from the quantity entering it (agents
+        along the last axis) and its Bernoulli bit."""
+        codes = np.where(quantity <= self.optimum.T, INCREASE, DECREASE_ADD)
+        codes[bernoulli] = DECREASE_MULT
+        return codes
 
-    def update(self, quantity, avg, rounds: int, marginal, signalled, draws):
-        """One round of the AIMD rule for every agent.
 
-        ``marginal`` is u'(avg) at the pre-step average, ``signalled`` the
-        side signal broadcast to each agent, ``draws`` one uniform variate
-        per agent and ``rounds`` the number of samples in ``avg``.  Returns
-        the new quantity and average, lambda, the Bernoulli bit and the
-        branch code.
-        """
-        lam = self.backoff_probability(avg, marginal, signalled)
-        bernoulli = draws < lam
-        moved, branch = self.move(quantity)
-        quantity = np.where(bernoulli, quantity * self.beta, moved)
-        branch = np.where(bernoulli, DECREASE_MULT, branch)
-        return quantity, update_running_average(avg, rounds, quantity), lam, bernoulli, branch
+def clamp_probability(raw: np.ndarray) -> np.ndarray:
+    """Clamp raw lambdas to [0, 1] in place, as ``min(max(raw, 0.0), 1.0)``
+    does: a raw -0.0 stays -0.0 (``np.maximum`` would not keep it) and NaN stays NaN."""
+    np.copyto(raw, 0.0, where=raw < 0.0)
+    np.copyto(raw, 1.0, where=raw > 1.0)
+    return raw

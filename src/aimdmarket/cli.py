@@ -5,7 +5,7 @@ Subcommands:
   replicate  R seeded runs (seed+0..R-1) aggregated into a confidence band
   paper-a    the 9x18 both-concave reference experiment end to end
   paper-b    the monotone-supplier reference experiment end to end
-  validate   check a config file and list violations
+  validate   check a config file's inputs, not its run, and list violations
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_ref = sub.add_parser(name, help=f"run the {name} reference experiment")
         _add_common_options(p_ref, with_source=False)
 
-    p_val = sub.add_parser("validate", help="check a config file")
+    p_val = sub.add_parser("validate", help="check a config file's inputs (not its run)", description=(
+        "Check a config file's inputs and list violations.  The simulation is not run: a config whose "
+        "run overflows prints ok here, and run refuses it with exit code 1."))
     p_val.add_argument("--config", type=Path, required=True)
     return parser
 

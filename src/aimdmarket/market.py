@@ -8,27 +8,28 @@ is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, and yields each round's columns.  ``run`` drives it with one seed
-and stores every round in the columns of a ``metrics.Trajectory``;
-``replicate_series`` drives it once for all seeds and keeps only what the
-confidence band and the summaries need.
+seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Its per-round loop
+keeps only what the next round depends on: the signal, the agents' step
+(``Population.step``) and the side totals.  ``run`` copies each block
+into the columns of a ``metrics.Trajectory`` and derives the
+recorded-only columns (clamped lambda, branch codes, signals) over the
+whole run; ``replicate_series`` reduces each block to its mean-derivative
+rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .agent import Population, Role
+from .agent import Population, Role, clamp_probability
 from .metrics import RunSummary, Trajectory, summarize_final, trailing_window
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
-from .utility import ordered_sum
 
-# Rounds of uniform draws generated per stream at a time: memory stays
-# O(DRAW_BLOCK x agents x replicates) whatever the horizon.
+# Rounds advanced per block: memory stays O(DRAW_BLOCK x agents x
+# replicates) whatever the horizon.
 DRAW_BLOCK = 256
 
 
@@ -40,21 +41,17 @@ class RunResult:
     summary: RunSummary
 
 
-class RoundColumns(NamedTuple):
-    """One round of ``simulate``: per-agent arrays are (agents x
-    replicates), per-round totals and signals have one entry per replicate."""
+class Block(NamedTuple):
+    """Rounds ``first``.. of ``simulate``: per-agent arrays are (rounds x agents
+    x replicates), views of buffers that the next block overwrites."""
 
-    round: int
+    first: int
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
-    backoff_probability: np.ndarray
+    raw_lambda: np.ndarray  # unclamped; see Population.step
     bernoulli: np.ndarray
-    branch: np.ndarray  # indices into agent.BRANCHES
-    total_supply: np.ndarray
-    total_consumption: np.ndarray
-    supplier_signal: np.ndarray
-    consumer_signal: np.ndarray
+    totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
 
 
 def _excess_sides(supply, consumption, flip_semantics: bool):
@@ -70,62 +67,74 @@ def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
     Each stream is consumed at exactly one draw per round, so the round-t
     variate of an agent is fixed by the seed alone.
     """
-    suppliers = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, i)))
-        for i in range(num_suppliers)
-    ]
-    consumers = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, j)))
-        for j in range(num_consumers)
-    ]
-    return suppliers, consumers
-
-
-def _side_totals(population: Population, quantity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Agent order, not np.sum's pairwise order: the totals decide the signals.
-    s = population.num_suppliers
-    return quantity[:s].cumsum(axis=0)[-1], quantity[s:].cumsum(axis=0)[-1]
+    return tuple(
+        [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, i))) for i in range(count)]
+        for role, count in enumerate((num_suppliers, num_consumers))
+    )
 
 
 def simulate(
     population: Population, config: MarketConfig, seeds: Sequence[int], *, flip_signal_semantics: bool = False
-) -> Iterator[RoundColumns]:
-    """Yield rounds 0..horizon of one market per seed, in lockstep.
+) -> Iterator[Block]:
+    """Yield rounds 0..horizon of one market per seed, in lockstep, in
+    blocks of ``DRAW_BLOCK`` rounds (the last one shorter), from buffers
+    allocated once per call.
 
-    Round 0 is the signal-free initialization step from
-    ``config.initial_quantity``.  Replicate k draws from the streams of
-    ``seeds[k]``, so it equals a single-seed run with that seed.
+    Round 0 is the initialization step from ``config.initial_quantity``:
+    the round step after a tie, with no draw.  Replicate k draws from the
+    streams of ``seeds[k]``, so it equals a single-seed run with that seed.
     """
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
-    quantity, branch = population.move(np.full(shape, float(config.initial_quantity)))
-    avg = quantity
-    marginal = population.derivative(avg)
-    supply, consumption = _side_totals(population, quantity)
-    quiet = np.zeros(len(seeds), dtype=bool)
-    yield RoundColumns(0, quantity, avg, marginal, np.zeros(shape), np.zeros(shape, dtype=bool), branch,
-                       supply, consumption, quiet, quiet)
-
-    signalled = np.empty(shape, dtype=bool)
+    population = population.widened(len(seeds))
+    rows = min(DRAW_BLOCK, config.horizon + 1)
+    columns = [np.empty((rows, *shape)) for _ in range(4)] + [np.empty((rows, *shape), dtype=bool)]
+    per_round = list(zip(*columns))  # each round's row views: Population.step's `after`
+    totals, partial_sums, side_ends = np.empty((rows, 2, len(seeds))), np.empty(shape), [s - 1, shape[0] - 1]
+    draws, signalled = np.zeros((rows, *shape)), np.empty(shape, dtype=bool)
+    start = np.full(shape, float(config.initial_quantity))
+    # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
+    before, last = (start, start, start), np.zeros((2, len(seeds)))
     streams = [sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []) for seed in seeds]
-    for first in range(1, config.horizon + 1, DRAW_BLOCK):
-        block = min(DRAW_BLOCK, config.horizon + 1 - first)
-        draws = np.empty((block, *shape))
+    for first in range(0, config.horizon + 1, DRAW_BLOCK):
+        block, skip = min(DRAW_BLOCK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
         for k, replicate in enumerate(streams):
             for i, rng in enumerate(replicate):
-                draws[:, i, k] = rng.random(block)
+                draws[skip:block, i, k] = rng.random(block - skip)
         for b in range(block):
-            supplier_signal, consumer_signal = _excess_sides(supply, consumption, flip_signal_semantics)
-            signalled[:s], signalled[s:] = supplier_signal, consumer_signal
-            # the average before round t holds t samples (rounds 0..t-1)
-            quantity, avg, lam, bernoulli, branch = population.update(
-                quantity, avg, first + b, marginal, signalled, draws[b]
-            )
-            marginal = population.derivative(avg)
-            supply, consumption = _side_totals(population, quantity)
-            yield RoundColumns(
-                first + b, quantity, avg, marginal, lam, bernoulli, branch, supply, consumption,
-                supplier_signal, consumer_signal,
-            )
+            signalled[:s], signalled[s:] = _excess_sides(*last, flip_signal_semantics)
+            # the average entering round t holds t samples (rounds 0..t-1)
+            population.step(before, per_round[b], first + b, signalled, draws[b])
+            before = per_round[b][:3]
+            # agent order, not np.sum's pairwise order: the totals decide the signals
+            before[0][:s].cumsum(axis=0, out=partial_sums[:s])
+            before[0][s:].cumsum(axis=0, out=partial_sums[s:])
+            last = partial_sums.take(side_ends, axis=0, out=totals[b], mode="clip")
+        yield Block(first, *(column[:block] for column in columns), totals[:block])
+
+
+class _Tail:
+    """The trailing-window mean totals and the final state, reduced block by block."""
+
+    def __init__(self, horizon: int, replicates: int):
+        # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
+        self.horizon, self.window = horizon, trailing_window(max(horizon, 1))
+        self.start = horizon + 1 - self.window
+        self.sums = np.zeros((1, 2, replicates))
+
+    def add(self, block: Block) -> None:
+        # 0.0 + left to right, as utility.ordered_sum
+        totals = block.totals[max(self.start - block.first, 0):]
+        self.sums = np.concatenate([self.sums, totals]).cumsum(axis=0)[-1:]
+        self.final = block.running_average[-1].copy(), block.derivative[-1].copy()
+
+    def summaries(self, scenario: ScenarioSpec) -> list[RunSummary]:
+        supply, consumption = (self.sums[0] / self.window).tolist()
+        averages, derivatives = self.final
+        return [
+            summarize_final(self.horizon, self.window, supply[k], consumption[k],
+                            averages[:, k].tolist(), derivatives[:, k].tolist(), scenario)
+            for k in range(len(supply))
+        ]
 
 
 def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
@@ -146,26 +155,21 @@ def run(
     """
     _validate(config, scenario)
     population = Population.build(config, scenario)
-    rounds = simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics)
-    first = next(rounds)  # preallocate every column from round 0's shapes and types
-    columns = [np.empty((config.horizon + 1, *value.shape[:-1]), value.dtype) for value in first[1:]]
-    for values in chain([first], rounds):
-        for column, value in zip(columns, values[1:]):
-            column[values.round] = value[..., 0]  # replicate 0
-    trajectory = Trajectory(population, **dict(zip(RoundColumns._fields[1:], columns)))
-    # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
-    window = trailing_window(max(config.horizon, 1))
-    tail = slice(config.horizon + 1 - window, None)
-    summary = summarize_final(
-        config.horizon,
-        window,
-        ordered_sum(trajectory.total_supply[tail].tolist()) / window,
-        ordered_sum(trajectory.total_consumption[tail].tolist()) / window,
-        trajectory.running_average[-1].tolist(),
-        trajectory.derivative[-1].tolist(),
-        scenario,
-    )
-    return RunResult(trajectory, summary)
+    shape = (config.horizon + 1, len(population.agent_ids))
+    quantity, running_average, derivative, lam = (np.empty(shape) for _ in range(4))
+    bernoulli, totals, tail = np.empty(shape, dtype=bool), np.empty((2, shape[0])), _Tail(config.horizon, 1)
+    for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
+        rows = slice(block.first, block.first + len(block.quantity))
+        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:]):
+            column[rows] = value[..., 0]  # replicate 0
+        totals[:, rows] = block.totals[..., 0].T
+        tail.add(block)
+    entering = np.concatenate([np.full((1, shape[1]), float(config.initial_quantity)), quantity[:-1]])
+    signals = np.zeros((2, shape[0]), dtype=bool)  # round 0 follows no round
+    signals[0, 1:], signals[1, 1:] = _excess_sides(*totals[:, :-1], flip_signal_semantics)
+    trajectory = Trajectory(population, quantity, running_average, derivative, clamp_probability(lam), bernoulli,
+                            population.branches(entering, bernoulli), *totals, *signals)
+    return RunResult(trajectory, tail.summaries(scenario)[0])
 
 
 def replicate_series(
@@ -189,32 +193,13 @@ def replicate_series(
     population = Population.build(config, scenario)
     s = population.num_suppliers
     members = slice(0, s) if role is Role.SUPPLIER else slice(s, None)
-    # The summary window covers the last `window` recorded rounds; with
-    # horizon 0 that is the round-0 state alone.
-    window = trailing_window(max(config.horizon, 1))
-    window_start = config.horizon + 1 - window
-    means, supply, consumption = [], np.zeros(replicates), np.zeros(replicates)
+    count = len(population.agent_ids[members])
+    means, tail = [], _Tail(config.horizon, replicates)
     seeds = [config.seed + k for k in range(replicates)]
-    for columns in simulate(population, config, seeds, flip_signal_semantics=flip_signal_semantics):
-        if columns.round >= 1:
-            # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
-            # utility.ordered_sum (which starts from 0.0) does
-            member_sum = columns.derivative[members].cumsum(axis=0)[-1] + 0.0
-            means.append(member_sum / len(population.agent_ids[members]))
-        if columns.round >= window_start:  # 0.0 + left to right, as ordered_sum
-            supply += columns.total_supply
-            consumption += columns.total_consumption
-    series = np.array(means).reshape(len(means), replicates).T.tolist()
-    summaries = [
-        summarize_final(
-            columns.round,
-            window,
-            float(supply[k] / window),
-            float(consumption[k] / window),
-            columns.running_average[:, k].tolist(),
-            columns.derivative[:, k].tolist(),
-            scenario,
-        )
-        for k in range(replicates)
-    ]
-    return series, summaries
+    for block in simulate(population, config, seeds, flip_signal_semantics=flip_signal_semantics):
+        # rounds 1.. only, in agent order; `+ 0.0` turns a -0.0 total into
+        # 0.0, as utility.ordered_sum (which starts from 0.0) does
+        derivative = block.derivative[max(1 - block.first, 0):, members]
+        means.append((derivative.cumsum(axis=1)[:, -1] + 0.0) / count)
+        tail.add(block)
+    return np.concatenate(means).T.tolist(), tail.summaries(scenario)

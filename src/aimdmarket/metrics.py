@@ -60,8 +60,7 @@ MIN_TRAILING_WINDOW = 100
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One run as columns, named as ``market.RoundColumns``: row t holds
-    round t, row 0 the initialization step.  Per-agent arrays are (rounds
+    """One run as columns: row t holds round t, row 0 the initialization step.  Per-agent arrays are (rounds
     x agents) in ``population`` order; totals and signals have one entry
     per round."""
 

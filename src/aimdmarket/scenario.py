@@ -432,15 +432,34 @@ def save_config_file(path, config: MarketConfig, scenario: ScenarioSpec) -> Path
     return write_json(path, {"config": config.to_dict(), "scenario": scenario.to_dict()})
 
 
+class _Object(dict):
+    """A JSON object of a config file that names its place when a key is missing."""
+
+    def __missing__(self, key):
+        raise KeyError(f"missing key {key!r} in {self.where}")
+
+
+def _located(value, path: str):
+    if isinstance(value, dict):  # every object becomes an _Object that knows its path
+        located = _Object((key, _located(item, f"{path}.{key}" if path else key)) for key, item in value.items())
+        located.where = path or "the top-level object"
+        return located
+    if isinstance(value, list):
+        return [_located(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return value
+
+
 def load_config_file(path) -> tuple[MarketConfig, ScenarioSpec]:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = _located(json.loads(path.read_text()), "")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
         config = MarketConfig.from_dict(payload["config"])
         scenario = ScenarioSpec.from_dict(payload["scenario"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # from an _Object, naming the key and where it belongs
+        raise ValueError(f"{path}: malformed config file: {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed config file: {exc}") from exc
     return config, scenario

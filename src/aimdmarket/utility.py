@@ -8,8 +8,8 @@ Two families are supported:
   with no finite maximum.
 
 A new family extends ``UtilityKind`` and the methods here, and also the
-array forms that branch on the sqrt kind: ``agent.Population.build`` and
-``Population.derivative``, and ``metrics.Trajectory.utility_value``.
+array forms that branch on the sqrt kind: ``agent.Population.build``, its
+``has_sqrt`` and ``derivative``, and ``metrics.Trajectory.utility_value``.
 """
 
 from __future__ import annotations

@@ -218,6 +218,30 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("path,where", [
+    (("scenario", "consumer_utilities", 0, "kind"), "scenario.consumer_utilities[0]"),
+    (("config", "horizon"), "config"),
+    (("config", "supplier_params", "beta"), "config.supplier_params"),
+    (("scenario",), "the top-level object"),
+], ids=_field_id)
+def test_validate_names_a_missing_key_and_where_it_belongs(tmp_path, config_file, capsys, path, where):
+    payload = json.loads(config_file.read_text())
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    del target[leaf]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        f"violation: {bad}: malformed config file: missing key {leaf!r} in {where}\n"
+    )
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"missing key {leaf!r} in {where}" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_validate_reports_every_config_violation(tmp_path, config_file, capsys):
     # a field that fails the finiteness check does not hide another field's range
     payload = json.loads(config_file.read_text())

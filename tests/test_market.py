@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from aimdmarket.agent import Branch, Role
-from aimdmarket.market import RoundColumns, _excess_sides, agent_rng_streams, replicate_series, run
+from aimdmarket.market import _excess_sides, agent_rng_streams, replicate_series, run
+from aimdmarket.metrics import Trajectory
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -35,10 +37,14 @@ def small_scenario(config):
     return generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 200.0, 3)
 
 
+# every column of a Trajectory but its population
+COLUMNS = [field.name for field in dataclasses.fields(Trajectory)][1:]
+
+
 def same_columns(a, b):
     """Whether two runs store equal values in every column of a round."""
     return all(np.array_equal(getattr(a.trajectory, name), getattr(b.trajectory, name))
-               for name in RoundColumns._fields[1:])
+               for name in COLUMNS)
 
 
 def signals(supply, consumption, flip=False):
@@ -143,7 +149,7 @@ def test_records_numbered_from_one():
     config = small_config(horizon=7)
     trajectory = run(config, small_scenario(config)).trajectory
     # rows 0..7: round 0, the initialization step, then rounds 1..7
-    assert {len(getattr(trajectory, name)) for name in RoundColumns._fields[1:]} == {8}
+    assert {len(getattr(trajectory, name)) for name in COLUMNS} == {8}
 
 
 # --- run ------------------------------------------------------------------

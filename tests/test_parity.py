@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams
+from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams, clamp_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -87,6 +87,22 @@ def _assert_utility_values_match(trajectory):
     assert mismatched == []
 
 
+def _assert_run_matches_oracle(config, scenario, flip):
+    """``run``'s records and summary against the oracle's; returns the run,
+    the oracle's records and its summary."""
+    initial, records = run_records(config, scenario, flip)
+    result = run(config, scenario, flip_signal_semantics=flip)
+    got_initial, *got_records = records_from(result.trajectory)
+    assert repr(got_initial) == repr(initial)
+    # round by round, so a mismatch reports its round instead of a diff of the whole run
+    assert len(got_records) == len(records)
+    for got, expected in zip(got_records, records):
+        assert repr(got) == repr(expected), f"round {expected.round} differs"
+    expected_summary = summarize(records or [initial], scenario)
+    assert repr(result.summary) == repr(expected_summary)
+    return result, initial, records, expected_summary
+
+
 @pytest.mark.parametrize("scenario_seed", SCENARIO_SEEDS)
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
@@ -103,16 +119,7 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
     exercised = False
     for k in RUN_SEEDS:
         seeded = config.with_overrides(seed=k)
-        initial, records = run_records(seeded, scenario, flip)
-        result = run(seeded, scenario, flip_signal_semantics=flip)
-        got_initial, *got_records = records_from(result.trajectory)
-        assert repr(got_initial) == repr(initial)
-        # round by round, so a mismatch reports its round instead of a diff of the whole run
-        assert len(got_records) == len(records)
-        for got, expected in zip(got_records, records):
-            assert repr(got) == repr(expected), f"round {expected.round} differs"
-        expected_summary = summarize(records or [initial], scenario)
-        assert repr(result.summary) == repr(expected_summary)
+        result, initial, records, expected_summary = _assert_run_matches_oracle(seeded, scenario, flip)
         _assert_utility_values_match(result.trajectory)
         if not exercised and _exercised(kind, initial, records):
             # the first run that reaches the variant's case; the oracle's
@@ -124,6 +131,25 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
                 assert repr(series[k - base]) == repr(mean_derivative_series(records, role))
                 assert repr(summaries[k - base]) == repr(expected_summary)
     assert exercised, f"{variant} never reached its case"
+
+
+# The kernel advances 256-round blocks, the first holding round 0: 255 ends
+# one round short of a block, 256 and 257 cross into the second, and at 600
+# the 100-round trailing window starts at round 501, inside the second block.
+@pytest.mark.parametrize("horizon", [255, 256, 257, 600])
+@pytest.mark.parametrize("variant", ["both-concave", "flipped-signals", "monotone-suppliers"])
+def test_block_boundaries_match_oracle(variant, horizon):
+    overrides, mode, target, flip, _ = VARIANTS[variant]
+    config = MarketConfig.build(3, 4, **{"horizon": horizon, "seed": 0, **overrides})
+    scenario = generate_scenario(config, mode, target, SCENARIO_SEEDS[0])
+    replicates = 3
+    series, summaries = replicate_series(config, scenario, replicates, flip_signal_semantics=flip)
+    consumers, _ = replicate_series(config, scenario, replicates, flip_signal_semantics=flip, role=Role.CONSUMER)
+    for k in range(replicates):
+        _, _, records, expected_summary = _assert_run_matches_oracle(config.with_overrides(seed=k), scenario, flip)
+        assert repr(series[k]) == repr(mean_derivative_series(records, Role.SUPPLIER))
+        assert repr(consumers[k]) == repr(mean_derivative_series(records, Role.CONSUMER))
+        assert repr(summaries[k]) == repr(expected_summary)
 
 
 @pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
@@ -168,18 +194,18 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
 
 
 def _kernel_step(state, signal, params, draw):
+    # the round step simulate runs, then the derivations run's column store applies
     kernel_params = RoleParams(params.alpha, params.beta)
     config = MarketConfig(1, 0, kernel_params, kernel_params, params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
-    quantity, avg, lam, bernoulli, branch = population.update(
-        np.array([[state.quantity]]),
-        np.array([[state.running_average]]),
-        state.rounds_elapsed + 1,
-        population.derivative(np.array([[state.running_average]])),
-        np.array([[bool(signal)]]),
-        np.array([[draw]]),
-    )
-    return (float(quantity[0, 0]), float(avg[0, 0]), float(lam[0, 0]), int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])
+    quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
+    after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
+    before = (quantity, avg, population.derivative(avg, np.empty((1, 1))))
+    population.step(before, after, state.rounds_elapsed + 1, np.array([[bool(signal)]]), np.array([[draw]]))
+    new_quantity, new_avg, _, raw, bernoulli = after
+    branch = population.branches(quantity, bernoulli)
+    return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(clamp_probability(raw)[0, 0]),
+            int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])
 
 
 def _step_cases():
