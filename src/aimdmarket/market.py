@@ -108,7 +108,7 @@ def simulate(
             # agent order, not np.sum's pairwise order: the totals decide the signals
             before[0][:s].cumsum(axis=0, out=partial_sums[:s])
             before[0][s:].cumsum(axis=0, out=partial_sums[s:])
-            last = partial_sums.take(side_ends, axis=0, out=totals[b], mode="clip")
+            last = partial_sums.take(side_ends, axis=0, out=totals[b])
         yield Block(first, *(column[:block] for column in columns), totals[:block])
 
 
@@ -160,7 +160,7 @@ def run(
     bernoulli, totals, tail = np.empty(shape, dtype=bool), np.empty((2, shape[0])), _Tail(config.horizon, 1)
     for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
         rows = slice(block.first, block.first + len(block.quantity))
-        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:]):
+        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:-1]):
             column[rows] = value[..., 0]  # replicate 0
         totals[:, rows] = block.totals[..., 0].T
         tail.add(block)
