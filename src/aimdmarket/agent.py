@@ -49,17 +49,6 @@ BRANCHES = tuple(Branch)  # the arrays hold branch codes indexing this
 DECREASE_MULT, INCREASE, DECREASE_ADD = range(3)
 
 
-@dataclass(frozen=True)
-class RoleParams:
-    """AIMD constants for one side of the market: the additive step alpha
-    (> 0) and the multiplicative back-off factor beta in (0, 1).  The
-    network constant Gamma is one per market, ``MarketConfig.gamma``;
-    ``scenario.validate_config`` checks all three."""
-
-    alpha: float
-    beta: float
-
-
 def update_running_average(prev_average, prev_rounds: int, new_quantity):
     """Extend a running mean of ``prev_rounds`` samples by one sample (floats or arrays)."""
     return (prev_average * prev_rounds + new_quantity) / (prev_rounds + 1)
@@ -91,10 +80,11 @@ class Population:
 
     @classmethod
     def build(cls, config: MarketConfig, scenario: ScenarioSpec) -> "Population":
-        supplier, consumer = config.supplier_params, config.consumer_params
-        agents = [(f"s{i}", Role.SUPPLIER, u, supplier) for i, u in enumerate(scenario.supplier_utilities)]
-        agents += [(f"c{j}", Role.CONSUMER, u, consumer) for j, u in enumerate(scenario.consumer_utilities)]
-        ids, roles, utilities, params = zip(*agents)
+        agents = [(f"s{i}", Role.SUPPLIER, u, config.alpha_s, config.beta_s)
+                  for i, u in enumerate(scenario.supplier_utilities)]
+        agents += [(f"c{j}", Role.CONSUMER, u, config.alpha_c, config.beta_c)
+                   for j, u in enumerate(scenario.consumer_utilities)]
+        ids, roles, utilities, alpha, beta = zip(*agents)
         sqrt = [u.kind is UtilityKind.SQRT_MONOTONE for u in utilities]
         return cls(
             ids,
@@ -105,8 +95,8 @@ class Population:
             optimum=_column([np.inf if s else u.optimum for s, u in zip(sqrt, utilities)]),
             curvature=_column([1.0 if s else u.curvature for s, u in zip(sqrt, utilities)]),
             scale=_column([u.scale if s else 1.0 for s, u in zip(sqrt, utilities)]),
-            alpha=_column([p.alpha for p in params]),
-            beta=_column([p.beta for p in params]),
+            alpha=_column(alpha),
+            beta=_column(beta),
             gamma=config.gamma,
         )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +91,9 @@ def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
 
 
 def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
-    return config.with_overrides(
-        seed=args.seed,
-        horizon=args.horizon,
-        gamma=args.gamma,
-        alpha_s=args.alpha_s,
-        beta_s=args.beta_s,
-        alpha_c=args.alpha_c,
-        beta_c=args.beta_c,
-    )
+    """``config`` with each override flag that was given (each names its field)."""
+    flags = ("seed", "horizon", "gamma", "alpha_s", "beta_s", "alpha_c", "beta_c")
+    return replace(config, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -108,7 +103,7 @@ def _cmd_run(args) -> int:
 
     # a non-finite summary fails here and a non-finite round in export_run,
     # both before anything is written
-    summary = strict_json(result.summary.to_dict())
+    summary = strict_json(asdict(result.summary))
     args.out.mkdir(parents=True, exist_ok=True)
     records_path = export_run(result.trajectory, args.format, args.out / f"records.{args.format}")
     with atomic_writer(args.out / "summary.json") as fh:
@@ -140,7 +135,7 @@ def _cmd_replicate(args) -> int:
     }
     # a non-finite summary fails here and a non-finite band in
     # export_band_series, both before anything is written
-    texts = {"replicate_summaries.json": strict_json([s.to_dict() for s in summaries]),
+    texts = {"replicate_summaries.json": strict_json([asdict(s) for s in summaries]),
              "replicate_meta.json": strict_json(meta)}
     args.out.mkdir(parents=True, exist_ok=True)
     band_path = export_band_series(

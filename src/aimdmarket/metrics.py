@@ -114,16 +114,6 @@ class AgentSummary:
     distance_to_optimum: Optional[float]
     final_derivative: float
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "role": self.role.value,
-            "final_running_average": self.final_running_average,
-            "optimum": self.optimum,
-            "distance_to_optimum": self.distance_to_optimum,
-            "final_derivative": self.final_derivative,
-        }
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -136,19 +126,6 @@ class RunSummary:
     final_consumer_utility_sum: float
     final_mean_abs_derivative: float
     agents: tuple[AgentSummary, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "final_round": self.final_round,
-            "window": self.window,
-            "trailing_mean_supply": self.trailing_mean_supply,
-            "trailing_mean_consumption": self.trailing_mean_consumption,
-            "final_sum_of_utilities": self.final_sum_of_utilities,
-            "final_supplier_utility_sum": self.final_supplier_utility_sum,
-            "final_consumer_utility_sum": self.final_consumer_utility_sum,
-            "final_mean_abs_derivative": self.final_mean_abs_derivative,
-            "agents": [a.to_dict() for a in self.agents],
-        }
 
 
 def detect_convergence(

@@ -12,15 +12,14 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .agent import RoleParams
-from .utility import UtilityKind, UtilitySpec, is_number, ordered_sum
+from .utility import UtilityKind, UtilitySpec, ordered_sum
 
 DEFAULT_WEIGHT_RANGE = (0.5, 1.5)
 # Curvatures must keep the raw back-off probability below 1 once an agent's
@@ -48,81 +47,33 @@ class ScenarioMode(str, Enum):
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """All run parameters for one market simulation; ``validate_config`` checks them."""
+    """All run parameters for one market simulation; ``validate_config`` checks them.
+
+    Each side has its AIMD constants, the additive step ``alpha_*`` and the
+    back-off factor ``beta_*`` (``_s`` suppliers, ``_c`` consumers); ``gamma``
+    is the market's one network constant.  A config file nests each side's
+    pair as ``supplier_params``/``consumer_params`` (``to_dict``).
+    """
 
     num_suppliers: int
     num_consumers: int
-    supplier_params: RoleParams
-    consumer_params: RoleParams
-    gamma: float
-    horizon: int
-    seed: int
+    _: KW_ONLY
+    alpha_s: float = 5.0
+    beta_s: float = 0.75
+    alpha_c: float = 5.0
+    beta_c: float = 0.75
+    gamma: float = 2.0
+    horizon: int = 5000
+    seed: int = 0
     initial_quantity: float = 0.0
-
-    @classmethod
-    def build(
-        cls,
-        num_suppliers: int,
-        num_consumers: int,
-        *,
-        alpha_s: float = 5.0,
-        beta_s: float = 0.75,
-        alpha_c: float = 5.0,
-        beta_c: float = 0.75,
-        gamma: float = 2.0,
-        horizon: int = 5000,
-        seed: int = 0,
-        initial_quantity: float = 0.0,
-    ) -> "MarketConfig":
-        """Construct a config from each side's (alpha, beta) and the shared ``gamma``."""
-        return cls(
-            num_suppliers=num_suppliers,
-            num_consumers=num_consumers,
-            supplier_params=RoleParams(alpha_s, beta_s),
-            consumer_params=RoleParams(alpha_c, beta_c),
-            gamma=gamma,
-            horizon=horizon,
-            seed=seed,
-            initial_quantity=initial_quantity,
-        )
-
-    def with_overrides(
-        self,
-        *,
-        seed: Optional[int] = None,
-        horizon: Optional[int] = None,
-        gamma: Optional[float] = None,
-        alpha_s: Optional[float] = None,
-        beta_s: Optional[float] = None,
-        alpha_c: Optional[float] = None,
-        beta_c: Optional[float] = None,
-    ) -> "MarketConfig":
-        """Copy of this config with the given parameters replaced (``None``
-        keeps a value); ``gamma`` is the network constant of both sides."""
-        sup = RoleParams(
-            self.supplier_params.alpha if alpha_s is None else alpha_s,
-            self.supplier_params.beta if beta_s is None else beta_s,
-        )
-        con = RoleParams(
-            self.consumer_params.alpha if alpha_c is None else alpha_c,
-            self.consumer_params.beta if beta_c is None else beta_c,
-        )
-        return replace(
-            self,
-            seed=self.seed if seed is None else seed,
-            horizon=self.horizon if horizon is None else horizon,
-            gamma=self.gamma if gamma is None else gamma,
-            supplier_params=sup,
-            consumer_params=con,
-        )
 
     def to_dict(self) -> dict:
         # each role dict repeats gamma, as config files always have
         return {
             "num_suppliers": self.num_suppliers,
             "num_consumers": self.num_consumers,
-            "supplier_params": {**vars(self.supplier_params), "gamma": self.gamma},
-            "consumer_params": {**vars(self.consumer_params), "gamma": self.gamma},
+            "supplier_params": {"alpha": self.alpha_s, "beta": self.beta_s, "gamma": self.gamma},
+            "consumer_params": {"alpha": self.alpha_c, "beta": self.beta_c, "gamma": self.gamma},
             "gamma": self.gamma,
             "horizon": self.horizon,
             "seed": self.seed,
@@ -137,12 +88,12 @@ class MarketConfig:
         params = {}
         for side in ("supplier", "consumer"):
             role = record[f"{side}_params"]
-            params[f"{side}_params"] = RoleParams(role["alpha"], role["beta"])
+            params[f"alpha_{side[0]}"], params[f"beta_{side[0]}"] = role["alpha"], role["beta"]
             if not _not_finite(gamma) and role.get("gamma", gamma) != gamma:
                 raise ValueError(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
         return cls(
-            num_suppliers=record["num_suppliers"],
-            num_consumers=record["num_consumers"],
+            record["num_suppliers"],
+            record["num_consumers"],
             **params,
             gamma=gamma,
             horizon=record["horizon"],
@@ -170,8 +121,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ScenarioSpec":
-        """Inverse of ``to_dict``.  A utility that ``UtilitySpec`` refuses
-        raises ValueError naming its agent, as ``supplier[i]: ...``."""
+        """Inverse of ``to_dict``.  A utility of unknown ``kind`` raises
+        ValueError naming its agent, as ``supplier[i]: ...``; ``validate_scenario``
+        checks the other fields."""
         utilities = {}
         for side in ("supplier", "consumer"):
             specs = []
@@ -184,10 +136,10 @@ class ScenarioSpec:
         return cls(**utilities, target_sum=record["target_sum"], mode=ScenarioMode(record["mode"]))
 
 
-def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float, weight_range) -> list[float]:
+def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float) -> list[float]:
     # Open interval keeps every weight strictly positive, so no degenerate
     # zero optima and the normalized sum hits the target exactly.
-    weights = rng.uniform(*weight_range, size=count)
+    weights = rng.uniform(*DEFAULT_WEIGHT_RANGE, size=count)
     total = float(weights.sum())
     return [float(target_sum * w / total) for w in weights]
 
@@ -198,9 +150,6 @@ def generate_scenario(
     target_sum: float,
     sampler_seed: int,
     *,
-    weight_range=DEFAULT_WEIGHT_RANGE,
-    curvature_range=DEFAULT_CURVATURE_RANGE,
-    scale_range=DEFAULT_SCALE_RANGE,
     couple_utility_sum: bool = False,
 ) -> ScenarioSpec:
     """Sample agent utilities satisfying the scenario sum constraints.
@@ -218,13 +167,13 @@ def generate_scenario(
     rng = np.random.default_rng(sampler_seed)
 
     if mode is ScenarioMode.BOTH_CONCAVE:
-        supplier_optima = _normalized_optima(rng, config.num_suppliers, target_sum, weight_range)
-        supplier_curvatures = [float(v) for v in rng.uniform(*curvature_range, size=config.num_suppliers)]
+        supplier_optima = _normalized_optima(rng, config.num_suppliers, target_sum)
+        supplier_curvatures = [float(v) for v in rng.uniform(*DEFAULT_CURVATURE_RANGE, size=config.num_suppliers)]
     else:
-        supplier_scales = [float(v) for v in rng.uniform(*scale_range, size=config.num_suppliers)]
+        supplier_scales = [float(v) for v in rng.uniform(*DEFAULT_SCALE_RANGE, size=config.num_suppliers)]
 
-    consumer_optima = _normalized_optima(rng, config.num_consumers, target_sum, weight_range)
-    consumer_curvatures = [float(v) for v in rng.uniform(*curvature_range, size=config.num_consumers)]
+    consumer_optima = _normalized_optima(rng, config.num_consumers, target_sum)
+    consumer_curvatures = [float(v) for v in rng.uniform(*DEFAULT_CURVATURE_RANGE, size=config.num_consumers)]
 
     if couple_utility_sum:
         if mode is ScenarioMode.BOTH_CONCAVE:
@@ -250,24 +199,13 @@ def generate_scenario(
 
 
 def _not_finite(value) -> bool:
-    return not is_number(value) or not math.isfinite(value)
+    """True unless ``value`` is a finite int or float (a bool is not a number)."""
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
 
 
-def validate_config(config: MarketConfig) -> list[str]:
-    """Collect config violations (empty list when valid): each field is
-    checked for its type and finiteness and, if it passes, for its range."""
-    # (field, value, integer?, range rule, the rule as text)
-    fields = [
-        ("num_suppliers", config.num_suppliers, True, lambda v: v >= 1, "must be >= 1"),
-        ("num_consumers", config.num_consumers, True, lambda v: v >= 1, "must be >= 1"),
-        ("horizon", config.horizon, True, lambda v: v >= 0, "must be nonnegative"),
-        ("seed", config.seed, True, lambda v: v >= 0, "must be nonnegative"),
-        ("initial_quantity", config.initial_quantity, False, lambda v: v >= 0, "must be nonnegative"),
-        ("gamma", config.gamma, False, lambda v: v >= 0, "must be nonnegative"),
-    ]
-    for side, params in (("supplier", config.supplier_params), ("consumer", config.consumer_params)):
-        fields.append((f"{side}_params.alpha", params.alpha, False, lambda v: v > 0, "must be positive"))
-        fields.append((f"{side}_params.beta", params.beta, False, lambda v: 0 < v < 1, "must lie in (0, 1)"))
+def _field_violations(fields) -> list[str]:
+    """One violation per field of (name, value, integer?, range rule, the rule
+    as text) that fails its type and finiteness check or, if it passes, its range."""
     violations = []
     for name, value, integer, in_range, rule in fields:
         if integer and (isinstance(value, bool) or not isinstance(value, int)):
@@ -279,8 +217,34 @@ def validate_config(config: MarketConfig) -> list[str]:
     return violations
 
 
+def validate_config(config: MarketConfig) -> list[str]:
+    """Collect config violations (empty list when valid), named as in a config file."""
+    return _field_violations([
+        ("num_suppliers", config.num_suppliers, True, lambda v: v >= 1, "must be >= 1"),
+        ("num_consumers", config.num_consumers, True, lambda v: v >= 1, "must be >= 1"),
+        ("horizon", config.horizon, True, lambda v: v >= 0, "must be nonnegative"),
+        ("seed", config.seed, True, lambda v: v >= 0, "must be nonnegative"),
+        ("initial_quantity", config.initial_quantity, False, lambda v: v >= 0, "must be nonnegative"),
+        ("gamma", config.gamma, False, lambda v: v >= 0, "must be nonnegative"),
+        ("supplier_params.alpha", config.alpha_s, False, lambda v: v > 0, "must be positive"),
+        ("supplier_params.beta", config.beta_s, False, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+        ("consumer_params.alpha", config.alpha_c, False, lambda v: v > 0, "must be positive"),
+        ("consumer_params.beta", config.beta_c, False, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ])
+
+
+# each utility field: (the kind that uses it, range rule, the rule as text)
+_UTILITY_FIELDS = {
+    "optimum": (UtilityKind.QUADRATIC, lambda v: v >= 0, "must be nonnegative"),
+    "curvature": (UtilityKind.QUADRATIC, lambda v: v > 0, "must be positive"),
+    "scale": (UtilityKind.SQRT_MONOTONE, lambda v: v > 0, "must be positive"),
+}
+
+
 def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
-    """Collect scenario violations against its invariants and the config."""
+    """Collect scenario violations against its invariants and the config.
+    Each utility field must be unset unless its kind uses it; a used one is
+    checked as ``validate_config`` checks a field."""
     violations = []
     if len(spec.supplier_utilities) != config.num_suppliers:
         violations.append(
@@ -290,19 +254,18 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
         violations.append(
             f"expected {config.num_consumers} consumer utilities, got {len(spec.consumer_utilities)}"
         )
-    if _not_finite(spec.target_sum):
-        violations.append(f"target_sum must be a finite number, got {spec.target_sum!r}")
-    elif spec.target_sum <= 0:
-        violations.append(f"target_sum must be positive, got {spec.target_sum}")
-
+    fields = [("target_sum", spec.target_sum, False, lambda v: v > 0, "must be positive")]
     for label, u in [(f"supplier[{i}]", u) for i, u in enumerate(spec.supplier_utilities)] + [
         (f"consumer[{j}]", u) for j, u in enumerate(spec.consumer_utilities)
     ]:
-        for field in ("optimum", "curvature", "scale"):
-            value = getattr(u, field)
-            if value is not None and _not_finite(value):
-                violations.append(f"{label}: {field} must be a finite number, got {value!r}")
-    if violations:  # the sums below assume a valid target and finite optima
+        for name, (kind, in_range, rule) in _UTILITY_FIELDS.items():
+            value = getattr(u, name)
+            if u.kind is kind:
+                fields.append((f"{label}: {name}", value, False, in_range, rule))
+            elif value is not None:
+                violations.append(f"{label}: {name} is not a {u.kind.value} parameter")
+    violations += _field_violations(fields)
+    if violations:  # the sums below assume a valid target and valid utilities
         return violations
 
     def optima_sum(utilities) -> Optional[float]:
@@ -356,7 +319,7 @@ PAPER_TARGET_SUM = 900.0
 
 def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
     """The two named reference experiments with documented seeds."""
-    config_a = MarketConfig.build(
+    config_a = MarketConfig(
         9, 18, horizon=5000, seed=PAPER_A_RUN_SEED, initial_quantity=PAPER_A_INITIAL_QUANTITY
     )
     scenario_a = generate_scenario(
@@ -366,7 +329,7 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
         PAPER_A_SCENARIO_SEED,
         couple_utility_sum=True,
     )
-    config_b = MarketConfig.build(
+    config_b = MarketConfig(
         9, 18, horizon=5000, seed=PAPER_B_RUN_SEED, initial_quantity=PAPER_B_INITIAL_QUANTITY
     )
     scenario_b = generate_scenario(
@@ -412,7 +375,7 @@ def _non_finite_field(value, path: str = "") -> Optional[str]:
         return f"{path} is {value!r}"
     if isinstance(value, dict):
         items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):  # JSON writes a tuple as an array
         items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
     else:
         return None

@@ -7,9 +7,14 @@ Two families are supported:
 * ``sqrt_monotone`` -- f(z) = l * sqrt(z), strictly increasing and concave,
   with no finite maximum.
 
+A ``UtilitySpec`` holds its fields as given; ``scenario.validate_scenario``
+checks them, so a config file's bad utilities are reported with the rest
+of its violations.
+
 A new family extends ``UtilityKind`` and the methods here, and also the
 array forms that branch on the sqrt kind: ``agent.Population.build``, its
-``has_sqrt`` and ``derivative``, and ``metrics.Trajectory.utility_value``.
+``has_sqrt`` and ``derivative``, ``metrics.Trajectory.utility_value``, and
+the field table of ``scenario.validate_scenario``.
 """
 
 from __future__ import annotations
@@ -26,11 +31,6 @@ def ordered_sum(values) -> float:
     """Add floats left to right from 0.0, the array kernel's order, on every
     Python version (from 3.12, ``sum`` of floats is compensated)."""
     return functools.reduce(operator.add, values, 0.0)
-
-
-def is_number(value) -> bool:
-    """True for an int or a float (NaN and infinities included), not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class UtilityKind(str, Enum):
@@ -52,32 +52,16 @@ class UtilitySpec:
     """Parameters of one agent's private utility function.
 
     Exactly the fields relevant to ``kind`` are set: quadratic uses
-    ``optimum`` and ``curvature``, sqrt_monotone uses ``scale``.
-    Instances are immutable and safe to share across threads.
+    ``optimum`` and ``curvature``, sqrt_monotone uses ``scale``.  Nothing
+    is checked on construction; ``scenario.validate_scenario`` checks the
+    fields before a run.  Instances are immutable and safe to share across
+    threads.
     """
 
     kind: UtilityKind
     optimum: Optional[float] = None
     curvature: Optional[float] = None
     scale: Optional[float] = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, UtilityKind):
-            raise ValueError(f"unknown utility kind: {self.kind!r}")
-        quadratic = self.kind is UtilityKind.QUADRATIC
-        for name, used in (("optimum", quadratic), ("curvature", quadratic), ("scale", not quadratic)):
-            value = getattr(self, name)
-            if not used and value is not None:
-                raise ValueError(f"{name} is not a {self.kind.value} parameter")
-            if used and not is_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        # a NaN or an infinity passes, for validate_scenario to report with the rest
-        if quadratic and self.optimum < 0:
-            raise ValueError(f"optimum must be nonnegative, got {self.optimum!r}")
-        if quadratic and self.curvature <= 0:
-            raise ValueError(f"curvature must be positive, got {self.curvature!r}")
-        if not quadratic and self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
 
     @classmethod
     def quadratic(cls, optimum: float, curvature: float) -> "UtilitySpec":

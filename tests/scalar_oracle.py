@@ -169,8 +169,8 @@ class RoleParams:
 def role_params(config: MarketConfig) -> tuple[RoleParams, RoleParams]:
     """The (supplier, consumer) constants of ``config``, each with its Gamma."""
     return (
-        RoleParams(config.supplier_params.alpha, config.supplier_params.beta, config.gamma),
-        RoleParams(config.consumer_params.alpha, config.consumer_params.beta, config.gamma),
+        RoleParams(config.alpha_s, config.beta_s, config.gamma),
+        RoleParams(config.alpha_c, config.beta_c, config.gamma),
     )
 
 

@@ -8,6 +8,7 @@ number here is reproducible.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_criterion_5_experiment_b(paper_b):
 
 
 def test_criterion_6_gamma_zero_oracle():
-    config = MarketConfig.build(4, 6, gamma=0.0, horizon=200, seed=77, initial_quantity=0.0)
+    config = MarketConfig(4, 6, gamma=0.0, horizon=200, seed=77, initial_quantity=0.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 400.0, 55)
     trajectory = run(config, scenario).trajectory
     alpha = 5.0
@@ -127,7 +128,7 @@ def test_criterion_7_probability_validity_fuzz():
     while steps < 100_000:
         s = int(rng.integers(1, 6))
         c = int(rng.integers(1, 6))
-        config = MarketConfig.build(
+        config = MarketConfig(
             s,
             c,
             alpha_s=float(rng.uniform(0.5, 10.0)),
@@ -182,7 +183,7 @@ def test_criterion_8_numerical_checks():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    config = MarketConfig.build(3, 4, horizon=120, seed=21, initial_quantity=10.0)
+    config = MarketConfig(3, 4, horizon=120, seed=21, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 350.0, 12)
     cfg_path = save_config_file(tmp_path / "cfg.json", config, scenario)
 
@@ -205,7 +206,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     # replicates in reverse order and compare bytes
     series_by_index = [None] * 4
     for k in reversed(range(4)):
-        result = run(config.with_overrides(seed=config.seed + k), scenario)
+        result = run(replace(config, seed=config.seed + k), scenario)
         series_by_index[k] = mean_derivative_series(records_from(result.trajectory)[1:], Role.SUPPLIER)
     reordered = export_band_series(confidence_band(series_by_index), "json", tmp_path / "band_r.json")
     assert reordered.read_bytes() == (rep1 / band_name).read_bytes()
@@ -214,7 +215,7 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 def test_criterion_10_confidence_bands():
     config, scenario = reference_configs()["paper-a"]
-    config = config.with_overrides(horizon=2000)
+    config = replace(config, horizon=2000)
     series, _ = replicate_series(config, scenario, 20)
     band = confidence_band(series)
     assert band.replicate_count == 20

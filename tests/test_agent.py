@@ -223,5 +223,5 @@ def test_role_params_validation():
         (dict(beta_s=0.0), "supplier_params.beta"),
         (dict(gamma=-0.1), "gamma"),
     ]:
-        (violation,) = validate_config(MarketConfig.build(1, 1, **kwargs))
+        (violation,) = validate_config(MarketConfig(1, 1, **kwargs))
         assert violation.startswith(f"{field} must ")

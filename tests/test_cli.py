@@ -2,9 +2,11 @@ import csv
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
+from aimdmarket import cli
 from aimdmarket.cli import main
 from aimdmarket.scenario import (
     MarketConfig,
@@ -19,7 +21,7 @@ from aimdmarket.utility import UtilitySpec
 
 @pytest.fixture
 def config_file(tmp_path):
-    config = MarketConfig.build(2, 3, horizon=80, seed=11, initial_quantity=10.0)
+    config = MarketConfig(2, 3, horizon=80, seed=11, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 300.0, 4)
     return save_config_file(tmp_path / "market.json", config, scenario)
 
@@ -81,8 +83,8 @@ def test_validate_ok(config_file, capsys):
 
 
 def test_validate_broken_config(tmp_path, capsys):
-    config = MarketConfig.build(2, 2, horizon=10, seed=1)
-    scenario = generate_scenario(MarketConfig.build(3, 2, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 100.0, 1)
+    config = MarketConfig(2, 2, horizon=10, seed=1)
+    scenario = generate_scenario(MarketConfig(3, 2, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 100.0, 1)
     path = save_config_file(tmp_path / "broken.json", config, scenario)
     assert main(["validate", "--config", str(path)]) != 0
     out = capsys.readouterr().out
@@ -149,7 +151,7 @@ def test_lambda_keeps_signed_zero(tmp_path):
     # Round 0 leaves every agent at 5; consumption (10) exceeds supply (5),
     # so round 1 signals the consumers, whose average 5.0 is exactly their
     # optimum: raw lambda = 2 * (-0.0) / 5 = -0.0, and the clamp keeps it.
-    config = MarketConfig.build(1, 2, horizon=3, seed=1, initial_quantity=0.0)
+    config = MarketConfig(1, 2, horizon=3, seed=1, initial_quantity=0.0)
     scenario = ScenarioSpec(
         supplier_utilities=(UtilitySpec.quadratic(10.0, 20.0),),
         consumer_utilities=(UtilitySpec.quadratic(5.0, 20.0), UtilitySpec.quadratic(5.0, 20.0)),
@@ -255,6 +257,46 @@ def test_validate_reports_every_config_violation(tmp_path, config_file, capsys):
         "violation: supplier_params.alpha must be a finite number, got nan",
         "violation: consumer_params.beta must lie in (0, 1), got 1.0",
     ]
+
+
+def test_validate_reports_a_utility_and_a_config_violation_in_one_pass(tmp_path, config_file, capsys):
+    # a bad utility field does not end the pass before the config's fields are checked
+    payload = json.loads(config_file.read_text())
+    payload["config"]["supplier_params"]["alpha"] = float("nan")
+    payload["scenario"]["consumer_utilities"][0]["curvature"] = -1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: supplier_params.alpha must be a finite number, got nan",
+        "violation: consumer[0]: curvature must be positive, got -1.0",
+    ]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["error"]
+    assert "supplier_params.alpha must be a finite number" in message
+    assert "consumer[0]: curvature must be positive" in message
+    assert not out.exists()
+
+
+def test_run_names_a_non_finite_agent_summary_field(tmp_path, config_file, capsys, monkeypatch):
+    # the summary's agents are a tuple, which strict_json must search as JSON writes it: as an array
+    run = cli.run
+
+    def run_with_one_infinite_derivative(*args, **options):
+        result = run(*args, **options)
+        agents = list(result.summary.agents)
+        agents[2] = replace(agents[2], final_derivative=float("inf"))
+        return replace(result, summary=replace(result.summary, agents=tuple(agents)))
+
+    monkeypatch.setattr(cli, "run", run_with_one_infinite_derivative)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "the run overflowed or went non-finite: agents[2].final_derivative is inf"
+    assert not out.exists()
 
 
 # (reference, field path, value): a supplier curvature so small that u and

@@ -30,7 +30,7 @@ from scalar_oracle import (
 def small_config(**kwargs):
     defaults = dict(horizon=50, seed=7, initial_quantity=10.0)
     defaults.update(kwargs)
-    return MarketConfig.build(2, 2, **defaults)
+    return MarketConfig(2, 2, **defaults)
 
 
 def small_scenario(config):
@@ -89,7 +89,7 @@ def test_signals_reject_negative_totals():
 
 
 def test_advance_round_forced_backoff():
-    config = MarketConfig.build(1, 1, horizon=10, seed=1, initial_quantity=0.0)
+    config = MarketConfig(1, 1, horizon=10, seed=1, initial_quantity=0.0)
     # supplier above consumer so the supplier side is signaled
     state = MarketState(
         suppliers=(AgentState(
@@ -112,7 +112,7 @@ def test_advance_round_forced_backoff():
 
 
 def test_tie_means_no_signals_everyone_moves_additively():
-    config = MarketConfig.build(2, 2, horizon=5, seed=3, initial_quantity=20.0)
+    config = MarketConfig(2, 2, horizon=5, seed=3, initial_quantity=20.0)
     scenario = ScenarioSpec(
         supplier_utilities=(UtilitySpec.quadratic(100.0, 20.0), UtilitySpec.quadratic(100.0, 20.0)),
         consumer_utilities=(UtilitySpec.quadratic(50.0, 20.0), UtilitySpec.quadratic(150.0, 20.0)),
@@ -168,7 +168,7 @@ def test_run_seed_changes_trajectory():
     config = small_config(horizon=200, initial_quantity=5.0)
     scenario = small_scenario(config)
     a = run(config, scenario)
-    b = run(config.with_overrides(seed=8), scenario)
+    b = run(dataclasses.replace(config, seed=8), scenario)
     assert not same_columns(a, b)
 
 
@@ -185,16 +185,7 @@ def test_run_horizon_zero_echoes_initial_state():
 def test_run_rejects_invalid_config():
     config = small_config()
     scenario = small_scenario(config)
-    bad = MarketConfig(
-        num_suppliers=config.num_suppliers,
-        num_consumers=config.num_consumers,
-        supplier_params=config.supplier_params,
-        consumer_params=config.consumer_params,
-        gamma=config.gamma,
-        horizon=config.horizon,
-        seed=-5,
-        initial_quantity=config.initial_quantity,
-    )
+    bad = dataclasses.replace(config, seed=-5)
     with pytest.raises(ValueError, match="seed"):
         run(bad, scenario)
 
@@ -202,7 +193,7 @@ def test_run_rejects_invalid_config():
 def test_run_rejects_mismatched_scenario():
     config = small_config()
     scenario = small_scenario(config)
-    wrong = MarketConfig.build(3, 2, horizon=10, seed=1)
+    wrong = MarketConfig(3, 2, horizon=10, seed=1)
     with pytest.raises(ValueError, match="supplier utilities"):
         run(wrong, scenario)
 
@@ -228,12 +219,12 @@ def test_markov_replay_mid_trajectory():
 
 
 def test_gamma_zero_market_oracle():
-    config = MarketConfig.build(
+    config = MarketConfig(
         3, 4, gamma=0.0, horizon=100, seed=11, initial_quantity=0.0
     )
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 300.0, 21)
     trajectory = run(config, scenario).trajectory
-    alpha = config.supplier_params.alpha
+    alpha = config.alpha_s
     optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
 
     for agent_id, quantity, z_star in zip(trajectory.population.agent_ids, trajectory.quantity.T, optima):
@@ -259,7 +250,7 @@ def test_total_gap_shrinks_over_time():
     from aimdmarket.scenario import reference_configs
 
     config, scenario = reference_configs()["paper-a"]
-    config = config.with_overrides(horizon=1500)
+    config = dataclasses.replace(config, horizon=1500)
     trajectory = run(config, scenario).trajectory
     supply = trajectory.total_supply[1:].tolist()  # rounds 1..horizon
     consumption = trajectory.total_consumption[1:].tolist()
@@ -280,7 +271,7 @@ def test_replicate_series_order_independent():
     assert len(series) == 4 and len(summaries) == 4
     # replicate k is a run with seed + k regardless of execution order
     for k in [3, 1, 0, 2]:
-        solo = run(config.with_overrides(seed=config.seed + k), scenario)
+        solo = run(dataclasses.replace(config, seed=config.seed + k), scenario)
         assert series[k] == mean_derivative_series(records_from(solo.trajectory)[1:], Role.SUPPLIER)
 
 

@@ -21,7 +21,7 @@ from scalar_oracle import mean_derivative_series, records_from, summarize
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
-    config = MarketConfig.build(suppliers, consumers, horizon=horizon, seed=seed, initial_quantity=initial)
+    config = MarketConfig(suppliers, consumers, horizon=horizon, seed=seed, initial_quantity=initial)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 100.0, 2)
     return config, scenario, run(config, scenario)
 
@@ -269,7 +269,7 @@ def test_summarize_single_round_equals_that_round():
 def test_summarize_window_rule():
     _, scenario, result = small_run(horizon=250)
     assert result.summary.window == 100  # max(100, 10% of 250)
-    config = MarketConfig.build(1, 1, horizon=3000, seed=5, initial_quantity=10.0)
+    config = MarketConfig(1, 1, horizon=3000, seed=5, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 100.0, 2)
     result = run(config, scenario)
     assert result.summary.window == 300
@@ -283,7 +283,7 @@ def test_summarize_totals_match_tail():
 
 
 def test_summarize_per_agent_distances():
-    config = MarketConfig.build(2, 2, gamma=0.0, horizon=400, seed=9, initial_quantity=0.0)
+    config = MarketConfig(2, 2, gamma=0.0, horizon=400, seed=9, initial_quantity=0.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 150.0, 7)
     result = run(config, scenario)
     for agent in result.summary.agents:
@@ -296,7 +296,7 @@ def test_summarize_per_agent_distances():
 
 
 def test_summarize_sqrt_suppliers_have_no_optimum():
-    config = MarketConfig.build(1, 1, horizon=10, seed=3, initial_quantity=10.0)
+    config = MarketConfig(1, 1, horizon=10, seed=3, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 100.0, 2)
     result = run(config, scenario)
     supplier = next(a for a in result.summary.agents if a.role is Role.SUPPLIER)

@@ -10,11 +10,12 @@ seeds and scenario seeds are fixed in advance.
 import builtins
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aimdmarket.agent import BRANCHES, Branch, Population, Role, RoleParams, clamp_probability
+from aimdmarket.agent import BRANCHES, Branch, Population, Role, clamp_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -34,7 +35,7 @@ SCENARIO_SEEDS = (3, 12, 21)
 RUN_SEEDS = range(8)
 BOTH, MONOTONE = ScenarioMode.BOTH_CONCAVE, ScenarioMode.MONOTONE_SUPPLIERS
 
-# name: (MarketConfig.build overrides, mode, side target, flip signals,
+# name: (MarketConfig keywords, mode, side target, flip signals,
 #        what the oracle trajectory must contain for the case to count)
 VARIANTS = {
     "both-concave": (dict(initial_quantity=10.0), BOTH, 300.0, False, "backoff"),
@@ -107,18 +108,18 @@ def _assert_run_matches_oracle(config, scenario, flip):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
     overrides, mode, target, flip, kind = VARIANTS[variant]
-    config = MarketConfig.build(3, 4, **{"horizon": 120, "seed": 0, **overrides})
+    config = MarketConfig(3, 4, **{"horizon": 120, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, scenario_seed)
     # Replicate k of a batched run is the run with seed base + k: the
     # suppliers' series over all run seeds, the consumers' over the last 4.
     batches = [
         (Role.SUPPLIER, 0, replicate_series(config, scenario, len(RUN_SEEDS), flip_signal_semantics=flip)),
-        (Role.CONSUMER, 4, replicate_series(config.with_overrides(seed=4), scenario, 4,
+        (Role.CONSUMER, 4, replicate_series(replace(config, seed=4), scenario, 4,
                                             flip_signal_semantics=flip, role=Role.CONSUMER)),
     ]
     exercised = False
     for k in RUN_SEEDS:
-        seeded = config.with_overrides(seed=k)
+        seeded = replace(config, seed=k)
         result, initial, records, expected_summary = _assert_run_matches_oracle(seeded, scenario, flip)
         _assert_utility_values_match(result.trajectory)
         if not exercised and _exercised(kind, initial, records):
@@ -140,13 +141,13 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 @pytest.mark.parametrize("variant", ["both-concave", "flipped-signals", "monotone-suppliers"])
 def test_block_boundaries_match_oracle(variant, horizon):
     overrides, mode, target, flip, _ = VARIANTS[variant]
-    config = MarketConfig.build(3, 4, **{"horizon": horizon, "seed": 0, **overrides})
+    config = MarketConfig(3, 4, **{"horizon": horizon, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, SCENARIO_SEEDS[0])
     replicates = 3
     series, summaries = replicate_series(config, scenario, replicates, flip_signal_semantics=flip)
     consumers, _ = replicate_series(config, scenario, replicates, flip_signal_semantics=flip, role=Role.CONSUMER)
     for k in range(replicates):
-        _, _, records, expected_summary = _assert_run_matches_oracle(config.with_overrides(seed=k), scenario, flip)
+        _, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario, flip)
         assert repr(series[k]) == repr(mean_derivative_series(records, Role.SUPPLIER))
         assert repr(consumers[k]) == repr(mean_derivative_series(records, Role.CONSUMER))
         assert repr(summaries[k]) == repr(expected_summary)
@@ -163,7 +164,7 @@ def test_utility_value_matches_evaluate(reference):
 def test_signed_zero_lambda_export_matches_oracle(tmp_path):
     # The consumers' round-1 lambda is a clamped raw -0.0 (see
     # test_cli.test_lambda_keeps_signed_zero); both writers keep its sign.
-    config = MarketConfig.build(1, 2, horizon=3, seed=1, initial_quantity=0.0)
+    config = MarketConfig(1, 2, horizon=3, seed=1, initial_quantity=0.0)
     scenario = ScenarioSpec(
         (UtilitySpec.quadratic(10.0, 20.0),),
         (UtilitySpec.quadratic(5.0, 20.0), UtilitySpec.quadratic(5.0, 20.0)),
@@ -178,7 +179,7 @@ def test_signed_zero_lambda_export_matches_oracle(tmp_path):
 # 0, 1 and 2 chunks of EXPORT_CHUNK = 256 rounds, and 4 chunks, which 3 CPUs split 1 + 1 + 2
 @pytest.mark.parametrize("horizon", [0, 1, 256, 257, 300, 769])
 def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
-    config = MarketConfig.build(3, 4, horizon=horizon, seed=2, initial_quantity=10.0)
+    config = MarketConfig(3, 4, horizon=horizon, seed=2, initial_quantity=10.0)
     scenario = generate_scenario(config, BOTH, 300.0, 3)
     _, records = run_records(config, scenario)
     trajectory = run(config, scenario).trajectory
@@ -195,8 +196,8 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
 
 def _kernel_step(state, signal, params, draw):
     # the round step simulate runs, then the derivations run's column store applies
-    kernel_params = RoleParams(params.alpha, params.beta)
-    config = MarketConfig(1, 0, kernel_params, kernel_params, params.gamma, horizon=1, seed=0)
+    config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
+                          gamma=params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
     quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
     after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
@@ -245,7 +246,7 @@ def test_single_steps_match_oracle():
 def test_zero_mean_derivative_matches_python_sum():
     # The lone supplier's average reaches its optimum 10.0 exactly at round
     # 2, where u' = -0.0; Python's sum() starts from 0 and reports 0.0.
-    config = MarketConfig.build(1, 2, horizon=3, seed=0, initial_quantity=0.0)
+    config = MarketConfig(1, 2, horizon=3, seed=0, initial_quantity=0.0)
     scenario = ScenarioSpec(
         (UtilitySpec.quadratic(10.0, 20.0),),
         (UtilitySpec.quadratic(5.0, 20.0), UtilitySpec.quadratic(5.0, 20.0)),
@@ -274,7 +275,7 @@ def test_no_result_depends_on_how_sum_rounds(monkeypatch):
     # replicates and the oracle agree whatever sum() does.
     def outputs():
         config, scenario = reference_configs()["paper-b"]
-        config = config.with_overrides(horizon=150)
+        config = replace(config, horizon=150)
         result = run(config, scenario)
         initial, records = run_records(config, scenario)
         batched = replicate_series(config, scenario, 2)

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from aimdmarket.cli import main
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -17,7 +19,7 @@ from aimdmarket.utility import UtilityKind, UtilitySpec
 
 
 def paper_geometry(seed=42):
-    return MarketConfig.build(9, 18, horizon=100, seed=seed)
+    return MarketConfig(9, 18, horizon=100, seed=seed)
 
 
 def test_sum_constraints_hold():
@@ -30,7 +32,7 @@ def test_sum_constraints_hold():
 
 
 def test_single_agent_gets_full_target():
-    config = MarketConfig.build(1, 1, horizon=10, seed=1)
+    config = MarketConfig(1, 1, horizon=10, seed=1)
     spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, 5)
     assert spec.supplier_utilities[0].argmax() == pytest.approx(900.0)
     assert spec.consumer_utilities[0].argmax() == pytest.approx(900.0)
@@ -109,7 +111,7 @@ def test_validate_well_formed():
 
 
 def test_validate_detects_sum_violation():
-    config = MarketConfig.build(1, 2, horizon=10, seed=1)
+    config = MarketConfig(1, 2, horizon=10, seed=1)
     spec = ScenarioSpec(
         supplier_utilities=(UtilitySpec.quadratic(900.0, 10.0),),
         consumer_utilities=(UtilitySpec.quadratic(500.0, 10.0), UtilitySpec.quadratic(350.0, 10.0)),
@@ -122,14 +124,14 @@ def test_validate_detects_sum_violation():
 
 
 def test_validate_detects_length_violation():
-    config = MarketConfig.build(9, 18, horizon=10, seed=1)
-    spec = generate_scenario(MarketConfig.build(8, 18, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 900.0, 2)
+    config = MarketConfig(9, 18, horizon=10, seed=1)
+    spec = generate_scenario(MarketConfig(8, 18, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 900.0, 2)
     violations = validate_scenario(spec, config)
     assert any("supplier utilities" in v for v in violations)
 
 
 def test_validate_monotone_mode_requires_sqrt():
-    config = MarketConfig.build(1, 1, horizon=10, seed=1)
+    config = MarketConfig(1, 1, horizon=10, seed=1)
     spec = ScenarioSpec(
         supplier_utilities=(UtilitySpec.quadratic(900.0, 10.0),),
         consumer_utilities=(UtilitySpec.quadratic(900.0, 10.0),),
@@ -140,17 +142,7 @@ def test_validate_monotone_mode_requires_sqrt():
 
 
 def test_validate_config_catches_bad_fields():
-    config = MarketConfig.build(1, 1, horizon=10, seed=1)
-    bad = MarketConfig(
-        num_suppliers=0,
-        num_consumers=1,
-        supplier_params=config.supplier_params,
-        consumer_params=config.consumer_params,
-        gamma=2.0,
-        horizon=-1,
-        seed=-2,
-        initial_quantity=-3.0,
-    )
+    bad = MarketConfig(0, 1, gamma=2.0, horizon=-1, seed=-2, initial_quantity=-3.0)
     violations = validate_config(bad)
     assert len(violations) == 4
 
@@ -175,15 +167,15 @@ def test_reference_configs_paper_values():
     assert config_a.gamma == 2.0
     assert config_a.num_suppliers == 9
     assert config_a.num_consumers == 18
-    assert config_a.supplier_params.alpha == 5.0
-    assert config_a.supplier_params.beta == 0.75
+    assert config_a.alpha_s == 5.0
+    assert config_a.beta_s == 0.75
     assert config_a.horizon == 5000
     assert scenario_a.target_sum == 900.0
     assert scenario_a.mode is ScenarioMode.BOTH_CONCAVE
 
     config_b, scenario_b = refs["paper-b"]
     assert all(u.kind is UtilityKind.SQRT_MONOTONE for u in scenario_b.supplier_utilities)
-    assert config_b.consumer_params.beta == 0.75
+    assert config_b.beta_c == 0.75
 
 
 def test_reference_configs_validate_cleanly():
@@ -237,16 +229,17 @@ def test_load_rejects_malformed_file(tmp_path):
         load_config_file(bad)
 
 
-def test_with_overrides():
-    config = paper_geometry()
-    tweaked = config.with_overrides(seed=1, horizon=10, gamma=0.5, alpha_s=2.0, beta_c=0.5)
-    assert tweaked.seed == 1
-    assert tweaked.horizon == 10
-    assert tweaked.gamma == 0.5
-    assert tweaked.supplier_params.alpha == 2.0
-    assert tweaked.to_dict()["supplier_params"]["gamma"] == 0.5
-    assert tweaked.consumer_params.beta == 0.5
-    assert tweaked.to_dict()["consumer_params"]["gamma"] == 0.5
-    # untouched values survive
-    assert tweaked.num_consumers == 18
-    assert tweaked.consumer_params.alpha == 5.0
+def test_with_overrides(tmp_path):
+    # each of the CLI's override flags replaces its field, read back from run_config.json
+    config, _ = reference_configs()["paper-a"]
+    every = {"seed": 1, "horizon": 10, "gamma": 0.5, "alpha_s": 2.0, "beta_s": 0.5, "alpha_c": 3.0, "beta_c": 0.25}
+    for given in (every, {"horizon": 10, "beta_c": 0.5}):
+        out = tmp_path / f"out{len(given)}"
+        flags = [item for name, value in given.items() for item in (f"--{name.replace('_', '-')}", str(value))]
+        assert main(["run", "--reference", "paper-a", *flags, "--out", str(out)]) == 0
+        written, _ = load_config_file(out / "run_config.json")
+        assert written == replace(config, **given)  # untouched values survive
+    written = json.loads((tmp_path / "out7" / "run_config.json").read_text())["config"]
+    assert written["supplier_params"] == {"alpha": 2.0, "beta": 0.5, "gamma": 0.5}
+    assert written["consumer_params"] == {"alpha": 3.0, "beta": 0.25, "gamma": 0.5}
+    assert [written[name] for name in ("seed", "horizon", "gamma", "num_consumers")] == [1, 10, 0.5, 18]

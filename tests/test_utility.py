@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, validate_scenario
 from aimdmarket.utility import UnboundedDerivativeError, UtilityKind, UtilitySpec
 from scalar_oracle import check_derivative
 
@@ -53,16 +54,22 @@ def test_argmax():
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
-        UtilitySpec.quadratic(-1.0, 10.0)
-    with pytest.raises(ValueError):
-        UtilitySpec.quadratic(50.0, 0.0)
-    with pytest.raises(ValueError):
-        UtilitySpec.sqrt_monotone(-3.0)
-    with pytest.raises(ValueError):
-        UtilitySpec(UtilityKind.QUADRATIC, optimum=50.0, curvature=10.0, scale=1.0)
-    with pytest.raises(ValueError):
-        UtilitySpec(UtilityKind.SQRT_MONOTONE, optimum=5.0, scale=1.0)
+    # validate_scenario checks each utility field: one violation naming its agent and field
+    both, monotone = ScenarioMode.BOTH_CONCAVE, ScenarioMode.MONOTONE_SUPPLIERS
+    cases = [
+        (UtilitySpec.quadratic(-1.0, 10.0), both, "consumer[0]: optimum must be nonnegative, got -1.0"),
+        (UtilitySpec.quadratic(50.0, 0.0), both, "consumer[0]: curvature must be positive, got 0.0"),
+        (UtilitySpec.sqrt_monotone(-3.0), monotone, "supplier[0]: scale must be positive, got -3.0"),
+        (UtilitySpec(UtilityKind.QUADRATIC, optimum=50.0, curvature=10.0, scale=1.0), both,
+         "consumer[0]: scale is not a quadratic parameter"),
+        (UtilitySpec(UtilityKind.SQRT_MONOTONE, optimum=5.0, scale=1.0), monotone,
+         "supplier[0]: optimum is not a sqrt_monotone parameter"),
+    ]
+    config = MarketConfig(1, 1, horizon=10, seed=1)
+    for utility, mode, violation in cases:
+        valid = (quad(900.0),)  # a sqrt utility is a supplier's, the quadratics under test a consumer's
+        suppliers, consumers = ((utility,), valid) if mode is monotone else (valid, (utility,))
+        assert validate_scenario(ScenarioSpec(suppliers, consumers, 900.0, mode), config) == [violation]
 
 
 def test_check_derivative_quadratic():
