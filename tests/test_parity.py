@@ -14,8 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aimdmarket.agent import BRANCHES, Branch, Population, Role, clamp_probability
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role, clamp_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -241,6 +242,34 @@ def test_single_steps_match_oracle():
         new, trace = step(state, signal, params, draw)
         expected = (new.quantity, new.running_average, trace.backoff_probability, trace.bernoulli, trace.branch)
         assert repr(_kernel_step(state, signal, params, draw)) == repr(expected), (quantity, avg, utility)
+
+
+_AMOUNTS = st.floats(0.0, 1e4)
+_EDGES = (0.0, EPS_AVG / 2, EPS_AVG)
+
+
+@st.composite
+def _step_inputs(draw):
+    if draw(st.booleans()):
+        utility = UtilitySpec.sqrt_monotone(draw(st.floats(1e-2, 1e4)))
+        quantity = draw(_AMOUNTS | st.sampled_from(_EDGES))
+        avg = draw(st.floats(1e-6, 1e4))  # a sqrt agent's average is never 0
+    else:
+        utility = UtilitySpec.quadratic(draw(_AMOUNTS), draw(st.floats(1e-2, 1e3)))
+        values = _AMOUNTS | st.sampled_from(_EDGES + (utility.optimum,))
+        quantity, avg = draw(values), draw(values)
+    params = OracleParams(draw(st.floats(0.0, 50.0, exclude_min=True)),
+                          draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), draw(st.floats(0.0, 10.0)))
+    state = AgentState("s0", Role.SUPPLIER, quantity, avg, draw(st.integers(0, 10**4)), utility)
+    return state, draw(st.sampled_from((0, 1))), params, draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_step_inputs())
+def test_step_matches_oracle_property(inputs):
+    new, trace = step(*inputs)
+    expected = (new.quantity, new.running_average, trace.backoff_probability, trace.bernoulli, trace.branch)
+    assert repr(_kernel_step(*inputs)) == repr(expected)
 
 
 def test_zero_mean_derivative_matches_python_sum():
