@@ -9,8 +9,8 @@ finite optimum always take the increase branch when not backed off.
 
 Agents are coupled only through the one-bit side signal, so the rule runs
 in lockstep on (agents x replicates) arrays, in place (``Population.step``).
-The clamped lambda and the branch code are recorded only and are derived
-afterwards (``clamp_probability``, ``Population.branches``).  Every
+The recorded lambda and the branch code are derived afterwards
+(``backoff_probability``, ``Population.branches``).  Every
 operation is elementwise and in the order of the one-agent formula, so
 each value is bit-identical to evaluating the agents one at a time.
 """
@@ -77,6 +77,8 @@ class Population:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: float  # the market's one network constant
+    # 0.0, EPS_AVG, gamma, -2.0 and 2.0 as arrays of the widened shape; set by widened for the step
+    constants: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def build(cls, config: MarketConfig, scenario: ScenarioSpec) -> "Population":
@@ -105,52 +107,57 @@ class Population:
         return bool(self.is_sqrt.any())
 
     def widened(self, replicates: int) -> "Population":
-        """This population with every constant column broadcast to (agents x
-        ``replicates``), so that the round step's ufuncs run on same-shape arrays."""
+        """This population with every constant column broadcast to (agents x ``replicates``) and its
+        ``constants`` set, so that the round step's ufuncs run on same-shape arrays and no Python scalar."""
         shape = (len(self.agent_ids), replicates)
         return replace(self, **{name: np.ascontiguousarray(np.broadcast_to(value, shape))
-                                for name, value in vars(self).items() if isinstance(value, np.ndarray)})
+                                for name, value in vars(self).items() if isinstance(value, np.ndarray)},
+                       constants=tuple(np.full(shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0)))
 
-    def derivative(self, avg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def derivative(self, avg: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """u'(avg) per agent into ``out``, as ``UtilitySpec.derivative`` computes it.
         A sqrt agent's average is never 0: its quantity starts with +alpha and stays positive."""
+        _, _, _, minus_two, two = self.constants
         np.subtract(avg, self.optimum, out=out)
-        np.multiply(-2.0, out, out=out)
+        np.multiply(minus_two, out, out=out)
         np.divide(out, self.curvature, out=out)
-        if self.has_sqrt:  # scale / (2 sqrt(avg)) over the sqrt agents' entries
-            np.sqrt(avg, out=out, where=self.is_sqrt)
-            np.multiply(2.0, out, out=out, where=self.is_sqrt)
-            np.divide(self.scale, out, out=out, where=self.is_sqrt)
+        if self.has_sqrt:  # scale / (2 sqrt(avg)) everywhere (0 divides by 0), kept on the sqrt agents' entries
+            np.sqrt(avg, out=scratch)
+            np.multiply(two, scratch, out=scratch)
+            np.divide(self.scale, scratch, out=scratch)
+            np.copyto(out, scratch, where=self.is_sqrt)
         return out
 
-    def step(self, before, after, rounds: int, signalled: np.ndarray, draws: np.ndarray) -> None:
-        """One round for every agent: from ``before`` = (quantity, average,
-        u'(average)), an average of ``rounds`` samples, each agent's side
-        signal and one draw in [0, 1) each, write ``after`` = (quantity,
-        average, u'(average), raw lambda, Bernoulli bit) in place.  The raw
-        lambda (Gamma u'(avg) / avg if signalled and avg >= EPS_AVG, else 0)
-        is unclamped: a draw is below it exactly when below its clamp to
-        [0, 1], -0.0 and NaN included."""
+    def step(self, before, after, rounds: int, signalled: np.ndarray, draws: np.ndarray, scratch) -> None:
+        """One round for every agent, under ``np.errstate`` ignoring divide, invalid and over: from ``before``
+        = (quantity, average, u'(average)), an average of ``rounds`` samples, each agent's side signal and
+        one draw in [0, 1) each, write ``after`` = (quantity, average, u'(average), raw lambda, Bernoulli
+        bit) in place, with (float, bool) ``scratch`` arrays.  The raw lambda Gamma u'(avg) / avg is not
+        masked (NaN or inf at avg 0; see ``backoff_probability``) and not clamped: where signalled and
+        avg >= EPS_AVG, a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included."""
         quantity, avg, marginal = before
         new_quantity, new_avg, new_marginal, raw, bernoulli = after
-        # +alpha at or below the optimum, else -alpha floored at 0: a quantity is never
-        # NaN and alpha > 0, so np.maximum meets no NaN or -0.0, where it differs from max
-        increase = np.less_equal(quantity, self.optimum, out=bernoulli)  # the bit's buffer, until the draw
-        np.subtract(quantity, self.alpha, out=new_quantity)
-        np.maximum(new_quantity, 0.0, out=new_quantity)
-        np.add(quantity, self.alpha, out=new_quantity, where=increase)
-        may_back_off = np.greater_equal(avg, EPS_AVG, out=bernoulli)
-        np.logical_and(may_back_off, signalled, out=may_back_off)
-        raw.fill(0.0)
-        np.multiply(self.gamma, marginal, out=raw, where=may_back_off)
-        np.divide(raw, avg, out=raw, where=may_back_off)
+        floats, flags = scratch
+        zero, eps_avg, gamma, _, _ = self.constants
+        # +alpha at or below the optimum (z* - q is +0.0 at q = z*, +inf for a
+        # sqrt agent), else q - alpha floored at 0; q is never NaN and alpha > 0
+        np.subtract(self.optimum, quantity, out=new_quantity)
+        np.copysign(self.alpha, new_quantity, out=new_quantity)
+        np.add(quantity, new_quantity, out=new_quantity)
+        np.maximum(new_quantity, zero, out=new_quantity)
+        np.multiply(gamma, marginal, out=raw)
+        np.divide(raw, avg, out=raw)
         np.less(draws, raw, out=bernoulli)
-        np.multiply(quantity, self.beta, out=new_quantity, where=bernoulli)
+        np.logical_and(bernoulli, signalled, out=bernoulli)
+        np.greater_equal(avg, eps_avg, out=flags)
+        np.logical_and(bernoulli, flags, out=bernoulli)
+        np.multiply(quantity, self.beta, out=floats)
+        np.copyto(new_quantity, floats, where=bernoulli)
         # update_running_average, in place
         np.multiply(avg, rounds, out=new_avg)
         np.add(new_avg, new_quantity, out=new_avg)
         np.divide(new_avg, rounds + 1, out=new_avg)
-        self.derivative(new_avg, new_marginal)
+        self.derivative(new_avg, new_marginal, floats)
 
     def branches(self, quantity: np.ndarray, bernoulli: np.ndarray) -> np.ndarray:
         """The branch code of each step, from the quantity entering it (agents
@@ -160,9 +167,10 @@ class Population:
         return codes
 
 
-def clamp_probability(raw: np.ndarray) -> np.ndarray:
-    """Clamp raw lambdas to [0, 1] in place, as ``min(max(raw, 0.0), 1.0)``
-    does: a raw -0.0 stays -0.0 (``np.maximum`` would not keep it) and NaN stays NaN."""
-    np.copyto(raw, 0.0, where=raw < 0.0)
+def backoff_probability(raw: np.ndarray, signalled: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """The recorded lambda, in place, from the raw lambda of ``Population.step`` and the signal and average it
+    read: Gamma u'(avg) / avg if signalled and avg >= EPS_AVG, else 0, then clamped to [0, 1] as
+    ``min(max(raw, 0.0), 1.0)`` does: a raw -0.0 stays -0.0 and NaN stays NaN."""
+    np.copyto(raw, 0.0, where=(raw < 0.0) | ~signalled | (avg < EPS_AVG))
     np.copyto(raw, 1.0, where=raw > 1.0)
     return raw

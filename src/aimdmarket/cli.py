@@ -167,15 +167,15 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # numpy's overflow notices stay silent: a run that overflows is refused
-        # with one JSON error naming the field (strict_json, export_run)
+        # numpy's overflow notices stay silent: a run that overflows is refused with one
+        # JSON error naming the field (strict_json, export_run), as is one too large to allocate
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "validate":
                 return _cmd_validate(args)
             if args.command == "replicate":
                 return _cmd_replicate(args)
             return _cmd_run(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -8,13 +8,14 @@ is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Its per-round loop
-keeps only what the next round depends on: the signal, the agents' step
-(``Population.step``) and the side totals.  ``run`` copies each block
-into the columns of a ``metrics.Trajectory`` and derives the
-recorded-only columns (clamped lambda, branch codes, signals) over the
-whole run; ``replicate_series`` reduces each block to its mean-derivative
-rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
+seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Its per-round loop keeps
+only what the next round depends on: both signals from one comparison of the
+totals (``_excess_sides``), the agents' step (``Population.step``) and the side
+totals (``np.add.accumulate``).  ``run`` copies each block into the columns of a
+``metrics.Trajectory`` and derives the recorded-only columns over the whole run:
+signals, lambda masked and clamped (``backoff_probability``), branch codes;
+``replicate_series`` reduces each block to its mean-derivative rows.  Both
+reduce the trailing-window totals and final state in ``_Tail``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .agent import Population, Role, clamp_probability
+from .agent import Population, Role, backoff_probability
 from .metrics import RunSummary, Trajectory, summarize_final, trailing_window
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 
@@ -49,16 +50,15 @@ class Block(NamedTuple):
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
-    raw_lambda: np.ndarray  # unclamped; see Population.step
+    raw_lambda: np.ndarray  # Gamma u'(avg) / avg unmasked and unclamped, NaN or inf at avg 0; see Population.step
     bernoulli: np.ndarray
     totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
 
 
-def _excess_sides(supply, consumption, flip_semantics: bool):
-    """The (supplier, consumer) signals from last round's totals: the side in
-    excess, neither on a tie; ``flip_semantics`` swaps them, for comparison studies."""
-    s, c = supply > consumption, consumption > supply
-    return (c, s) if flip_semantics else (s, c)
+def _excess_sides(totals: np.ndarray, flip_semantics: bool, out=None) -> np.ndarray:
+    """The (supplier, consumer) signals from last round's (supply, consumption) ``totals``, along the first
+    axis: the side in excess, neither on a tie; ``flip_semantics`` swaps them, for comparison studies."""
+    return (np.less if flip_semantics else np.greater)(totals, totals[::-1], out=out)
 
 
 def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
@@ -89,8 +89,11 @@ def simulate(
     rows = min(DRAW_BLOCK, config.horizon + 1)
     columns = [np.empty((rows, *shape)) for _ in range(4)] + [np.empty((rows, *shape), dtype=bool)]
     per_round = list(zip(*columns))  # each round's row views: Population.step's `after`
-    totals, partial_sums, side_ends = np.empty((rows, 2, len(seeds))), np.empty(shape), [s - 1, shape[0] - 1]
-    draws, signalled = np.zeros((rows, *shape)), np.empty(shape, dtype=bool)
+    totals, partial_sums, draws = np.empty((rows, 2, len(seeds))), np.empty(shape), np.zeros((rows, *shape))
+    sides, signalled = np.empty((2, len(seeds)), dtype=bool), np.empty(shape, dtype=bool)
+    # agent i reads the signal sides[side_of[i]]; side j's total is partial_sums[side_ends[j]]
+    side_of, side_ends = np.repeat([0, 1], [s, shape[0] - s]), np.array([s - 1, shape[0] - 1])
+    scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for Population.step
     start = np.full(shape, float(config.initial_quantity))
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     before, last = (start, start, start), np.zeros((2, len(seeds)))
@@ -100,15 +103,17 @@ def simulate(
         for k, replicate in enumerate(streams):
             for i, rng in enumerate(replicate):
                 draws[skip:block, i, k] = rng.random(block - skip)
-        for b in range(block):
-            signalled[:s], signalled[s:] = _excess_sides(*last, flip_signal_semantics)
-            # the average entering round t holds t samples (rounds 0..t-1)
-            population.step(before, per_round[b], first + b, signalled, draws[b])
-            before = per_round[b][:3]
-            # agent order, not np.sum's pairwise order: the totals decide the signals
-            before[0][:s].cumsum(axis=0, out=partial_sums[:s])
-            before[0][s:].cumsum(axis=0, out=partial_sums[s:])
-            last = partial_sums.take(side_ends, axis=0, out=totals[b])
+        # the raw lambda divides by averages of 0; the caller's state holds across the yield
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for b in range(block):
+                _excess_sides(last, flip_signal_semantics, out=sides).take(side_of, axis=0, out=signalled)
+                # the average entering round t holds t samples (rounds 0..t-1)
+                population.step(before, per_round[b], first + b, signalled, draws[b], scratch)
+                before = per_round[b][:3]
+                # agent order, not np.sum's pairwise order: the totals decide the signals
+                np.add.accumulate(before[0][:s], axis=0, out=partial_sums[:s])
+                np.add.accumulate(before[0][s:], axis=0, out=partial_sums[s:])
+                last = partial_sums.take(side_ends, axis=0, out=totals[b])
         yield Block(first, *(column[:block] for column in columns), totals[:block])
 
 
@@ -164,11 +169,13 @@ def run(
             column[rows] = value[..., 0]  # replicate 0
         totals[:, rows] = block.totals[..., 0].T
         tail.add(block)
-    entering = np.concatenate([np.full((1, shape[1]), float(config.initial_quantity)), quantity[:-1]])
+    start = np.full((1, shape[1]), float(config.initial_quantity))
     signals = np.zeros((2, shape[0]), dtype=bool)  # round 0 follows no round
-    signals[0, 1:], signals[1, 1:] = _excess_sides(*totals[:, :-1], flip_signal_semantics)
-    trajectory = Trajectory(population, quantity, running_average, derivative, clamp_probability(lam), bernoulli,
-                            population.branches(entering, bernoulli), *totals, *signals)
+    _excess_sides(totals[:, :-1], flip_signal_semantics, out=signals[:, 1:])
+    signalled = np.repeat(signals, [population.num_suppliers, shape[1] - population.num_suppliers], axis=0).T
+    backoff_probability(lam, signalled, np.concatenate([start, running_average[:-1]]))  # in place
+    trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli,
+                            population.branches(np.concatenate([start, quantity[:-1]]), bernoulli), *totals, *signals)
     return RunResult(trajectory, tail.summaries(scenario)[0])
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
@@ -199,8 +200,8 @@ def generate_scenario(
 
 
 def _not_finite(value) -> bool:
-    """True unless ``value`` is a finite int or float (a bool is not a number)."""
-    return isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+    """True unless ``value`` is an int or float in the finite float range (a bool is not a number)."""
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max
 
 
 def _field_violations(fields) -> list[str]:

@@ -386,3 +386,37 @@ def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, c
     assert main(["run", "--config", str(config_file), "--gamma", "3.0", "--out", str(out)]) == 0
     written = json.loads((out / "run_config.json").read_text())["config"]
     assert [written["gamma"], written["supplier_params"]["gamma"], written["consumer_params"]["gamma"]] == [3.0] * 3
+
+
+@pytest.mark.parametrize("path,name", [
+    (("config", "supplier_params", "alpha"), "supplier_params.alpha"),
+    (("scenario", "consumer_utilities", 0, "optimum"), "consumer[0]: optimum"),
+], ids=["config", "utility"])
+def test_an_int_too_large_for_a_float_is_a_violation(tmp_path, config_file, capsys, path, name):
+    payload = json.loads(config_file.read_text())
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = 10**400  # written as a JSON integer
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"violation: {name} must be a finite number, got {10**400!r}"]
+    assert captured.err == ""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"{name} must be a finite number" in json.loads(line)["error"]
+    assert not out.exists()
+
+
+def test_a_run_too_large_to_allocate_fails_without_artifacts(tmp_path, capsys):
+    # numpy refuses the (10**15 + 1) x 27 float columns (192 PiB) at once, touching no memory
+    out = tmp_path / "out"
+    assert main(["paper-a", "--horizon", str(10**15), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Unable to allocate" in json.loads(line)["error"]
+    assert not out.exists()

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from aimdmarket.agent import Branch, Role
-from aimdmarket.market import _excess_sides, agent_rng_streams, replicate_series, run
+from aimdmarket.agent import Branch, Population, Role
+from aimdmarket.market import _excess_sides, agent_rng_streams, replicate_series, run, simulate
 from aimdmarket.metrics import Trajectory
 from aimdmarket.scenario import (
     MarketConfig,
@@ -49,7 +50,7 @@ def same_columns(a, b):
 
 def signals(supply, consumption, flip=False):
     """The kernel's (supplier, consumer) signals for lists of totals, as lists of ints."""
-    s, c = _excess_sides(np.asarray(supply), np.asarray(consumption), flip)
+    s, c = _excess_sides(np.array([supply, consumption]), flip)
     return s.astype(int).tolist(), c.astype(int).tolist()
 
 
@@ -74,8 +75,7 @@ def test_flipped_semantics():
 
 def test_signals_never_both_set():
     rng = np.random.default_rng(1)
-    supply, consumption = rng.uniform(0.0, 1000.0, size=(2, 500))
-    s, c = _excess_sides(supply, consumption, False)
+    s, c = _excess_sides(rng.uniform(0.0, 1000.0, size=(2, 500)), False)
     assert not (s & c).any()
 
 
@@ -180,6 +180,26 @@ def test_run_horizon_zero_echoes_initial_state():
     assert result.summary.final_round == 0
     assert result.summary.trailing_mean_supply == result.trajectory.total_supply[0]
     assert result.summary.trailing_mean_consumption == result.trajectory.total_consumption[0]
+
+
+@pytest.mark.parametrize("caller", [{}, dict(divide="raise", over="warn", invalid="raise")])
+def test_numpy_error_state_does_not_leak(caller):
+    # from a cold start round 0 divides 0 by 0 for its raw lambda, quietly,
+    # and the caller's error state holds outside simulate's round loops
+    config = small_config(horizon=300, initial_quantity=0.0)
+    scenario = small_scenario(config)
+    with warnings.catch_warnings(), np.errstate(**caller):
+        warnings.simplefilter("error")
+        expected = np.geterr()
+        blocks = simulate(Population.build(config, scenario), config, [config.seed])
+        first = next(blocks)
+        assert np.geterr() == expected
+        assert np.isnan(first.raw_lambda[0]).all()
+        next(blocks)
+        assert np.geterr() == expected
+        result = run(config, scenario)
+        assert np.geterr() == expected
+    assert repr(result.trajectory.backoff_probability[0].tolist()) == repr([0.0] * 4)
 
 
 def test_run_rejects_invalid_config():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role, clamp_probability
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role, backoff_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -199,14 +199,16 @@ def _kernel_step(state, signal, params, draw):
     # the round step simulate runs, then the derivations run's column store applies
     config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
                           gamma=params.gamma, horizon=1, seed=0)
-    population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
+    population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH)).widened(1)
     quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
+    signalled, scratch = np.array([[bool(signal)]]), (np.empty((1, 1)), np.empty((1, 1), dtype=bool))
     after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
-    before = (quantity, avg, population.derivative(avg, np.empty((1, 1))))
-    population.step(before, after, state.rounds_elapsed + 1, np.array([[bool(signal)]]), np.array([[draw]]))
+    before = (quantity, avg, population.derivative(avg, np.empty((1, 1)), scratch[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
+        population.step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
     new_quantity, new_avg, _, raw, bernoulli = after
     branch = population.branches(quantity, bernoulli)
-    return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(clamp_probability(raw)[0, 0]),
+    return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(backoff_probability(raw, signalled, avg)[0, 0]),
             int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])
 
 
