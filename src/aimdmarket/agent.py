@@ -17,6 +17,7 @@ each value is bit-identical to evaluating the agents one at a time.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -58,6 +59,9 @@ def _column(values, dtype=float) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 1)
 
 
+StepConstants = namedtuple("StepConstants", "zero eps_avg gamma minus_two two")
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """Every agent's constants as (agents x 1) columns, suppliers first.
@@ -77,8 +81,6 @@ class Population:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: float  # the market's one network constant
-    # 0.0, EPS_AVG, gamma, -2.0 and 2.0 as arrays of the widened shape; set by widened for the step
-    constants: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def build(cls, config: MarketConfig, scenario: ScenarioSpec) -> "Population":
@@ -94,7 +96,7 @@ class Population:
             utilities,
             len(scenario.supplier_utilities),
             is_sqrt=_column(sqrt, bool),
-            optimum=_column([np.inf if s else u.optimum for s, u in zip(sqrt, utilities)]),
+            optimum=_column([np.inf if s else u.optimum + 0.0 for s, u in zip(sqrt, utilities)]),
             curvature=_column([1.0 if s else u.curvature for s, u in zip(sqrt, utilities)]),
             scale=_column([u.scale if s else 1.0 for s, u in zip(sqrt, utilities)]),
             alpha=_column(alpha),
@@ -106,24 +108,26 @@ class Population:
     def has_sqrt(self) -> bool:
         return bool(self.is_sqrt.any())
 
+    @cached_property
+    def constants(self) -> StepConstants:  # the step's scalar operands as arrays of the columns' shape
+        return StepConstants(*(np.full(self.optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0)))
+
     def widened(self, replicates: int) -> "Population":
-        """This population with every constant column broadcast to (agents x ``replicates``) and its
-        ``constants`` set, so that the round step's ufuncs run on same-shape arrays and no Python scalar."""
+        """This population with every constant column broadcast to (agents x ``replicates``), so that
+        the round step's ufuncs run on same-shape arrays."""
         shape = (len(self.agent_ids), replicates)
         return replace(self, **{name: np.ascontiguousarray(np.broadcast_to(value, shape))
-                                for name, value in vars(self).items() if isinstance(value, np.ndarray)},
-                       constants=tuple(np.full(shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0)))
+                                for name, value in vars(self).items() if isinstance(value, np.ndarray)})
 
     def derivative(self, avg: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """u'(avg) per agent into ``out``, as ``UtilitySpec.derivative`` computes it.
         A sqrt agent's average is never 0: its quantity starts with +alpha and stays positive."""
-        _, _, _, minus_two, two = self.constants
         np.subtract(avg, self.optimum, out=out)
-        np.multiply(minus_two, out, out=out)
+        np.multiply(self.constants.minus_two, out, out=out)
         np.divide(out, self.curvature, out=out)
         if self.has_sqrt:  # scale / (2 sqrt(avg)) everywhere (0 divides by 0), kept on the sqrt agents' entries
             np.sqrt(avg, out=scratch)
-            np.multiply(two, scratch, out=scratch)
+            np.multiply(self.constants.two, scratch, out=scratch)
             np.divide(self.scale, scratch, out=scratch)
             np.copyto(out, scratch, where=self.is_sqrt)
         return out
@@ -132,24 +136,24 @@ class Population:
         """One round for every agent, under ``np.errstate`` ignoring divide, invalid and over: from ``before``
         = (quantity, average, u'(average)), an average of ``rounds`` samples, each agent's side signal and
         one draw in [0, 1) each, write ``after`` = (quantity, average, u'(average), raw lambda, Bernoulli
-        bit) in place, with (float, bool) ``scratch`` arrays.  The raw lambda Gamma u'(avg) / avg is not
-        masked (NaN or inf at avg 0; see ``backoff_probability``) and not clamped: where signalled and
-        avg >= EPS_AVG, a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included."""
+        bit) in place, with (float, bool) ``scratch`` arrays.  The raw lambda Gamma u'(avg) / avg is unclamped
+        and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there a draw is
+        below it exactly when below its clamp to [0, 1], -0.0 and NaN included."""
         quantity, avg, marginal = before
         new_quantity, new_avg, new_marginal, raw, bernoulli = after
         floats, flags = scratch
-        zero, eps_avg, gamma, _, _ = self.constants
-        # +alpha at or below the optimum (z* - q is +0.0 at q = z*, +inf for a
-        # sqrt agent), else q - alpha floored at 0; q is never NaN and alpha > 0
+        constants = self.constants
+        # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as build stores an optimum of
+        # -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
         np.subtract(self.optimum, quantity, out=new_quantity)
         np.copysign(self.alpha, new_quantity, out=new_quantity)
         np.add(quantity, new_quantity, out=new_quantity)
-        np.maximum(new_quantity, zero, out=new_quantity)
-        np.multiply(gamma, marginal, out=raw)
+        np.maximum(new_quantity, constants.zero, out=new_quantity)
+        np.multiply(constants.gamma, marginal, out=raw)
         np.divide(raw, avg, out=raw)
         np.less(draws, raw, out=bernoulli)
         np.logical_and(bernoulli, signalled, out=bernoulli)
-        np.greater_equal(avg, eps_avg, out=flags)
+        np.greater_equal(avg, constants.eps_avg, out=flags)
         np.logical_and(bernoulli, flags, out=bernoulli)
         np.multiply(quantity, self.beta, out=floats)
         np.copyto(new_quantity, floats, where=bernoulli)

@@ -50,7 +50,7 @@ class Block(NamedTuple):
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
-    raw_lambda: np.ndarray  # Gamma u'(avg) / avg unmasked and unclamped, NaN or inf at avg 0; see Population.step
+    raw_lambda: np.ndarray  # Gamma u'(avg) / avg unclamped, arbitrary unless signalled and avg >= EPS_AVG
     bernoulli: np.ndarray
     totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
 
