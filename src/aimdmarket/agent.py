@@ -8,8 +8,10 @@ below its private optimum and by -alpha above it.  Utilities without a
 finite optimum always take the increase branch when not backed off.
 
 Agents are coupled only through the one-bit side signal, so the rule runs
-in lockstep on (agents x replicates) arrays, in place (``Population.step``).
-The recorded lambda and the branch code are derived afterwards
+in lockstep on (agents x replicates) arrays, in place, as one round step
+function that ``Population.bind_step`` hands out with the population's
+columns, constants and ufuncs bound; ``simulate`` and the oracle parity
+tests call that same function.  The recorded lambda and the branch code are derived afterwards
 (``backoff_probability``, ``Population.branches``).  Every
 operation is elementwise and in the order of the one-agent formula, so
 each value is bit-identical to evaluating the agents one at a time.
@@ -17,10 +19,8 @@ each value is bit-identical to evaluating the agents one at a time.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,9 +57,6 @@ def update_running_average(prev_average, prev_rounds: int, new_quantity):
 
 def _column(values, dtype=float) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 1)
-
-
-StepConstants = namedtuple("StepConstants", "zero eps_avg gamma minus_two two")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +101,6 @@ class Population:
             gamma=config.gamma,
         )
 
-    @cached_property
-    def has_sqrt(self) -> bool:
-        return bool(self.is_sqrt.any())
-
-    @cached_property
-    def constants(self) -> StepConstants:  # the step's scalar operands as arrays of the columns' shape
-        return StepConstants(*(np.full(self.optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0)))
-
     def widened(self, replicates: int) -> "Population":
         """This population with every constant column broadcast to (agents x ``replicates``), so that
         the round step's ufuncs run on same-shape arrays."""
@@ -119,49 +108,59 @@ class Population:
         return replace(self, **{name: np.ascontiguousarray(np.broadcast_to(value, shape))
                                 for name, value in vars(self).items() if isinstance(value, np.ndarray)})
 
-    def derivative(self, avg: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """u'(avg) per agent into ``out``, as ``UtilitySpec.derivative`` computes it.
-        A sqrt agent's average is never 0: its quantity starts with +alpha and stays positive."""
-        np.subtract(avg, self.optimum, out=out)
-        np.multiply(self.constants.minus_two, out, out=out)
-        np.divide(out, self.curvature, out=out)
-        if self.has_sqrt:  # scale / (2 sqrt(avg)) everywhere (0 divides by 0), kept on the sqrt agents' entries
-            np.sqrt(avg, out=scratch)
-            np.multiply(self.constants.two, scratch, out=scratch)
-            np.divide(self.scale, scratch, out=scratch)
-            np.copyto(out, scratch, where=self.is_sqrt)
-        return out
+    def bind_step(self):
+        """The round step, with this population's columns, its scalar operands (as arrays of the columns'
+        shape) and the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
 
-    def step(self, before, after, rounds: int, signalled: np.ndarray, draws: np.ndarray, scratch) -> None:
-        """One round for every agent, under ``np.errstate`` ignoring divide, invalid and over: from ``before``
-        = (quantity, average, u'(average)), an average of ``rounds`` samples, each agent's side signal and
-        one draw in [0, 1) each, write ``after`` = (quantity, average, u'(average), raw lambda, Bernoulli
-        bit) in place, with (float, bool) ``scratch`` arrays.  The raw lambda Gamma u'(avg) / avg is unclamped
-        and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there a draw is
-        below it exactly when below its clamp to [0, 1], -0.0 and NaN included."""
-        quantity, avg, marginal = before
-        new_quantity, new_avg, new_marginal, raw, bernoulli = after
-        floats, flags = scratch
-        constants = self.constants
-        # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as build stores an optimum of
-        # -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
-        np.subtract(self.optimum, quantity, out=new_quantity)
-        np.copysign(self.alpha, new_quantity, out=new_quantity)
-        np.add(quantity, new_quantity, out=new_quantity)
-        np.maximum(new_quantity, constants.zero, out=new_quantity)
-        np.multiply(constants.gamma, marginal, out=raw)
-        np.divide(raw, avg, out=raw)
-        np.less(draws, raw, out=bernoulli)
-        np.logical_and(bernoulli, signalled, out=bernoulli)
-        np.greater_equal(avg, constants.eps_avg, out=flags)
-        np.logical_and(bernoulli, flags, out=bernoulli)
-        np.multiply(quantity, self.beta, out=floats)
-        np.copyto(new_quantity, floats, where=bernoulli)
-        # update_running_average, in place
-        np.multiply(avg, rounds, out=new_avg)
-        np.add(new_avg, new_quantity, out=new_avg)
-        np.divide(new_avg, rounds + 1, out=new_avg)
-        self.derivative(new_avg, new_marginal, floats)
+        ``step(before, after, rounds, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring divide,
+        invalid and over: from ``before`` = (quantity, average, u'(average)), an average of ``rounds``
+        samples, each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity,
+        average, u'(average), raw lambda, Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.
+        The raw lambda Gamma u'(avg) / avg is unclamped and arbitrary unless signalled and avg >= EPS_AVG
+        (see ``backoff_probability``); there a draw is below it exactly when below its clamp to [0, 1],
+        -0.0 and NaN included.  u'(average) is ``UtilitySpec.derivative``'s; a sqrt agent's average is never
+        0, as its quantity starts with +alpha and stays positive."""
+        optimum, curvature, scale, alpha, beta, is_sqrt = (
+            self.optimum, self.curvature, self.scale, self.alpha, self.beta, self.is_sqrt)
+        zero, eps_avg, gamma, minus_two, two = (np.full(optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0))
+        has_sqrt = bool(is_sqrt.any())
+        subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto, sqrt = (
+            np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,
+            np.greater_equal, np.copyto, np.sqrt)
+
+        def step(before, after, rounds: int, signalled, draws, scratch) -> None:
+            quantity, avg, marginal = before
+            new_quantity, new_avg, new_marginal, raw, bernoulli = after
+            floats, flags = scratch
+            # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as build stores an optimum of
+            # -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
+            subtract(optimum, quantity, out=new_quantity)
+            copysign(alpha, new_quantity, out=new_quantity)
+            add(quantity, new_quantity, out=new_quantity)
+            maximum(new_quantity, zero, out=new_quantity)
+            multiply(gamma, marginal, out=raw)
+            divide(raw, avg, out=raw)
+            less(draws, raw, out=bernoulli)
+            logical_and(bernoulli, signalled, out=bernoulli)
+            greater_equal(avg, eps_avg, out=flags)
+            logical_and(bernoulli, flags, out=bernoulli)
+            multiply(quantity, beta, out=floats)
+            copyto(new_quantity, floats, where=bernoulli)
+            # update_running_average, in place
+            multiply(avg, rounds, out=new_avg)
+            add(new_avg, new_quantity, out=new_avg)
+            divide(new_avg, rounds + 1, out=new_avg)
+            # u'(new average): -2 (avg - z*) / h, or scale / (2 sqrt(avg)) on the sqrt agents' entries
+            subtract(new_avg, optimum, out=new_marginal)
+            multiply(minus_two, new_marginal, out=new_marginal)
+            divide(new_marginal, curvature, out=new_marginal)
+            if has_sqrt:  # computed everywhere (0 divides by 0), kept where is_sqrt
+                sqrt(new_avg, out=floats)
+                multiply(two, floats, out=floats)
+                divide(scale, floats, out=floats)
+                copyto(new_marginal, floats, where=is_sqrt)
+
+        return step
 
     def branches(self, quantity: np.ndarray, bernoulli: np.ndarray) -> np.ndarray:
         """The branch code of each step, from the quantity entering it (agents
@@ -172,7 +171,7 @@ class Population:
 
 
 def backoff_probability(raw: np.ndarray, signalled: np.ndarray, avg: np.ndarray) -> np.ndarray:
-    """The recorded lambda, in place, from the raw lambda of ``Population.step`` and the signal and average it
+    """The recorded lambda, in place, from the raw lambda of the round step and the signal and average it
     read: Gamma u'(avg) / avg if signalled and avg >= EPS_AVG, else 0, then clamped to [0, 1] as
     ``min(max(raw, 0.0), 1.0)`` does: a raw -0.0 stays -0.0 and NaN stays NaN."""
     np.copyto(raw, 0.0, where=(raw < 0.0) | ~signalled | (avg < EPS_AVG))

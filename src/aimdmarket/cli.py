@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .agent import Role
 from .market import replicate_series, run
 from .metrics import confidence_band, export_band_series, export_run
 from .scenario import (
+    REFERENCE_NAMES,
     MarketConfig,
     ScenarioSpec,
     atomic_writer,
@@ -39,7 +40,7 @@ def _add_common_options(parser: argparse.ArgumentParser, with_source: bool) -> N
         parser.add_argument("--config", type=Path, help="config+scenario JSON file")
         parser.add_argument(
             "--reference",
-            choices=sorted(reference_configs().keys()),
+            choices=REFERENCE_NAMES,
             help="use a named reference experiment instead of a config file",
         )
     parser.add_argument("--seed", type=int, help="override the run seed")
@@ -103,7 +104,7 @@ def _cmd_run(args) -> int:
 
     # a non-finite summary fails here and a non-finite round in export_run,
     # both before anything is written
-    summary = strict_json(asdict(result.summary))
+    summary = strict_json(result.summary)
     args.out.mkdir(parents=True, exist_ok=True)
     records_path = export_run(result.trajectory, args.format, args.out / f"records.{args.format}")
     with atomic_writer(args.out / "summary.json") as fh:
@@ -135,7 +136,7 @@ def _cmd_replicate(args) -> int:
     }
     # a non-finite summary fails here and a non-finite band in
     # export_band_series, both before anything is written
-    texts = {"replicate_summaries.json": strict_json([asdict(s) for s in summaries]),
+    texts = {"replicate_summaries.json": strict_json(summaries),
              "replicate_meta.json": strict_json(meta)}
     args.out.mkdir(parents=True, exist_ok=True)
     band_path = export_band_series(
@@ -150,12 +151,13 @@ def _cmd_replicate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    violations = []  # a contradicting role gamma, then validate_config's lines
     try:
-        config, scenario = load_config_file(args.config)
+        config, scenario = load_config_file(args.config, violations)
     except ValueError as exc:  # not a config file; a missing file stays an OSError
-        violations = [str(exc)]
+        violations.append(str(exc))
     else:
-        violations = validate_config(config) + validate_scenario(scenario, config)
+        violations += validate_config(config) + validate_scenario(scenario, config)
     if violations:
         for v in violations:
             print(f"violation: {v}")

@@ -8,14 +8,16 @@ is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Its per-round loop keeps
-only what the next round depends on: both signals from one comparison of the
-totals (``_excess_sides``), the agents' step (``Population.step``) and the side
-totals (``np.add.accumulate``).  ``run`` copies each block into the columns of a
-``metrics.Trajectory`` and derives the recorded-only columns over the whole run:
-signals, lambda masked and clamped (``backoff_probability``), branch codes;
-``replicate_series`` reduces each block to its mean-derivative rows.  Both
-reduce the trailing-window totals and final state in ``_Tail``.
+seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Each stream fills its
+row of a stream-major (agents x replicates x rounds) draw buffer in place.
+The per-round loop walks views built once per call and keeps only what the
+next round depends on: both signals from one comparison of the totals
+(``_excess_sides``), the round step that ``Population.bind_step`` binds once
+per call, and the side totals (``np.add.accumulate``).  ``run`` copies each
+block into the columns of a ``metrics.Trajectory`` and derives the
+recorded-only columns over the whole run: signals, lambda masked and clamped
+(``backoff_probability``), branch codes; ``replicate_series`` reduces each
+block to its mean-derivative rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ class Block(NamedTuple):
     totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
 
 
-def _excess_sides(totals: np.ndarray, flip_semantics: bool, out=None) -> np.ndarray:
-    """The (supplier, consumer) signals from last round's (supply, consumption) ``totals``, along the first
-    axis: the side in excess, neither on a tie; ``flip_semantics`` swaps them, for comparison studies."""
-    return (np.less if flip_semantics else np.greater)(totals, totals[::-1], out=out)
+def _excess_sides(flip_semantics: bool):
+    """The signal rule, as a ufunc of last round's (supply, consumption) totals and the same totals reversed,
+    along the first axis: it gives the (supplier, consumer) signals, the side in excess, neither on a tie;
+    ``flip_semantics`` signals the side in deficit instead, for comparison studies."""
+    return np.less if flip_semantics else np.greater
 
 
 def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
@@ -85,35 +88,41 @@ def simulate(
     streams of ``seeds[k]``, so it equals a single-seed run with that seed.
     """
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
-    population = population.widened(len(seeds))
+    step, excess = population.widened(len(seeds)).bind_step(), _excess_sides(flip_signal_semantics)
     rows = min(DRAW_BLOCK, config.horizon + 1)
     columns = [np.empty((rows, *shape)) for _ in range(4)] + [np.empty((rows, *shape), dtype=bool)]
-    per_round = list(zip(*columns))  # each round's row views: Population.step's `after`
-    totals, partial_sums, draws = np.empty((rows, 2, len(seeds))), np.empty(shape), np.zeros((rows, *shape))
+    totals, partial_sums = np.empty((rows, 2, len(seeds))), np.empty(shape)
+    draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
+    fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
+             for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
     sides, signalled = np.empty((2, len(seeds)), dtype=bool), np.empty(shape, dtype=bool)
     # agent i reads the signal sides[side_of[i]]; side j's total is partial_sums[side_ends[j]]
     side_of, side_ends = np.repeat([0, 1], [s, shape[0] - s]), np.array([s - 1, shape[0] - 1])
-    scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for Population.step
-    start = np.full(shape, float(config.initial_quantity))
+    scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for the round step
+    # each round's views, built once: the step's `after` (whose first three are the next round's `before`),
+    # its draws, each side's quantities, and the totals that the next round's signals compare, also reversed
+    views = list(zip(zip(*columns), np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
+                     totals, totals[:, ::-1]))
+    accumulate, supplier_sums, consumer_sums = np.add.accumulate, partial_sums[:s], partial_sums[s:]
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
-    before, last = (start, start, start), np.zeros((2, len(seeds)))
-    streams = [sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []) for seed in seeds]
+    start = np.full(shape, float(config.initial_quantity))
+    before, (last, last_reversed) = (start, start, start), [np.zeros((2, len(seeds)))] * 2
     for first in range(0, config.horizon + 1, DRAW_BLOCK):
         block, skip = min(DRAW_BLOCK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
-        for k, replicate in enumerate(streams):
-            for i, rng in enumerate(replicate):
-                draws[skip:block, i, k] = rng.random(block - skip)
+        for fill, stream in fills:
+            fill(out=stream[skip:block])
         # the raw lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for b in range(block):
-                _excess_sides(last, flip_signal_semantics, out=sides).take(side_of, axis=0, out=signalled)
+            for b, (row, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
+                excess(last, last_reversed, out=sides)
+                sides.take(side_of, 0, signalled)
                 # the average entering round t holds t samples (rounds 0..t-1)
-                population.step(before, per_round[b], first + b, signalled, draws[b], scratch)
-                before = per_round[b][:3]
+                step(before, row, first + b, signalled, draw, scratch)
                 # agent order, not np.sum's pairwise order: the totals decide the signals
-                np.add.accumulate(before[0][:s], axis=0, out=partial_sums[:s])
-                np.add.accumulate(before[0][s:], axis=0, out=partial_sums[s:])
-                last = partial_sums.take(side_ends, axis=0, out=totals[b])
+                accumulate(supply, axis=0, out=supplier_sums)
+                accumulate(consumption, axis=0, out=consumer_sums)
+                partial_sums.take(side_ends, 0, total)
+                before, last, last_reversed = row[:3], total, reversed_total
         yield Block(first, *(column[:block] for column in columns), totals[:block])
 
 
@@ -171,7 +180,7 @@ def run(
         tail.add(block)
     start = np.full((1, shape[1]), float(config.initial_quantity))
     signals = np.zeros((2, shape[0]), dtype=bool)  # round 0 follows no round
-    _excess_sides(totals[:, :-1], flip_signal_semantics, out=signals[:, 1:])
+    _excess_sides(flip_signal_semantics)(totals[:, :-1], totals[::-1, :-1], out=signals[:, 1:])
     signalled = np.repeat(signals, [population.num_suppliers, shape[1] - population.num_suppliers], axis=0).T
     backoff_probability(lam, signalled, np.concatenate([start, running_average[:-1]]))  # in place
     trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli,

@@ -12,7 +12,6 @@ same run is identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -37,6 +36,8 @@ CSV_HEADER = (
 # "round,agent_id,role", the agent's seven fields, the round's five fields
 CSV_ROW = ",".join(["%s"] * 9)
 CSV_ROUND_FIELDS = "%s,%s,%s,%s,%s\n"
+# round, mean, lower, upper, replicate count: the rows csv.writer wrote, which quoted no field
+BAND_CSV_ROW = "%s,%r,%r,%r,%s\n"
 JSON_AGENT = (
     '{"agent_id":"%s","role":"%s","quantity":%s,"running_average":%s,"utility_value":%s,'
     '"utility_derivative":%s,"trace":{"backoff_probability":%s,"bernoulli":%s,"branch":"%s"}}'
@@ -77,21 +78,24 @@ class Trajectory:
     consumer_signal: np.ndarray
 
     @cached_property
-    def utility_value(self) -> np.ndarray:
-        """u(running average) per round and agent, bit for bit as
-        ``UtilitySpec.evaluate`` computes it: its ``(z - z*) ** 2`` is libm
-        ``pow``, which ``d * d`` and ``np.square`` do not always match."""
+    def _utilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """``utility_value`` and ``sum_of_utilities``, EXPORT_CHUNK rounds at a time, so that no whole-run
+        list of Python floats is built.  u(running average) is bit for bit as ``UtilitySpec.evaluate``
+        computes it: its ``(z - z*) ** 2`` is libm ``pow``, which ``d * d`` and ``np.square`` do not always
+        match.  Sums add in agent order; `+ 0.0` turns a -0.0 total into 0.0, as utility.ordered_sum does."""
         p, avg = self.population, self.running_average
-        gaps = (avg - p.optimum.T).ravel().tolist()
-        squares = np.array(list(map(math.pow, gaps, repeat(2.0)))).reshape(avg.shape)
-        quadratic = -squares / p.curvature.T + 1.5 * p.curvature.T
-        return np.where(p.is_sqrt.T, p.scale.T * np.sqrt(avg), quadratic)
+        values, sums = np.empty(avg.shape), np.empty(len(avg))
+        for start in range(0, len(avg), EXPORT_CHUNK):
+            rows = slice(start, start + EXPORT_CHUNK)
+            gaps = (avg[rows] - p.optimum.T).ravel().tolist()
+            squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(-1, avg.shape[1])
+            quadratic = -squares / p.curvature.T + 1.5 * p.curvature.T
+            values[rows] = np.where(p.is_sqrt.T, p.scale.T * np.sqrt(avg[rows]), quadratic)
+            sums[rows] = values[rows].cumsum(axis=1)[:, -1] + 0.0
+        return values, sums
 
-    @cached_property
-    def sum_of_utilities(self) -> np.ndarray:
-        # in agent order; `+ 0.0` turns a -0.0 total into 0.0, as
-        # utility.ordered_sum (which starts from 0.0) does
-        return self.utility_value.cumsum(axis=1)[:, -1] + 0.0
+    utility_value = property(lambda self: self._utilities[0])  # u(running average) per round and agent
+    sum_of_utilities = property(lambda self: self._utilities[1])  # per round
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,9 @@ def confidence_band(replicates: Sequence[Sequence[float]], level: float = 0.95) 
     half = z * data.std(axis=0, ddof=1) / math.sqrt(r)
     return BandSeries(
         rounds=tuple(range(1, data.shape[1] + 1)),
-        mean=tuple(float(v) for v in mean),
-        lower=tuple(float(v) for v in mean - half),
-        upper=tuple(float(v) for v in mean + half),
+        mean=tuple(mean.tolist()),
+        lower=tuple((mean - half).tolist()),
+        upper=tuple((mean + half).tolist()),
         replicate_count=r,
     )
 
@@ -309,21 +313,12 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
             raise ValueError(f"the run overflowed or went non-finite: band column {name}")
     try:
         if fmt == "csv":
+            rows = zip(band.rounds, band.mean, band.lower, band.upper, repeat(band.replicate_count))
             with atomic_writer(destination) as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
-                for i, rnd in enumerate(band.rounds):
-                    writer.writerow(
-                        [rnd, repr(band.mean[i]), repr(band.lower[i]), repr(band.upper[i]), band.replicate_count]
-                    )
+                fh.write("round,mean,lower,upper,replicate_count\n" + "".join(map(BAND_CSV_ROW.__mod__, rows)))
         elif fmt == "json":
-            payload = {
-                "replicate_count": band.replicate_count,
-                "rounds": list(band.rounds),
-                "mean": list(band.mean),
-                "lower": list(band.lower),
-                "upper": list(band.upper),
-            }
+            payload = {"replicate_count": band.replicate_count, "rounds": list(band.rounds),
+                       **{name: list(getattr(band, name)) for name in ("mean", "lower", "upper")}}
             with atomic_writer(destination) as fh:
                 json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
                 fh.write("\n")

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+import dataclasses
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from pathlib import Path
@@ -82,16 +83,18 @@ class MarketConfig:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "MarketConfig":
-        """Inverse of ``to_dict``.  A role's ``gamma`` key is optional; one that
-        contradicts a finite top-level ``gamma`` raises ValueError."""
+    def from_dict(cls, record: dict, violations: Optional[list[str]] = None) -> "MarketConfig":
+        """Inverse of ``to_dict``.  A role's ``gamma`` key is optional; one that contradicts a finite
+        top-level ``gamma`` raises ValueError or, given a ``violations`` list, is appended to it."""
         gamma = record["gamma"]
-        params = {}
+        params, disagreements = {}, [] if violations is None else violations
         for side in ("supplier", "consumer"):
             role = record[f"{side}_params"]
             params[f"alpha_{side[0]}"], params[f"beta_{side[0]}"] = role["alpha"], role["beta"]
             if not _not_finite(gamma) and role.get("gamma", gamma) != gamma:
-                raise ValueError(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
+                disagreements.append(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
+        if disagreements and violations is None:
+            raise ValueError("; ".join(disagreements))
         return cls(
             record["num_suppliers"],
             record["num_consumers"],
@@ -316,6 +319,7 @@ PAPER_B_RUN_SEED = 43
 PAPER_B_SCENARIO_SEED = 9002
 PAPER_B_INITIAL_QUANTITY = 25.0
 PAPER_TARGET_SUM = 900.0
+REFERENCE_NAMES = ("paper-a", "paper-b")  # the keys of reference_configs(), known without sampling
 
 
 def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
@@ -340,7 +344,7 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
         PAPER_B_SCENARIO_SEED,
         couple_utility_sum=True,
     )
-    return {"paper-a": (config_a, scenario_a), "paper-b": (config_b, scenario_b)}
+    return dict(zip(REFERENCE_NAMES, ((config_a, scenario_a), (config_b, scenario_b))))
 
 
 @contextmanager
@@ -361,19 +365,28 @@ def atomic_writer(path: Path):
 
 
 def strict_json(payload) -> str:
-    """``payload`` as indented strict JSON: a NaN or an infinity, which only
-    a run that overflowed can put there, is refused with a ValueError that
-    names its field."""
+    """``payload`` as indented strict JSON, a dataclass instance (a summary) as the object of its
+    fields, as ``dataclasses.asdict`` gives them: a NaN or an infinity, which only a run that
+    overflowed can put there, is refused with a ValueError that names its field."""
     try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False, default=_fields) + "\n"
     except ValueError:
         raise ValueError(f"the run overflowed or went non-finite: {_non_finite_field(payload)}") from None
 
 
+def _fields(value) -> dict:
+    """``json.dumps``' hook for a value it cannot write: a dataclass instance's fields, not copied."""
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+
+
 def _non_finite_field(value, path: str = "") -> Optional[str]:
-    """``<path> is <value>`` for the first NaN or infinity in a JSON payload."""
+    """``<path> is <value>`` for the first NaN or infinity in a ``strict_json`` payload."""
     if isinstance(value, float) and not math.isfinite(value):
         return f"{path} is {value!r}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = _fields(value)
     if isinstance(value, dict):
         items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
     elif isinstance(value, (list, tuple)):  # JSON writes a tuple as an array
@@ -413,14 +426,15 @@ def _located(value, path: str):
     return value
 
 
-def load_config_file(path) -> tuple[MarketConfig, ScenarioSpec]:
+def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[MarketConfig, ScenarioSpec]:
+    """A config file's config and scenario; ``violations`` is as in ``MarketConfig.from_dict``."""
     path = Path(path)
     try:
         payload = _located(json.loads(path.read_text()), "")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        config = MarketConfig.from_dict(payload["config"])
+        config = MarketConfig.from_dict(payload["config"], violations)
         scenario = ScenarioSpec.from_dict(payload["scenario"])
     except KeyError as exc:  # from an _Object, naming the key and where it belongs
         raise ValueError(f"{path}: malformed config file: {exc.args[0]}") from None

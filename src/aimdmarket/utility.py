@@ -12,8 +12,8 @@ checks them, so a config file's bad utilities are reported with the rest
 of its violations.
 
 A new family extends ``UtilityKind`` and the methods here, and also the
-array forms that branch on the sqrt kind: ``agent.Population.build``, its
-``has_sqrt`` and ``derivative``, ``metrics.Trajectory.utility_value``, and
+array forms that branch on the sqrt kind: ``agent.Population.build``, the
+derivative in its ``bind_step``, ``metrics.Trajectory.utility_value``, and
 the field table of ``scenario.validate_scenario``.
 """
 

@@ -9,6 +9,7 @@ import pytest
 from aimdmarket import cli
 from aimdmarket.cli import main
 from aimdmarket.scenario import (
+    REFERENCE_NAMES,
     MarketConfig,
     ScenarioMode,
     ScenarioSpec,
@@ -386,6 +387,36 @@ def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, c
     assert main(["run", "--config", str(config_file), "--gamma", "3.0", "--out", str(out)]) == 0
     written = json.loads((out / "run_config.json").read_text())["config"]
     assert [written["gamma"], written["supplier_params"]["gamma"], written["consumer_params"]["gamma"]] == [3.0] * 3
+
+
+def test_validate_reports_a_contradicting_role_gamma_with_the_config_violations(tmp_path, config_file, capsys):
+    # the disagreement does not end the pass before validate_config checks the top-level gamma
+    payload = json.loads(config_file.read_text())
+    payload["config"]["gamma"] = -1.0  # both role keys still say 2.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: supplier_params.gamma 2.0 disagrees with config gamma -1.0",
+        "violation: consumer_params.gamma 2.0 disagrees with config gamma -1.0",
+        "violation: gamma must be nonnegative, got -1.0",
+    ]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "disagrees" in json.loads(line)["error"]
+    assert not out.exists()
+
+
+def test_reference_choices_sample_no_scenario(monkeypatch):
+    # argparse's --reference choices come from the names alone; only a run samples the references
+    assert tuple(reference_configs()) == REFERENCE_NAMES
+    monkeypatch.setattr(cli, "reference_configs", lambda: pytest.fail("sampled the reference scenarios"))
+    parser = cli.build_parser()
+    assert parser.parse_args(["run", "--reference", "paper-b", "--out", "x"]).reference == "paper-b"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "--reference", "paper-c", "--out", "x"])
 
 
 @pytest.mark.parametrize("path,name", [

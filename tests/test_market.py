@@ -50,7 +50,8 @@ def same_columns(a, b):
 
 def signals(supply, consumption, flip=False):
     """The kernel's (supplier, consumer) signals for lists of totals, as lists of ints."""
-    s, c = _excess_sides(np.array([supply, consumption]), flip)
+    totals = np.array([supply, consumption])
+    s, c = _excess_sides(flip)(totals, totals[::-1])
     return s.astype(int).tolist(), c.astype(int).tolist()
 
 
@@ -75,7 +76,8 @@ def test_flipped_semantics():
 
 def test_signals_never_both_set():
     rng = np.random.default_rng(1)
-    s, c = _excess_sides(rng.uniform(0.0, 1000.0, size=(2, 500)), False)
+    totals = rng.uniform(0.0, 1000.0, size=(2, 500))
+    s, c = _excess_sides(False)(totals, totals[::-1])
     assert not (s & c).any()
 
 

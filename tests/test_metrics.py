@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -9,6 +11,7 @@ from aimdmarket.agent import BRANCHES, Role
 from aimdmarket.market import run
 from aimdmarket.metrics import (
     CSV_HEADER,
+    BandSeries,
     _reprs,
     _unique_reprs,
     confidence_band,
@@ -236,6 +239,20 @@ def test_band_export_csv_and_json(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["replicate_count"] == 3
     assert payload["mean"] == [2.0, 3.0]
+
+
+def test_band_csv_bytes_match_csv_writer(tmp_path):
+    # the template writes the rows csv.writer wrote, for reprs with exponents, a signed zero and a subnormal
+    band = BandSeries((1, 2, 3, 4), (1e-05, 1e+16, -0.0, 5e-324), (-0.0, 1e-05, 5e-324, 1e+16),
+                      (5e-324, -0.0, 1e+16, 1e-05), 7)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
+    for i, rnd in enumerate(band.rounds):
+        writer.writerow([rnd, repr(band.mean[i]), repr(band.lower[i]), repr(band.upper[i]), band.replicate_count])
+    written = export_band_series(band, "csv", tmp_path / "band.csv").read_bytes()
+    assert written == expected.getvalue().encode()
+    assert written.endswith(b"3,-0.0,5e-324,1e+16,7\n4,5e-324,1e+16,1e-05,7\n")
 
 
 # --- series helpers ------------------------------------------------------------

@@ -206,20 +206,42 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
 
 
 def _kernel_step(state, signal, params, draw):
-    # the round step simulate runs, then the derivations run's column store applies
+    # the round step that simulate binds, from u'(avg) as the oracle computes it, then the derivations
+    # run's column store applies; u'(new avg) is checked against UtilitySpec.derivative here
     config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
                           gamma=params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
     quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
     signalled, scratch = np.array([[bool(signal)]]), (np.empty((1, 1)), np.empty((1, 1), dtype=bool))
     after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
-    before = (quantity, avg, population.derivative(avg, np.empty((1, 1)), scratch[0]))
+    before = (quantity, avg, np.array([[state.utility.derivative(state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
-        population.step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
-    new_quantity, new_avg, _, raw, bernoulli = after
+        population.widened(1).bind_step()(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
+    new_quantity, new_avg, new_marginal, raw, bernoulli = after
+    assert repr(float(new_marginal[0, 0])) == repr(state.utility.derivative(float(new_avg[0, 0])))
     branch = population.branches(quantity, bernoulli)
     return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(backoff_probability(raw, signalled, avg)[0, 0]),
             int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])
+
+
+def test_simulate_runs_the_bound_step(monkeypatch):
+    # the step _kernel_step drives is the one simulate calls each round: Population.bind_step's
+    bound, bind = [], Population.bind_step
+
+    def recording_bind(population):
+        step = bind(population)
+        bound.append([])
+        return lambda before, after, rounds, *rest: bound[-1].append(rounds) or step(before, after, rounds, *rest)
+
+    monkeypatch.setattr(Population, "bind_step", recording_bind)
+    config, scenario = reference_configs()["paper-b"]
+    config = replace(config, horizon=300)
+    initial, records = run_records(config, scenario)
+    got = records_from(run(config, scenario).trajectory)
+    assert len(got) == len(records) + 1
+    for t, (record, expected) in enumerate(zip(got, [initial, *records])):
+        assert repr(record) == repr(expected), f"round {t}"
+    assert bound == [list(range(301))]  # bound once, then called for rounds 0..horizon
 
 
 def _step_cases():
