@@ -11,9 +11,9 @@ Agents are coupled only through the one-bit side signal, so the rule runs
 in lockstep on (agents x replicates) arrays, in place, as one round step
 function that ``Population.bind_step`` hands out with the population's
 columns, constants and ufuncs bound; ``simulate`` and the oracle parity
-tests call that same function.  The recorded lambda and the branch code are derived afterwards
-(``backoff_probability``, ``Population.branches``).  Every
-operation is elementwise and in the order of the one-agent formula, so
+tests call that same function.  The recorded lambda and the branch code
+are derived afterwards (``backoff_probability``, ``Population.branches``).
+Every operation is elementwise and in the order of the one-agent formula, so
 each value is bit-identical to evaluating the agents one at a time.
 """
 
@@ -122,7 +122,8 @@ class Population:
         0, as its quantity starts with +alpha and stays positive."""
         optimum, curvature, scale, alpha, beta, is_sqrt = (
             self.optimum, self.curvature, self.scale, self.alpha, self.beta, self.is_sqrt)
-        zero, eps_avg, gamma, minus_two, two = (np.full(optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma, -2.0, 2.0))
+        constants = (0.0, EPS_AVG, self.gamma, -2.0, 2.0)
+        zero, eps_avg, gamma, minus_two, two = (np.full(optimum.shape, c) for c in constants)
         has_sqrt = bool(is_sqrt.any())
         subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto, sqrt = (
             np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,

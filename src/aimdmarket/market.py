@@ -8,16 +8,16 @@ is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, and hands over blocks of ``DRAW_BLOCK`` rounds.  Each stream fills its
-row of a stream-major (agents x replicates x rounds) draw buffer in place.
-The per-round loop walks views built once per call and keeps only what the
-next round depends on: both signals from one comparison of the totals
-(``_excess_sides``), the round step that ``Population.bind_step`` binds once
-per call, and the side totals (``np.add.accumulate``).  ``run`` copies each
-block into the columns of a ``metrics.Trajectory`` and derives the
-recorded-only columns over the whole run: signals, lambda masked and clamped
-(``backoff_probability``), branch codes; ``replicate_series`` reduces each
-block to its mean-derivative rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
+seed, in blocks of ``DRAW_BLOCK`` rounds; each stream fills its row of a
+stream-major (agents x replicates x rounds) draw buffer in place.  Its
+per-round loop walks views built once per call and keeps only what the next
+round needs: both signals from one comparison of the totals
+(``_excess_sides``), the bound round step (``Population.bind_step``), the
+side totals (``np.add.accumulate``).  ``run`` copies each block into the
+columns of a ``metrics.Trajectory`` and derives the recorded-only columns
+over the whole run: signals, lambda masked and clamped (``backoff_probability``),
+branch codes; ``replicate_series`` reduces each block to its mean-derivative
+rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ CSV_HEADER = (
 # "round,agent_id,role", the agent's seven fields, the round's five fields
 CSV_ROW = ",".join(["%s"] * 9)
 CSV_ROUND_FIELDS = "%s,%s,%s,%s,%s\n"
-# round, mean, lower, upper, replicate count: the rows csv.writer wrote, which quoted no field
+# round, mean, lower, upper, replicate count; no int or float repr needs CSV quoting
 BAND_CSV_ROW = "%s,%r,%r,%r,%s\n"
 JSON_AGENT = (
     '{"agent_id":"%s","role":"%s","quantity":%s,"running_average":%s,"utility_value":%s,'

@@ -216,7 +216,8 @@ def _kernel_step(state, signal, params, draw):
     after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
     before = (quantity, avg, np.array([[state.utility.derivative(state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
-        population.widened(1).bind_step()(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
+        step = population.widened(1).bind_step()
+        step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
     new_quantity, new_avg, new_marginal, raw, bernoulli = after
     assert repr(float(new_marginal[0, 0])) == repr(state.utility.derivative(float(new_avg[0, 0])))
     branch = population.branches(quantity, bernoulli)
