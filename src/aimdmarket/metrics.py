@@ -18,7 +18,7 @@ import os
 import shutil
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterator, Optional, Sequence
@@ -27,32 +27,26 @@ import numpy as np
 
 from .agent import BRANCHES, Population, Role
 from .scenario import ScenarioSpec, atomic_writer
+from .text import compact, float_text, int_text
 from .utility import ordered_sum
 
 CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
     "lambda,bernoulli,branch,total_supply,total_consumption,s_signal,c_signal,sum_of_utilities"
 )
-# "round,agent_id,role", the agent's seven fields, the round's five fields
-CSV_ROW = ",".join(["%s"] * 9)
-CSV_ROUND_FIELDS = "%s,%s,%s,%s,%s\n"
-# round, mean, lower, upper, replicate count; no int or float repr needs CSV quoting
-BAND_CSV_ROW = "%s,%r,%r,%r,%s\n"
-JSON_AGENT = (
-    '{"agent_id":"%s","role":"%s","quantity":%s,"running_average":%s,"utility_value":%s,'
-    '"utility_derivative":%s,"trace":{"backoff_probability":%s,"bernoulli":%s,"branch":"%s"}}'
-)
-JSON_ROUND = (
-    '{"round":%s,"per_agent":[%s],"total_supply":%s,"total_consumption":%s,'
-    '"signals":{"supplier_signal":%s,"consumer_signal":%s},"sum_of_utilities":%s}'
-)
-# Rounds whose export strings are built at a time: export memory stays
+# Rounds whose export rows are built at a time: export memory stays
 # O(EXPORT_CHUNK x agents) whatever the horizon.
 EXPORT_CHUNK = 256
+# Band rows built at a time, for the same reason.
+BAND_CHUNK = 8192
 # Bytes a worker's part is appended in at a time: parts are never read whole.
 COPY_BUFFER = 1 << 20
 # The per-agent float columns of a Trajectory, in export order.
 FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "backoff_probability")
+# Agents with one step size move in lockstep until they back off, and an agent's lambda is 0.0
+# unless it is signalled, so these columns repeat (on paper-a 2% and 29% of their values are
+# distinct, on paper-b 8% and 11%) and each distinct value is formatted once.
+REPEATING_COLUMNS = ("quantity", "backoff_probability")
 
 # Trailing-window rule for "lingers around" summaries: 10% of the recorded
 # horizon but at least 100 rounds, capped by what exists.
@@ -176,57 +170,79 @@ def confidence_band(replicates: Sequence[Sequence[float]], level: float = 0.95) 
     )
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every value of a float array, flattened."""
-    return list(map(repr, values.ravel().tolist()))
+def _literals(strings) -> np.ndarray:
+    """ASCII strings as NUL-padded uint8 rows, one per string."""
+    return np.array([text.encode() for text in strings]).view(np.uint8).reshape(len(strings), -1)
 
 
-def _unique_reprs(values: np.ndarray) -> list[str]:
-    """``_reprs``, formatting each distinct bit pattern (so 0.0 apart
-    from -0.0) once: quicker for a column whose values mostly repeat."""
-    bits, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
+def _join(shape: tuple, pieces) -> np.ndarray:
+    """The uint8 pieces side by side along a last axis, each broadcast to ``shape`` + its width;
+    a str piece is that literal in every row."""
+    pieces = [_literals([p])[0] if isinstance(p, str) else p for p in pieces]
+    joined = np.empty((*shape, sum(p.shape[-1] for p in pieces)), np.uint8)
+    at = 0
+    for piece in pieces:
+        joined[..., at : at + piece.shape[-1]] = piece
+        at += piece.shape[-1]
+    return joined
 
 
-def _export_chunks(trajectory: Trajectory, starts: range) -> Iterator[tuple[range, list[list], list[list]]]:
-    """The chunks of EXPORT_CHUNK rounds that begin at ``starts``, as export text: the
-    rounds, the per-agent columns (flattened round by round) and the per-round columns."""
-    last = len(trajectory.total_supply)
-    branches = [b.value for b in BRANCHES]
-    for start in starts:
-        rows = slice(start, start + EXPORT_CHUNK)
-        # Agents with one step size move in lockstep until they back off, so few
-        # quantities are distinct (2% on paper-a, 8% on paper-b) and each is
-        # formatted once; deduplicating every column made paper-a's export slower.
-        per_agent = [_unique_reprs(trajectory.quantity[rows])]
-        per_agent += [_reprs(getattr(trajectory, name)[rows]) for name in FLOAT_COLUMNS[1:]]
-        per_agent.append(trajectory.bernoulli[rows].ravel().astype(int).tolist())
-        per_agent.append([branches[code] for code in trajectory.branch[rows].ravel().tolist()])
-        per_round = [
-            _reprs(trajectory.total_supply[rows]),
-            _reprs(trajectory.total_consumption[rows]),
-            trajectory.supplier_signal[rows].astype(int).tolist(),
-            trajectory.consumer_signal[rows].astype(int).tolist(),
-            _reprs(trajectory.sum_of_utilities[rows]),
-        ]
-        yield range(start, min(start + EXPORT_CHUNK, last)), per_agent, per_round
+def _distinct_text(values: np.ndarray) -> np.ndarray:
+    """``float_text``, formatting each distinct bit pattern (so 0.0 apart from -0.0) once."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return float_text(bits.view(np.float64)).take(index.ravel(), axis=0)
+
+
+def _chunk_rows(trajectory: Trajectory, fmt: str, rows: slice, agents: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """The export rows of ``rows`` as NUL-padded uint8 text: one CSV row per round and agent, or
+    one JSON round object per round (led by a comma after round 1)."""
+    t = np.arange(len(trajectory.total_supply))[rows]
+    r, n = len(t), len(trajectory.population.agent_ids)
+    quantity, average, value, derivative, backoff = (
+        (_distinct_text if name in REPEATING_COLUMNS else float_text)(getattr(trajectory, name)[rows]).reshape(r, n, -1)
+        for name in FLOAT_COLUMNS
+    )
+    # the per-round columns are short: one call, split back into columns
+    supply, consumption, total = float_text(np.concatenate(
+        [trajectory.total_supply[rows], trajectory.total_consumption[rows], trajectory.sum_of_utilities[rows]]
+    )).reshape(3, r, -1)
+    trace = traces.take(trajectory.bernoulli[rows] * len(BRANCHES) + trajectory.branch[rows], axis=0)
+    signals = _SIGNALS[fmt].take(trajectory.supplier_signal[rows] * 2 + trajectory.consumer_signal[rows], axis=0)
+    if fmt == "csv":
+        tail = _join((r,), [supply, ",", consumption, signals, total, "\n"])
+        return _join((r, n), [int_text(t)[:, None], agents, quantity, ",", average, ",", value, ",", derivative,
+                              ",", backoff, trace, tail[:, None]])
+    entries = _join((r, n), [agents, quantity, ',"running_average":', average, ',"utility_value":', value,
+                             ',"utility_derivative":', derivative, ',"trace":{"backoff_probability":', backoff,
+                             trace])
+    lead = np.where(t > 1, ord(","), 0).astype(np.uint8)[:, None]
+    return _join((r,), [lead, '{"round":', int_text(t), ',"per_agent":[', entries.reshape(r, -1),
+                        '],"total_supply":', supply, ',"total_consumption":', consumption, signals,
+                        ',"sum_of_utilities":', total, "}"])
+
+
+# both signals, indexed by 2 * supplier_signal + consumer_signal
+_SIGNALS = {
+    "csv": _literals([f",{s},{c}," for s in (0, 1) for c in (0, 1)]),
+    "json": _literals([f',"signals":{{"supplier_signal":{s},"consumer_signal":{c}}}' for s in (0, 1) for c in (0, 1)]),
+}
 
 
 def _write_rounds(fh, trajectory: Trajectory, fmt: str, starts: range) -> None:
     """Write the rows of the chunks that begin at ``starts``: everything but the CSV header
     and the JSON array's brackets."""
-    ids, n = trajectory.population.agent_ids, len(trajectory.population.agent_ids)
-    roles = tuple(role.value for role in trajectory.population.roles)
-    for rounds, per_agent, per_round in _export_chunks(trajectory, starts):
-        if fmt == "csv":
-            heads = [f"{t},{agent_id},{role}" for t in rounds for agent_id, role in zip(ids, roles)]
-            tails = chain.from_iterable(repeat(CSV_ROUND_FIELDS % fields, n) for fields in zip(*per_round))
-            fh.write("".join(map(CSV_ROW.__mod__, zip(heads, *per_agent, tails))))
-            continue
-        entries = list(map(JSON_AGENT.__mod__, zip(ids * len(rounds), roles * len(rounds), *per_agent)))
-        for k, (t, fields) in enumerate(zip(rounds, zip(*per_round))):
-            per_agent_json = ",".join(entries[k * n : (k + 1) * n])
-            fh.write(("," if t > 1 else "") + JSON_ROUND % (t, per_agent_json, *fields))
+    ids, roles = trajectory.population.agent_ids, [role.value for role in trajectory.population.roles]
+    # each agent's literal text before its quantity, and the trace fields by bernoulli bit and branch code
+    if fmt == "csv":
+        agents = _literals([f",{agent_id},{role}," for agent_id, role in zip(ids, roles)])
+        traces = _literals([f",{bit},{b.value}," for bit in (0, 1) for b in BRANCHES])
+    else:
+        agents = _literals([f'{"," if k else ""}{{"agent_id":"{agent_id}","role":"{role}","quantity":'
+                            for k, (agent_id, role) in enumerate(zip(ids, roles))])
+        traces = _literals([f',"bernoulli":{bit},"branch":"{b.value}"}}}}' for bit in (0, 1) for b in BRANCHES])
+    fh.flush()
+    for start in starts:
+        fh.buffer.write(compact(_chunk_rows(trajectory, fmt, slice(start, start + EXPORT_CHUNK), agents, traces)))
 
 
 def _usable_cpus() -> int:
@@ -313,9 +329,15 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
             raise ValueError(f"the run overflowed or went non-finite: band column {name}")
     try:
         if fmt == "csv":
-            rows = zip(band.rounds, band.mean, band.lower, band.upper, repeat(band.replicate_count))
+            columns = [np.asarray(getattr(band, name), float) for name in ("mean", "lower", "upper")]
             with atomic_writer(destination) as fh:
-                fh.write("round,mean,lower,upper,replicate_count\n" + "".join(map(BAND_CSV_ROW.__mod__, rows)))
+                fh.write("round,mean,lower,upper,replicate_count\n")
+                fh.flush()
+                for start in range(0, len(band.rounds), BAND_CHUNK):
+                    rows = slice(start, start + BAND_CHUNK)
+                    mean, lower, upper = (float_text(column[rows]) for column in columns)
+                    fh.buffer.write(compact(_join((len(mean),), [int_text(np.asarray(band.rounds[rows])), ",", mean,
+                                                                  ",", lower, ",", upper, f",{band.replicate_count}\n"])))
         elif fmt == "json":
             payload = {"replicate_count": band.replicate_count, "rounds": list(band.rounds),
                        **{name: list(getattr(band, name)) for name in ("mean", "lower", "upper")}}

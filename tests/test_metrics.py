@@ -12,15 +12,19 @@ from aimdmarket.market import run
 from aimdmarket.metrics import (
     CSV_HEADER,
     BandSeries,
-    _reprs,
-    _unique_reprs,
     confidence_band,
     detect_convergence,
     export_band_series,
     export_run,
 )
 from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, write_json
+from aimdmarket.text import compact, float_text
 from scalar_oracle import mean_derivative_series, records_from, summarize
+
+# a value in every layout repr uses: the bounds of fixed notation, exponents of two and three
+# digits, a one-digit mantissa, subnormals, the smallest normal, signed zeros and 17 digits
+LAYOUTS = (1e-05, 0.0001, 1e+16, 9999999999999998.0, 1e+22, 1.5e+300, 1e-300, 5e-324, 2.2250738585072014e-308,
+           -0.0, 0.0, -1.2345678901234567, -9007199254740993.0, -0.00012345678901234567, 0.1 + 0.2, 1.5)
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
@@ -171,8 +175,11 @@ def test_export_write_failure_carries_path(tmp_path):
 
 
 def test_export_formatting_keeps_signed_zero():
-    values = np.array([[0.0, -0.0, 1.5], [-0.0, 0.1 + 0.2, 0.0]])
-    assert _reprs(values) == _unique_reprs(values) == [repr(v) for v in values.ravel().tolist()]
+    # every layout, and each value on its own, where its row is as wide as its text
+    values = np.array(LAYOUTS).reshape(2, -1)
+    expected = [repr(v) for v in LAYOUTS]
+    assert [compact(row).decode() for row in float_text(values)] == expected
+    assert [compact(float_text(np.array([v]))).decode() for v in LAYOUTS] == expected
 
 
 def test_failed_writes_leave_no_partial_file(tmp_path):
@@ -242,9 +249,9 @@ def test_band_export_csv_and_json(tmp_path):
 
 
 def test_band_csv_bytes_match_csv_writer(tmp_path):
-    # the template writes the rows csv.writer wrote, for reprs with exponents, a signed zero and a subnormal
-    band = BandSeries((1, 2, 3, 4), (1e-05, 1e+16, -0.0, 5e-324), (-0.0, 1e-05, 5e-324, 1e+16),
-                      (5e-324, -0.0, 1e+16, 1e-05), 7)
+    # the rows csv.writer wrote, for a value in every repr layout in each column
+    k = len(LAYOUTS)
+    band = BandSeries(tuple(range(1, k + 1)), LAYOUTS, LAYOUTS[1:] + LAYOUTS[:1], LAYOUTS[::-1], 7)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
@@ -252,7 +259,7 @@ def test_band_csv_bytes_match_csv_writer(tmp_path):
         writer.writerow([rnd, repr(band.mean[i]), repr(band.lower[i]), repr(band.upper[i]), band.replicate_count])
     written = export_band_series(band, "csv", tmp_path / "band.csv").read_bytes()
     assert written == expected.getvalue().encode()
-    assert written.endswith(b"3,-0.0,5e-324,1e+16,7\n4,5e-324,1e+16,1e-05,7\n")
+    assert written.endswith(b"15,0.30000000000000004,1.5,0.0001,7\n16,1.5,1e-05,1e-05,7\n")
 
 
 # --- series helpers ------------------------------------------------------------
