@@ -3,7 +3,7 @@ balance total supply and demand from one-bit capacity signals alone, each
 agent following an additive-increase/multiplicative-decrease rule with a
 probabilistic back-off tied to its private marginal utility."""
 
-from .agent import Branch, Role, update_running_average
+from .agent import Branch, Role
 from .market import RunResult, replicate_series, run
 from .metrics import BandSeries, RunSummary, confidence_band, detect_convergence, export_band_series, export_run
 from .scenario import (
@@ -43,7 +43,6 @@ __all__ = [
     "replicate_series",
     "run",
     "save_config_file",
-    "update_running_average",
     "validate_config",
     "validate_scenario",
 ]

@@ -50,11 +50,6 @@ BRANCHES = tuple(Branch)  # the arrays hold branch codes indexing this
 DECREASE_MULT, INCREASE, DECREASE_ADD = range(3)
 
 
-def update_running_average(prev_average, prev_rounds: int, new_quantity):
-    """Extend a running mean of ``prev_rounds`` samples by one sample (floats or arrays)."""
-    return (prev_average * prev_rounds + new_quantity) / (prev_rounds + 1)
-
-
 def _column(values, dtype=float) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 1)
 
@@ -147,7 +142,7 @@ class Population:
             logical_and(bernoulli, flags, out=bernoulli)
             multiply(quantity, beta, out=floats)
             copyto(new_quantity, floats, where=bernoulli)
-            # update_running_average, in place
+            # the running average of rounds + 1 samples: (avg * rounds + quantity) / (rounds + 1)
             multiply(avg, rounds, out=new_avg)
             add(new_avg, new_quantity, out=new_avg)
             divide(new_avg, rounds + 1, out=new_avg)

@@ -396,17 +396,12 @@ def _non_finite_field(value, path: str = "") -> Optional[str]:
     return next(filter(None, (_non_finite_field(item, where) for where, item in items)), None)
 
 
-def write_json(path, payload) -> Path:
-    """Write ``payload`` as ``strict_json``, atomically."""
+def save_config_file(path, config: MarketConfig, scenario: ScenarioSpec) -> Path:
+    """Write config + scenario as one ``strict_json`` document, atomically; round-trips losslessly."""
     path = Path(path)
     with atomic_writer(path) as fh:
-        fh.write(strict_json(payload))
+        fh.write(strict_json({"config": config.to_dict(), "scenario": scenario.to_dict()}))
     return path
-
-
-def save_config_file(path, config: MarketConfig, scenario: ScenarioSpec) -> Path:
-    """Write config + scenario as one JSON document; round-trips losslessly."""
-    return write_json(path, {"config": config.to_dict(), "scenario": scenario.to_dict()})
 
 
 class _Object(dict):

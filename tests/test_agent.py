@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from aimdmarket.agent import Branch, Role, update_running_average
+from aimdmarket.agent import Branch, Role
 from aimdmarket.scenario import MarketConfig, validate_config
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import AgentState, RoleParams, compute_backoff_probability, initial_state, step
+from scalar_oracle import (
+    AgentState,
+    RoleParams,
+    compute_backoff_probability,
+    initial_state,
+    step,
+    update_running_average,
+)
 
 
 def params(alpha=5.0, beta=0.75, gamma=2.0):

@@ -17,14 +17,9 @@ from aimdmarket.metrics import (
     export_band_series,
     export_run,
 )
-from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, write_json
+from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, strict_json
 from aimdmarket.text import compact, float_text
-from scalar_oracle import mean_derivative_series, records_from, summarize
-
-# a value in every layout repr uses: the bounds of fixed notation, exponents of two and three
-# digits, a one-digit mantissa, subnormals, the smallest normal, signed zeros and 17 digits
-LAYOUTS = (1e-05, 0.0001, 1e+16, 9999999999999998.0, 1e+22, 1.5e+300, 1e-300, 5e-324, 2.2250738585072014e-308,
-           -0.0, 0.0, -1.2345678901234567, -9007199254740993.0, -0.00012345678901234567, 0.1 + 0.2, 1.5)
+from scalar_oracle import REPR_LAYOUTS as LAYOUTS, mean_derivative_series, records_from, summarize
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
@@ -196,7 +191,8 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
     earlier = tmp_path / "summary.json"
     earlier.write_text("earlier\n")
     with pytest.raises(ValueError):  # strict JSON: no NaN or Infinity tokens
-        write_json(earlier, {"value": float("inf")})
+        with atomic_writer(earlier) as fh:
+            fh.write(strict_json({"value": float("inf")}))
     with pytest.raises(RuntimeError):
         with atomic_writer(earlier) as fh:
             fh.write("partial")

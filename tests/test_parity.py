@@ -21,6 +21,7 @@ from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilitySpec
 from scalar_oracle import (
+    REPR_LAYOUTS,
     AgentState,
     export_records,
     mean_derivative_series,
@@ -63,17 +64,23 @@ def _exercised(kind, initial, records):
     return not records
 
 
-# Both helpers report where the outputs first differ, rather than leave
+# These helpers report where the outputs first differ, rather than leave
 # pytest to diff megabytes of text.
+
+
+def _first_difference(got, expected):
+    """The first position at which two strings (or byte strings) differ, or None if they are equal."""
+    if got == expected:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
 
 
 def _assert_exports_match(trajectory, records, directory):
     for fmt in ("csv", "json"):
         expected = export_records(records, fmt, directory / f"oracle.{fmt}").read_bytes()
         got = export_run(trajectory, fmt, directory / f"columns.{fmt}").read_bytes()
-        same = got == expected
-        at = None if same else next(i for i, (a, b) in enumerate(zip(got + b"$", expected + b"^")) if a != b)
-        assert same, f"{fmt} export differs from byte {at}: {got[at:at + 80]!r} vs {expected[at:at + 80]!r}"
+        at = _first_difference(got, expected)
+        assert at is None, f"{fmt} export differs from byte {at}: {got[at:at + 80]!r} vs {expected[at:at + 80]!r}"
 
 
 def _assert_utility_values_match(trajectory):
@@ -185,6 +192,20 @@ def test_negative_zero_optimum_matches_oracle():
     scenario = ScenarioSpec((UtilitySpec.quadratic(10.0, 20.0),), consumers, 10.0, BOTH)
     _, _, records, _ = _assert_run_matches_oracle(config, scenario, False)
     assert [r.per_agent[1].trace.branch for r in records[:2]] == [Branch.ADDITIVE_DECREASE, Branch.ADDITIVE_INCREASE]
+
+
+def test_every_repr_layout_exports_as_oracle(tmp_path):
+    # No run reaches most of repr's layouts, so a small run's float columns take values in each of
+    # them, cycling through rounds and agents.  The running averages take only the nonnegative
+    # values below 1e100: a run's averages are never negative, and their utility values stay finite.
+    config = MarketConfig(2, 3, horizon=20, seed=4, initial_quantity=10.0)
+    trajectory = run(config, generate_scenario(config, BOTH, 300.0, 3)).trajectory
+    layouts = np.array(REPR_LAYOUTS)
+    names = ("quantity", "derivative", "backoff_probability", "total_supply", "total_consumption")
+    replaced = replace(trajectory, running_average=np.resize(abs(layouts[abs(layouts) < 1e100]), (21, 5)),
+                       **{name: np.resize(layouts, getattr(trajectory, name).shape) for name in names})
+    assert np.isfinite(replaced.utility_value).all() and np.isfinite(replaced.sum_of_utilities).all()
+    _assert_exports_match(replaced, records_from(replaced)[1:], tmp_path)
 
 
 # 0, 1 and 2 chunks of EXPORT_CHUNK = 256 rounds, and 4 chunks, which 3 CPUs split 1 + 1 + 2
@@ -314,10 +335,19 @@ def test_no_result_depends_on_how_sum_rounds(monkeypatch):
         config = replace(config, horizon=150)
         result = run(config, scenario)
         initial, records = run_records(config, scenario)
-        batched = replicate_series(config, scenario, 2)
-        return repr((reference_configs(), records_from(result.trajectory), result.summary, initial, records,
-                     summarize(records, scenario), batched))
+        return {
+            "reference configs": reference_configs(),
+            "run records": records_from(result.trajectory),
+            "run summary": result.summary,
+            "oracle initial record": initial,
+            "oracle records": records,
+            "oracle summary": summarize(records, scenario),
+            "batched replicates": replicate_series(config, scenario, 2),
+        }
 
-    expected = outputs()
+    expected = {name: repr(value) for name, value in outputs().items()}
     monkeypatch.setattr(builtins, "sum", _correctly_rounded_sum)
-    assert outputs() == expected
+    for name, value in outputs().items():
+        got = repr(value)
+        at = _first_difference(got, expected[name])
+        assert at is None, f"{name} differ from character {at}: {got[at:at + 80]!r} vs {expected[name][at:at + 80]!r}"
