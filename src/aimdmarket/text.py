@@ -1,13 +1,13 @@
-"""Decimal text of float64 and integer arrays, byte for byte as ``repr`` writes each value.
+"""Text of float64 and integer arrays, byte for byte as ``repr`` writes each value, in numpy.
 
 ``float_text`` finds each float's shortest round-trip digits with Ryu (Adams, "Ryū: fast
 float-to-string conversion", PLDI 2018), vectorised over uint64 arrays, and lays them out as
 ``float.__repr__`` does: fixed notation while the decimal point sits at -4 < decpt <= 16
 (value = 0.d1d2... x 10**decpt), else ``d.ddde±XX``.  ``int_text`` writes non-negative ints.
-Each returns one uint8 row per value, right-aligned and padded on the left with NUL bytes, so
-that callers can lay rows beside literal bytes in one array and drop every NUL at the end
-(``compact``).  The layouts themselves hold NULs where ``repr`` writes nothing (a third
-exponent digit, the point of a one-digit mantissa), which ``compact`` drops too.
+Each returns one uint8 row per value, padded with NUL bytes, so that ``join`` can lay such rows
+beside ``literals`` in one array, and ``compact`` drops every NUL at the end.  The layouts
+themselves hold NULs where ``repr`` writes nothing (a third exponent digit, the point of a
+one-digit mantissa), which ``compact`` drops too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ _MASK32, _32, _10 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(10)
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 # the four ASCII digits of 0..9999 as one uint32 each, in memory order; entry 10000 holds two
-# NULs and two zeros, the digits of 10**21 and 10**20 that a fixed-notation value may need
+# NULs and two zeros, for the places of 10**21 and 10**20 that a zero-filled value may reach
 _FOUR_DIGITS = np.array([f"{k:04d}".encode() for k in range(10000)] + [b"\0\0" b"00"]).view(np.uint32)
 
 
@@ -123,8 +123,8 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Byte masks and literals of a 24-byte row, indexed by ``_code``: digits kept in place right
-    of the point, digits shifted left of it, and the point and sign characters."""
+    """Byte masks and literals of a 24-byte row, indexed by the code ``_rows`` computes: digits
+    kept in place right of the point, digits shifted left of it, and the point and sign."""
     length, tail, sign, point = np.ogrid[:22, :21, :2, :2]
     r = np.arange(23, -1, -1).reshape(1, 1, 1, 1, 24)  # place from the right
     length, tail, sign, point = (a[..., None] for a in (length, tail, sign, point))
@@ -146,8 +146,11 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     rest = v - top * _POW10[16]
     high = rest // _POW10[8]
     low = rest - high * _POW10[8]
-    groups = [np.full(len(v), 10000, np.uint64), top, high // _POW10[4], high % _POW10[4], low // _POW10[4], low % _POW10[4]]
-    digits = _FOUR_DIGITS.take(np.stack(groups, axis=1).astype(np.intp)).view(np.uint8)
+    groups = np.empty((len(v), 6), np.intp)
+    groups[:, 0], groups[:, 1] = 10000, top
+    groups[:, 2], groups[:, 3] = high // _POW10[4], high % _POW10[4]
+    groups[:, 4], groups[:, 5] = low // _POW10[4], low % _POW10[4]
+    digits = _FOUR_DIGITS.take(groups).view(np.uint8)
     shifted = np.empty_like(digits)
     shifted.ravel()[:-1], shifted.ravel()[-1] = digits.ravel()[1:], _NUL
     code = ((length * 21 + tail) * 2 + sign) * 2 + point
@@ -185,14 +188,31 @@ def float_text(values: np.ndarray) -> np.ndarray:
 
 
 def int_text(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each int of ``values`` (flattened) in 0..10**20 - 1, as uint8 rows as wide as
-    the longest, NUL-padded."""
+    """``repr`` of each int of ``values`` (flattened) in 0..2**64 - 1, as right-aligned uint8
+    rows as wide as the longest, NUL-padded."""
     v = np.ravel(values).astype(np.uint64)
     length = np.searchsorted(_POW10, v, side="right").clip(1)
     return _rows(v, length, length, 0, 0)[:, 24 - int(length.max(initial=1)):]
 
 
+def literals(strings) -> np.ndarray:
+    """ASCII strings as NUL-padded uint8 rows, one per string."""
+    return np.array([text.encode() for text in strings]).view(np.uint8).reshape(len(strings), -1)
+
+
+def join(shape: tuple, pieces) -> np.ndarray:
+    """The uint8 pieces side by side along a last axis, each broadcast to ``shape`` + its width;
+    a str piece is that literal in every row."""
+    pieces = [literals([p])[0] if isinstance(p, str) else p for p in pieces]
+    joined = np.empty((*shape, sum(p.shape[-1] for p in pieces)), np.uint8)
+    at = 0
+    for piece in pieces:
+        joined[..., at : at + piece.shape[-1]] = piece
+        at += piece.shape[-1]
+    return joined
+
+
 def compact(rows: np.ndarray) -> bytes:
     """The bytes of ``rows`` in order, without their NULs."""
     flat = rows.ravel()
-    return flat.compress(flat != _NUL).tobytes()
+    return flat[flat != _NUL].tobytes()
