@@ -21,30 +21,33 @@ _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 # the four ASCII digits of 0..9999 as one uint32 each, in memory order; entry 10000 holds two
 # NULs and two zeros, for the places of 10**21 and 10**20 that a zero-filled value may reach
-_FOUR_DIGITS = np.array([f"{k:04d}".encode() for k in range(10000)] + [b"\0\0" b"00"]).view(np.uint32)
+_FOUR_DIGITS = np.vstack([np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"), [0, 0, 48, 48]])
+_FOUR_DIGITS = _FOUR_DIGITS.astype(np.uint8).view(np.uint32).ravel()
 
 
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per biased exponent 0..2046 (columns): the widened multiplier as five 32-bit limbs, low
-    first, and Ryu's e2 (the binary exponent of ``m2``, less 2), q and e10 (vr's exponent)."""
-    limbs, e2s, qs, e10s = [], [], [], []
-    for biased in range(2047):
-        e2 = max(biased, 1) - 1077
-        if e2 >= 0:
-            q = (e2 * 78913 >> 18) - (e2 > 3)  # floor(e2 log10 2), less one past e2 = 3
-            e10, pow5 = q, 5**q
-            multiplier = (1 << pow5.bit_length() - 1 + _BITCOUNT) // pow5 + 1
-            shift = q - e2 + _BITCOUNT + pow5.bit_length() - 1
-        else:
-            q = (-e2 * 732923 >> 20) - (-e2 > 1)  # floor(-e2 log10 5), less one past -e2 = 1
-            e10, pow5 = q + e2, 5 ** (-e2 - q)
-            excess = pow5.bit_length() - _BITCOUNT
-            multiplier = pow5 >> excess if excess >= 0 else pow5 << -excess
-            shift = q + _BITCOUNT - pow5.bit_length()
-        multiplier <<= _SHIFT - shift  # shift is 118..125
-        limbs.append([multiplier >> 32 * k & 0xFFFFFFFF for k in range(5)])
-        e2s.append(e2), qs.append(q), e10s.append(e10)
-    return np.array(limbs, np.uint64).T.copy(), np.array([e2s, qs, e10s])
+    first, and Ryu's e2 (the binary exponent of ``m2``, less 2), q and e10 (vr's exponent).
+
+    Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
+    bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
+    powers = [5**k for k in range(326)]
+    bits = np.array([p.bit_length() for p in powers])
+    inverse = [(1 << p.bit_length() - 1 + _BITCOUNT) // p + 1 for p in powers[:292]]
+    scaled = [p >> b - _BITCOUNT if b >= _BITCOUNT else p << _BITCOUNT - b for p, b in zip(powers, bits.tolist())]
+    table = b"".join(m.to_bytes(16, "little") for m in inverse + scaled)
+    limbs = np.frombuffer(table, "<u4").reshape(-1, 4).astype(np.uint64)
+    e2 = np.maximum(np.arange(2047), 1) - 1077
+    up = e2 >= 0
+    # q is floor(e2 log10 2), less one past e2 = 3; or floor(-e2 log10 5), less one past -e2 = 1
+    q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
+    i = np.where(up, q, -e2 - q)
+    shift = np.where(up, q - e2 + _BITCOUNT + bits[i] - 1, q + _BITCOUNT - bits[i])  # 118..125
+    limbs = limbs[np.where(up, i, len(inverse) + i)].T
+    widen = (_SHIFT - shift).astype(np.uint64)
+    carried = [limb >> (_32 - widen) for limb in limbs]
+    wide = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
+    return np.array(wide + [carried[3]]), np.array([e2, q, np.where(up, q, q + e2)])
 
 
 _LIMBS, _EXPONENTS = _exponent_tables()
