@@ -12,6 +12,8 @@ one-digit mantissa), which ``compact`` drops too.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _BITCOUNT = 125  # bits of Ryu's 5**i and 2**j / 5**q multipliers
@@ -19,12 +21,12 @@ _SHIFT = 128  # each multiplier is widened so that one shift by 128 bits ends ev
 _MASK32, _32, _10 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(10)
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
-# the four ASCII digits of 0..9999 as one uint32 each, in memory order; entry 10000 holds two
-# NULs and two zeros, for the places of 10**21 and 10**20 that a zero-filled value may reach
-_FOUR_DIGITS = np.vstack([np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"), [0, 0, 48, 48]])
-_FOUR_DIGITS = _FOUR_DIGITS.astype(np.uint8).view(np.uint32).ravel()
 
 
+# The tables are built on first use, in whichever process formats first: a run that exports
+# little (a replicate's band) builds them after its memory peak rather than at import.  They
+# are read-only.
+@cache
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per biased exponent 0..2046 (columns): the widened multiplier as five 32-bit limbs, low
     first, and Ryu's e2 (the binary exponent of ``m2``, less 2), q and e10 (vr's exponent).
@@ -50,9 +52,6 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     return np.array(wide + [carried[3]]), np.array([e2, q, np.where(up, q, q + e2)])
 
 
-_LIMBS, _EXPONENTS = _exponent_tables()
-
-
 def _mul_shift(m: np.ndarray, c: list[np.ndarray]) -> np.ndarray:
     """floor(m * C / 2**128) for m < 2**55 and C given as five 32-bit limbs (low first)."""
     m0, m1 = m & _MASK32, m >> _32
@@ -71,11 +70,12 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mantissa = bits & np.uint64((1 << 52) - 1)
     zero = (biased == 0) & (mantissa == 0)
     m2 = mantissa | np.where(biased == 0, zero, np.uint64(1 << 52))  # zero runs as 5e-324
-    e2, q, e10 = _EXPONENTS.take(biased, axis=1)
+    limbs, exponents = _exponent_tables()
+    e2, q, e10 = exponents.take(biased, axis=1)
     accept = (m2 & np.uint64(1)) == 0  # even mantissas round-trip from the interval's bounds
     mm_shift = ((mantissa != 0) | (biased <= 1)).astype(np.uint64)
     mv = m2 << np.uint64(2)
-    c = _LIMBS.take(biased, axis=1)
+    c = limbs.take(biased, axis=1)
     vr, vp, vm = (_mul_shift(m, c) for m in (mv, mv + np.uint64(2), mv - np.uint64(1) - mm_shift))
 
     # Ryu's step 3: is vr, or vm, an exact product with trailing decimal zeros?
@@ -125,20 +125,24 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, np.where(zero, 0, e10 + removed)
 
 
-def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Byte masks and literals of a 24-byte row, indexed by the code ``_rows`` computes: digits
-    kept in place right of the point, digits shifted left of it, and the point and sign."""
-    length, tail, sign, point = np.ogrid[:22, :21, :2, :2]
-    r = np.arange(23, -1, -1).reshape(1, 1, 1, 1, 24)  # place from the right
-    length, tail, sign, point = (a[..., None] for a in (length, tail, sign, point))
-    right = np.where(r < tail, 0xFF, 0)
-    left = np.where((r > tail) & (r <= length), 0xFF, 0)
-    marks = np.where(r == tail, point * _DOT, 0) + np.where(r == length + 1, sign * _MINUS, 0)
-    return tuple(np.broadcast_to(a, (22, 21, 2, 2, 24)).reshape(-1, 24).astype(np.uint8)
-                 for a in (right, left, marks))
-
-
-_RIGHT, _LEFT, _MARKS = _layout_tables()
+@cache
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as one uint32 each, in memory order, and entry 10000 two
+    NULs and two zeros (the places of 10**21 and 10**20 that a zero-filled value may reach);
+    then byte masks and literals of a 24-byte row, indexed by the code ``_rows`` computes:
+    digits kept in place right of the point, digits shifted left of it, and point and sign."""
+    k = np.arange(10000, dtype=np.int16)
+    four = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
+    four = np.vstack([four, [0, 0, ord("0"), ord("0")]]).astype(np.uint8).view(np.uint32).ravel()
+    shape = (22, 21, 2, 2, 24)
+    length, tail, sign, point = (np.arange(n, dtype=np.int8).reshape([n if k == axis else 1 for k in range(5)])
+                                 for axis, n in enumerate(shape[:4]))
+    r = np.arange(23, -1, -1, dtype=np.int8)  # place from the right
+    full, dot, minus = np.uint8(0xFF), np.uint8(_DOT), np.uint8(_MINUS)
+    right = (r < tail) * full
+    left = ((r > tail) & (r <= length)) * full
+    marks = (r == tail) * (point * dot) + (r == length + 1) * (sign * minus)
+    return four, *(np.broadcast_to(a, shape).reshape(-1, 24).astype(np.uint8) for a in (right, left, marks))
 
 
 def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
@@ -153,13 +157,14 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     groups[:, 0], groups[:, 1] = 10000, top
     groups[:, 2], groups[:, 3] = high // _POW10[4], high % _POW10[4]
     groups[:, 4], groups[:, 5] = low // _POW10[4], low % _POW10[4]
-    digits = _FOUR_DIGITS.take(groups).view(np.uint8)
+    four, right, left, marks = _layout_tables()
+    digits = four.take(groups).view(np.uint8)
     shifted = np.empty_like(digits)
     shifted.ravel()[:-1], shifted.ravel()[-1] = digits.ravel()[1:], _NUL
     code = ((length * 21 + tail) * 2 + sign) * 2 + point
-    rows = digits & _RIGHT.take(code, axis=0)
-    rows |= shifted & _LEFT.take(code, axis=0)
-    rows |= _MARKS.take(code, axis=0)
+    rows = digits & right.take(code, axis=0)
+    rows |= shifted & left.take(code, axis=0)
+    rows |= marks.take(code, axis=0)
     return rows
 
 
