@@ -93,8 +93,8 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vr_zeros |= tiny
     vm_zeros |= tiny & accept & (mm_shift == 1)
     vp -= (tiny & ~accept).astype(np.uint64)
-    mid = np.flatnonzero((e2 < 0) & (q > 1) & (q < 63))
-    vr_zeros[mid] = (mv[mid] & ((np.uint64(1) << q[mid].astype(np.uint64)) - np.uint64(1))) == 0
+    low_bits = (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1)
+    vr_zeros |= (e2 < 0) & (q > 1) & (q < 63) & (mv & low_bits == 0)
 
     # Step 4: drop the digits below the highest place at which vp and vm still differ, found
     # by binary lifting (at most 19 go).  Ryu's loop tracks the last digit dropped and whether
@@ -107,7 +107,8 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if go.any():
             vp, vm, vr = np.where(go, p, vp), np.where(go, m, vm), np.where(go, vr // _POW10[step], vr)
             removed += go * step
-    last = np.where(removed > 0, exact_vr // _POW10[removed - 1] % _10, 0)
+    last = exact_vr // _POW10.take(removed - 1)  # then its last digit, where any was dropped
+    last = np.where(removed > 0, last - last // _10 * _10, 0)
     ends = np.flatnonzero(vm_zeros)
     vm_zeros[ends] = exact_vm[ends] % _POW10[removed[ends]] == 0
     ends = ends[vm_zeros[ends]]
@@ -118,7 +119,7 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vm[ends] //= _10
         removed[ends] += 1
     half = np.flatnonzero(vr_zeros & (last == 5))  # an exact half rounds to even
-    exact = (exact_vr[half] % _POW10[removed[half] - 1] == 0) & (vr[half] % np.uint64(2) == 0)
+    exact = (exact_vr[half] % _POW10[removed[half] - 1] == 0) & (vr[half] & np.uint64(1) == 0)
     last[half[exact]] = 4
     up = ((vr == vm) & (~accept | ~vm_zeros)) | (last >= 5)
     digits = np.where(zero, np.uint64(0), vr + up.astype(np.uint64))
@@ -155,8 +156,9 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     low = rest - high * _POW10[8]
     groups = np.empty((len(v), 6), np.intp)
     groups[:, 0], groups[:, 1] = 10000, top
-    groups[:, 2], groups[:, 3] = high // _POW10[4], high % _POW10[4]
-    groups[:, 4], groups[:, 5] = low // _POW10[4], low % _POW10[4]
+    for k, part in ((2, high), (4, low)):
+        groups[:, k] = quotient = part // _POW10[4]
+        groups[:, k + 1] = part - quotient * _POW10[4]
     four, right, left, marks = _layout_tables()
     digits = four.take(groups).view(np.uint8)
     shifted = np.empty_like(digits)
@@ -168,12 +170,18 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     return rows
 
 
+def _digit_count(v: np.ndarray) -> np.ndarray:
+    """Decimal digits of each uint64 (1 for 0), from its bit length: floor(bits log10 2) or one more."""
+    t = np.frexp(v.astype(np.float64))[1] * 1233 >> 12
+    return np.maximum(t + (v >= _POW10.take(t)), 1)
+
+
 def float_text(values: np.ndarray) -> np.ndarray:
     """``repr`` of each finite float64 of ``values`` (flattened), as uint8 rows as wide as the
     longest, NUL-padded: on the left, and on the right of fixed-notation rows where some value
     needs an exponent."""
     digits, exponent = shortest_digits(values)
-    count = np.searchsorted(_POW10, digits, side="right").clip(1)
+    count = _digit_count(digits)
     decpt = exponent + count
     fixed = (decpt > -4) & (decpt <= 16)
     # Fixed notation writes every digit of digits * 10**pad, zero-filled to `length`, with the
@@ -199,7 +207,7 @@ def int_text(values: np.ndarray) -> np.ndarray:
     """``repr`` of each int of ``values`` (flattened) in 0..2**64 - 1, as right-aligned uint8
     rows as wide as the longest, NUL-padded."""
     v = np.ravel(values).astype(np.uint64)
-    length = np.searchsorted(_POW10, v, side="right").clip(1)
+    length = _digit_count(v)
     return _rows(v, length, length, 0, 0)[:, 24 - int(length.max(initial=1)):]
 
 
