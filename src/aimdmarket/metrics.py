@@ -177,9 +177,11 @@ def _distinct_text(values: np.ndarray) -> np.ndarray:
     return float_text(bits.view(np.float64)).take(index.ravel(), axis=0)
 
 
-def _chunk_rows(trajectory: Trajectory, fmt: str, rows: slice, agents: np.ndarray, traces: np.ndarray) -> np.ndarray:
+def _chunk_rows(trajectory: Trajectory, fmt: str, rows: slice, agents, traces, signals) -> np.ndarray:
     """The export rows of ``rows`` as NUL-padded uint8 text: one CSV row per round and agent, or
-    one JSON round object per round (led by a comma after round 1)."""
+    one JSON round object per round (led by a comma after round 1).  ``agents``, ``traces`` and
+    ``signals`` are the format's literal text by agent, by bernoulli bit and branch code, and by
+    both signals."""
     t = np.arange(len(trajectory.total_supply))[rows]
     r, n = len(t), len(trajectory.population.agent_ids)
     quantity, average, value, derivative, backoff = (
@@ -191,7 +193,7 @@ def _chunk_rows(trajectory: Trajectory, fmt: str, rows: slice, agents: np.ndarra
         [trajectory.total_supply[rows], trajectory.total_consumption[rows], trajectory.sum_of_utilities[rows]]
     )).reshape(3, r, -1)
     trace = traces.take(trajectory.bernoulli[rows] * len(BRANCHES) + trajectory.branch[rows], axis=0)
-    signals = _SIGNALS[fmt].take(trajectory.supplier_signal[rows] * 2 + trajectory.consumer_signal[rows], axis=0)
+    signals = signals.take(trajectory.supplier_signal[rows] * 2 + trajectory.consumer_signal[rows], axis=0)
     if fmt == "csv":
         tail = join((r,), [supply, ",", consumption, signals, total, "\n"])
         return join((r, n), [int_text(t)[:, None], agents, quantity, ",", average, ",", value, ",", derivative,
@@ -205,28 +207,25 @@ def _chunk_rows(trajectory: Trajectory, fmt: str, rows: slice, agents: np.ndarra
                         ',"sum_of_utilities":', total, "}"])
 
 
-# both signals, indexed by 2 * supplier_signal + consumer_signal
-_SIGNALS = {
-    "csv": literals([f",{s},{c}," for s in (0, 1) for c in (0, 1)]),
-    "json": literals([f',"signals":{{"supplier_signal":{s},"consumer_signal":{c}}}' for s in (0, 1) for c in (0, 1)]),
-}
-
-
 def _write_rounds(fh, trajectory: Trajectory, fmt: str, starts: range) -> None:
     """Write the rows of the chunks that begin at ``starts``: everything but the CSV header
     and the JSON array's brackets."""
     ids, roles = trajectory.population.agent_ids, [role.value for role in trajectory.population.roles]
-    # each agent's literal text before its quantity, and the trace fields by bernoulli bit and branch code
+    # each agent's text before its quantity, the trace fields, and the signals (by 2 s + c)
     if fmt == "csv":
         agents = literals([f",{agent_id},{role}," for agent_id, role in zip(ids, roles)])
         traces = literals([f",{bit},{b.value}," for bit in (0, 1) for b in BRANCHES])
+        signals = literals([f",{s},{c}," for s in (0, 1) for c in (0, 1)])
     else:
         agents = literals([f'{"," if k else ""}{{"agent_id":"{agent_id}","role":"{role}","quantity":'
                             for k, (agent_id, role) in enumerate(zip(ids, roles))])
         traces = literals([f',"bernoulli":{bit},"branch":"{b.value}"}}}}' for bit in (0, 1) for b in BRANCHES])
-    fh.flush()
+        signals = literals([f',"signals":{{"supplier_signal":{s},"consumer_signal":{c}}}'
+                            for s in (0, 1) for c in (0, 1)])
+    fh.flush()  # the rows are bytes, written under the text layer
     for start in starts:
-        fh.buffer.write(compact(_chunk_rows(trajectory, fmt, slice(start, start + EXPORT_CHUNK), agents, traces)))
+        rows = _chunk_rows(trajectory, fmt, slice(start, start + EXPORT_CHUNK), agents, traces, signals)
+        fh.buffer.write(compact(rows))
 
 
 def _usable_cpus() -> int:
@@ -313,7 +312,7 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
             raise ValueError(f"the run overflowed or went non-finite: band column {name}")
     try:
         if fmt == "csv":
-            columns = [np.asarray(band.rounds), *(np.asarray(getattr(band, name), float) for name in ("mean", "lower", "upper"))]
+            columns = [np.asarray(getattr(band, name)) for name in ("rounds", "mean", "lower", "upper")]
             with atomic_writer(destination) as fh:
                 fh.write("round,mean,lower,upper,replicate_count\n")
                 fh.flush()
