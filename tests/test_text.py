@@ -2,14 +2,14 @@
 
 Each value's row, with its NULs dropped, must be exactly ``repr`` of the
 value: random bit patterns, every power of two and both of its neighbours,
-and the values at which ``repr`` changes layout.
+and the values at which ``repr`` changes layout (``test_metrics`` formats
+``scalar_oracle.REPR_LAYOUTS``, a value in each layout).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from aimdmarket.text import compact, float_text, int_text
-from scalar_oracle import REPR_LAYOUTS
 
 
 def _assert_reprs(values):
@@ -44,7 +44,6 @@ def test_layout_boundaries_format_as_repr():
     largest = np.array([1.7976931348623157e308])
     _assert_reprs(np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf), largest]))
     _assert_reprs(-bounds)
-    _assert_reprs(REPR_LAYOUTS)
     _assert_reprs(-np.arange(-1000, 1000) / 8)  # short exact values, and -0.0
 
 
