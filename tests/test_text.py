@@ -3,13 +3,20 @@
 Each value's row, with its NULs dropped, must be exactly ``repr`` of the
 value: random bit patterns, every power of two and both of its neighbours,
 and the values at which ``repr`` changes layout (``test_metrics`` formats
-``scalar_oracle.REPR_LAYOUTS``, a value in each layout).
+``scalar_oracle.REPR_LAYOUTS``, a value in each layout).  An export-sized
+batch goes through in one call, as the exporters send a chunk's column, and
+each branch of Ryu's step 3 and digit removal that can change a digit has a
+value set of its own.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from aimdmarket.text import compact, float_text, int_text
+from aimdmarket.market import run
+from aimdmarket.metrics import EXPORT_CHUNK, FLOAT_COLUMNS
+from aimdmarket.scenario import reference_configs
+from aimdmarket.text import compact, float_text, int_text, join
 
 
 def _assert_reprs(values):
@@ -17,6 +24,30 @@ def _assert_reprs(values):
     got = [compact(row).decode() for row in float_text(values)]
     mismatched = [(v, text) for v, text in zip(values.tolist(), got) if text != repr(v)]
     assert mismatched == []
+
+
+def _texts(rows):
+    """Each row's text without its NULs."""
+    return compact(join((len(rows),), [rows, "\n"])).decode().split("\n")[:-1]
+
+
+def _assert_batch_reprs(values):
+    """One call on all of ``values``; the first few mismatches are named."""
+    values = np.asarray(values, dtype=np.float64)
+    got = _texts(float_text(values))
+    mismatched = [(v, text) for v, text in zip(values.tolist(), got) if text != repr(v)]
+    assert len(got) == len(values) and mismatched[:5] == []
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return values[np.isfinite(values)]
+
+
+def _from_ryu(m2, e2):
+    """The double m2 * 2**(e2 + 2), which Ryu decodes as (m2, e2), for 2**52 <= m2 < 2**53."""
+    return np.ldexp(np.asarray(m2, dtype=np.float64), np.asarray(e2) + 2)
 
 
 # any finite float64 bit pattern, in batches as the exporters call the kernel
@@ -58,3 +89,64 @@ def test_ints_format_as_repr():
 def test_compact_drops_only_nuls():
     rows = np.array([[0, 0, 49, 46, 53], [45, 48, 46, 48, 0]], dtype=np.uint8)
     assert compact(rows) == b"1.5-0.0"
+
+
+def test_an_export_sized_batch_formats_as_repr():
+    # random bit patterns and the first chunk of every float column of both reference runs, in
+    # one call: the exporters' mixes reach the paths that depend on the whole batch
+    bits = np.random.default_rng(20181).integers(0, 2**64, 2 * 65536, dtype=np.uint64, endpoint=False)
+    bits = bits[(bits >> np.uint64(52) & np.uint64(0x7FF)) != 0x7FF][:65536]
+    columns = [bits.view(np.float64)]
+    for reference in ("paper-a", "paper-b"):
+        trajectory = run(*reference_configs()[reference]).trajectory
+        for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
+            columns.append(getattr(trajectory, name)[1 : 1 + EXPORT_CHUNK].ravel())
+    values = np.concatenate(columns)
+    assert len(bits) == 65536 and len(values) == 65536 + 2 * EXPORT_CHUNK * (5 * 27 + 3)
+    _assert_batch_reprs(values)
+
+
+def _exact_window():
+    # e2 >= 0 and q <= 21, where step 3 tests the exact product: for each e2, the m2 that put mv
+    # (on_five), mv - 2 (vm) or mv + 2 (vp) on a multiple of 5**q, each with both parities (accept)
+    m2s, e2s = [], []
+    for e2 in range(80):
+        q = (e2 * 78913 >> 18) - (e2 > 3)  # floor(e2 log10 2), less one past e2 = 3
+        if q > 21:
+            break
+        power = 5**q
+        for residue in (0, 2, -2):
+            m2 = residue * pow(4, -1, power) % power
+            m2 += (2**52 - m2 + power - 1) // power * power
+            m2s += [m2, m2 + power]
+            e2s += [e2, e2]
+    return _from_ryu(m2s, e2s)
+
+
+def _tiny_window():
+    # e2 in -4..-1 (q <= 1): the doubles between 2**50 and 2**54, at both ends of each binade
+    m2 = np.concatenate([2**52 + np.arange(64), 2**53 - 1 - np.arange(64)])
+    return np.concatenate([_from_ryu(m2, e2) for e2 in range(-4, 0)])
+
+
+BRANCH_VALUES = {
+    "exact-product window": _exact_window,
+    "tiny window": _tiny_window,
+    # short binary fractions: vr is exact, so its dropped digits may all be zeros
+    "vr trailing zeros": lambda: np.concatenate([np.arange(1, 200) / 2.0**j for j in range(80)]),
+    # decimal integers past 2**54, whose lower bound vm ends in zeros
+    "vm trailing zeros": lambda: np.concatenate([np.arange(1, 1000) * 10.0**j for j in range(16, 40)]),
+    # an exact ...5 below the last kept digit rounds to the even neighbour
+    "half to even": lambda: np.concatenate([2.0**50 + np.arange(64) + 0.25, [6.151199340820312e-05,
+                                            2.9802322387695312e-08, 1130000000000000.2]]),
+    # mantissa 0: the interval below a power of two is half as wide
+    "mantissa 0": lambda: np.ldexp(1.0, np.arange(-1074, 1024)),
+    "subnormals": lambda: np.concatenate([np.arange(4096), np.random.default_rng(7).integers(1, 2**52, 4096),
+                                          2**52 - 1 - np.arange(64)]).astype(np.uint64).view(np.float64),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_VALUES))
+def test_each_digit_changing_branch_formats_as_repr(branch):
+    values = _with_neighbours(BRANCH_VALUES[branch]())
+    _assert_batch_reprs(np.concatenate([values, -values]))
