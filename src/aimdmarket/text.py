@@ -4,10 +4,9 @@
 float-to-string conversion", PLDI 2018), vectorised over uint64 arrays, and lays them out as
 ``float.__repr__`` does: fixed notation while the decimal point sits at -4 < decpt <= 16
 (value = 0.d1d2... x 10**decpt), else ``d.ddde±XX``.  ``int_text`` writes non-negative ints.
-Each returns one uint8 row per value, padded with NUL bytes, so that ``join`` can lay such rows
-beside ``literals`` in one array, and ``compact`` drops every NUL at the end.  The layouts
-themselves hold NULs where ``repr`` writes nothing (a third exponent digit, the point of a
-one-digit mantissa), which ``compact`` drops too.
+Each returns one row per value: its text right-aligned in uint8, NUL-padded on the left to the
+longest, so that ``join`` can lay such rows beside ``literals`` in one array, and ``compact``
+drops every NUL at the end.
 """
 
 from __future__ import annotations
@@ -27,9 +26,12 @@ _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 # little (a replicate's band) builds them after its memory peak rather than at import.  They
 # are read-only.
 @cache
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per biased exponent 0..2046 (columns): the widened multiplier as five 32-bit limbs, low
-    first, and Ryu's e2 (the binary exponent of ``m2``, less 2), q and e10 (vr's exponent).
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per key (the sign and biased exponent, bits >> 52), as columns: the widened multiplier C
+    as five 32-bit limbs, low first, then H and the two words (high, low) of T, 2C = H 2**128 + T,
+    and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
+    window (e2 >= 0, q <= 21).  Then, as rows, for the rare paths: q, and a mask of mv's bits
+    that are all zero where vr is an exact product (all ones where it cannot be).
 
     Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
     bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
@@ -39,7 +41,7 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     scaled = [p >> b - _BITCOUNT if b >= _BITCOUNT else p << _BITCOUNT - b for p, b in zip(powers, bits.tolist())]
     table = b"".join(m.to_bytes(16, "little") for m in inverse + scaled)
     limbs = np.frombuffer(table, "<u4").reshape(-1, 4).astype(np.uint64)
-    e2 = np.maximum(np.arange(2047), 1) - 1077
+    e2 = np.maximum(np.arange(2048), 1) - 1077
     up = e2 >= 0
     # q is floor(e2 log10 2), less one past e2 = 3; or floor(-e2 log10 5), less one past -e2 = 1
     q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
@@ -48,90 +50,118 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
     limbs = limbs[np.where(up, i, len(inverse) + i)].T
     widen = (_SHIFT - shift).astype(np.uint64)
     carried = [limb >> (_32 - widen) for limb in limbs]
-    wide = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
-    return np.array(wide + [carried[3]]), np.array([e2, q, np.where(up, q, q + e2)])
+    c = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
+    one, low, high = np.uint64(1), c[0] | c[1] << _32, c[2] | c[3] << _32
+    t_low, t_high = low << one, high << one | low >> np.uint64(63)
+    bounds = np.array([*c, carried[3], carried[3] << one | high >> np.uint64(63), t_high, t_low, ~t_high, ~t_low])
+    e10 = np.where(up, q, q + e2).astype(np.uint64)
+    digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0), up & (q <= 21)], dtype=np.uint64)
+    mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
+    return np.tile(bounds, 2).T.copy(), np.tile(digits, 2).T.copy(), np.tile(np.array([q.astype(np.uint64), mask]), 2)
 
 
-def _mul_shift(m: np.ndarray, c: list[np.ndarray]) -> np.ndarray:
-    """floor(m * C / 2**128) for m < 2**55 and C given as five 32-bit limbs (low first)."""
+def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m * C for m < 2**55 and C given as five 32-bit limbs (low first): floor(m C / 2**128),
+    and the high and low words of m C mod 2**128."""
     m0, m1 = m & _MASK32, m >> _32
-    carry = (m0 * c[0]) >> _32
+    low = m0 * c[0]
+    words, carry = [low & _MASK32], low >> _32
     for k in (1, 2, 3):  # carry + low half + m1 * limb < 2**56
         low = m0 * c[k]
-        carry = ((carry + (low & _MASK32) + m1 * c[k - 1]) >> _32) + (low >> _32)
-    return carry + m0 * c[4] + m1 * c[3] + ((m1 * c[4]) << _32)
+        column = carry + (low & _MASK32) + m1 * c[k - 1]
+        words.append(column)
+        carry = (column >> _32) + (low >> _32)
+    high = carry + m0 * c[4] + m1 * c[3] + ((m1 * c[4]) << _32)
+    return high, words[2] & _MASK32 | words[3] << _32, words[0] | words[1] << _32
+
+
+def _interval(mv: np.ndarray, key: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ryu's vr, vp and vm: floor((mv + d) C / 2**128) for d = 0, 2 and -2, or -1 at ``powers``
+    (mantissa 0), where the interval below a power of two is half as wide.
+
+    vp and vm come from vr's one product: mv C +- 2C = (vr +- H) 2**128 + (low +- T), where the
+    low parts carry (low > ~T) or borrow (low < T), compared word by word: T's high word is never
+    all ones, so one more or less on it (or on ~T's) cannot wrap."""
+    c = _exponent_tables()[0].take(key, axis=0).T
+    vr, low_high, low_low = _product(mv, c)
+    vp = vr + c[5] + (low_high > c[8] - (low_low > c[9]))
+    vm = vr - c[5] - (low_high < c[6] + (low_low < c[7]))
+    if powers.size:
+        vm[powers] = _product(mv[powers] - np.uint64(1), c[:5, powers])[0]
+    return vr, vp, vm
 
 
 def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(digits, exponent) with |value| = digits * 10**exponent, digits as short as round-trips
     and closest to the value among those: Ryu's d2d on finite float64 values.  Zero is (0, 0)."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
-    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
-    mantissa = bits & np.uint64((1 << 52) - 1)
-    zero = (biased == 0) & (mantissa == 0)
-    m2 = mantissa | np.where(biased == 0, zero, np.uint64(1 << 52))  # zero runs as 5e-324
-    limbs, exponents = _exponent_tables()
-    e2, q, e10 = exponents.take(biased, axis=1)
-    accept = (m2 & np.uint64(1)) == 0  # even mantissas round-trip from the interval's bounds
-    mm_shift = ((mantissa != 0) | (biased <= 1)).astype(np.uint64)
-    mv = m2 << np.uint64(2)
-    c = limbs.take(biased, axis=1)
-    vr, vp, vm = (_mul_shift(m, c) for m in (mv, mv + np.uint64(2), mv - np.uint64(1) - mm_shift))
+    key = bits >> np.uint64(52)
+    _, exponents, rare = _exponent_tables()
+    e10, hidden, window = exponents.take(key, axis=0).T
+    fraction = bits << np.uint64(12) >> np.uint64(10)
+    mv = fraction | hidden
+    zeros = np.flatnonzero(fraction == 0)  # zero, and powers of two past the subnormals
+    vr, vp, vm = _interval(mv, key, zeros[(key[zeros] & np.uint64(0x7FF)) > 1])
+    # Ryu's step 3 in the exact-product window: is vm an exact product with trailing decimal
+    # zeros, or vp one that the (excluded) upper bound reaches?  (vr's own test there cannot
+    # change a digit: a tie at the last kept place needs a bound 5 * 10**(r - 1) from the value.)
+    exact = ends = np.flatnonzero(window)
+    if exact.size:
+        pow5 = np.uint64(5) ** rare[0, key[exact]]
+        m = mv[exact]
+        on_five, accept = m % np.uint64(5) == 0, m & np.uint64(4) == 0
+        ends = exact[~on_five & accept & ((m - np.uint64(1) - (m != np.uint64(1 << 54))) % pow5 == 0)]
+        vp[exact] -= ~on_five & ~accept & ((m + np.uint64(2)) % pow5 == 0)
 
-    # Ryu's step 3: is vr, or vm, an exact product with trailing decimal zeros?
-    vr_zeros = np.zeros(len(bits), bool)
-    vm_zeros = np.zeros(len(bits), bool)
-    small = np.flatnonzero((e2 >= 0) & (q <= 21))
-    if small.size:
-        pow5 = np.uint64(5) ** q[small].astype(np.uint64)
-        m, ok = mv[small], accept[small]
-        on_five = m % np.uint64(5) == 0
-        vr_zeros[small] = on_five & (m % pow5 == 0)
-        vm_zeros[small] = ~on_five & ok & ((m - np.uint64(1) - mm_shift[small]) % pow5 == 0)
-        vp[small] -= (~on_five & ~ok & ((m + np.uint64(2)) % pow5 == 0)).astype(np.uint64)
-    tiny = (e2 < 0) & (q <= 1)
-    vr_zeros |= tiny
-    vm_zeros |= tiny & accept & (mm_shift == 1)
-    vp -= (tiny & ~accept).astype(np.uint64)
-    low_bits = (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1)
-    vr_zeros |= (e2 < 0) & (q > 1) & (q < 63) & (mv & low_bits == 0)
-
-    # Step 4: drop the digits below the highest place at which vp and vm still differ, found
-    # by binary lifting (at most 19 go).  Ryu's loop tracks the last digit dropped and whether
-    # those under it, and all of vm's, were zeros; they are read off the products afterwards.
-    exact_vr, exact_vm = vr.copy(), vm
+    # Step 4: drop the digits below the highest place at which vp and vm still differ.  Most
+    # values drop 1-3; the few that may drop more find the rest by binary lifting.
     removed = np.zeros(len(bits), np.intp)
-    for step in (16, 8, 4, 2, 1):
-        p, m = vp // _POW10[step], vm // _POW10[step]
-        go = p > m
-        if go.any():
-            vp, vm, vr = np.where(go, p, vp), np.where(go, m, vm), np.where(go, vr // _POW10[step], vr)
-            removed += go * step
-    last = exact_vr // _POW10.take(removed - 1)  # then its last digit, where any was dropped
-    last = np.where(removed > 0, last - last // _10 * _10, 0)
-    ends = np.flatnonzero(vm_zeros)
-    vm_zeros[ends] = exact_vm[ends] % _POW10[removed[ends]] == 0
-    ends = ends[vm_zeros[ends]]
-    while ends.size:  # vm's own trailing zeros go too, where vm itself round-trips
-        ends = ends[vm[ends] % _10 == 0]
-        last[ends] = vr[ends] % _10
-        vr[ends] //= _10
-        vm[ends] //= _10
+    p, m = vp, vm
+    for _ in range(3):
+        p, m = p // _10, m // _10
+        removed += p > m
+    more = np.flatnonzero(p // _10 > m // _10)
+    if more.size:
+        p, m, extra = p[more], m[more], 0
+        for step in (16, 8, 4, 2, 1):
+            go = p // _POW10[step] > m // _POW10[step]
+            p, m, extra = np.where(go, p // _POW10[step], p), np.where(go, m // _POW10[step], m), extra + go * step
+        removed[more] += extra
+    # vm's own trailing zeros go too, where vm itself round-trips (within the exact window)
+    ends = vm_ends = ends[vm[ends] % _POW10[removed[ends]] == 0]
+    while ends.size:
+        ends = ends[vm[ends] // _POW10[removed[ends]] % _10 == 0]
         removed[ends] += 1
-    half = np.flatnonzero(vr_zeros & (last == 5))  # an exact half rounds to even
-    exact = (exact_vr[half] % _POW10[removed[half] - 1] == 0) & (vr[half] & np.uint64(1) == 0)
-    last[half[exact]] = 4
-    up = ((vr == vm) & (~accept | ~vm_zeros)) | (last >= 5)
-    digits = np.where(zero, np.uint64(0), vr + up.astype(np.uint64))
-    return digits, np.where(zero, 0, e10 + removed)
+    # round vr up past the last dropped digit's half, or where vm's digits equal vr's and vm
+    # cannot itself stand; an exact half rounds to even
+    scale = _POW10.take(removed)
+    digits = vr // scale
+    base = digits * scale
+    dropped, half = vr - base, scale - (vr - base)
+    up = dropped >= half
+    ties = np.flatnonzero(dropped == half)
+    if ties.size:
+        even = (mv[ties] & rare[1, key[ties]] == 0) & (digits[ties] & np.uint64(1) == 0)
+        up[ties[even]] = False
+    same = vm >= base
+    same[vm_ends] = False
+    up |= same
+    digits += up
+    exponent = e10.view(np.int64) + removed
+    zeros = zeros[(key[zeros] & np.uint64(0x7FF)) == 0]
+    digits[zeros], exponent[zeros] = 0, 0
+    return digits, exponent
 
 
 @cache
-def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four ASCII digits of 0..9999 as one uint32 each, in memory order, and entry 10000 two
     NULs and two zeros (the places of 10**21 and 10**20 that a zero-filled value may reach);
-    then byte masks and literals of a 24-byte row, indexed by the code ``_rows`` computes:
-    digits kept in place right of the point, digits shifted left of it, and point and sign."""
+    byte masks and literals of a 24-byte row, indexed by the code ``_rows`` takes: digits kept in
+    place right of the point, digits to move one place left of it, and point and sign.  Then
+    ``float_text``'s layout by exponent (-120..120), digit count and sign: the code, 10**pad (the
+    zeros that fill fixed notation), the width of the exponent's suffix (0 in fixed notation) and
+    of the row; and each suffix "e±XX(X)", right-aligned in 5 bytes, from power -400."""
     k = np.arange(10000, dtype=np.int16)
     four = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
     four = np.vstack([four, [0, 0, ord("0"), ord("0")]]).astype(np.uint8).view(np.uint32).ravel()
@@ -141,15 +171,30 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     r = np.arange(23, -1, -1, dtype=np.int8)  # place from the right
     full, dot, minus = np.uint8(0xFF), np.uint8(_DOT), np.uint8(_MINUS)
     right = (r < tail) * full
-    left = ((r > tail) & (r <= length)) * full
+    left = ((r >= tail) & (r < length)) * full
     marks = (r == tail) * (point * dot) + (r == length + 1) * (sign * minus)
-    return four, *(np.broadcast_to(a, shape).reshape(-1, 24).astype(np.uint8) for a in (right, left, marks))
+    masks = (np.broadcast_to(a, shape).reshape(-1, 24).astype(np.uint8) for a in (right, left, marks))
+    suffixes = np.array([f"e{p:+03d}".rjust(5, "\0").encode() for p in range(-400, 400)]).view(np.uint8).reshape(-1, 5)
+    # past an exponent of +-117 only the exponent's own width (three digits) sets the layout
+    exponent, count, sign = np.meshgrid(np.arange(-120, 121), np.arange(18), np.arange(2), indexing="ij")
+    decpt = exponent + count
+    fixed, below = (decpt > -4) & (decpt <= 16), decpt < count
+    # fixed notation writes every digit of digits * 10**pad, zero-filled to `length`, with the point
+    # before the last `tail`; an exponent's mantissa its digits, with the point before count - 1
+    # (or, for one digit, no point: length 0 lays the digit out as the tail)
+    tail = np.where(fixed, np.where(below, count - decpt, 1), np.maximum(count - 1, 1))
+    pad = np.where(fixed & ~below, decpt - count + 1, 0)
+    length = np.where(fixed, np.maximum(decpt, 1) + tail, np.where(count > 1, count, 0))
+    suffix = np.where(fixed, 0, np.where(np.abs(decpt - 1) >= 100, 5, 4))
+    code = ((length * 21 + tail) * 2 + sign) * 2 + (fixed | (count > 1))
+    layout = np.stack([code, 10**pad, suffix, np.maximum(length, 1) + (fixed | (count > 1)) + suffix + sign], axis=-1)
+    return four, *masks, layout.reshape(-1, 4).astype(np.uint64), suffixes
 
 
-def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
-    """(n, 24) rows of uint64 ``v``: its digits zero-filled to ``length`` (at most 21), a point
-    (if ``point``, else a NUL) before the last ``tail`` of them, a sign (if ``sign``) before
-    the first, right-aligned and NUL-padded."""
+def _rows(v: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """(n, 24) rows of uint64 ``v`` in the layouts of ``code``: its digits zero-filled to a length
+    (at most 21), a point (or a NUL) before the last digits of a tail, and maybe a sign before the
+    first, right-aligned and NUL-padded."""
     top = v // _POW10[16]
     rest = v - top * _POW10[16]
     high = rest // _POW10[8]
@@ -159,14 +204,13 @@ def _rows(v: np.ndarray, length: np.ndarray, tail, sign, point) -> np.ndarray:
     for k, part in ((2, high), (4, low)):
         groups[:, k] = quotient = part // _POW10[4]
         groups[:, k + 1] = part - quotient * _POW10[4]
-    four, right, left, marks = _layout_tables()
-    digits = four.take(groups).view(np.uint8)
-    shifted = np.empty_like(digits)
-    shifted.ravel()[:-1], shifted.ravel()[-1] = digits.ravel()[1:], _NUL
-    code = ((length * 21 + tail) * 2 + sign) * 2 + point
-    rows = digits & right.take(code, axis=0)
-    rows |= shifted & left.take(code, axis=0)
-    rows |= marks.take(code, axis=0)
+    four, right, left, marks = _layout_tables()[:4]
+    rows = four.take(groups).view(np.uint8)
+    moved = left.take(code, axis=0)
+    moved &= rows  # the digits left of the point, each moved one place left to make room for it
+    rows &= right.take(code, axis=0)
+    rows.ravel()[:-1] |= moved.ravel()[1:]
+    rows |= marks.take(code, axis=0, out=moved)
     return rows
 
 
@@ -176,31 +220,25 @@ def _digit_count(v: np.ndarray) -> np.ndarray:
     return np.maximum(t + (v >= _POW10.take(t)), 1)
 
 
+# an exponent row's bytes: its mantissa's shifted left by the width (5, 4) of the suffix after it
+_SUFFIX_FROM = np.arange(24) + 5 - np.array([[0], [1]]) * (np.arange(24) < 20)
+
+
 def float_text(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each finite float64 of ``values`` (flattened), as uint8 rows as wide as the
-    longest, NUL-padded: on the left, and on the right of fixed-notation rows where some value
-    needs an exponent."""
+    """``repr`` of each finite float64 of ``values`` (flattened), as uint8 rows right-aligned and
+    NUL-padded to the longest."""
     digits, exponent = shortest_digits(values)
     count = _digit_count(digits)
-    decpt = exponent + count
-    fixed = (decpt > -4) & (decpt <= 16)
-    # Fixed notation writes every digit of digits * 10**pad, zero-filled to `length`, with the
-    # point before the last `tail`; an exponent's mantissa the digits, the point before count - 1.
-    below = decpt < count
-    tail = np.where(fixed, np.where(below, count - decpt, 1), count - 1)
-    pad = np.where(fixed & ~below, decpt - count + 1, 0)
-    length = np.where(fixed, np.maximum(decpt, 1) + tail, count)
-    negative = np.signbit(np.ravel(values))
-    rows = _rows(digits * _POW10[pad], length, tail, negative, fixed | (count > 1))
-    rows = rows[:, 23 - int((length + negative).max(initial=1)):]
-    if fixed.all():
-        return rows
-    power = np.abs(decpt - 1)  # "e±XX" or "e±XXX", NUL where the third digit is unused
-    suffix = np.stack([np.full(len(rows), ord("e")), np.where(decpt > 0, ord("+"), _MINUS),
-                       np.where(power >= 100, power // 100 + ord("0"), _NUL),
-                       power // 10 % 10 + ord("0"), power % 10 + ord("0")], axis=1)
-    suffix[fixed] = _NUL
-    return np.concatenate([rows, suffix.astype(np.uint8)], axis=1)
+    *_, layout, suffixes = _layout_tables()
+    key = (np.clip(exponent, -120, 120) + 120) * 36 + count * 2 + np.signbit(values).ravel()
+    code, scale, suffix, width = layout.take(key, axis=0).T
+    rows = _rows(digits * scale, code)
+    exponential = np.flatnonzero(suffix)
+    if exponential.size:
+        power = exponent[exponential] + count[exponential] - 1
+        moved = np.concatenate([rows[exponential], suffixes.take(power + 400, axis=0)], axis=1)
+        rows[exponential] = np.take_along_axis(moved, _SUFFIX_FROM[(np.abs(power) < 100).astype(np.intp)], axis=1)
+    return rows[:, 24 - int(width.max(initial=1)):]
 
 
 def int_text(values: np.ndarray) -> np.ndarray:
@@ -208,7 +246,7 @@ def int_text(values: np.ndarray) -> np.ndarray:
     rows as wide as the longest, NUL-padded."""
     v = np.ravel(values).astype(np.uint64)
     length = _digit_count(v)
-    return _rows(v, length, length, 0, 0)[:, 24 - int(length.max(initial=1)):]
+    return _rows(v, length * 88)[:, 24 - int(length.max(initial=1)):]
 
 
 def literals(strings) -> np.ndarray:
