@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from aimdmarket.market import run
 from aimdmarket.metrics import EXPORT_CHUNK, FLOAT_COLUMNS
 from aimdmarket.scenario import reference_configs
-from aimdmarket.text import compact, float_text, int_text, join
+from aimdmarket.text import _exponent_tables, compact, float_text, int_text, join
 
 
 def _assert_reprs(values):
@@ -150,3 +150,20 @@ BRANCH_VALUES = {
 def test_each_digit_changing_branch_formats_as_repr(branch):
     values = _with_neighbours(BRANCH_VALUES[branch]())
     _assert_batch_reprs(np.concatenate([values, -values]))
+
+
+def test_a_column_is_as_wide_as_its_longest_repr():
+    # each row is its repr right-aligned, exponent rows too: one 1e-05 does not widen the column
+    assert float_text(np.array([0.5, 1e-05, 123.456])).tobytes() == b"\0\0\0\x000.5" b"\0\x001e-05" b"123.456"
+    assert float_text(np.array([-1e-100, 5e-324, 1e22])).tobytes() == b"-1e-100" b"\x005e-324" b"\0\x001e+22"
+    values = np.concatenate([_exact_window(), _tiny_window(), np.random.default_rng(3).normal(0, 1e-5, 4096)])
+    for column in (values, -values, np.ldexp(1.0, np.arange(-1074, 1024))):
+        rows = float_text(column)
+        texts = [repr(v).encode() for v in column.tolist()]
+        width = max(map(len, texts))
+        assert rows.shape == (len(column), width) and rows.tobytes() == b"".join(t.rjust(width, b"\0") for t in texts)
+
+
+def test_no_high_word_of_the_bounds_tables_is_all_ones():
+    # vm's borrow adds one to T's high word, and vp's carry takes one from ~T's: neither may wrap
+    assert (_exponent_tables()[0][:, 6] != np.uint64(2**64 - 1)).all()
