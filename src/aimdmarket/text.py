@@ -28,8 +28,8 @@ _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 @cache
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per key (the sign and biased exponent, bits >> 52), as columns: the widened multiplier C
-    as five 32-bit limbs, low first, then H and the two words (high, low) of T, 2C = H 2**128 + T,
-    and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
+    as five 32-bit limbs, low first, and as its low and high 64-bit words below 2**128; then H
+    and the two words (high, low) of T, 2C = H 2**128 + T, and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
     window (e2 >= 0, q <= 21).  Then, as rows, for the rare paths: q, and a mask of mv's bits
     that are all zero where vr is an exact product (all ones where it cannot be).
 
@@ -53,7 +53,7 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
     one, low, high = np.uint64(1), c[0] | c[1] << _32, c[2] | c[3] << _32
     t_low, t_high = low << one, high << one | low >> np.uint64(63)
-    bounds = np.array([*c, carried[3], carried[3] << one | high >> np.uint64(63), t_high, t_low, ~t_high, ~t_low])
+    bounds = np.array([*c, carried[3], low, high, carried[3] << one | high >> np.uint64(63), t_high, t_low, ~t_high, ~t_low])
     e10 = np.where(up, q, q + e2).astype(np.uint64)
     digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0), up & (q <= 21)], dtype=np.uint64)
     mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
@@ -61,18 +61,16 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m * C for m < 2**55 and C given as five 32-bit limbs (low first): floor(m C / 2**128),
-    and the high and low words of m C mod 2**128."""
+    """m * C for m < 2**55 and C given as five 32-bit limbs (low first), then as its low and
+    high 64-bit words: floor(m C / 2**128), and the high and low words of m C mod 2**128."""
     m0, m1 = m & _MASK32, m >> _32
-    low = m0 * c[0]
-    words, carry = [low & _MASK32], low >> _32
-    for k in (1, 2, 3):  # carry + low half + m1 * limb < 2**56
-        low = m0 * c[k]
-        column = carry + (low & _MASK32) + m1 * c[k - 1]
-        words.append(column)
-        carry = (column >> _32) + (low >> _32)
-    high = carry + m0 * c[4] + m1 * c[3] + ((m1 * c[4]) << _32)
-    return high, words[2] & _MASK32 | words[3] << _32, words[0] | words[1] << _32
+    high = []
+    for k in (0, 2):  # the high word of m times C's word of limbs k, k + 1, by 32-bit columns
+        low, cross = m0 * c[k], m0 * c[k + 1]
+        column = (low >> _32) + (cross & _MASK32) + m1 * c[k]  # < 2**56
+        high.append((column >> _32) + (cross >> _32) + m1 * c[k + 1])
+    low_high = m * c[6] + high[0]  # numpy's uint64 products keep the low 64 bits
+    return high[1] + m * c[4] + (low_high < high[0]), low_high, m * c[5]
 
 
 def _interval(mv: np.ndarray, key: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,10 +82,10 @@ def _interval(mv: np.ndarray, key: np.ndarray, powers: np.ndarray) -> tuple[np.n
     all ones, so one more or less on it (or on ~T's) cannot wrap."""
     c = _exponent_tables()[0].take(key, axis=0).T
     vr, low_high, low_low = _product(mv, c)
-    vp = vr + c[5] + (low_high > c[8] - (low_low > c[9]))
-    vm = vr - c[5] - (low_high < c[6] + (low_low < c[7]))
+    vp = vr + c[7] + (low_high > c[10] - (low_low > c[11]))
+    vm = vr - c[7] - (low_high < c[8] + (low_low < c[9]))
     if powers.size:
-        vm[powers] = _product(mv[powers] - np.uint64(1), c[:5, powers])[0]
+        vm[powers] = _product(mv[powers] - np.uint64(1), c[:7, powers])[0]
     return vr, vp, vm
 
 
