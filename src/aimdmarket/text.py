@@ -29,9 +29,10 @@ _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per key (the sign and biased exponent, bits >> 52), as columns: the widened multiplier C
     as five 32-bit limbs, low first, and as its low and high 64-bit words below 2**128; then H
-    and the two words (high, low) of T, 2C = H 2**128 + T, and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
-    window (e2 >= 0, q <= 21).  Then, as rows, for the rare paths: q, and a mask of mv's bits
-    that are all zero where vr is an exact product (all ones where it cannot be).
+    and the two words (high, low) of T, 2C = H 2**128 + T, and of ~T.  Then e10 (vr's decimal
+    exponent), mv's hidden bit, and 1 in Ryu's exact-product window (e2 >= 0, q <= 21).  Then,
+    as rows, for the rare paths: q, and a mask of mv's bits that are all zero where vr is an
+    exact product (all ones where it cannot be).
 
     Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
     bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
@@ -53,7 +54,8 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
     one, low, high = np.uint64(1), c[0] | c[1] << _32, c[2] | c[3] << _32
     t_low, t_high = low << one, high << one | low >> np.uint64(63)
-    bounds = np.array([*c, carried[3], low, high, carried[3] << one | high >> np.uint64(63), t_high, t_low, ~t_high, ~t_low])
+    h = carried[3] << one | high >> np.uint64(63)
+    bounds = np.array([*c, carried[3], low, high, h, t_high, t_low, ~t_high, ~t_low])
     e10 = np.where(up, q, q + e2).astype(np.uint64)
     digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0), up & (q <= 21)], dtype=np.uint64)
     mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
@@ -101,8 +103,9 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zeros = np.flatnonzero(fraction == 0)  # zero, and powers of two past the subnormals
     vr, vp, vm = _interval(mv, key, zeros[(key[zeros] & np.uint64(0x7FF)) > 1])
     # Ryu's step 3 in the exact-product window: is vm an exact product with trailing decimal
-    # zeros, or vp one that the (excluded) upper bound reaches?  (vr's own test there cannot
-    # change a digit: a tie at the last kept place needs a bound 5 * 10**(r - 1) from the value.)
+    # zeros, or vp one that the (excluded) upper bound reaches?  Its other tests cannot change a
+    # digit of a double: vr's here, as a tie needs both neighbours 5 * 10**(r - 1) away, beyond
+    # the interval; vm's and vp's at -4 <= e2 < 0, whose bounds never end in a zero.
     exact = ends = np.flatnonzero(window)
     if exact.size:
         pow5 = np.uint64(5) ** rare[0, key[exact]]
@@ -125,7 +128,7 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             go = p // _POW10[step] > m // _POW10[step]
             p, m, extra = np.where(go, p // _POW10[step], p), np.where(go, m // _POW10[step], m), extra + go * step
         removed[more] += extra
-    # vm's own trailing zeros go too, where vm itself round-trips (within the exact window)
+    # where vm and its dropped digits are exact, vm's own trailing zeros go too (the window only)
     ends = vm_ends = ends[vm[ends] % _POW10[removed[ends]] == 0]
     while ends.size:
         ends = ends[vm[ends] // _POW10[removed[ends]] % _10 == 0]
@@ -142,11 +145,11 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         even = (mv[ties] & rare[1, key[ties]] == 0) & (digits[ties] & np.uint64(1) == 0)
         up[ties[even]] = False
     same = vm >= base
-    same[vm_ends] = False
+    same[vm_ends] = False  # there vm itself stands
     up |= same
     digits += up
     exponent = e10.view(np.int64) + removed
-    zeros = zeros[(key[zeros] & np.uint64(0x7FF)) == 0]
+    zeros = zeros[(key[zeros] & np.uint64(0x7FF)) == 0]  # they ran with mv = 0
     digits[zeros], exponent[zeros] = 0, 0
     return digits, exponent
 
@@ -218,7 +221,7 @@ def _digit_count(v: np.ndarray) -> np.ndarray:
     return np.maximum(t + (v >= _POW10.take(t)), 1)
 
 
-# an exponent row's bytes: its mantissa's shifted left by the width (5, 4) of the suffix after it
+# an exponent row's bytes: its mantissa's, moved left by the width (5 or 4) of the suffix after them
 _SUFFIX_FROM = np.arange(24) + 5 - np.array([[0], [1]]) * (np.arange(24) < 20)
 
 
@@ -244,7 +247,7 @@ def int_text(values: np.ndarray) -> np.ndarray:
     rows as wide as the longest, NUL-padded."""
     v = np.ravel(values).astype(np.uint64)
     length = _digit_count(v)
-    return _rows(v, length * 88)[:, 24 - int(length.max(initial=1)):]
+    return _rows(v, length * 88)[:, 24 - int(length.max(initial=1)):]  # 88 length: tail = length, no point
 
 
 def literals(strings) -> np.ndarray:
