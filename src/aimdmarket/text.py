@@ -27,12 +27,11 @@ _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 # are read-only.
 @cache
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per key (the sign and biased exponent, bits >> 52), as columns: the widened multiplier C
-    as five 32-bit limbs, low first, and as its low and high 64-bit words below 2**128; then H
-    and the two words (high, low) of T, 2C = H 2**128 + T, and of ~T.  Then e10 (vr's decimal
-    exponent), mv's hidden bit, and 1 in Ryu's exact-product window (e2 >= 0, q <= 21).  Then,
-    as rows, for the rare paths: q, and a mask of mv's bits that are all zero where vr is an
-    exact product (all ones where it cannot be).
+    """Per biased exponent, as columns: the widened multiplier C as five 32-bit limbs, low first,
+    and as its two 64-bit words below 2**128; H and the words (high, low) of T, 2C = H 2**128 + T,
+    and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
+    window (e2 >= 0, q <= 21).  Then, as rows for the rare paths: q, and a mask of the bits of mv
+    that are all zero where vr is an exact product (all ones where it cannot be).
 
     Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
     bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
@@ -59,7 +58,7 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e10 = np.where(up, q, q + e2).astype(np.uint64)
     digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0), up & (q <= 21)], dtype=np.uint64)
     mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
-    return np.tile(bounds, 2).T.copy(), np.tile(digits, 2).T.copy(), np.tile(np.array([q.astype(np.uint64), mask]), 2)
+    return bounds.T.copy(), digits.T.copy(), np.array([q.astype(np.uint64), mask])
 
 
 def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,12 +75,10 @@ def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _interval(mv: np.ndarray, key: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ryu's vr, vp and vm: floor((mv + d) C / 2**128) for d = 0, 2 and -2, or -1 at ``powers``
-    (mantissa 0), where the interval below a power of two is half as wide.
-
-    vp and vm come from vr's one product: mv C +- 2C = (vr +- H) 2**128 + (low +- T), where the
-    low parts carry (low > ~T) or borrow (low < T), compared word by word: T's high word is never
-    all ones, so one more or less on it (or on ~T's) cannot wrap."""
+    """Ryu's vr, vp and vm, floor((mv + d) C / 2**128) for d = 0, 2 and -2 (-1 at ``powers``, below
+    which the interval is half as wide), from one product: mv C +- 2C = (vr +- H) 2**128 + (low +- T),
+    where low carries (low > ~T) or borrows (low < T), compared word by word.  T's high word is
+    never all ones, so one more or less on it (or on ~T's) cannot wrap."""
     c = _exponent_tables()[0].take(key, axis=0).T
     vr, low_high, low_low = _product(mv, c)
     vp = vr + c[7] + (low_high > c[10] - (low_low > c[11]))
@@ -95,13 +92,13 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(digits, exponent) with |value| = digits * 10**exponent, digits as short as round-trips
     and closest to the value among those: Ryu's d2d on finite float64 values.  Zero is (0, 0)."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
-    key = bits >> np.uint64(52)
+    key = bits >> np.uint64(52) & np.uint64(0x7FF)
     _, exponents, rare = _exponent_tables()
     e10, hidden, window = exponents.take(key, axis=0).T
     fraction = bits << np.uint64(12) >> np.uint64(10)
     mv = fraction | hidden
     zeros = np.flatnonzero(fraction == 0)  # zero, and powers of two past the subnormals
-    vr, vp, vm = _interval(mv, key, zeros[(key[zeros] & np.uint64(0x7FF)) > 1])
+    vr, vp, vm = _interval(mv, key, zeros[key[zeros] > 1])
     # Ryu's step 3 in the exact-product window: is vm an exact product with trailing decimal
     # zeros, or vp one that the (excluded) upper bound reaches?  Its other tests cannot change a
     # digit of a double: vr's here, as a tie needs both neighbours 5 * 10**(r - 1) away, beyond
@@ -149,7 +146,7 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     up |= same
     digits += up
     exponent = e10.view(np.int64) + removed
-    zeros = zeros[(key[zeros] & np.uint64(0x7FF)) == 0]  # they ran with mv = 0
+    zeros = zeros[key[zeros] == 0]  # they ran with mv = 0
     digits[zeros], exponent[zeros] = 0, 0
     return digits, exponent
 
@@ -160,9 +157,9 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     NULs and two zeros (the places of 10**21 and 10**20 that a zero-filled value may reach);
     byte masks and literals of a 24-byte row, indexed by the code ``_rows`` takes: digits kept in
     place right of the point, digits to move one place left of it, and point and sign.  Then
-    ``float_text``'s layout by exponent (-120..120), digit count and sign: the code, 10**pad (the
-    zeros that fill fixed notation), the width of the exponent's suffix (0 in fixed notation) and
-    of the row; and each suffix "e±XX(X)", right-aligned in 5 bytes, from power -400."""
+    ``float_text``'s layout by exponent (-21..17), digit count and sign: the code, 10**pad (the
+    zeros that fill fixed notation), 4 for a suffix "e±XX" (0 in fixed notation) and the row's
+    width; and each suffix "e±XX(X)", right-aligned in 5 bytes, from power -330."""
     k = np.arange(10000, dtype=np.int16)
     four = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
     four = np.vstack([four, [0, 0, ord("0"), ord("0")]]).astype(np.uint8).view(np.uint32).ravel()
@@ -175,9 +172,9 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     left = ((r >= tail) & (r < length)) * full
     marks = (r == tail) * (point * dot) + (r == length + 1) * (sign * minus)
     masks = (np.broadcast_to(a, shape).reshape(-1, 24).astype(np.uint8) for a in (right, left, marks))
-    suffixes = np.array([f"e{p:+03d}".rjust(5, "\0").encode() for p in range(-400, 400)]).view(np.uint8).reshape(-1, 5)
-    # past an exponent of +-117 only the exponent's own width (three digits) sets the layout
-    exponent, count, sign = np.meshgrid(np.arange(-120, 121), np.arange(18), np.arange(2), indexing="ij")
+    suffixes = np.array([f"e{p:+03d}".rjust(5, "\0").encode() for p in range(-330, 330)]).view(np.uint8).reshape(-1, 5)
+    # past these exponents every layout is an exponent's (float_text widens three-digit ones)
+    exponent, count, sign = np.meshgrid(np.arange(-21, 18), np.arange(18), np.arange(2), indexing="ij")
     decpt = exponent + count
     fixed, below = (decpt > -4) & (decpt <= 16), decpt < count
     # fixed notation writes every digit of digits * 10**pad, zero-filled to `length`, with the point
@@ -186,7 +183,7 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     tail = np.where(fixed, np.where(below, count - decpt, 1), np.maximum(count - 1, 1))
     pad = np.where(fixed & ~below, decpt - count + 1, 0)
     length = np.where(fixed, np.maximum(decpt, 1) + tail, np.where(count > 1, count, 0))
-    suffix = np.where(fixed, 0, np.where(np.abs(decpt - 1) >= 100, 5, 4))
+    suffix = np.where(fixed, 0, 4)
     code = ((length * 21 + tail) * 2 + sign) * 2 + (fixed | (count > 1))
     layout = np.stack([code, 10**pad, suffix, np.maximum(length, 1) + (fixed | (count > 1)) + suffix + sign], axis=-1)
     return four, *masks, layout.reshape(-1, 4).astype(np.uint64), suffixes
@@ -231,15 +228,18 @@ def float_text(values: np.ndarray) -> np.ndarray:
     digits, exponent = shortest_digits(values)
     count = _digit_count(digits)
     *_, layout, suffixes = _layout_tables()
-    key = (np.clip(exponent, -120, 120) + 120) * 36 + count * 2 + np.signbit(values).ravel()
+    key = (np.clip(exponent, -21, 17) + 21) * 36 + count * 2 + np.signbit(values).ravel()
     code, scale, suffix, width = layout.take(key, axis=0).T
     rows = _rows(digits * scale, code)
+    widest = int(width.max(initial=1))
     exponential = np.flatnonzero(suffix)
     if exponential.size:
         power = exponent[exponential] + count[exponential] - 1
-        moved = np.concatenate([rows[exponential], suffixes.take(power + 400, axis=0)], axis=1)
-        rows[exponential] = np.take_along_axis(moved, _SUFFIX_FROM[(np.abs(power) < 100).astype(np.intp)], axis=1)
-    return rows[:, 24 - int(width.max(initial=1)):]
+        three = np.abs(power) >= 100
+        moved = np.concatenate([rows[exponential], suffixes.take(power + 330, axis=0)], axis=1)
+        rows[exponential] = np.take_along_axis(moved, _SUFFIX_FROM[(~three).astype(np.intp)], axis=1)
+        widest = max(widest, int((width[exponential] + three).max()))
+    return rows[:, 24 - widest:]
 
 
 def int_text(values: np.ndarray) -> np.ndarray:
