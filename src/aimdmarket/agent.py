@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .utility import UtilityKind, UtilitySpec
+from .utility import UtilityColumns, UtilitySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import MarketConfig, ScenarioSpec
@@ -50,26 +50,19 @@ BRANCHES = tuple(Branch)  # the arrays hold branch codes indexing this
 DECREASE_MULT, INCREASE, DECREASE_ADD = range(3)
 
 
-def _column(values, dtype=float) -> np.ndarray:
-    return np.array(values, dtype=dtype).reshape(-1, 1)
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Every agent's constants as (agents x 1) columns, suppliers first.
-
-    Unused utility parameters hold neutral values: a sqrt agent's optimum
-    is +inf, so the additive branch always increases it.
-    """
+    """Every agent's constants as (agents x 1) columns, suppliers first."""
 
     agent_ids: tuple[str, ...]
     roles: tuple[Role, ...]
     utilities: tuple[UtilitySpec, ...]
     num_suppliers: int
-    is_sqrt: np.ndarray
-    optimum: np.ndarray
-    curvature: np.ndarray
-    scale: np.ndarray
+    family: UtilityColumns
     alpha: np.ndarray
     beta: np.ndarray
     gamma: float  # the market's one network constant
@@ -81,27 +74,16 @@ class Population:
         agents += [(f"c{j}", Role.CONSUMER, u, config.alpha_c, config.beta_c)
                    for j, u in enumerate(scenario.consumer_utilities)]
         ids, roles, utilities, alpha, beta = zip(*agents)
-        sqrt = [u.kind is UtilityKind.SQRT_MONOTONE for u in utilities]
-        return cls(
-            ids,
-            roles,
-            utilities,
-            len(scenario.supplier_utilities),
-            is_sqrt=_column(sqrt, bool),
-            optimum=_column([np.inf if s else u.optimum + 0.0 for s, u in zip(sqrt, utilities)]),
-            curvature=_column([1.0 if s else u.curvature for s, u in zip(sqrt, utilities)]),
-            scale=_column([u.scale if s else 1.0 for s, u in zip(sqrt, utilities)]),
-            alpha=_column(alpha),
-            beta=_column(beta),
-            gamma=config.gamma,
-        )
+        return cls(ids, roles, utilities, len(scenario.supplier_utilities), UtilityColumns.of(utilities),
+                   _column(alpha), _column(beta), config.gamma)
 
     def widened(self, replicates: int) -> "Population":
         """This population with every constant column broadcast to (agents x ``replicates``), so that
         the round step's ufuncs run on same-shape arrays."""
         shape = (len(self.agent_ids), replicates)
-        return replace(self, **{name: np.ascontiguousarray(np.broadcast_to(value, shape))
-                                for name, value in vars(self).items() if isinstance(value, np.ndarray)})
+        *family, alpha, beta = (np.ascontiguousarray(np.broadcast_to(value, shape))
+                                for value in (*self.family, self.alpha, self.beta))
+        return replace(self, family=UtilityColumns(*family), alpha=alpha, beta=beta)
 
     def bind_step(self):
         """The round step, with this population's columns, its scalar operands (as arrays of the columns'
@@ -113,23 +95,20 @@ class Population:
         average, u'(average), raw lambda, Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.
         The raw lambda Gamma u'(avg) / avg is unclamped and arbitrary unless signalled and avg >= EPS_AVG
         (see ``backoff_probability``); there a draw is below it exactly when below its clamp to [0, 1],
-        -0.0 and NaN included.  u'(average) is ``UtilitySpec.derivative``'s; a sqrt agent's average is never
-        0, as its quantity starts with +alpha and stays positive."""
-        optimum, curvature, scale, alpha, beta, is_sqrt = (
-            self.optimum, self.curvature, self.scale, self.alpha, self.beta, self.is_sqrt)
-        constants = (0.0, EPS_AVG, self.gamma, -2.0, 2.0)
-        zero, eps_avg, gamma, minus_two, two = (np.full(optimum.shape, c) for c in constants)
-        has_sqrt = bool(is_sqrt.any())
-        subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto, sqrt = (
+        -0.0 and NaN included.  u'(average) is ``UtilityColumns.bind_derivative``'s; a sqrt agent's average
+        is never 0, as its quantity starts with +alpha and stays positive."""
+        optimum, alpha, beta, derivative = self.family.optimum, self.alpha, self.beta, self.family.bind_derivative()
+        zero, eps_avg, gamma = (np.full(optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma))
+        subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto = (
             np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,
-            np.greater_equal, np.copyto, np.sqrt)
+            np.greater_equal, np.copyto)
 
         def step(before, after, rounds: int, signalled, draws, scratch) -> None:
             quantity, avg, marginal = before
             new_quantity, new_avg, new_marginal, raw, bernoulli = after
             floats, flags = scratch
-            # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as build stores an optimum of
-            # -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
+            # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as UtilityColumns stores an optimum
+            # of -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
             subtract(optimum, quantity, out=new_quantity)
             copysign(alpha, new_quantity, out=new_quantity)
             add(quantity, new_quantity, out=new_quantity)
@@ -146,22 +125,14 @@ class Population:
             multiply(avg, rounds, out=new_avg)
             add(new_avg, new_quantity, out=new_avg)
             divide(new_avg, rounds + 1, out=new_avg)
-            # u'(new average): -2 (avg - z*) / h, or scale / (2 sqrt(avg)) on the sqrt agents' entries
-            subtract(new_avg, optimum, out=new_marginal)
-            multiply(minus_two, new_marginal, out=new_marginal)
-            divide(new_marginal, curvature, out=new_marginal)
-            if has_sqrt:  # computed everywhere (0 divides by 0), kept where is_sqrt
-                sqrt(new_avg, out=floats)
-                multiply(two, floats, out=floats)
-                divide(scale, floats, out=floats)
-                copyto(new_marginal, floats, where=is_sqrt)
+            derivative(new_avg, new_marginal, floats)
 
         return step
 
     def branches(self, quantity: np.ndarray, bernoulli: np.ndarray) -> np.ndarray:
         """The branch code of each step, from the quantity entering it (agents
         along the last axis) and its Bernoulli bit."""
-        codes = np.where(quantity <= self.optimum.T, INCREASE, DECREASE_ADD)
+        codes = np.where(quantity <= self.family.optimum.T, INCREASE, DECREASE_ADD)
         codes[bernoulli] = DECREASE_MULT
         return codes
 

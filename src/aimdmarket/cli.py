@@ -20,7 +20,7 @@ import numpy as np
 
 from .agent import Role
 from .market import replicate_series, run
-from .metrics import confidence_band, export_band_series, export_run
+from .metrics import CONFIDENCE_LEVEL, confidence_band, export_band_series, export_run
 from .scenario import (
     REFERENCE_NAMES,
     MarketConfig,
@@ -132,7 +132,7 @@ def _cmd_replicate(args) -> int:
         "replicates": args.replicates,
         "seeds": [config.seed + k for k in range(args.replicates)],
         "series": "mean_supplier_derivative",
-        "level": 0.95,
+        "level": CONFIDENCE_LEVEL,
     }
     # a non-finite summary fails here and a non-finite band in
     # export_band_series, both before anything is written

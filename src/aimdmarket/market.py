@@ -143,12 +143,7 @@ class _Tail:
 
     def summaries(self, scenario: ScenarioSpec) -> list[RunSummary]:
         supply, consumption = (self.sums[0] / self.window).tolist()
-        averages, derivatives = self.final
-        return [
-            summarize_final(self.horizon, self.window, supply[k], consumption[k],
-                            averages[:, k].tolist(), derivatives[:, k].tolist(), scenario)
-            for k in range(len(supply))
-        ]
+        return summarize_final(self.horizon, self.window, supply, consumption, *self.final, scenario)
 
 
 def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:

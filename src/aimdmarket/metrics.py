@@ -18,9 +18,7 @@ import os
 import shutil
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
-from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +26,7 @@ import numpy as np
 from .agent import BRANCHES, Population, Role
 from .scenario import ScenarioSpec, atomic_writer
 from .text import compact, float_text, int_text, join, literals
-from .utility import ordered_sum
+from .utility import UtilityColumns, ordered_sum
 
 CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
@@ -48,6 +46,10 @@ FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "
 # of their values are distinct on paper-a, 7.8% and 6.9% on paper-b.  Each distinct value is
 # formatted once; the other columns are 61-100% distinct.
 REPEATING_COLUMNS = ("quantity", "backoff_probability")
+
+# The confidence bands' level, and its two-sided normal quantile NormalDist().inv_cdf(0.975)
+# written out, so that no run imports `statistics`.
+CONFIDENCE_LEVEL, CONFIDENCE_Z = 0.95, 1.9599639845400536
 
 # Trailing-window rule for "lingers around" summaries: 10% of the recorded
 # horizon but at least 100 rounds, capped by what exists.
@@ -75,17 +77,13 @@ class Trajectory:
     @cached_property
     def _utilities(self) -> tuple[np.ndarray, np.ndarray]:
         """``utility_value`` and ``sum_of_utilities``, EXPORT_CHUNK rounds at a time, so that no whole-run
-        list of Python floats is built.  u(running average) is bit for bit as ``UtilitySpec.evaluate``
-        computes it: its ``(z - z*) ** 2`` is libm ``pow``, which ``d * d`` and ``np.square`` do not always
-        match.  Sums add in agent order; `+ 0.0` turns a -0.0 total into 0.0, as utility.ordered_sum does."""
-        p, avg = self.population, self.running_average
+        list of Python floats is built.  Sums add in agent order; `+ 0.0` turns a -0.0 total into 0.0,
+        as utility.ordered_sum does."""
+        family, avg = self.population.family, self.running_average
         values, sums = np.empty(avg.shape), np.empty(len(avg))
         for start in range(0, len(avg), EXPORT_CHUNK):
             rows = slice(start, start + EXPORT_CHUNK)
-            gaps = (avg[rows] - p.optimum.T).ravel().tolist()
-            squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(-1, avg.shape[1])
-            quadratic = -squares / p.curvature.T + 1.5 * p.curvature.T
-            values[rows] = np.where(p.is_sqrt.T, p.scale.T * np.sqrt(avg[rows]), quadratic)
+            values[rows] = family.values(avg[rows].T).T
             sums[rows] = values[rows].cumsum(axis=1)[:, -1] + 0.0
         return values, sums
 
@@ -149,8 +147,8 @@ def detect_convergence(
     return None
 
 
-def confidence_band(replicates: Sequence[Sequence[float]], level: float = 0.95) -> BandSeries:
-    """Normal-approximation band: mean +/- z * s / sqrt(R) per round,
+def confidence_band(replicates: Sequence[Sequence[float]]) -> BandSeries:
+    """Normal-approximation band at CONFIDENCE_LEVEL: mean +/- z * s / sqrt(R) per round,
     with the sample standard deviation (n-1 denominator) across replicates."""
     if len(replicates) < 2:
         raise ValueError("confidence_band needs at least 2 replicates")
@@ -159,9 +157,8 @@ def confidence_band(replicates: Sequence[Sequence[float]], level: float = 0.95) 
         raise ValueError("replicate trajectories must have equal length")
     data = np.asarray(replicates, dtype=float)
     r = data.shape[0]
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     mean = data.mean(axis=0)
-    half = z * data.std(axis=0, ddof=1) / math.sqrt(r)
+    half = CONFIDENCE_Z * data.std(axis=0, ddof=1) / math.sqrt(r)
     return BandSeries(
         rounds=tuple(range(1, data.shape[1] + 1)),
         mean=tuple(mean.tolist()),
@@ -341,41 +338,38 @@ def trailing_window(rounds: int) -> int:
 def summarize_final(
     final_round: int,
     window: int,
-    trailing_mean_supply: float,
-    trailing_mean_consumption: float,
-    running_averages: Sequence[float],
-    derivatives: Sequence[float],
+    trailing_mean_supply: Sequence[float],
+    trailing_mean_consumption: Sequence[float],
+    running_averages: np.ndarray,
+    derivatives: np.ndarray,
     scenario: ScenarioSpec,
-) -> RunSummary:
-    """The summary of a run from its trailing-window means and each
-    agent's final running average and derivative (suppliers first)."""
+) -> list[RunSummary]:
+    """The summaries of R runs of ``scenario``, from each run's trailing-window means and the
+    (agents x R) final running averages and derivatives (suppliers first)."""
     s = len(scenario.supplier_utilities)
     utilities = scenario.supplier_utilities + scenario.consumer_utilities
     try:
-        values = [u.evaluate(avg) for u, avg in zip(utilities, running_averages)]
+        values = UtilityColumns.of(utilities).values(running_averages)
     except OverflowError:  # (z - z*) ** 2 past the largest float
         raise ValueError("the run overflowed: final_sum_of_utilities is out of range") from None
-    agents = []
-    for k, (u, avg, derivative) in enumerate(zip(utilities, running_averages, derivatives)):
-        optimum = u.argmax()
-        agents.append(
-            AgentSummary(
-                agent_id=f"s{k}" if k < s else f"c{k - s}",
-                role=Role.SUPPLIER if k < s else Role.CONSUMER,
-                final_running_average=avg,
-                optimum=optimum,
-                distance_to_optimum=None if optimum is None else abs(avg - optimum),
-                final_derivative=derivative,
-            )
+    names = [(f"s{k}", Role.SUPPLIER) if k < s else (f"c{k - s}", Role.CONSUMER) for k in range(len(utilities))]
+    optima = [u.argmax() for u in utilities]
+    summaries = []
+    for k, (averages, run_values, run_derivatives) in enumerate(
+            zip(running_averages.T.tolist(), values.T.tolist(), derivatives.T.tolist())):
+        agents = tuple(
+            AgentSummary(agent_id, role, avg, optimum, None if optimum is None else abs(avg - optimum), derivative)
+            for (agent_id, role), avg, optimum, derivative in zip(names, averages, optima, run_derivatives)
         )
-    return RunSummary(
-        final_round=final_round,
-        window=window,
-        trailing_mean_supply=trailing_mean_supply,
-        trailing_mean_consumption=trailing_mean_consumption,
-        final_sum_of_utilities=ordered_sum(values),
-        final_supplier_utility_sum=ordered_sum(values[:s]),
-        final_consumer_utility_sum=ordered_sum(values[s:]),
-        final_mean_abs_derivative=ordered_sum(abs(d) for d in derivatives) / len(derivatives),
-        agents=tuple(agents),
-    )
+        summaries.append(RunSummary(
+            final_round=final_round,
+            window=window,
+            trailing_mean_supply=trailing_mean_supply[k],
+            trailing_mean_consumption=trailing_mean_consumption[k],
+            final_sum_of_utilities=ordered_sum(run_values),
+            final_supplier_utility_sum=ordered_sum(run_values[:s]),
+            final_consumer_utility_sum=ordered_sum(run_values[s:]),
+            final_mean_abs_derivative=ordered_sum(map(abs, run_derivatives)) / len(run_derivatives),
+            agents=agents,
+        ))
+    return summaries

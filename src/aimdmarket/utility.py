@@ -1,4 +1,4 @@
-"""Private agent utility functions: value, first derivative, and optimum.
+"""Private agent utility functions: the one module that knows their formulas.
 
 Two families are supported:
 
@@ -7,14 +7,15 @@ Two families are supported:
 * ``sqrt_monotone`` -- f(z) = l * sqrt(z), strictly increasing and concave,
   with no finite maximum.
 
-A ``UtilitySpec`` holds its fields as given; ``scenario.validate_scenario``
-checks them, so a config file's bad utilities are reported with the rest
-of its violations.
+A ``UtilitySpec`` holds one agent's fields as given, with its ``argmax``
+and dict I/O; ``scenario.validate_scenario`` checks the fields, so a
+config file's bad utilities are reported with the rest of its violations.
+``UtilityColumns`` holds a population's fields as columns and evaluates
+the family on arrays: the value (``values``) and, in place, the derivative
+(``bind_derivative``) that the round step runs.
 
-A new family extends ``UtilityKind`` and the methods here, and also the
-array forms that branch on the sqrt kind: ``agent.Population.build``, the
-derivative in its ``bind_step``, ``metrics.Trajectory.utility_value``, and
-the field table of ``scenario.validate_scenario``.
+A new family extends ``UtilityKind`` and this module, and also the field
+table of ``scenario.validate_scenario``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
 def ordered_sum(values) -> float:
@@ -36,15 +40,6 @@ def ordered_sum(values) -> float:
 class UtilityKind(str, Enum):
     QUADRATIC = "quadratic"
     SQRT_MONOTONE = "sqrt_monotone"
-
-
-class UnboundedDerivativeError(ArithmeticError):
-    """The derivative diverges at the requested point (sqrt family at z=0).
-
-    Raised instead of returning a sentinel so that callers decide how to
-    clamp.  The array kernel never meets it: a sqrt agent's running
-    average stays positive.
-    """
 
 
 @dataclass(frozen=True)
@@ -71,28 +66,6 @@ class UtilitySpec:
     def sqrt_monotone(cls, scale: float) -> "UtilitySpec":
         return cls(UtilityKind.SQRT_MONOTONE, scale=scale)
 
-    def evaluate(self, z: float) -> float:
-        """Utility value at quantity ``z >= 0``."""
-        if z < 0:
-            raise ValueError(f"quantity must be nonnegative, got {z}")
-        if self.kind is UtilityKind.QUADRATIC:
-            return -((z - self.optimum) ** 2) / self.curvature + 1.5 * self.curvature
-        return self.scale * math.sqrt(z)
-
-    def derivative(self, z: float) -> float:
-        """Marginal utility at ``z``.
-
-        The sqrt family has an unbounded derivative at z=0; that point
-        raises :class:`UnboundedDerivativeError`.
-        """
-        if z < 0:
-            raise ValueError(f"quantity must be nonnegative, got {z}")
-        if self.kind is UtilityKind.QUADRATIC:
-            return -2.0 * (z - self.optimum) / self.curvature
-        if z == 0:
-            raise UnboundedDerivativeError("sqrt utility has infinite slope at 0")
-        return self.scale / (2.0 * math.sqrt(z))
-
     def argmax(self) -> Optional[float]:
         """Location of the finite maximum, or None when none exists."""
         if self.kind is UtilityKind.QUADRATIC:
@@ -117,3 +90,63 @@ class UtilitySpec:
             curvature=record.get("curvature"),
             scale=record.get("scale"),
         )
+
+
+class UtilityColumns(NamedTuple):
+    """The utilities of a population as (agents x 1) columns, in agent order, or broadcast to (agents x R).
+
+    A field that an agent's kind leaves unset holds a neutral value: a sqrt agent's optimum is +inf, so
+    its additive move always increases, and its curvature 1.0; a quadratic agent's scale is 1.0.  An
+    optimum of -0.0 is stored as +0.0, so that z* - q is +0.0 at q = z*.  Each form below evaluates
+    both kinds everywhere and keeps the sqrt form on the sqrt agents' entries, by the one-agent
+    formula's operations in its order, so each value is bit-identical to evaluating the agents one at
+    a time.
+    """
+
+    is_sqrt: np.ndarray
+    optimum: np.ndarray
+    curvature: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, utilities: Sequence[UtilitySpec]) -> "UtilityColumns":
+        sqrt = [u.kind is UtilityKind.SQRT_MONOTONE for u in utilities]
+        return cls(*(np.array(values, dtype).reshape(-1, 1) for values, dtype in (
+            (sqrt, bool),
+            ([np.inf if s else u.optimum + 0.0 for s, u in zip(sqrt, utilities)], float),
+            ([1.0 if s else u.curvature for s, u in zip(sqrt, utilities)], float),
+            ([u.scale if s else 1.0 for s, u in zip(sqrt, utilities)], float),
+        )))
+
+    def values(self, avg: np.ndarray) -> np.ndarray:
+        """u(avg), with agents along the first axis of ``avg``.  The square of (z - z*) is libm ``pow``
+        value by value, as ``** 2`` on a float is: ``d * d``, ``np.square`` and ``np.power`` each
+        differ from it on some values.  A square past the largest float raises OverflowError, as
+        ``** 2`` does."""
+        gaps = (avg - self.optimum).ravel().tolist()
+        squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(avg.shape)
+        return np.where(self.is_sqrt, self.scale * np.sqrt(avg), -squares / self.curvature + 1.5 * self.curvature)
+
+    def bind_derivative(self):
+        """``derivative(avg, out, scratch)``: u'(avg) written to ``out`` in place, with a float
+        ``scratch`` array of ``avg``'s shape, to which the columns broadcast.  The operands and
+        ufuncs are bound once, so a caller that runs it every round looks nothing up.  At avg = 0
+        a sqrt agent's u' is unbounded and divides by 0, so the caller ignores divide errors; the
+        kernel never reads it there."""
+        is_sqrt, optimum, curvature, scale = self
+        minus_two, two = np.full(optimum.shape, -2.0), np.full(optimum.shape, 2.0)
+        has_sqrt = bool(is_sqrt.any())
+        subtract, multiply, divide, copyto, sqrt = np.subtract, np.multiply, np.divide, np.copyto, np.sqrt
+
+        def derivative(avg, out, scratch) -> None:
+            # -2 (avg - z*) / h, or scale / (2 sqrt(avg)) on the sqrt agents' entries
+            subtract(avg, optimum, out=out)
+            multiply(minus_two, out, out=out)
+            divide(out, curvature, out=out)
+            if has_sqrt:
+                sqrt(avg, out=scratch)
+                multiply(two, scratch, out=scratch)
+                divide(scale, scratch, out=scratch)
+                copyto(out, scratch, where=is_sqrt)
+
+        return derivative

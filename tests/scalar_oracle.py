@@ -13,9 +13,11 @@ here.  ``records_from`` views a package ``metrics.Trajectory`` as the
 same records, so a mismatch can be named by its round, and ``summarize``
 and ``mean_derivative_series`` are the record-by-record reductions that
 ``market.run`` and ``market.replicate_series`` must reproduce.  The
-oracle's signal rule is its own, written out apart from the kernel's,
-and ``check_derivative`` checks ``UtilitySpec.derivative`` against a
-central difference.
+oracle's signal rule is its own, written out apart from the kernel's, and
+so are its utility forms: ``evaluate`` and ``derivative`` are the scalar
+formulas that ``utility.UtilityColumns`` evaluates on arrays, and
+``check_derivative`` checks the one against a central difference of the
+other.
 Its float totals use ``utility.ordered_sum``, as the package's do, so
 the oracle adds in the same order on every Python version.
 """
@@ -24,9 +26,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
 from aimdmarket.market import agent_rng_streams
@@ -39,7 +44,40 @@ from aimdmarket.metrics import (
     trailing_window,
 )
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
-from aimdmarket.utility import UnboundedDerivativeError, UtilitySpec, ordered_sum
+from aimdmarket.utility import UtilityKind, UtilitySpec, ordered_sum
+
+
+class UnboundedDerivativeError(ArithmeticError):
+    """The derivative diverges at the requested point (sqrt family at z=0).
+
+    Raised instead of returning a sentinel so that callers decide how to
+    clamp.  The array kernel never meets it: a sqrt agent's running
+    average stays positive.
+    """
+
+
+def evaluate(u: UtilitySpec, z: float) -> float:
+    """Utility value at quantity ``z >= 0``."""
+    if z < 0:
+        raise ValueError(f"quantity must be nonnegative, got {z}")
+    if u.kind is UtilityKind.QUADRATIC:
+        return -((z - u.optimum) ** 2) / u.curvature + 1.5 * u.curvature
+    return u.scale * math.sqrt(z)
+
+
+def derivative(u: UtilitySpec, z: float) -> float:
+    """Marginal utility at ``z``.
+
+    The sqrt family has an unbounded derivative at z=0; that point
+    raises :class:`UnboundedDerivativeError`.
+    """
+    if z < 0:
+        raise ValueError(f"quantity must be nonnegative, got {z}")
+    if u.kind is UtilityKind.QUADRATIC:
+        return -2.0 * (z - u.optimum) / u.curvature
+    if z == 0:
+        raise UnboundedDerivativeError("sqrt utility has infinite slope at 0")
+    return u.scale / (2.0 * math.sqrt(z))
 
 
 @dataclass(frozen=True)
@@ -119,21 +157,27 @@ def compute_signals(total_supply: float, total_consumption: float, flip_semantic
 
 
 def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
-    """Trailing-window totals plus per-agent closing state."""
+    """Trailing-window totals plus per-agent closing state.  The utility sums
+    add the final record's values, which ``evaluate`` computed."""
     if not records:
         raise ValueError("summarize needs at least one round")
     window = trailing_window(len(records))
     tail = records[-window:]
     final = records[-1]
-    return summarize_final(
+    (summary,) = summarize_final(
         final.round,
         window,
-        ordered_sum(r.total_supply for r in tail) / window,
-        ordered_sum(r.total_consumption for r in tail) / window,
-        [e.running_average for e in final.per_agent],
-        [e.utility_derivative for e in final.per_agent],
+        [ordered_sum(r.total_supply for r in tail) / window],
+        [ordered_sum(r.total_consumption for r in tail) / window],
+        np.array([[e.running_average] for e in final.per_agent]),
+        np.array([[e.utility_derivative] for e in final.per_agent]),
         scenario,
     )
+    values = [e.utility_value for e in final.per_agent]
+    s = len(scenario.supplier_utilities)
+    return replace(summary, final_sum_of_utilities=ordered_sum(values),
+                   final_supplier_utility_sum=ordered_sum(values[:s]),
+                   final_consumer_utility_sum=ordered_sum(values[s:]))
 
 
 def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[float]:
@@ -152,8 +196,8 @@ def check_derivative(u: UtilitySpec, z: float, h: float) -> float:
         raise ValueError("step h must be positive")
     if z - h < 0:
         raise ValueError("z - h must stay in the domain")
-    finite_diff = (u.evaluate(z + h) - u.evaluate(z - h)) / (2.0 * h)
-    return abs(u.derivative(z) - finite_diff)
+    finite_diff = (evaluate(u, z + h) - evaluate(u, z - h)) / (2.0 * h)
+    return abs(derivative(u, z) - finite_diff)
 
 
 @dataclass(frozen=True)
@@ -205,7 +249,7 @@ def compute_backoff_probability(state: AgentState, params: RoleParams) -> float:
     if avg < EPS_AVG:
         return 0.0
     try:
-        marginal = state.utility.derivative(avg)
+        marginal = derivative(state.utility, avg)
     except UnboundedDerivativeError:
         return 1.0
     raw = params.gamma * marginal / avg
@@ -306,8 +350,8 @@ def _round_record(
     entries = []
     sum_of_utilities = 0.0
     for state, trace in zip(list(suppliers) + list(consumers), traces):
-        value = state.utility.evaluate(state.running_average)
-        derivative = state.utility.derivative(state.running_average)
+        value = evaluate(state.utility, state.running_average)
+        marginal = derivative(state.utility, state.running_average)
         sum_of_utilities += value
         entries.append(
             AgentRoundEntry(
@@ -316,7 +360,7 @@ def _round_record(
                 quantity=state.quantity,
                 running_average=state.running_average,
                 utility_value=value,
-                utility_derivative=derivative,
+                utility_derivative=marginal,
                 trace=trace,
             )
         )

@@ -305,4 +305,7 @@ def test_package_root_reexports_the_public_names():
         run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult,
         aimdmarket.metrics.RunSummary, aimdmarket.scenario.MarketConfig,
     )
+    # only what the CLI, the benchmark and the tests import from the root; they import cli, metrics
+    # and scenario as submodules
+    assert sorted(aimdmarket.__all__) == ["MarketConfig", "RunResult", "RunSummary", "export_run", "run"]
     assert all(hasattr(aimdmarket, name) for name in aimdmarket.__all__)

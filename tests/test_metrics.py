@@ -94,6 +94,14 @@ def test_band_two_replicates_hand_computed():
         assert band.mean[i] - band.lower[i] == pytest.approx(1.96, rel=1e-3)
 
 
+def test_band_z_is_the_normal_quantile_of_its_level():
+    # written out as a literal so that no run imports statistics
+    from statistics import NormalDist
+
+    assert repr(metrics.CONFIDENCE_Z) == repr(NormalDist().inv_cdf(0.5 + metrics.CONFIDENCE_LEVEL / 2.0))
+    assert repr(metrics.CONFIDENCE_Z) == repr(NormalDist().inv_cdf(0.975))
+
+
 def test_band_rejects_single_replicate():
     with pytest.raises(ValueError):
         confidence_band([[1.0, 2.0]])

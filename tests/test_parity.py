@@ -19,10 +19,12 @@ from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probabi
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
-from aimdmarket.utility import UtilitySpec
+from aimdmarket.utility import UtilityColumns, UtilitySpec, ordered_sum
 from scalar_oracle import (
     REPR_LAYOUTS,
     AgentState,
+    derivative,
+    evaluate,
     export_records,
     mean_derivative_series,
     records_from,
@@ -87,10 +89,10 @@ def _assert_utility_values_match(trajectory):
     utilities = trajectory.population.utilities
     rows = zip(trajectory.running_average.tolist(), trajectory.utility_value.tolist())
     mismatched = [
-        (t, i, value, u.evaluate(avg))
+        (t, i, value, evaluate(u, avg))
         for t, (averages, values) in enumerate(rows)
         for i, (u, avg, value) in enumerate(zip(utilities, averages, values))
-        if repr(value) != repr(u.evaluate(avg))
+        if repr(value) != repr(evaluate(u, avg))
     ]
     assert mismatched == []
 
@@ -168,6 +170,51 @@ def test_utility_value_matches_evaluate(reference):
     _assert_utility_values_match(run(config, scenario).trajectory)
 
 
+def test_array_utility_forms_match_oracle_on_edges():
+    # value and u' of each (utility, average) pair as one mixed population evaluates them, against
+    # the oracle's scalar forms, by repr; overflows to +-inf are ignored, as a run ignores them
+    quad, sqrt = UtilitySpec.quadratic, UtilitySpec.sqrt_monotone
+    below, above = float(np.nextafter(50.0, 0.0)), float(np.nextafter(50.0, np.inf))
+    edges = [
+        (quad(-0.0, 20.0), [0.0, 5e-324, 1.0]),  # stored as a +0.0 optimum
+        (quad(50.0, 10.0), [50.0, below, above, 0.0]),  # at z*, just below and just above it
+        (quad(50.0, 1e-300), [50.0, below, above, 0.0, 1e6]),  # u and u' overflow at 1e6
+        (quad(50.0, 1e300), [50.0, below, above, 0.0, 1e150]),
+        (sqrt(3.0), [5e-324, 1.0, 1e300]),
+        (sqrt(1e300), [5e-324, 1e300]),  # u' overflows at 5e-324
+    ]
+    cases = [(u, z) for u, averages in edges for z in averages]
+    columns, avg = UtilityColumns.of([u for u, _ in cases]), np.array([[z] for _, z in cases])
+    marginal = np.empty_like(avg)
+    with np.errstate(over="ignore", divide="ignore"):
+        values = columns.values(avg)
+        columns.bind_derivative()(avg, marginal, np.empty_like(avg))
+    got = [(repr(value), repr(slope)) for value, slope in zip(values.ravel().tolist(), marginal.ravel().tolist())]
+    assert got == [(repr(evaluate(u, z)), repr(derivative(u, z))) for u, z in cases]
+    assert {"-inf", "inf", "-0.0"} <= {text for pair in got for text in pair}
+    # a gap whose square passes the largest float raises in both forms
+    with pytest.raises(OverflowError):
+        evaluate(quad(0.0, 1.0), 1e155)
+    with pytest.raises(OverflowError):
+        UtilityColumns.of([quad(0.0, 1.0)]).values(np.array([[1e155]]))
+
+
+@pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
+def test_replicate_summaries_match_scalar_utilities(reference):
+    # the summaries evaluate the final averages of all replicates in one array pass
+    config, scenario = reference_configs()[reference]
+    utilities, s = scenario.supplier_utilities + scenario.consumer_utilities, len(scenario.supplier_utilities)
+    _, summaries = replicate_series(config, scenario, 8)
+    for summary in summaries:
+        averages = [agent.final_running_average for agent in summary.agents]
+        values = [evaluate(u, avg) for u, avg in zip(utilities, averages)]
+        sums = (summary.final_sum_of_utilities, summary.final_supplier_utility_sum, summary.final_consumer_utility_sum)
+        assert repr(sums) == repr((ordered_sum(values), ordered_sum(values[:s]), ordered_sum(values[s:])))
+        assert [repr(agent.final_derivative) for agent in summary.agents] == [
+            repr(derivative(u, avg)) for u, avg in zip(utilities, averages)]
+    assert len({summary.final_sum_of_utilities for summary in summaries}) == 8
+
+
 def test_signed_zero_lambda_export_matches_oracle(tmp_path):
     # The consumers' round-1 lambda is a clamped raw -0.0 (see
     # test_cli.test_lambda_keeps_signed_zero); both writers keep its sign.
@@ -228,19 +275,19 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
 
 def _kernel_step(state, signal, params, draw):
     # the round step that simulate binds, from u'(avg) as the oracle computes it, then the derivations
-    # run's column store applies; u'(new avg) is checked against UtilitySpec.derivative here
+    # run's column store applies; u'(new avg) is checked against the oracle's derivative here
     config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
                           gamma=params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
     quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
     signalled, scratch = np.array([[bool(signal)]]), (np.empty((1, 1)), np.empty((1, 1), dtype=bool))
     after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
-    before = (quantity, avg, np.array([[state.utility.derivative(state.running_average)]]))
+    before = (quantity, avg, np.array([[derivative(state.utility, state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
         step = population.widened(1).bind_step()
         step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
     new_quantity, new_avg, new_marginal, raw, bernoulli = after
-    assert repr(float(new_marginal[0, 0])) == repr(state.utility.derivative(float(new_avg[0, 0])))
+    assert repr(float(new_marginal[0, 0])) == repr(derivative(state.utility, float(new_avg[0, 0])))
     branch = population.branches(quantity, bernoulli)
     return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(backoff_probability(raw, signalled, avg)[0, 0]),
             int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])

@@ -1,50 +1,66 @@
-import math
-
 import numpy as np
 import pytest
 
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, validate_scenario
-from aimdmarket.utility import UnboundedDerivativeError, UtilityKind, UtilitySpec
-from scalar_oracle import check_derivative
+from aimdmarket.utility import UtilityColumns, UtilityKind, UtilitySpec
+from scalar_oracle import UnboundedDerivativeError, check_derivative, derivative, evaluate
 
 
 def quad(optimum=50.0, curvature=10.0):
     return UtilitySpec.quadratic(optimum, curvature)
 
 
+def array_forms(u, z):
+    """u(z) and u'(z) at each of the values ``z``, by the array forms that a run evaluates."""
+    columns = UtilityColumns.of([u])
+    avg = np.array(z, dtype=float).reshape(1, -1)
+    marginal = np.empty_like(avg)
+    columns.bind_derivative()(avg, marginal, np.empty_like(avg))
+    return columns.values(avg)[0], marginal[0]
+
+
+def value(u, z):
+    return array_forms(u, z)[0]
+
+
+def slope(u, z):
+    return array_forms(u, z)[1]
+
+
 def test_evaluate_quadratic_at_optimum():
-    assert quad().evaluate(50.0) == 15.0  # 1.5 * curvature
+    assert value(quad(), [50.0]).tolist() == [15.0]  # 1.5 * curvature
 
 
 def test_evaluate_quadratic_off_optimum():
-    assert quad().evaluate(40.0) == pytest.approx(5.0)  # -100/10 + 15
+    assert value(quad(), [40.0]) == pytest.approx([5.0])  # -100/10 + 15
 
 
 def test_evaluate_sqrt():
-    assert UtilitySpec.sqrt_monotone(3.0).evaluate(4.0) == pytest.approx(6.0)
+    assert value(UtilitySpec.sqrt_monotone(3.0), [4.0]) == pytest.approx([6.0])
 
 
 def test_evaluate_rejects_negative():
+    # the oracle's scalar forms refuse a negative quantity; a run's never is
     with pytest.raises(ValueError):
-        quad().evaluate(-1.0)
+        evaluate(quad(), -1.0)
     with pytest.raises(ValueError):
-        UtilitySpec.sqrt_monotone(3.0).evaluate(-0.5)
+        evaluate(UtilitySpec.sqrt_monotone(3.0), -0.5)
 
 
 def test_derivative_values():
-    assert quad().derivative(50.0) == 0.0
-    assert quad().derivative(25.0) == pytest.approx(5.0)  # -2*(-25)/10
-    assert UtilitySpec.sqrt_monotone(3.0).derivative(4.0) == pytest.approx(0.75)
+    assert slope(quad(), [50.0, 25.0]).tolist() == pytest.approx([0.0, 5.0])  # -2*(-25)/10
+    assert slope(quad(), [50.0])[0] == 0.0
+    assert slope(UtilitySpec.sqrt_monotone(3.0), [4.0]) == pytest.approx([0.75])
 
 
 def test_derivative_rejects_negative():
     with pytest.raises(ValueError):
-        quad().derivative(-2.0)
+        derivative(quad(), -2.0)
 
 
 def test_sqrt_derivative_unbounded_at_zero():
     with pytest.raises(UnboundedDerivativeError):
-        UtilitySpec.sqrt_monotone(3.0).derivative(0.0)
+        derivative(UtilitySpec.sqrt_monotone(3.0), 0.0)
 
 
 def test_argmax():
@@ -94,24 +110,17 @@ def test_check_derivative_domain():
 
 def test_quadratic_maximum_bound():
     u = quad()
-    grid = np.linspace(0.0, 200.0, 401)
-    for z in grid:
-        assert u.evaluate(float(z)) <= 15.0 + 1e-12
+    assert (value(u, np.linspace(0.0, 200.0, 401)) <= 15.0 + 1e-12).all()
     # equality only at the optimum
-    assert u.evaluate(50.0) == 15.0
-    assert u.evaluate(49.999) < 15.0
+    assert value(u, [50.0]).tolist() == [15.0]
+    assert value(u, [49.999])[0] < 15.0
 
 
 def test_derivative_sign_matches_side_of_optimum():
-    u = quad()
-    for z in np.linspace(0.0, 120.0, 49):
-        d = u.derivative(float(z))
-        if z < 50.0:
-            assert d > 0
-        elif z > 50.0:
-            assert d < 0
-        else:
-            assert d == 0.0
+    grid = np.linspace(0.0, 120.0, 49)
+    d = slope(quad(), grid)
+    assert (d[grid < 50.0] > 0).all() and (d[grid > 50.0] < 0).all()
+    assert d[grid == 50.0].tolist() == [0.0]
 
 
 def test_concavity_on_sampled_triples():
@@ -121,18 +130,15 @@ def test_concavity_on_sampled_triples():
         for _ in range(200):
             a, b = sorted(rng.uniform(0.0, 150.0, size=2))
             t = float(rng.uniform(0.0, 1.0))
-            mid = t * a + (1 - t) * b
-            lhs = u.evaluate(mid)
-            rhs = t * u.evaluate(a) + (1 - t) * u.evaluate(b)
-            assert lhs >= rhs - 1e-9
+            lhs, ua, ub = value(u, [t * a + (1 - t) * b, a, b])
+            assert lhs >= t * ua + (1 - t) * ub - 1e-9
 
 
 def test_quadratic_second_difference_negative():
-    u = quad()
+    step = 0.7
     for z in np.linspace(1.0, 120.0, 25):
-        step = 0.7
-        second = u.evaluate(float(z + step)) - 2 * u.evaluate(float(z)) + u.evaluate(float(z - step))
-        assert second < 0
+        above, at, below = value(quad(), [z + step, z, z - step])
+        assert above - 2 * at + below < 0
 
 
 def test_derivative_matches_central_difference_on_grid():
@@ -140,22 +146,15 @@ def test_derivative_matches_central_difference_on_grid():
     rng = np.random.default_rng(11)
     specs = [quad(), quad(120.0, 7.0), UtilitySpec.sqrt_monotone(2.5), UtilitySpec.sqrt_monotone(900.0)]
     for u in specs:
-        for z in rng.uniform(0.5, 200.0, size=50):
-            z = float(z)
-            d = u.derivative(z)
-            fd = (u.evaluate(z + 1e-4) - u.evaluate(z - 1e-4)) / 2e-4
-            assert abs(d - fd) <= max(1e-6 * max(abs(d), abs(fd)), 1e-9)
+        z = rng.uniform(0.5, 200.0, size=50)
+        d = slope(u, z)
+        fd = (value(u, z + 1e-4) - value(u, z - 1e-4)) / 2e-4
+        assert (abs(d - fd) <= np.maximum(1e-6 * np.maximum(abs(d), abs(fd)), 1e-9)).all()
 
 
 def test_sqrt_derivative_positive_and_strictly_decreasing():
-    u = UtilitySpec.sqrt_monotone(3.0)
-    grid = np.linspace(0.1, 300.0, 120)
-    previous = math.inf
-    for z in grid:
-        d = u.derivative(float(z))
-        assert d > 0
-        assert d < previous
-        previous = d
+    d = slope(UtilitySpec.sqrt_monotone(3.0), np.linspace(0.1, 300.0, 120))
+    assert (d > 0).all() and (np.diff(d) < 0).all()
 
 
 def test_serialization_round_trip():
