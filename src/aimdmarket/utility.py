@@ -122,10 +122,11 @@ class UtilityColumns(NamedTuple):
         """u(avg), with agents along the first axis of ``avg``.  The square of (z - z*) is libm ``pow``
         value by value, as ``** 2`` on a float is: ``d * d``, ``np.square`` and ``np.power`` each
         differ from it on some values.  A square past the largest float raises OverflowError, as
-        ``** 2`` does."""
+        ``** 2`` does; any other overflow gives +-inf quietly, as float arithmetic does."""
         gaps = (avg - self.optimum).ravel().tolist()
         squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(avg.shape)
-        return np.where(self.is_sqrt, self.scale * np.sqrt(avg), -squares / self.curvature + 1.5 * self.curvature)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(self.is_sqrt, self.scale * np.sqrt(avg), -squares / self.curvature + 1.5 * self.curvature)
 
     def bind_derivative(self):
         """``derivative(avg, out, scratch)``: u'(avg) written to ``out`` in place, with a float

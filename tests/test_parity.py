@@ -172,22 +172,22 @@ def test_utility_value_matches_evaluate(reference):
 
 def test_array_utility_forms_match_oracle_on_edges():
     # value and u' of each (utility, average) pair as one mixed population evaluates them, against
-    # the oracle's scalar forms, by repr; overflows to +-inf are ignored, as a run ignores them
+    # the oracle's scalar forms, by repr; the value form overflows to +-inf quietly, as the scalar
+    # form does, and u' under the round step's error state
     quad, sqrt = UtilitySpec.quadratic, UtilitySpec.sqrt_monotone
     below, above = float(np.nextafter(50.0, 0.0)), float(np.nextafter(50.0, np.inf))
     edges = [
         (quad(-0.0, 20.0), [0.0, 5e-324, 1.0]),  # stored as a +0.0 optimum
         (quad(50.0, 10.0), [50.0, below, above, 0.0]),  # at z*, just below and just above it
         (quad(50.0, 1e-300), [50.0, below, above, 0.0, 1e6]),  # u and u' overflow at 1e6
-        (quad(50.0, 1e300), [50.0, below, above, 0.0, 1e150]),
+        (quad(50.0, 1e300), [50.0, below, above, 0.0, 1e150, 50.0 - 1e-9, 50.0 + 3e-9]),  # subnormal u
         (sqrt(3.0), [5e-324, 1.0, 1e300]),
         (sqrt(1e300), [5e-324, 1e300]),  # u' overflows at 5e-324
     ]
     cases = [(u, z) for u, averages in edges for z in averages]
     columns, avg = UtilityColumns.of([u for u, _ in cases]), np.array([[z] for _, z in cases])
-    marginal = np.empty_like(avg)
-    with np.errstate(over="ignore", divide="ignore"):
-        values = columns.values(avg)
+    values, marginal = columns.values(avg), np.empty_like(avg)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         columns.bind_derivative()(avg, marginal, np.empty_like(avg))
     got = [(repr(value), repr(slope)) for value, slope in zip(values.ravel().tolist(), marginal.ravel().tolist())]
     assert got == [(repr(evaluate(u, z)), repr(derivative(u, z))) for u, z in cases]
