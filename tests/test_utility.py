@@ -40,7 +40,7 @@ def test_evaluate_sqrt():
 
 
 def test_evaluate_rejects_negative():
-    # the oracle's scalar forms refuse a negative quantity; a run's never is
+    # the oracle's scalar forms refuse a negative quantity; a run's averages are never negative
     with pytest.raises(ValueError):
         evaluate(quad(), -1.0)
     with pytest.raises(ValueError):
