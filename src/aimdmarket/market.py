@@ -12,12 +12,14 @@ seed, in blocks of ``DRAW_BLOCK`` rounds; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
 per-round loop walks views built once per call and keeps only what the next
 round needs: both signals from one comparison of the totals
-(``_excess_sides``), the bound round step (``Population.bind_step``), the
-side totals (``np.add.accumulate``).  ``run`` copies each block into the
+(``_excess_sides``), taken to each agent's side, the bound round step
+(``Population.bind_step``), the side totals (``np.add.accumulate``).
+``run`` copies each block, the signals each agent read included, into the
 columns of a ``metrics.Trajectory`` and derives the recorded-only columns
-over the whole run: signals, lambda masked and clamped (``backoff_probability``),
+over the whole run: lambda masked and clamped (``backoff_probability``),
 branch codes; ``replicate_series`` reduces each block to its mean-derivative
-rows.  Both reduce the trailing-window totals and final state in ``_Tail``.
+rows.  Both copy the totals of every block into one whole-run array, from
+which ``summarize_final`` takes the trailing-window means.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .agent import Population, Role, backoff_probability
-from .metrics import RunSummary, Trajectory, summarize_final, trailing_window
+from .metrics import RunSummary, Trajectory, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
+from .utility import ordered_sum
 
 # Rounds advanced per block: memory stays O(DRAW_BLOCK x agents x
 # replicates) whatever the horizon.
@@ -54,6 +57,7 @@ class Block(NamedTuple):
     derivative: np.ndarray  # u'(running_average)
     raw_lambda: np.ndarray  # Gamma u'(avg) / avg unclamped, arbitrary unless signalled and avg >= EPS_AVG
     bernoulli: np.ndarray
+    signalled: np.ndarray  # the side signal each agent read
     totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
 
 
@@ -90,18 +94,19 @@ def simulate(
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
     step, excess = population.widened(len(seeds)).bind_step(), _excess_sides(flip_signal_semantics)
     rows = min(DRAW_BLOCK, config.horizon + 1)
-    columns = [np.empty((rows, *shape)) for _ in range(4)] + [np.empty((rows, *shape), dtype=bool)]
+    columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 4 + [bool] * 2]
     totals, partial_sums = np.empty((rows, 2, len(seeds))), np.empty(shape)
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
     fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
              for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
-    sides, signalled = np.empty((2, len(seeds)), dtype=bool), np.empty(shape, dtype=bool)
+    sides = np.empty((2, len(seeds)), dtype=bool)
     # agent i reads the signal sides[side_of[i]]; side j's total is partial_sums[side_ends[j]]
     side_of, side_ends = np.repeat([0, 1], [s, shape[0] - s]), np.array([s - 1, shape[0] - 1])
     scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for the round step
     # each round's views, built once: the step's `after` (whose first three are the next round's `before`),
-    # its draws, each side's quantities, and the totals that the next round's signals compare, also reversed
-    views = list(zip(zip(*columns), np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
+    # the signals it reads, its draws, each side's quantities, and the totals that the next round's signals
+    # compare, also reversed
+    views = list(zip(zip(*columns[:5]), columns[5], np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
                      totals, totals[:, ::-1]))
     accumulate, supplier_sums, consumer_sums = np.add.accumulate, partial_sums[:s], partial_sums[s:]
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
@@ -113,7 +118,7 @@ def simulate(
             fill(out=stream[skip:block])
         # the raw lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for b, (row, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
+            for b, (row, signalled, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
                 excess(last, last_reversed, out=sides)
                 sides.take(side_of, 0, signalled)
                 # the average entering round t holds t samples (rounds 0..t-1)
@@ -124,26 +129,6 @@ def simulate(
                 partial_sums.take(side_ends, 0, total)
                 before, last, last_reversed = row[:3], total, reversed_total
         yield Block(first, *(column[:block] for column in columns), totals[:block])
-
-
-class _Tail:
-    """The trailing-window mean totals and the final state, reduced block by block."""
-
-    def __init__(self, horizon: int, replicates: int):
-        # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
-        self.horizon, self.window = horizon, trailing_window(max(horizon, 1))
-        self.start = horizon + 1 - self.window
-        self.sums = np.zeros((1, 2, replicates))
-
-    def add(self, block: Block) -> None:
-        # 0.0 + left to right, as utility.ordered_sum
-        totals = block.totals[max(self.start - block.first, 0):]
-        self.sums = np.concatenate([self.sums, totals]).cumsum(axis=0)[-1:]
-        self.final = block.running_average[-1].copy(), block.derivative[-1].copy()
-
-    def summaries(self, scenario: ScenarioSpec) -> list[RunSummary]:
-        supply, consumption = (self.sums[0] / self.window).tolist()
-        return summarize_final(self.horizon, self.window, supply, consumption, *self.final, scenario)
 
 
 def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
@@ -166,21 +151,19 @@ def run(
     population = Population.build(config, scenario)
     shape = (config.horizon + 1, len(population.agent_ids))
     quantity, running_average, derivative, lam = (np.empty(shape) for _ in range(4))
-    bernoulli, totals, tail = np.empty(shape, dtype=bool), np.empty((2, shape[0])), _Tail(config.horizon, 1)
+    bernoulli, signalled, totals = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool), np.empty((shape[0], 2, 1))
     for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
         rows = slice(block.first, block.first + len(block.quantity))
-        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:-1]):
+        for column, value in zip((quantity, running_average, derivative, lam, bernoulli, signalled), block[1:-1]):
             column[rows] = value[..., 0]  # replicate 0
-        totals[:, rows] = block.totals[..., 0].T
-        tail.add(block)
+        totals[rows] = block.totals
     start = np.full((1, shape[1]), float(config.initial_quantity))
-    signals = np.zeros((2, shape[0]), dtype=bool)  # round 0 follows no round
-    _excess_sides(flip_signal_semantics)(totals[:, :-1], totals[::-1, :-1], out=signals[:, 1:])
-    signalled = np.repeat(signals, [population.num_suppliers, shape[1] - population.num_suppliers], axis=0).T
     backoff_probability(lam, signalled, np.concatenate([start, running_average[:-1]]))  # in place
     trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli,
-                            population.branches(np.concatenate([start, quantity[:-1]]), bernoulli), *totals, *signals)
-    return RunResult(trajectory, tail.summaries(scenario)[0])
+                            population.branches(np.concatenate([start, quantity[:-1]]), bernoulli),
+                            *totals[..., 0].T, signalled[:, 0], signalled[:, population.num_suppliers])
+    (summary,) = summarize_final(population, config.horizon, totals, running_average[-1:].T, derivative[-1:].T)
+    return RunResult(trajectory, summary)
 
 
 def replicate_series(
@@ -205,12 +188,11 @@ def replicate_series(
     s = population.num_suppliers
     members = slice(0, s) if role is Role.SUPPLIER else slice(s, None)
     count = len(population.agent_ids[members])
-    means, tail = [], _Tail(config.horizon, replicates)
+    means, totals = [], np.empty((config.horizon + 1, 2, replicates))
     seeds = [config.seed + k for k in range(replicates)]
     for block in simulate(population, config, seeds, flip_signal_semantics=flip_signal_semantics):
-        # rounds 1.. only, in agent order; `+ 0.0` turns a -0.0 total into
-        # 0.0, as utility.ordered_sum (which starts from 0.0) does
-        derivative = block.derivative[max(1 - block.first, 0):, members]
-        means.append((derivative.cumsum(axis=1)[:, -1] + 0.0) / count)
-        tail.add(block)
-    return np.concatenate(means).T.tolist(), tail.summaries(scenario)
+        # rounds 1.. only, in agent order
+        means.append(ordered_sum(block.derivative[max(1 - block.first, 0):, members], axis=1) / count)
+        totals[block.first:block.first + len(block.totals)] = block.totals
+    final = block.running_average[-1], block.derivative[-1]
+    return np.concatenate(means).T.tolist(), summarize_final(population, config.horizon, totals, *final)

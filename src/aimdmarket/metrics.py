@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .agent import BRANCHES, Population, Role
-from .scenario import ScenarioSpec, atomic_writer
+from .scenario import atomic_writer
 from .text import compact, float_text, int_text, join, literals
-from .utility import UtilityColumns, ordered_sum
+from .utility import ordered_sum
 
 CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
@@ -76,15 +76,14 @@ class Trajectory:
 
     @cached_property
     def _utilities(self) -> tuple[np.ndarray, np.ndarray]:
-        """``utility_value`` and ``sum_of_utilities``, EXPORT_CHUNK rounds at a time, so that no whole-run
-        list of Python floats is built.  Sums add in agent order; `+ 0.0` turns a -0.0 total into 0.0,
-        as utility.ordered_sum does."""
+        """``utility_value`` and ``sum_of_utilities`` (in agent order), EXPORT_CHUNK rounds at a time, so
+        that no whole-run list of Python floats is built."""
         family, avg = self.population.family, self.running_average
         values, sums = np.empty(avg.shape), np.empty(len(avg))
         for start in range(0, len(avg), EXPORT_CHUNK):
             rows = slice(start, start + EXPORT_CHUNK)
             values[rows] = family.values(avg[rows].T).T
-            sums[rows] = values[rows].cumsum(axis=1)[:, -1] + 0.0
+            sums[rows] = ordered_sum(values[rows], axis=1)
         return values, sums
 
     utility_value = property(lambda self: self._utilities[0])  # u(running average) per round and agent
@@ -336,40 +335,32 @@ def trailing_window(rounds: int) -> int:
 
 
 def summarize_final(
-    final_round: int,
-    window: int,
-    trailing_mean_supply: Sequence[float],
-    trailing_mean_consumption: Sequence[float],
-    running_averages: np.ndarray,
-    derivatives: np.ndarray,
-    scenario: ScenarioSpec,
+    population: Population,
+    horizon: int,
+    totals: np.ndarray,
+    final_averages: np.ndarray,
+    final_derivatives: np.ndarray,
 ) -> list[RunSummary]:
-    """The summaries of R runs of ``scenario``, from each run's trailing-window means and the
-    (agents x R) final running averages and derivatives (suppliers first)."""
-    s = len(scenario.supplier_utilities)
-    utilities = scenario.supplier_utilities + scenario.consumer_utilities
+    """The summaries of R runs of ``population``, from their (horizon + 1 x 2 x R) totals of rounds
+    0..horizon and their (agents x R) final running averages and derivatives."""
+    # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
+    window = trailing_window(max(horizon, 1))
+    supply, consumption = (ordered_sum(totals[horizon + 1 - window:]) / window).tolist()
     try:
-        values = UtilityColumns.of(utilities).values(running_averages)
+        values = population.family.values(final_averages)
     except OverflowError:  # (z - z*) ** 2 past the largest float
         raise ValueError("the run overflowed: final_sum_of_utilities is out of range") from None
-    names = [(f"s{k}", Role.SUPPLIER) if k < s else (f"c{k - s}", Role.CONSUMER) for k in range(len(utilities))]
-    optima = [u.argmax() for u in utilities]
+    s = population.num_suppliers
+    utility_sums = zip(*(ordered_sum(part).tolist() for part in (values, values[:s], values[s:])))
+    mean_abs_derivatives = (ordered_sum(np.abs(final_derivatives)) / len(final_derivatives)).tolist()
+    optima = [u.argmax() for u in population.utilities]
     summaries = []
-    for k, (averages, run_values, run_derivatives) in enumerate(
-            zip(running_averages.T.tolist(), values.T.tolist(), derivatives.T.tolist())):
+    for k, (averages, derivatives, sums) in enumerate(
+            zip(final_averages.T.tolist(), final_derivatives.T.tolist(), utility_sums)):
         agents = tuple(
             AgentSummary(agent_id, role, avg, optimum, None if optimum is None else abs(avg - optimum), derivative)
-            for (agent_id, role), avg, optimum, derivative in zip(names, averages, optima, run_derivatives)
+            for agent_id, role, avg, optimum, derivative in zip(
+                population.agent_ids, population.roles, averages, optima, derivatives)
         )
-        summaries.append(RunSummary(
-            final_round=final_round,
-            window=window,
-            trailing_mean_supply=trailing_mean_supply[k],
-            trailing_mean_consumption=trailing_mean_consumption[k],
-            final_sum_of_utilities=ordered_sum(run_values),
-            final_supplier_utility_sum=ordered_sum(run_values[:s]),
-            final_consumer_utility_sum=ordered_sum(run_values[s:]),
-            final_mean_abs_derivative=ordered_sum(map(abs, run_derivatives)) / len(run_derivatives),
-            agents=agents,
-        ))
+        summaries.append(RunSummary(horizon, window, supply[k], consumption[k], *sums, mean_abs_derivatives[k], agents))
     return summaries

@@ -273,12 +273,8 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
         return violations
 
     def optima_sum(utilities) -> Optional[float]:
-        total = 0.0
-        for u in utilities:
-            if u.argmax() is None:
-                return None
-            total += u.argmax()
-        return total
+        optima = [u.argmax() for u in utilities]
+        return None if None in optima else ordered_sum(optima)
 
     consumer_sum = optima_sum(spec.consumer_utilities)
     if consumer_sum is None:

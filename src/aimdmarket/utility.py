@@ -20,9 +20,7 @@ table of ``scenario.validate_scenario``.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -31,10 +29,19 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 
-def ordered_sum(values) -> float:
-    """Add floats left to right from 0.0, the array kernel's order, on every
-    Python version (from 3.12, ``sum`` of floats is compensated)."""
-    return functools.reduce(operator.add, values, 0.0)
+def ordered_sum(values, axis: int = 0):
+    """Floats (ints converted) added left to right from 0.0 along ``axis``: a float for a 1-D input,
+    else an array.  This is the round loop's order on every Python version: ``np.sum`` adds pairwise
+    and, from 3.12, ``sum`` of floats is compensated.  Overflow and inf - inf are quiet, as float
+    arithmetic is."""
+    values = np.asarray(values, dtype=float)
+    if not values.shape[axis]:  # nothing added to 0.0
+        total = np.zeros(np.delete(values.shape, axis))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # 0.0 + x0 + x1 + ... differs from x0 + x1 + ... at most in the sign of a zero, which `+ 0.0` sets
+            total = np.add.accumulate(values, axis).take(-1, axis) + 0.0
+    return float(total) if total.ndim == 0 else total
 
 
 class UtilityKind(str, Enum):

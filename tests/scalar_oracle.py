@@ -18,33 +18,33 @@ so are its utility forms: ``evaluate`` and ``derivative`` are the scalar
 formulas that ``utility.UtilityColumns`` evaluates on arrays, and
 ``check_derivative`` checks the one against a central difference of the
 other.
-Its float totals use ``utility.ordered_sum``, as the package's do, so
-the oracle adds in the same order on every Python version.
+Its float totals use its own ``ordered_sum``, a scalar left-to-right
+reduction, the reference for ``utility.ordered_sum``'s array form, so the
+oracle adds in the package's order on every Python version.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
 from aimdmarket.market import agent_rng_streams
-from aimdmarket.metrics import (
-    CSV_HEADER,
-    FLOAT_COLUMNS,
-    RunSummary,
-    Trajectory,
-    summarize_final,
-    trailing_window,
-)
+from aimdmarket.metrics import CSV_HEADER, FLOAT_COLUMNS, AgentSummary, RunSummary, Trajectory, trailing_window
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
-from aimdmarket.utility import UtilityKind, UtilitySpec, ordered_sum
+from aimdmarket.utility import UtilityKind, UtilitySpec
+
+
+def ordered_sum(values) -> float:
+    """Add floats (or ints) left to right from 0.0.  ``sum`` would not do: from Python 3.12 it
+    compensates float sums."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class UnboundedDerivativeError(ArithmeticError):
@@ -157,27 +157,32 @@ def compute_signals(total_supply: float, total_consumption: float, flip_semantic
 
 
 def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
-    """Trailing-window totals plus per-agent closing state.  The utility sums
-    add the final record's values, which ``evaluate`` computed."""
+    """Trailing-window totals plus per-agent closing state, from the records alone.  The utility
+    sums add the final record's values, which ``evaluate`` computed."""
     if not records:
         raise ValueError("summarize needs at least one round")
     window = trailing_window(len(records))
     tail = records[-window:]
     final = records[-1]
-    (summary,) = summarize_final(
-        final.round,
-        window,
-        [ordered_sum(r.total_supply for r in tail) / window],
-        [ordered_sum(r.total_consumption for r in tail) / window],
-        np.array([[e.running_average] for e in final.per_agent]),
-        np.array([[e.utility_derivative] for e in final.per_agent]),
-        scenario,
+    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
+    agents = tuple(
+        AgentSummary(e.agent_id, e.role, e.running_average, optimum,
+                     None if optimum is None else abs(e.running_average - optimum), e.utility_derivative)
+        for e, optimum in zip(final.per_agent, optima)
     )
     values = [e.utility_value for e in final.per_agent]
     s = len(scenario.supplier_utilities)
-    return replace(summary, final_sum_of_utilities=ordered_sum(values),
-                   final_supplier_utility_sum=ordered_sum(values[:s]),
-                   final_consumer_utility_sum=ordered_sum(values[s:]))
+    return RunSummary(
+        final_round=final.round,
+        window=window,
+        trailing_mean_supply=ordered_sum(r.total_supply for r in tail) / window,
+        trailing_mean_consumption=ordered_sum(r.total_consumption for r in tail) / window,
+        final_sum_of_utilities=ordered_sum(values),
+        final_supplier_utility_sum=ordered_sum(values[:s]),
+        final_consumer_utility_sum=ordered_sum(values[s:]),
+        final_mean_abs_derivative=ordered_sum(abs(e.utility_derivative) for e in final.per_agent) / len(values),
+        agents=agents,
+    )
 
 
 def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[float]:

@@ -204,6 +204,24 @@ def test_numpy_error_state_does_not_leak(caller):
     assert repr(result.trajectory.backoff_probability[0].tolist()) == repr([0.0] * 4)
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_block_signals_are_each_replicates_run_signals(flip):
+    # every agent of replicate k read its side's signal of the run with seed + k; round 0 follows no round
+    config = small_config(horizon=600)
+    scenario = small_scenario(config)
+    s, seeds = config.num_suppliers, [config.seed + k for k in range(3)]
+    blocks = simulate(Population.build(config, scenario), config, seeds, flip_signal_semantics=flip)
+    # copies, as the next block overwrites the buffers
+    signalled = np.concatenate([block.signalled.copy() for block in blocks])
+    assert signalled.shape == (config.horizon + 1, 4, len(seeds))
+    assert not signalled[0].any()
+    for k, seed in enumerate(seeds):
+        trajectory = run(dataclasses.replace(config, seed=seed), scenario, flip_signal_semantics=flip).trajectory
+        assert trajectory.supplier_signal.any() and trajectory.consumer_signal.any()
+        assert (signalled[:, :s, k] == trajectory.supplier_signal[:, None]).all()
+        assert (signalled[:, s:, k] == trajectory.consumer_signal[:, None]).all()
+
+
 def test_run_rejects_invalid_config():
     config = small_config()
     scenario = small_scenario(config)

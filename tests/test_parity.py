@@ -19,7 +19,7 @@ from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probabi
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
-from aimdmarket.utility import UtilityColumns, UtilitySpec, ordered_sum
+from aimdmarket.utility import UtilityColumns, UtilitySpec
 from scalar_oracle import (
     REPR_LAYOUTS,
     AgentState,
@@ -27,6 +27,7 @@ from scalar_oracle import (
     evaluate,
     export_records,
     mean_derivative_series,
+    ordered_sum,
     records_from,
     run_records,
     step,
@@ -146,7 +147,10 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 # The kernel advances 256-round blocks, the first holding round 0: 255 ends
 # one round short of a block, 256 and 257 cross into the second, and at 600
 # the 100-round trailing window starts at round 501, inside the second block.
-@pytest.mark.parametrize("horizon", [255, 256, 257, 600])
+# The horizons also take every branch of the trailing window: round 0 alone
+# (0), every round below 100 (1, 99), the 100-round floor (255..600) and 10%
+# of the horizon (1001, 101 rounds).
+@pytest.mark.parametrize("horizon", [0, 1, 99, 255, 256, 257, 600, 1001])
 @pytest.mark.parametrize("variant", ["both-concave", "flipped-signals", "monotone-suppliers"])
 def test_block_boundaries_match_oracle(variant, horizon):
     overrides, mode, target, flip, _ = VARIANTS[variant]

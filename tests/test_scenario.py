@@ -125,6 +125,13 @@ def test_validate_detects_sum_violation():
     assert "consumer optima sum" in violations[0]
 
 
+def test_validate_sums_an_empty_side_to_zero():
+    # no consumers: their optima add to 0.0, which differs from any positive target
+    config = MarketConfig(1, 0, horizon=10, seed=1)
+    spec = ScenarioSpec((UtilitySpec.quadratic(900.0, 10.0),), (), 900.0, ScenarioMode.BOTH_CONCAVE)
+    assert validate_scenario(spec, config) == ["consumer optima sum 0.0 differs from target 900.0"]
+
+
 def test_validate_detects_length_violation():
     config = MarketConfig(9, 18, horizon=10, seed=1)
     spec = generate_scenario(MarketConfig(8, 18, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 900.0, 2)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, validate_scenario
-from aimdmarket.utility import UtilityColumns, UtilityKind, UtilitySpec
-from scalar_oracle import UnboundedDerivativeError, check_derivative, derivative, evaluate
+from aimdmarket.utility import UtilityColumns, UtilityKind, UtilitySpec, ordered_sum
+from scalar_oracle import UnboundedDerivativeError, check_derivative, derivative, evaluate, ordered_sum as scalar_sum
 
 
 def quad(optimum=50.0, curvature=10.0):
@@ -165,3 +167,23 @@ def test_serialization_round_trip():
 def test_dict_omits_absent_fields():
     assert set(quad().to_dict()) == {"kind", "optimum", "curvature"}
     assert set(UtilitySpec.sqrt_monotone(1.0).to_dict()) == {"kind", "scale"}
+
+
+# --- ordered_sum ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("values, total", [
+    ([], "0.0"),
+    ([-0.0, -0.0], "0.0"),  # from +0.0, so a sum of -0.0 is +0.0
+    ([1e16, 1.0, -1e16], "0.0"),  # uncompensated: math.fsum gives 1.0
+    ([2**53 + 1, 1], "9007199254740992.0"),  # ints converted, then added
+    ([math.inf, -math.inf], "nan"),  # quietly, as float arithmetic is
+])
+def test_ordered_sum_adds_left_to_right_from_zero(values, total):
+    assert repr(ordered_sum(values)) == repr(scalar_sum(values)) == total
+
+
+def test_ordered_sum_along_an_axis():
+    rows = np.array([[-0.0, -0.0, -0.0], [1e16, 1.0, -1e16], [0.1, 0.2, 0.3]])
+    assert repr(ordered_sum(rows, axis=1).tolist()) == repr([scalar_sum(row) for row in rows.tolist()])
+    assert repr(ordered_sum(rows.T).tolist()) == repr([scalar_sum(row) for row in rows.tolist()])
