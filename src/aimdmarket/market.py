@@ -12,14 +12,16 @@ seed, in blocks of ``DRAW_BLOCK`` rounds; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
 per-round loop walks views built once per call and keeps only what the next
 round needs: both signals from one comparison of the totals
-(``_excess_sides``), taken to each agent's side, the bound round step
+(``_excess_sides``), the signal each agent reads, the bound round step
 (``Population.bind_step``), the side totals (``np.add.accumulate``).
-``run`` copies each block, the signals each agent read included, into the
-columns of a ``metrics.Trajectory`` and derives the recorded-only columns
+``run`` copies each block, the signals each agent read included (it does
+not compare the totals again), into the columns of a ``metrics.Trajectory``
+and derives the recorded-only columns
 over the whole run: lambda masked and clamped (``backoff_probability``),
 branch codes; ``replicate_series`` reduces each block to its mean-derivative
 rows.  Both copy the totals of every block into one whole-run array, from
-which ``summarize_final`` takes the trailing-window means.
+which ``summarize_final`` takes the trailing-window means.  Every float sum
+outside the round loop is ``utility.ordered_sum``, in the loop's order.
 """
 
 from __future__ import annotations
