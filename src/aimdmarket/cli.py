@@ -20,7 +20,7 @@ import numpy as np
 
 from .agent import Role
 from .market import replicate_series, run
-from .metrics import CONFIDENCE_LEVEL, confidence_band, export_band_series, export_run
+from .metrics import CONFIDENCE_LEVEL, RecordsExport, confidence_band, export_band_series
 from .scenario import (
     REFERENCE_NAMES,
     MarketConfig,
@@ -100,13 +100,14 @@ def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
 def _cmd_run(args) -> int:
     config, scenario = _load_inputs(args)
     config = _apply_overrides(config, args)
-    result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics)
-
-    # a non-finite summary fails here and a non-finite round in export_run,
-    # both before anything is written
-    summary = strict_json(result.summary)
-    args.out.mkdir(parents=True, exist_ok=True)
-    records_path = export_run(result.trajectory, args.format, args.out / f"records.{args.format}")
+    # the records are formatted while the run is simulated, and written once its summary is accepted
+    with RecordsExport(args.format, args.out / f"records.{args.format}") as records:
+        result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics, records=records)
+        # a non-finite summary fails here, before --out exists, and a non-finite round
+        # in commit, which leaves no file
+        summary = strict_json(result.summary)
+        args.out.mkdir(parents=True, exist_ok=True)
+        records_path = records.commit()
     with atomic_writer(args.out / "summary.json") as fh:
         fh.write(summary)
     save_config_file(args.out / "run_config.json", config, scenario)
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # numpy's overflow notices stay silent: a run that overflows is refused with one
-        # JSON error naming the field (strict_json, export_run), as is one too large to allocate
+        # JSON error naming the field (strict_json, RecordsExport), as is one too large to allocate
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "validate":
                 return _cmd_validate(args)

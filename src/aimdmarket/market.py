@@ -14,25 +14,30 @@ per-round loop walks views built once per call and keeps only what the next
 round needs: both signals from one comparison of the totals
 (``_excess_sides``), the signal each agent reads, the bound round step
 (``Population.bind_step``), the side totals (``np.add.accumulate``).
-``run`` copies each block, the signals each agent read included (it does
-not compare the totals again), into the columns of a ``metrics.Trajectory``
-and derives the recorded-only columns
-over the whole run: lambda masked and clamped (``backoff_probability``),
-branch codes; ``replicate_series`` reduces each block to its mean-derivative
-rows.  Both copy the totals of every block into one whole-run array, from
-which ``summarize_final`` takes the trailing-window means.  Every float sum
-outside the round loop is ``utility.ordered_sum``, in the loop's order.
+``run`` copies each block into the columns of a ``metrics.Trajectory``, which
+it keeps in shared anonymous memory, and derives that block's recorded-only
+columns from the signals each agent read (it does not compare the totals
+again): lambda masked and clamped (``backoff_probability``), branch codes.
+Given a ``metrics.RecordsExport``, it starts the export's workers before the
+first round and hands them each block's rounds once they are copied, so the
+records are formatted while the run is simulated.  ``replicate_series``
+reduces each block to its mean-derivative rows.  Both copy the totals of
+every block into one whole-run array, from which ``summarize_final`` takes
+the trailing-window means.  Every float sum outside the round loop is
+``utility.ordered_sum``, in the loop's order.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .agent import Population, Role, backoff_probability
-from .metrics import RunSummary, Trajectory, summarize_final
+from .metrics import RecordsExport, RunSummary, Trajectory, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
 
@@ -139,32 +144,57 @@ def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
         raise ValueError("invalid run inputs: " + "; ".join(violations))
 
 
+def _shared_empty(shape: tuple, dtype=float) -> np.ndarray:
+    """An array in shared anonymous memory, so that processes forked before it is written read what
+    is written; a size that cannot be mapped is refused with numpy's MemoryError message."""
+    dtype, count = np.dtype(dtype), math.prod(shape)
+    try:
+        buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    except (OSError, OverflowError):
+        raise MemoryError(f"Unable to allocate {count * dtype.itemsize} bytes for an array with shape {shape} "
+                          f"and data type {dtype}") from None
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
+def _entering(column: np.ndarray, rows: slice, start: np.ndarray) -> np.ndarray:
+    """The value of ``column`` entering each round of ``rows``: the row before, or ``start`` at round 0."""
+    return column[rows.start - 1:rows.stop - 1] if rows.start else np.concatenate([start, column[:rows.stop - 1]])
+
+
 def run(
     config: MarketConfig,
     scenario: ScenarioSpec,
     *,
     flip_signal_semantics: bool = False,
+    records: Optional[RecordsExport] = None,
 ) -> RunResult:
     """Initialize agents, advance ``horizon`` rounds, return the trajectory.
 
-    Invalid configs or scenarios are rejected before any round executes.
+    Invalid configs or scenarios are rejected before any round executes.  With ``records``, the
+    export is started before the first round and handed each block's rounds once they are copied.
     """
     _validate(config, scenario)
     population = Population.build(config, scenario)
-    shape = (config.horizon + 1, len(population.agent_ids))
-    quantity, running_average, derivative, lam = (np.empty(shape) for _ in range(4))
-    bernoulli, signalled, totals = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool), np.empty((shape[0], 2, 1))
+    shape, s = (config.horizon + 1, len(population.agent_ids)), population.num_suppliers
+    quantity, running_average, derivative, lam = (_shared_empty(shape) for _ in range(4))
+    bernoulli, branch = _shared_empty(shape, bool), _shared_empty(shape, int)
+    totals, signals = _shared_empty((shape[0], 2)), _shared_empty((shape[0], 2), bool)
+    trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli, branch,
+                            *totals.T, *signals.T)
+    if records is not None:
+        records.start(trajectory)
+    start = np.full((1, shape[1]), float(config.initial_quantity))
     for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
         rows = slice(block.first, block.first + len(block.quantity))
-        for column, value in zip((quantity, running_average, derivative, lam, bernoulli, signalled), block[1:-1]):
+        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:6]):
             column[rows] = value[..., 0]  # replicate 0
-        totals[rows] = block.totals
-    start = np.full((1, shape[1]), float(config.initial_quantity))
-    backoff_probability(lam, signalled, np.concatenate([start, running_average[:-1]]))  # in place
-    trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli,
-                            population.branches(np.concatenate([start, quantity[:-1]]), bernoulli),
-                            *totals[..., 0].T, signalled[:, 0], signalled[:, population.num_suppliers])
-    (summary,) = summarize_final(population, config.horizon, totals, running_average[-1:].T, derivative[-1:].T)
+        totals[rows], signals[rows] = block.totals[..., 0], block.signalled[:, [0, s], 0]
+        backoff_probability(lam[rows], block.signalled[..., 0], _entering(running_average, rows, start))  # in place
+        branch[rows] = population.branches(_entering(quantity, rows, start), bernoulli[rows])
+        if records is not None:
+            records.ready(rows.stop)
+    (summary,) = summarize_final(population, config.horizon, totals[..., None], running_average[-1:].T,
+                                 derivative[-1:].T)
     return RunResult(trajectory, summary)
 
 

@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import re
+import time
 import warnings
 from dataclasses import replace
 
 import pytest
 
-from aimdmarket import cli
+from aimdmarket import cli, market, metrics
 from aimdmarket.cli import main
+from aimdmarket.metrics import export_run
 from aimdmarket.scenario import (
     REFERENCE_NAMES,
     MarketConfig,
@@ -298,6 +301,50 @@ def test_run_names_a_non_finite_agent_summary_field(tmp_path, config_file, capsy
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "the run overflowed or went non-finite: agents[2].final_derivative is inf"
     assert not out.exists()
+
+
+def test_a_summary_refused_while_a_worker_formats_leaves_no_out_directory(tmp_path, config_file, capsys,
+                                                                         monkeypatch):
+    # the worker formats its first chunk until it is killed; the summary is refused meanwhile
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, chunk_rows, run, formatting = os.getpid(), metrics._chunk_rows, cli.run, os.pipe()
+
+    def slow_in_a_worker(*args):
+        if os.getpid() != here:
+            os.write(formatting[1], b".")
+            time.sleep(60)
+        return chunk_rows(*args)
+
+    def run_with_an_infinite_summary(*args, **options):
+        result = run(*args, **options)
+        os.read(formatting[0], 1)  # the worker is formatting
+        return replace(result, summary=replace(result.summary, trailing_mean_supply=float("inf")))
+
+    monkeypatch.setattr(metrics, "_chunk_rows", slow_in_a_worker)
+    monkeypatch.setattr(cli, "run", run_with_an_infinite_summary)
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert main(["run", "--config", str(config_file), "--horizon", "600", "--out", str(out)]) == 1
+    assert time.monotonic() - started < 30  # the worker was killed, not waited for
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "the run overflowed or went non-finite: trailing_mean_supply is inf"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for fd in formatting:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("command,fmt,horizon", [("paper-b", "json", 769), ("paper-a", "csv", 1000)])
+def test_streamed_records_equal_an_export_of_the_finished_run(tmp_path, monkeypatch, command, fmt, horizon):
+    # the CLI formats the records while it simulates, with a worker; export_run formats them after, alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main([command, "--format", fmt, "--horizon", str(horizon), "--out", str(tmp_path / "cli")]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    config, scenario = reference_configs()[command]
+    trajectory = market.run(replace(config, horizon=horizon), scenario).trajectory
+    expected = export_run(trajectory, fmt, tmp_path / f"records.{fmt}").read_bytes()
+    assert (tmp_path / "cli" / f"records.{fmt}").read_bytes() == expected
 
 
 # (reference, field path, value): a supplier curvature so small that u and

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import math
 import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from aimdmarket.metrics import (
 )
 from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, strict_json
 from aimdmarket.text import compact, float_text
+from export_schedule import SCHEDULES, expected_takers, forced
 from scalar_oracle import REPR_LAYOUTS as LAYOUTS, mean_derivative_series, records_from, summarize
 
 
@@ -209,27 +213,86 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
-@pytest.mark.parametrize("failing", ["worker", "first share"])
-def test_failed_export_share_leaves_no_file_or_process(failing, tmp_path, monkeypatch):
-    # 4 chunks over 3 CPUs: this process writes the first share, two forked
-    # workers the others; the patched writer is inherited by the forks.
+def _assert_no_leftovers(directory, temporary):
+    assert list(directory.iterdir()) == []  # no artifact or temp file
+    assert list(temporary.iterdir()) == []  # the workers' files have no name
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def temporary(tmp_path, monkeypatch):
+    # the directory of the export workers' temporary files
+    directory = tmp_path / "tmp"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+# a worker, this process, or this process interrupted, fails to format a chunk: 4 chunks between this
+# process and one worker, which takes every chunk if it fails, else every other chunk and is killed
+@pytest.mark.parametrize("failing", ["worker", "this process", "interrupted"])
+def test_failed_export_chunk_leaves_no_file_or_process(failing, tmp_path, temporary, monkeypatch):
     _, _, result = small_run(horizon=769)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    write_rounds = metrics._write_rounds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, chunk_rows = os.getpid(), metrics._chunk_rows
 
-    def write_or_fail(fh, trajectory, fmt, starts):
-        if (starts[0] == 1) == (failing == "first share"):
-            raise RuntimeError("share failed")
-        write_rounds(fh, trajectory, fmt, starts)
+    def fail_on_one_side(*args):
+        if (os.getpid() == here) == (failing == "worker"):
+            return chunk_rows(*args)
+        raise KeyboardInterrupt if failing == "interrupted" else RuntimeError("chunk failed")
 
-    monkeypatch.setattr(metrics, "_write_rounds", write_or_fail)
+    monkeypatch.setattr(metrics, "_chunk_rows", fail_on_one_side)
+    out = tmp_path / "out"
+    out.mkdir()
+    schedule = SCHEDULES[0] if failing == "worker" else SCHEDULES[2]
+    expected = {"worker": (OSError, r"r\.{fmt}: an export worker exited with status 1"),
+                "this process": (RuntimeError, "chunk failed"), "interrupted": (KeyboardInterrupt, None)}[failing]
     for fmt in ("csv", "json"):
-        expected = (RuntimeError, "share failed") if failing == "first share" else (OSError, f"r.{fmt}.*status 1")
-        with pytest.raises(expected[0], match=expected[1]):
-            export_run(result.trajectory, fmt, tmp_path / f"r.{fmt}")
-        assert list(tmp_path.iterdir()) == []  # no artifact, temp file or .part file
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+        with forced(monkeypatch, schedule):
+            with pytest.raises(expected[0], match=expected[1] and expected[1].format(fmt=fmt)):
+                export_run(result.trajectory, fmt, out / f"r.{fmt}")
+        _assert_no_leftovers(out, temporary)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_export_names_the_first_column_non_finite_in_any_chunk(schedule, tmp_path, temporary, monkeypatch):
+    # chunk 2's running average is NaN, and chunk 3's quantity: the refusal names quantity, the
+    # first export column, whichever process finds which chunk
+    _, _, result = small_run(horizon=769)
+    trajectory = result.trajectory
+    trajectory.running_average[600, 0] = math.nan
+    trajectory.quantity[769, 1] = math.nan
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    for fmt in ("csv", "json"):
+        with forced(monkeypatch, schedule) as takers:
+            with pytest.raises(ValueError, match="non-finite: records column quantity$"):
+                export_run(trajectory, fmt, out / f"r.{fmt}")
+        assert takers[2] == expected_takers(schedule, 4)[2]
+        _assert_no_leftovers(out, temporary)
+
+
+def test_a_worker_killed_mid_run_fails_the_export(tmp_path, temporary, monkeypatch):
+    config, scenario, _ = small_run(horizon=769)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, chunk_rows = os.getpid(), metrics._chunk_rows
+
+    def killed_in_a_worker(*args):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk_rows(*args)
+
+    monkeypatch.setattr(metrics, "_chunk_rows", killed_in_a_worker)
+    out = tmp_path / "out"
+    out.mkdir()
+    with forced(monkeypatch, SCHEDULES[0]):
+        with pytest.raises(OSError, match=r"cannot write run export to .*r\.csv: an export worker exited with status -9"):
+            with metrics.RecordsExport("csv", out / "r.csv") as records:
+                run(config, scenario, records=records)
+                records.commit()
+    _assert_no_leftovers(out, temporary)
 
 
 def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):

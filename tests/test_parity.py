@@ -17,9 +17,10 @@ import pytest
 
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probability
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import EXPORT_CHUNK, export_run
+from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES, RecordsExport, export_run
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilityColumns, UtilitySpec
+from export_schedule import SCHEDULES, expected_takers, forced
 from scalar_oracle import (
     REPR_LAYOUTS,
     AgentState,
@@ -78,12 +79,19 @@ def _first_difference(got, expected):
     return next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
 
 
+def _assert_same_bytes(got, expected, what):
+    at = _first_difference(got, expected)
+    assert at is None, f"{what} differs from byte {at}: {got[at:at + 80]!r} vs {expected[at:at + 80]!r}"
+
+
+def _oracle_exports(records, directory):
+    return {fmt: export_records(records, fmt, directory / f"oracle.{fmt}").read_bytes() for fmt in ("csv", "json")}
+
+
 def _assert_exports_match(trajectory, records, directory):
-    for fmt in ("csv", "json"):
-        expected = export_records(records, fmt, directory / f"oracle.{fmt}").read_bytes()
-        got = export_run(trajectory, fmt, directory / f"columns.{fmt}").read_bytes()
-        at = _first_difference(got, expected)
-        assert at is None, f"{fmt} export differs from byte {at}: {got[at:at + 80]!r} vs {expected[at:at + 80]!r}"
+    for fmt, expected in _oracle_exports(records, directory).items():
+        _assert_same_bytes(export_run(trajectory, fmt, directory / f"columns.{fmt}").read_bytes(), expected,
+                           f"{fmt} export")
 
 
 def _assert_utility_values_match(trajectory):
@@ -259,22 +267,83 @@ def test_every_repr_layout_exports_as_oracle(tmp_path):
     _assert_exports_match(replaced, records_from(replaced)[1:], tmp_path)
 
 
-# 0, 1 and 2 chunks of EXPORT_CHUNK = 256 rounds, and 4 chunks, which 3 CPUs split 1 + 1 + 2
-@pytest.mark.parametrize("horizon", [0, 1, 256, 257, 300, 769])
+def _export_chunks(horizon):
+    # rounds 1..horizon in chunks aligned to EXPORT_CHUNK = 256 rounds from round 0
+    return len(range(0, horizon + 1, EXPORT_CHUNK)) if horizon else 0
+
+
+def _streamed_export(config, scenario, fmt, directory):
+    # the records export of `run` itself, formatted while the run is simulated
+    with RecordsExport(fmt, directory / f"streamed.{fmt}") as export:
+        run(config, scenario, records=export)
+        return export.commit().read_bytes()
+
+
+# 0 chunks; 1; 1 ending on a chunk's last round; 2, the second of one round; 2; 3; and 4, among 1, 2 or 3 workers
+@pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 300, 513, 769])
 def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
     config = MarketConfig(3, 4, horizon=horizon, seed=2, initial_quantity=10.0)
     scenario = generate_scenario(config, BOTH, 300.0, 3)
-    _, records = run_records(config, scenario)
+    oracle = _oracle_exports(run_records(config, scenario)[1], tmp_path)
     trajectory = run(config, scenario).trajectory
-    chunks = len(range(1, horizon + 1, EXPORT_CHUNK))
+    chunks = _export_chunks(horizon)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for cpus in (1, 2, 3, chunks + 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         forks.clear()
-        _assert_exports_match(trajectory, records, tmp_path)
-        assert len(forks) == 2 * (max(1, min(cpus, chunks)) - 1)  # one worker per share after the first, per format
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["columns.csv", "columns.json", "oracle.csv", "oracle.json"]
+        for fmt, expected in oracle.items():
+            got = export_run(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
+            _assert_same_bytes(got, expected, f"{fmt} export with {cpus} CPUs")
+            _assert_same_bytes(_streamed_export(config, scenario, fmt, tmp_path), expected,
+                               f"streamed {fmt} export with {cpus} CPUs")
+        # min(usable CPUs, chunks) - 1 workers, per format and path
+        assert len(forks) == 4 * max(0, min(cpus, chunks) - 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "columns.csv", "columns.json", "oracle.csv", "oracle.json", "streamed.csv", "streamed.json"]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("horizon", [256, 769])
+def test_export_bytes_do_not_depend_on_the_schedule(horizon, schedule, tmp_path, monkeypatch):
+    # one worker, forced to format every chunk, none, or the even ones, while the run is simulated and after
+    config = MarketConfig(3, 4, horizon=horizon, seed=2, initial_quantity=10.0)
+    scenario = generate_scenario(config, BOTH, 300.0, 3)
+    oracle = _oracle_exports(run_records(config, scenario)[1], tmp_path)
+    trajectory = run(config, scenario).trajectory
+    chunks = _export_chunks(horizon)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for path in ("export_run", "streamed"):
+        for fmt, expected in oracle.items():
+            with forced(monkeypatch, schedule) as takers:
+                if path == "export_run":
+                    got = export_run(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
+                else:
+                    got = _streamed_export(config, scenario, fmt, tmp_path)
+            assert takers[:chunks].tolist() == expected_takers(schedule, chunks), (path, fmt)
+            _assert_same_bytes(got, expected, f"{path} {fmt} export")
+
+
+def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
+    # a token pipe that takes two tokens and then is full: this process formats the rest in commit
+    config = MarketConfig(3, 4, horizon=1300, seed=2, initial_quantity=10.0)
+    scenario = generate_scenario(config, BOTH, 300.0, 3)
+    oracle = _oracle_exports(run_records(config, scenario)[1], tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    write, tokens = os.write, []
+
+    def write_two_tokens(fd, data):
+        if len(data) == TOKEN_BYTES:
+            if len(tokens) == 2:
+                raise BlockingIOError
+            tokens.append(int.from_bytes(data, "little"))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", write_two_tokens)
+    for fmt, expected in oracle.items():
+        tokens.clear()
+        _assert_same_bytes(_streamed_export(config, scenario, fmt, tmp_path), expected, f"streamed {fmt} export")
+        assert tokens == [0, 1]
 
 
 def _kernel_step(state, signal, params, draw):
