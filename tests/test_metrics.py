@@ -274,6 +274,21 @@ def test_export_names_the_first_column_non_finite_in_any_chunk(schedule, tmp_pat
         _assert_no_leftovers(out, temporary)
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES[:2])
+def test_export_names_a_utility_value_past_the_float_range(schedule, tmp_path, temporary, monkeypatch):
+    # a running average whose squared gap to the optimum overflows: u raises OverflowError, in
+    # whichever process computes it, and the refusal names the column
+    _, _, result = small_run(horizon=769)
+    result.trajectory.running_average[600, 0] = 1e300
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    with forced(monkeypatch, schedule):
+        with pytest.raises(ValueError, match="non-finite: records column utility_value$"):
+            export_run(result.trajectory, "csv", out / "r.csv")
+    _assert_no_leftovers(out, temporary)
+
+
 def test_a_worker_killed_mid_run_fails_the_export(tmp_path, temporary, monkeypatch):
     config, scenario, _ = small_run(horizon=769)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
