@@ -11,8 +11,9 @@ Agents are coupled only through the one-bit side signal, so the rule runs
 in lockstep on (agents x replicates) arrays, in place, as one round step
 function that ``Population.bind_step`` hands out with the population's
 columns, constants and ufuncs bound; ``simulate`` and the oracle parity
-tests call that same function.  The recorded lambda and the branch code
-are derived afterwards (``backoff_probability``, ``Population.branches``).
+tests call that same function.  A run does not store the recorded lambda
+or the branch code: ``metrics.derived_columns`` derives them from the state
+entering each round (``backoff_probability``, ``Population.branches``).
 Every operation is elementwise and in the order of the one-agent formula, so
 each value is bit-identical to evaluating the agents one at a time.
 """

@@ -14,12 +14,12 @@ per-round loop walks views built once per call and keeps only what the next
 round needs: both signals from one comparison of the totals
 (``_excess_sides``), the signal each agent reads, the bound round step
 (``Population.bind_step``), the side totals (``np.add.accumulate``).
-``run`` copies each block into the columns of a ``metrics.Trajectory``, which
-it keeps in shared anonymous memory, and derives that block's recorded-only
-columns from the signals each agent read (it does not compare the totals
-again): lambda masked and clamped (``backoff_probability``), branch codes.
-Given a ``metrics.RecordsExport``, it starts the export's workers before the
-first round and hands them each block's rounds once they are copied, so the
+``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
+totals and the signals its agents read into the columns of a
+``metrics.Trajectory``, which it keeps in shared anonymous memory; lambda and
+the branch codes are derived from those in ``metrics``, not here.  Given a
+``metrics.RecordsExport``, it starts the export's workers before the first
+round and hands them each block's rounds once they are copied, so the
 records are formatted while the run is simulated.  ``replicate_series``
 reduces each block to its mean-derivative rows.  Both copy the totals of
 every block into one whole-run array, from which ``summarize_final`` takes
@@ -29,15 +29,13 @@ the trailing-window means.  Every float sum outside the round loop is
 
 from __future__ import annotations
 
-import math
-import mmap
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .agent import Population, Role, backoff_probability
-from .metrics import RecordsExport, RunSummary, Trajectory, summarize_final
+from .agent import Population, Role
+from .metrics import RecordsExport, RunSummary, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
 
@@ -144,23 +142,6 @@ def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
         raise ValueError("invalid run inputs: " + "; ".join(violations))
 
 
-def _shared_empty(shape: tuple, dtype=float) -> np.ndarray:
-    """An array in shared anonymous memory, so that processes forked before it is written read what
-    is written; a size that cannot be mapped is refused with numpy's MemoryError message."""
-    dtype, count = np.dtype(dtype), math.prod(shape)
-    try:
-        buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-    except (OSError, OverflowError):
-        raise MemoryError(f"Unable to allocate {count * dtype.itemsize} bytes for an array with shape {shape} "
-                          f"and data type {dtype}") from None
-    return np.frombuffer(buffer, dtype, count).reshape(shape)
-
-
-def _entering(column: np.ndarray, rows: slice, start: np.ndarray) -> np.ndarray:
-    """The value of ``column`` entering each round of ``rows``: the row before, or ``start`` at round 0."""
-    return column[rows.start - 1:rows.stop - 1] if rows.start else np.concatenate([start, column[:rows.stop - 1]])
-
-
 def run(
     config: MarketConfig,
     scenario: ScenarioSpec,
@@ -176,21 +157,19 @@ def run(
     _validate(config, scenario)
     population = Population.build(config, scenario)
     shape, s = (config.horizon + 1, len(population.agent_ids)), population.num_suppliers
-    quantity, running_average, derivative, lam = (_shared_empty(shape) for _ in range(4))
-    bernoulli, branch = _shared_empty(shape, bool), _shared_empty(shape, int)
-    totals, signals = _shared_empty((shape[0], 2)), _shared_empty((shape[0], 2), bool)
-    trajectory = Trajectory(population, quantity, running_average, derivative, lam, bernoulli, branch,
-                            *totals.T, *signals.T)
+    quantity, running_average, derivative = (shared_empty(shape) for _ in range(3))
+    bernoulli = shared_empty(shape, bool)
+    totals, signals = shared_empty((shape[0], 2)), shared_empty((shape[0], 2), bool)
+    trajectory = Trajectory(population, quantity, running_average, derivative, bernoulli, *totals.T, *signals.T,
+                            float(config.initial_quantity))
     if records is not None:
         records.start(trajectory)
-    start = np.full((1, shape[1]), float(config.initial_quantity))
     for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
         rows = slice(block.first, block.first + len(block.quantity))
-        for column, value in zip((quantity, running_average, derivative, lam, bernoulli), block[1:6]):
+        for column, value in zip((quantity, running_average, derivative, bernoulli),
+                                 (block.quantity, block.running_average, block.derivative, block.bernoulli)):
             column[rows] = value[..., 0]  # replicate 0
         totals[rows], signals[rows] = block.totals[..., 0], block.signalled[:, [0, s], 0]
-        backoff_probability(lam[rows], block.signalled[..., 0], _entering(running_average, rows, start))  # in place
-        branch[rows] = population.branches(_entering(quantity, rows, start), bernoulli[rows])
         if records is not None:
             records.ready(rows.stop)
     (summary,) = summarize_final(population, config.horizon, totals[..., None], running_average[-1:].T,

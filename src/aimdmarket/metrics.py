@@ -1,32 +1,36 @@
 """Run trajectories as columns, convergence detection, confidence bands, export.
 
-A run is stored as a ``Trajectory``: (rounds x agents) arrays of each
-agent's quantity, running average, utility derivative, back-off
-probability, Bernoulli bit and branch, plus per-round totals and
-signals.  Utility values and derivatives are evaluated at the running
-average, which is the quantity the convergence claims are about.
-Exports are written straight from the columns, checked finite and
-written atomically, and are byte-deterministic: repeated export of the
-same run is identical.  A records export (``RecordsExport``) hands its
-256-round chunks to forked workers through a pipe of chunk tokens, while
-the run is simulated or at once, and writes them in chunk order; the bytes
-do not depend on which process formats which chunk.
+A run is stored as a ``Trajectory``: the (rounds x agents) arrays the
+kernel yields (each agent's quantity, running average, utility derivative
+and Bernoulli bit) plus per-round totals and signals.  The recorded columns
+the kernel does not keep are derived here (``derived_columns``): the
+back-off probability and the branch code, from the state entering each
+round, its signal and its Bernoulli bit, and utility values and their sums,
+evaluated at the running average, which is the quantity the convergence
+claims are about.  Exports are written from the columns, checked finite and
+written atomically, and are byte-deterministic: repeated export of the same
+run is identical.  A records export (``RecordsExport``) hands its 256-round
+chunks to forked workers through a pipe of chunk tokens, while the run is
+simulated or at once, and writes them in chunk order; the bytes do not
+depend on which process formats which chunk.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .agent import BRANCHES, Population, Role
+from .agent import BRANCHES, Population, Role, backoff_probability
 from .scenario import atomic_writer
 from .text import compact, float_text, int_text, join, literals
 from .utility import ordered_sum
@@ -44,8 +48,8 @@ BAND_CHUNK = 8192
 FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "backoff_probability")
 # The columns an export checks finite, in the order in which a refusal names the first that is not.
 CHECKED_COLUMNS = (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities")
-# An export's pipe messages: a chunk token, and a worker's (chunk, worker, offset, length, mask).
-TOKEN_BYTES, RESULT_BYTES = 8, 5 * 8
+# The bytes of a chunk token in an export's token pipe.
+TOKEN_BYTES = 8
 # Agents with one step size move in lockstep until they back off, and an agent's lambda is 0.0
 # unless it is signalled, so these columns repeat: in the median 256-round chunk 1.6% and 26%
 # of their values are distinct on paper-a, 7.8% and 6.9% on paper-b.  Each distinct value is
@@ -63,30 +67,31 @@ MIN_TRAILING_WINDOW = 100
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One run as columns: row t holds round t, row 0 the initialization step.  Per-agent arrays are (rounds
-    x agents) in ``population`` order; totals and signals have one entry
-    per round."""
+    """One run as the kernel yields it: row t holds round t, row 0 the initialization step from
+    ``initial_quantity``.  Per-agent arrays are (rounds x agents) in ``population`` order; totals and
+    signals have one entry per round.  The other recorded columns are ``derived_columns``."""
 
     population: Population
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
-    backoff_probability: np.ndarray
     bernoulli: np.ndarray
-    branch: np.ndarray  # indices into agent.BRANCHES
     total_supply: np.ndarray
     total_consumption: np.ndarray
     supplier_signal: np.ndarray
     consumer_signal: np.ndarray
+    initial_quantity: float
 
     @cached_property
-    def _utilities(self) -> tuple[np.ndarray, np.ndarray]:
-        """``utility_value`` and ``sum_of_utilities`` (in agent order) of the whole run.  An export does
-        not read them: whichever process formats a chunk computes that chunk's."""
-        return _utility_rows(self.population.family, self.running_average)
+    def _derived(self) -> dict[str, np.ndarray]:
+        """The derived columns of the whole run.  An export does not read them: whichever process
+        formats a chunk derives that chunk's."""
+        return derived_columns(self, slice(0, len(self.total_supply)))
 
-    utility_value = property(lambda self: self._utilities[0])  # u(running average) per round and agent
-    sum_of_utilities = property(lambda self: self._utilities[1])  # per round
+    backoff_probability = property(lambda self: self._derived["backoff_probability"])
+    branch = property(lambda self: self._derived["branch"])  # indices into agent.BRANCHES
+    utility_value = property(lambda self: self._derived["utility_value"])  # u(running average)
+    sum_of_utilities = property(lambda self: self._derived["sum_of_utilities"])  # per round, in agent order
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,29 @@ def _distinct_text(values: np.ndarray) -> np.ndarray:
     return float_text(bits.view(np.float64)).take(index.ravel(), axis=0)
 
 
-def _utility_rows(family, avg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u(avg) of (rounds x agents) running averages, and each round's sum in agent order."""
-    values = family.values(avg.T).T
-    return values, ordered_sum(values, axis=1)
+def derived_columns(trajectory: Trajectory, rows: slice) -> dict[str, np.ndarray]:
+    """The back-off probability, branch code, utility value and per-round utility sum (in agent
+    order) of ``rows``.  The first two are the round step's (``Population.bind_step``), from the
+    quantity, average and u'(average) entering each round (``initial_quantity`` for all three at
+    round 0, as ``market.simulate`` starts), the side signal the agent read and its Bernoulli bit.
+    A utility value past the float range is +inf."""
+    population, n = trajectory.population, len(trajectory.population.agent_ids)
+    start = np.full((1, n), trajectory.initial_quantity)
+    quantity, avg, marginal = (
+        column[rows.start - 1:rows.stop - 1] if rows.start else np.concatenate([start, column[:rows.stop - 1]])
+        for column in (trajectory.quantity, trajectory.running_average, trajectory.derivative))
+    sides = np.stack([trajectory.supplier_signal[rows], trajectory.consumer_signal[rows]], axis=1)
+    signalled = sides.repeat([population.num_suppliers, n - population.num_suppliers], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as the round step runs
+        lam = backoff_probability(population.gamma * marginal / avg, signalled, avg)
+    try:
+        values = population.family.values(trajectory.running_average[rows].T).T
+        sums = ordered_sum(values, axis=1)
+    except OverflowError:  # a square past the largest float
+        values = np.full(avg.shape, math.inf)
+        sums = values[:, 0]
+    return {"backoff_probability": lam, "branch": population.branches(quantity, trajectory.bernoulli[rows]),
+            "utility_value": values, "sum_of_utilities": sums}
 
 
 def _chunk_rounds(k: int, rounds: int) -> slice:
@@ -184,25 +208,12 @@ def _chunk_rounds(k: int, rounds: int) -> slice:
     return slice(max(k * EXPORT_CHUNK, 1), min((k + 1) * EXPORT_CHUNK, rounds))
 
 
-def _chunk_columns(trajectory: Trajectory, rows: slice) -> tuple[list[np.ndarray], int]:
-    """The CHECKED_COLUMNS of ``rows``, the utility values and their sums computed here, and a mask
-    with bit i set if column i is not finite (a utility value past the float range included)."""
-    try:
-        values, sums = _utility_rows(trajectory.population.family, trajectory.running_average[rows])
-    except OverflowError:  # a square past the largest float
-        values = np.full(trajectory.running_average[rows].shape, math.inf)
-        sums = values[:, 0]
-    computed = {"utility_value": values, "sum_of_utilities": sums}
-    columns = [computed[name] if name in computed else getattr(trajectory, name)[rows] for name in CHECKED_COLUMNS]
-    return columns, sum(1 << i for i, column in enumerate(columns) if not np.isfinite(column).all())
-
-
-def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], trajectory: Trajectory, agents, traces,
-                signals) -> np.ndarray:
+def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], branch: np.ndarray, trajectory: Trajectory,
+                agents, traces, signals) -> np.ndarray:
     """The export rows of ``rows`` as NUL-padded uint8 text: one CSV row per round and agent, or
     one JSON round object per round (led by a comma after round 1).  ``columns`` are the rows'
-    CHECKED_COLUMNS; ``agents``, ``traces`` and ``signals`` are the format's literal text by agent,
-    by bernoulli bit and branch code, and by both signals."""
+    CHECKED_COLUMNS and ``branch`` their branch codes; ``agents``, ``traces`` and ``signals`` are
+    the format's literal text by agent, by bernoulli bit and branch code, and by both signals."""
     t = np.arange(rows.start, rows.stop)
     r, n = len(t), len(trajectory.population.agent_ids)
     quantity, average, value, derivative, backoff = (
@@ -211,7 +222,7 @@ def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], trajectory: Tr
     )
     # the per-round columns are short: one call, split back into columns
     supply, consumption, total = float_text(np.concatenate(columns[len(FLOAT_COLUMNS):])).reshape(3, r, -1)
-    trace = traces.take(trajectory.bernoulli[rows] * len(BRANCHES) + trajectory.branch[rows], axis=0)
+    trace = traces.take(trajectory.bernoulli[rows] * len(BRANCHES) + branch, axis=0)
     signals = signals.take(trajectory.supplier_signal[rows] * 2 + trajectory.consumer_signal[rows], axis=0)
     if fmt == "csv":
         tail = join((r,), [supply, ",", consumption, signals, total, "\n"])
@@ -240,6 +251,18 @@ def _literal_text(population: Population, fmt: str) -> tuple[np.ndarray, np.ndar
             literals([f',"signals":{{"supplier_signal":{s},"consumer_signal":{c}}}' for s in (0, 1) for c in (0, 1)]))
 
 
+def shared_empty(shape: tuple, dtype=float) -> np.ndarray:
+    """An array in shared anonymous memory, so that processes forked before it is written read what
+    is written; a size that cannot be mapped is refused with numpy's MemoryError message."""
+    dtype, count = np.dtype(dtype), math.prod(shape)
+    try:
+        buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    except (OSError, OverflowError):
+        raise MemoryError(f"Unable to allocate {count * dtype.itemsize} bytes for an array with shape {shape} "
+                          f"and data type {dtype}") from None
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork."""
     if not hasattr(os, "fork"):
@@ -260,21 +283,22 @@ class RecordsExport:
     ``start(trajectory)`` forks one worker per usable CPU but this one (at most one per chunk but
     one), on platforms with ``fork``; the trajectory's columns must be in memory shared with them,
     as ``market.run`` allocates them, if they are written after ``start``.  ``ready(rounds)``
-    hands out every chunk whose rounds lie below ``rounds`` through one pipe of chunk tokens; each
-    worker formats the chunks it takes into its own unnamed temporary file and reports where they
-    are.  ``commit()`` writes the destination in chunk order: this process formats the chunks that
-    are left as it goes, holding at most one, and copies the workers' by range; then it reaps the
-    workers.  Whichever process formats a chunk computes its utility values and checks it finite.
-    Leaving the ``with`` block kills and reaps any worker left, so that an export that fails, or
-    that is never committed, leaves no process or file behind.
+    hands out every chunk whose rounds lie below ``rounds`` through one pipe of chunk tokens.
+    Every process runs one loop, ``_format_into``: each worker on the tokens it takes, this process
+    in ``commit`` on the tokens left and then on the chunks never sent.  Each process writes its
+    chunks into its own unnamed temporary file and notes (process, offset, length, mask of
+    non-finite columns) in a chunk table in shared memory.  ``commit()`` then reaps the workers and
+    copies each chunk's byte range in chunk order.  Whichever process formats a chunk derives its
+    columns and checks them finite.  Leaving the ``with`` block kills and reaps any worker left, so
+    that an export that fails, or that is never committed, leaves no process or file behind.
     """
 
     def __init__(self, fmt: str, destination):
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown export format: {fmt}")
         self.fmt, self.destination = fmt, Path(destination)
-        self._fds = {}  # "take" and "give", the token pipe's ends, and "results", read here
-        self._workers, self._files = [], []  # pids not yet reaped; each worker's temporary file
+        self._fds = {}  # "take" and "give", the token pipe's ends
+        self._workers, self._files = [], []  # pids not yet reaped; each process's temporary file, this one's first
 
     def __enter__(self) -> "RecordsExport":
         return self
@@ -296,26 +320,20 @@ class RecordsExport:
         self._trajectory, self._text = trajectory, _literal_text(trajectory.population, self.fmt)
         self._rounds = len(trajectory.total_supply)
         self._count = -(-self._rounds // EXPORT_CHUNK) if self._rounds > 1 else 0
-        self._sent = 0  # chunks handed out, through the pipe or in commit
-        workers = min(_usable_cpus(), self._count) - 1
-        if workers < 1:
-            return
+        self._sent = 0  # chunks handed out through the pipe
+        self._table = shared_empty((self._count, 4), np.int64)  # per chunk: process, offset, length, mask
+        workers = max(min(_usable_cpus(), self._count) - 1, 0)
         try:
             self._fds["take"], self._fds["give"] = os.pipe()
             os.set_blocking(self._fds["give"], False)
-            self._fds["results"], report = os.pipe()
-            try:
-                self._files = [tempfile.TemporaryFile() for _ in range(workers)]
-                for w in range(workers):
-                    self._workers.append(self._fork(w, report))
-            finally:
-                os.close(report)  # so that the results end once every worker has left
+            self._files = [tempfile.TemporaryFile() for _ in range(1 + workers)]
+            for w in range(1, 1 + workers):
+                self._workers.append(self._fork(w))
         except OSError as exc:
             raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
 
-    def _fork(self, w: int, report: int) -> int:
-        """Fork worker ``w``, which formats the chunks it takes into file ``w`` and writes (chunk,
-        w, offset, length, mask) to ``report`` for each; return its pid.  It leaves through
+    def _fork(self, w: int) -> int:
+        """Fork worker ``w``, which runs ``_format_into(w)``; return its pid.  It leaves through
         ``os._exit`` on every path, status 0 once the tokens end."""
         pid = os.fork()
         if pid:
@@ -323,21 +341,13 @@ class RecordsExport:
         status = 1
         try:
             os.close(self._fds["give"])  # the tokens end once the parent has closed its end too
-            file, offset = self._files[w], 0
-            while (k := _take(self._fds["take"])) is not None:
-                text, mask = self._format(k)
-                file.write(text)
-                file.flush()
-                os.write(report, np.array([k, w, offset, len(text), mask], np.int64).tobytes())
-                offset += len(text)
+            self._format_into(w)
             status = 0
         finally:
             os._exit(status)
 
     def ready(self, rounds: int) -> None:
         """Hand out every chunk whose rounds all lie below ``rounds``."""
-        if "give" not in self._fds:
-            return
         ready = self._count if rounds >= self._rounds else rounds // EXPORT_CHUNK
         try:
             while self._sent < ready:
@@ -346,76 +356,52 @@ class RecordsExport:
         except BlockingIOError:
             pass  # the pipe is full: the chunks not sent are left to commit
 
+    def _format_into(self, w: int) -> None:
+        """Format into file ``w`` the chunks that process ``w`` takes from the token pipe until the
+        tokens end, then, in this process (w = 0), the chunks never sent; note each in the table."""
+        tokens = iter(lambda: _take(self._fds["take"]), None)
+        file, offset = self._files[w], 0
+        for k in chain(tokens, range(self._sent, self._count)) if w == 0 else tokens:
+            text, mask = self._format(k)
+            file.write(text)
+            self._table[k] = w, offset, len(text), mask
+            offset += len(text)
+        file.flush()
+
     def commit(self) -> Path:
-        """Write the destination atomically and reap the workers; return the destination."""
-        if "give" in self._fds:
-            os.close(self._fds.pop("give"))  # no token follows: each worker leaves once the pipe is drained
+        """Format the chunks left, reap the workers and write the destination atomically; return
+        the destination.  A run with a non-finite chunk is refused by the first of CHECKED_COLUMNS
+        that is not finite in any chunk."""
         try:
+            os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
+            self._format_into(0)
+            self._join()
+            mask = int(np.bitwise_or.reduce(self._table[:, 3]))
+            if mask:
+                name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
+                raise ValueError(f"the run overflowed or went non-finite: records column {name}")
             with atomic_writer(self.destination) as fh:
                 fh.write(CSV_HEADER + "\n" if self.fmt == "csv" else "[")
                 fh.flush()  # the rows are bytes, written under the text layer
-                located, own = {}, None  # workers' chunks not yet written: (file, offset, length); (chunk, text)
-                for k in range(self._count):
-                    while k not in located and (own is None or own[0] != k):
-                        if own is not None or (j := self._claim()) is None:
-                            self._receive(located)
-                            continue
-                        text, mask = self._format(j)
-                        if mask:
-                            raise self._refusal(mask)
-                        own = j, text
-                    if k in located:
-                        w, offset, length = located.pop(k)
-                        fh.buffer.write(os.pread(self._files[w].fileno(), length, offset))
-                    else:
-                        fh.buffer.write(own[1])
-                        own = None
+                for w, offset, length, _ in self._table.tolist():
+                    fh.buffer.write(os.pread(self._files[w].fileno(), length, offset))
                 if self.fmt == "json":
                     fh.write("]\n")
-                self._join()
         except OSError as exc:
             raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
         return self.destination
 
     def _format(self, k: int) -> tuple[bytes, int]:
-        """Chunk ``k``'s bytes and its mask of non-finite columns; no bytes if any is set."""
+        """Chunk ``k``'s bytes and its mask, with bit i set if CHECKED_COLUMNS[i] is not finite; no
+        bytes if any bit is set."""
         rows = _chunk_rounds(k, self._rounds)
-        columns, mask = _chunk_columns(self._trajectory, rows)
+        derived = derived_columns(self._trajectory, rows)
+        columns = [derived[name] if name in derived else getattr(self._trajectory, name)[rows]
+                   for name in CHECKED_COLUMNS]
+        mask = sum(1 << i for i, column in enumerate(columns) if not np.isfinite(column).all())
         if mask:
             return b"", mask
-        return compact(_chunk_rows(self.fmt, rows, columns, self._trajectory, *self._text)), 0
-
-    def _claim(self) -> Optional[int]:
-        """The next chunk for this process: from the token pipe while it holds any, then the chunks
-        never sent; None once every chunk is taken."""
-        if "take" in self._fds:
-            k = _take(self._fds["take"])
-            if k is not None:
-                return k
-            os.close(self._fds.pop("take"))
-        if self._sent == self._count:
-            return None
-        self._sent += 1
-        return self._sent - 1
-
-    def _receive(self, located: dict) -> None:
-        """Wait for the next chunk a worker formatted and note where it is."""
-        message = os.read(self._fds["results"], RESULT_BYTES)
-        if not message:  # every worker has left, one of them without the chunk this process waits for
-            self._join()
-            raise OSError("an export worker left a chunk unformatted")
-        k, w, offset, length, mask = np.frombuffer(message, np.int64).tolist()
-        if mask:
-            raise self._refusal(mask)
-        located[k] = w, offset, length
-
-    def _refusal(self, mask: int) -> ValueError:
-        """The refusal of a run with a non-finite chunk, of mask ``mask``: it names the first of
-        CHECKED_COLUMNS that is not finite in any chunk."""
-        for k in range(self._count):
-            mask |= _chunk_columns(self._trajectory, _chunk_rounds(k, self._rounds))[1]
-        name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
-        return ValueError(f"the run overflowed or went non-finite: records column {name}")
+        return compact(_chunk_rows(self.fmt, rows, columns, derived["branch"], self._trajectory, *self._text)), 0
 
     def _reap(self) -> list[int]:
         """Wait for every worker; return their exit codes (-N for signal N)."""

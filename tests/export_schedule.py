@@ -34,9 +34,10 @@ def forced(monkeypatch, schedule, chunks=16):
         else:
             os.read(turns[side][0], 1)
             k = take(tokens)
-            os.write(turns[WORKER if side == HERE else HERE][1], b".")
         if k is not None:
             takers[k] = side
+        if schedule == SCHEDULES[2]:  # after the taker is recorded, so that it is recorded however soon the side dies
+            os.write(turns[WORKER if side == HERE else HERE][1], b".")
         return k
 
     def reap_after_a_last_turn(self):

@@ -38,8 +38,9 @@ def small_scenario(config):
     return generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 200.0, 3)
 
 
-# every column of a Trajectory but its population
-COLUMNS = [field.name for field in dataclasses.fields(Trajectory)][1:]
+# every per-round column of a Trajectory, and the lambda and branch codes of its whole-run view
+COLUMNS = [field.name for field in dataclasses.fields(Trajectory)
+           if field.name not in ("population", "initial_quantity")] + ["backoff_probability", "branch"]
 
 
 def same_columns(a, b):

@@ -4,7 +4,9 @@ import json
 import math
 import os
 import signal
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from aimdmarket.metrics import (
 )
 from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, strict_json
 from aimdmarket.text import compact, float_text
-from export_schedule import SCHEDULES, expected_takers, forced
+from export_schedule import SCHEDULES, WORKER, expected_takers, forced
 from scalar_oracle import REPR_LAYOUTS as LAYOUTS, mean_derivative_series, records_from, summarize
 
 
@@ -308,6 +310,39 @@ def test_a_worker_killed_mid_run_fails_the_export(tmp_path, temporary, monkeypat
                 run(config, scenario, records=records)
                 records.commit()
     _assert_no_leftovers(out, temporary)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fcntl.F_SETPIPE_SZ is Linux's")
+def test_an_export_worker_takes_every_chunk_of_a_long_run_before_commit(tmp_path, monkeypatch):
+    # every pipe the export makes holds one page (4096 B); the worker formats all 211 chunks while
+    # the run is simulated, so that nothing it has formatted waits on this process
+    import fcntl
+
+    pipe = os.pipe
+
+    def one_page_pipe():
+        ends = pipe()
+        fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, 4096)
+        return ends
+
+    chunks = 211
+    config = MarketConfig(1, 1, horizon=chunks * metrics.EXPORT_CHUNK - 1, seed=5, initial_quantity=10.0)
+    scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 100.0, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    with forced(monkeypatch, SCHEDULES[0], chunks=chunks) as takers:
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        with metrics.RecordsExport("csv", out / "r.csv") as records:
+            trajectory = run(config, scenario, records=records).trajectory
+            deadline = time.monotonic() + 20
+            while (takers == 0).any() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert takers.tolist() == [WORKER] * chunks
+            records.commit()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = export_run(trajectory, "csv", tmp_path / "expected.csv").read_bytes()
+    assert (out / "r.csv").read_bytes() == expected
 
 
 def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):

@@ -9,12 +9,14 @@ seeds and scenario seeds are fixed in advance.
 
 import builtins
 import math
+import mmap
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aimdmarket import metrics
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES, RecordsExport, export_run
@@ -257,10 +259,11 @@ def test_every_repr_layout_exports_as_oracle(tmp_path):
     # No run reaches most of repr's layouts, so a small run's float columns take values in each of
     # them, cycling through rounds and agents.  The running averages take only the nonnegative
     # values below 1e100: a run's averages are never negative, and their utility values stay finite.
+    # Lambda is derived from the derivative and average entering each round, so it is not injected.
     config = MarketConfig(2, 3, horizon=20, seed=4, initial_quantity=10.0)
     trajectory = run(config, generate_scenario(config, BOTH, 300.0, 3)).trajectory
     layouts = np.array(REPR_LAYOUTS)
-    names = ("quantity", "derivative", "backoff_probability", "total_supply", "total_consumption")
+    names = ("quantity", "derivative", "total_supply", "total_consumption")
     replaced = replace(trajectory, running_average=np.resize(abs(layouts[abs(layouts) < 1e100]), (21, 5)),
                        **{name: np.resize(layouts, getattr(trajectory, name).shape) for name in names})
     assert np.isfinite(replaced.utility_value).all() and np.isfinite(replaced.sum_of_utilities).all()
@@ -325,12 +328,19 @@ def test_export_bytes_do_not_depend_on_the_schedule(horizon, schedule, tmp_path,
 
 
 def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
-    # a token pipe that takes two tokens and then is full: this process formats the rest in commit
+    # a token pipe that takes two tokens and then is full: this process formats the rest in commit,
+    # and the worker none of them
     config = MarketConfig(3, 4, horizon=1300, seed=2, initial_quantity=10.0)
     scenario = generate_scenario(config, BOTH, 300.0, 3)
     oracle = _oracle_exports(run_records(config, scenario)[1], tmp_path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    write, tokens = os.write, []
+    write, tokens, chunk_rows, here = os.write, [], metrics._chunk_rows, os.getpid()
+    # formats[side, k]: how often this process (side 0) or the worker (side 1) formatted chunk k
+    formats = np.frombuffer(mmap.mmap(-1, 2 * _export_chunks(1300)), np.int8).reshape(2, -1)
+
+    def counted_chunk_rows(fmt, rows, *args):
+        formats[int(os.getpid() != here), rows.start // EXPORT_CHUNK] += 1
+        return chunk_rows(fmt, rows, *args)
 
     def write_two_tokens(fd, data):
         if len(data) == TOKEN_BYTES:
@@ -340,15 +350,19 @@ def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
         return write(fd, data)
 
     monkeypatch.setattr(os, "write", write_two_tokens)
+    monkeypatch.setattr(metrics, "_chunk_rows", counted_chunk_rows)
     for fmt, expected in oracle.items():
         tokens.clear()
+        formats[:] = 0
         _assert_same_bytes(_streamed_export(config, scenario, fmt, tmp_path), expected, f"streamed {fmt} export")
         assert tokens == [0, 1]
+        assert formats.sum(axis=0).tolist() == [1] * formats.shape[1]
+        assert formats[1, 2:].tolist() == [0] * (formats.shape[1] - 2)
 
 
 def _kernel_step(state, signal, params, draw):
     # the round step that simulate binds, from u'(avg) as the oracle computes it, then the derivations
-    # run's column store applies; u'(new avg) is checked against the oracle's derivative here
+    # metrics.derived_columns applies; u'(new avg) is checked against the oracle's derivative here
     config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
                           gamma=params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
