@@ -93,11 +93,12 @@ class Population:
         ``step(before, after, rounds, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring divide,
         invalid and over: from ``before`` = (quantity, average, u'(average)), an average of ``rounds``
         samples, each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity,
-        average, u'(average), raw lambda, Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.
-        The raw lambda Gamma u'(avg) / avg is unclamped and arbitrary unless signalled and avg >= EPS_AVG
-        (see ``backoff_probability``); there a draw is below it exactly when below its clamp to [0, 1],
-        -0.0 and NaN included.  u'(average) is ``UtilityColumns.bind_derivative``'s; a sqrt agent's average
-        is never 0, as its quantity starts with +alpha and stays positive."""
+        average, u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
+        lambda Gamma u'(avg) / avg, held in the float scratch until the Bernoulli bit is drawn, is
+        unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
+        a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  u'(average) is
+        ``UtilityColumns.bind_derivative``'s; a sqrt agent's average is never 0, as its quantity starts
+        with +alpha and stays positive."""
         optimum, alpha, beta, derivative = self.family.optimum, self.alpha, self.beta, self.family.bind_derivative()
         zero, eps_avg, gamma = (np.full(optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma))
         subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto = (
@@ -106,7 +107,7 @@ class Population:
 
         def step(before, after, rounds: int, signalled, draws, scratch) -> None:
             quantity, avg, marginal = before
-            new_quantity, new_avg, new_marginal, raw, bernoulli = after
+            new_quantity, new_avg, new_marginal, bernoulli = after
             floats, flags = scratch
             # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as UtilityColumns stores an optimum
             # of -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
@@ -114,9 +115,9 @@ class Population:
             copysign(alpha, new_quantity, out=new_quantity)
             add(quantity, new_quantity, out=new_quantity)
             maximum(new_quantity, zero, out=new_quantity)
-            multiply(gamma, marginal, out=raw)
-            divide(raw, avg, out=raw)
-            less(draws, raw, out=bernoulli)
+            multiply(gamma, marginal, out=floats)  # the raw lambda
+            divide(floats, avg, out=floats)
+            less(draws, floats, out=bernoulli)
             logical_and(bernoulli, signalled, out=bernoulli)
             greater_equal(avg, eps_avg, out=flags)
             logical_and(bernoulli, flags, out=bernoulli)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import Role
 from .market import replicate_series, run
 from .metrics import CONFIDENCE_LEVEL, RecordsExport, confidence_band, export_band_series
 from .scenario import (
@@ -53,6 +52,7 @@ def _add_common_options(parser: argparse.ArgumentParser, with_source: bool) -> N
     parser.add_argument(
         "--flip-signal-semantics",
         action="store_true",
+        default=None,
         help="signal the deficit side instead of the excess side",
     )
     parser.add_argument("--out", type=Path, required=True, help="output directory")
@@ -93,7 +93,7 @@ def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
 
 def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
     """``config`` with each override flag that was given (each names its field)."""
-    flags = ("seed", "horizon", "gamma", "alpha_s", "beta_s", "alpha_c", "beta_c")
+    flags = ("seed", "horizon", "gamma", "alpha_s", "beta_s", "alpha_c", "beta_c", "flip_signal_semantics")
     return replace(config, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
 
 
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(config, args)
     # the records are formatted while the run is simulated, and written once its summary is accepted
     with RecordsExport(args.format, args.out / f"records.{args.format}") as records:
-        result = run(config, scenario, flip_signal_semantics=args.flip_signal_semantics, records=records)
+        result = run(config, scenario, records=records)
         # a non-finite summary fails here, before --out exists, and a non-finite round
         # in commit, which leaves no file
         summary = strict_json(result.summary)
@@ -121,13 +121,7 @@ def _cmd_replicate(args) -> int:
     config = _apply_overrides(config, args)
     if args.replicates < 2:
         raise ValueError("replicate needs --replicates >= 2")
-    series, summaries = replicate_series(
-        config,
-        scenario,
-        args.replicates,
-        flip_signal_semantics=args.flip_signal_semantics,
-        role=Role.SUPPLIER,
-    )
+    series, summaries = replicate_series(config, scenario, args.replicates)
     meta = {
         "base_seed": config.seed,
         "replicates": args.replicates,

@@ -60,7 +60,6 @@ class Block(NamedTuple):
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
-    raw_lambda: np.ndarray  # Gamma u'(avg) / avg unclamped, arbitrary unless signalled and avg >= EPS_AVG
     bernoulli: np.ndarray
     signalled: np.ndarray  # the side signal each agent read
     totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
@@ -85,9 +84,7 @@ def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
     )
 
 
-def simulate(
-    population: Population, config: MarketConfig, seeds: Sequence[int], *, flip_signal_semantics: bool = False
-) -> Iterator[Block]:
+def simulate(population: Population, config: MarketConfig, seeds: Sequence[int]) -> Iterator[Block]:
     """Yield rounds 0..horizon of one market per seed, in lockstep, in
     blocks of ``DRAW_BLOCK`` rounds (the last one shorter), from buffers
     allocated once per call.
@@ -97,9 +94,9 @@ def simulate(
     streams of ``seeds[k]``, so it equals a single-seed run with that seed.
     """
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
-    step, excess = population.widened(len(seeds)).bind_step(), _excess_sides(flip_signal_semantics)
+    step, excess = population.widened(len(seeds)).bind_step(), _excess_sides(config.flip_signal_semantics)
     rows = min(DRAW_BLOCK, config.horizon + 1)
-    columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 4 + [bool] * 2]
+    columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool] * 2]
     totals, partial_sums = np.empty((rows, 2, len(seeds))), np.empty(shape)
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
     fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
@@ -111,7 +108,7 @@ def simulate(
     # each round's views, built once: the step's `after` (whose first three are the next round's `before`),
     # the signals it reads, its draws, each side's quantities, and the totals that the next round's signals
     # compare, also reversed
-    views = list(zip(zip(*columns[:5]), columns[5], np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
+    views = list(zip(zip(*columns[:4]), columns[4], np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
                      totals, totals[:, ::-1]))
     accumulate, supplier_sums, consumer_sums = np.add.accumulate, partial_sums[:s], partial_sums[s:]
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
@@ -121,7 +118,7 @@ def simulate(
         block, skip = min(DRAW_BLOCK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
         for fill, stream in fills:
             fill(out=stream[skip:block])
-        # the raw lambda divides by averages of 0; the caller's state holds across the yield
+        # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for b, (row, signalled, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
                 excess(last, last_reversed, out=sides)
@@ -142,13 +139,7 @@ def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
         raise ValueError("invalid run inputs: " + "; ".join(violations))
 
 
-def run(
-    config: MarketConfig,
-    scenario: ScenarioSpec,
-    *,
-    flip_signal_semantics: bool = False,
-    records: Optional[RecordsExport] = None,
-) -> RunResult:
+def run(config: MarketConfig, scenario: ScenarioSpec, *, records: Optional[RecordsExport] = None) -> RunResult:
     """Initialize agents, advance ``horizon`` rounds, return the trajectory.
 
     Invalid configs or scenarios are rejected before any round executes.  With ``records``, the
@@ -164,7 +155,7 @@ def run(
                             float(config.initial_quantity))
     if records is not None:
         records.start(trajectory)
-    for block in simulate(population, config, [config.seed], flip_signal_semantics=flip_signal_semantics):
+    for block in simulate(population, config, [config.seed]):
         rows = slice(block.first, block.first + len(block.quantity))
         for column, value in zip((quantity, running_average, derivative, bernoulli),
                                  (block.quantity, block.running_average, block.derivative, block.bernoulli)):
@@ -178,12 +169,7 @@ def run(
 
 
 def replicate_series(
-    config: MarketConfig,
-    scenario: ScenarioSpec,
-    replicates: int,
-    *,
-    flip_signal_semantics: bool = False,
-    role: Role = Role.SUPPLIER,
+    config: MarketConfig, scenario: ScenarioSpec, replicates: int, *, role: Role = Role.SUPPLIER
 ) -> tuple[list[list[float]], list[RunSummary]]:
     """Run ``replicates`` seeds (seed+0..R-1) against one fixed scenario.
 
@@ -201,7 +187,7 @@ def replicate_series(
     count = len(population.agent_ids[members])
     means, totals = [], np.empty((config.horizon + 1, 2, replicates))
     seeds = [config.seed + k for k in range(replicates)]
-    for block in simulate(population, config, seeds, flip_signal_semantics=flip_signal_semantics):
+    for block in simulate(population, config, seeds):
         # rounds 1.. only, in agent order
         means.append(ordered_sum(block.derivative[max(1 - block.first, 0):, members], axis=1) / count)
         totals[block.first:block.first + len(block.totals)] = block.totals

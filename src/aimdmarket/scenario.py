@@ -55,6 +55,8 @@ class MarketConfig:
     back-off factor ``beta_*`` (``_s`` suppliers, ``_c`` consumers); ``gamma``
     is the market's one network constant.  A config file nests each side's
     pair as ``supplier_params``/``consumer_params`` (``to_dict``).
+    ``flip_signal_semantics`` signals the side in deficit instead of the side
+    in excess, for comparison studies.
     """
 
     num_suppliers: int
@@ -68,10 +70,12 @@ class MarketConfig:
     horizon: int = 5000
     seed: int = 0
     initial_quantity: float = 0.0
+    flip_signal_semantics: bool = False
 
     def to_dict(self) -> dict:
-        # each role dict repeats gamma, as config files always have
-        return {
+        # each role dict repeats gamma, as config files always have; the flip is written only when set,
+        # so an unflipped config file keeps its bytes
+        record = {
             "num_suppliers": self.num_suppliers,
             "num_consumers": self.num_consumers,
             "supplier_params": {"alpha": self.alpha_s, "beta": self.beta_s, "gamma": self.gamma},
@@ -81,6 +85,9 @@ class MarketConfig:
             "seed": self.seed,
             "initial_quantity": self.initial_quantity,
         }
+        if self.flip_signal_semantics:
+            record["flip_signal_semantics"] = self.flip_signal_semantics
+        return record
 
     @classmethod
     def from_dict(cls, record: dict, violations: Optional[list[str]] = None) -> "MarketConfig":
@@ -103,6 +110,7 @@ class MarketConfig:
             horizon=record["horizon"],
             seed=record["seed"],
             initial_quantity=record.get("initial_quantity", 0.0),
+            flip_signal_semantics=record.get("flip_signal_semantics", False),
         )
 
 
@@ -223,7 +231,7 @@ def _field_violations(fields) -> list[str]:
 
 def validate_config(config: MarketConfig) -> list[str]:
     """Collect config violations (empty list when valid), named as in a config file."""
-    return _field_violations([
+    violations = _field_violations([
         ("num_suppliers", config.num_suppliers, True, lambda v: v >= 1, "must be >= 1"),
         ("num_consumers", config.num_consumers, True, lambda v: v >= 1, "must be >= 1"),
         ("horizon", config.horizon, True, lambda v: v >= 0, "must be nonnegative"),
@@ -235,6 +243,9 @@ def validate_config(config: MarketConfig) -> list[str]:
         ("consumer_params.alpha", config.alpha_c, False, lambda v: v > 0, "must be positive"),
         ("consumer_params.beta", config.beta_c, False, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ])
+    if not isinstance(config.flip_signal_semantics, bool):
+        violations.append(f"flip_signal_semantics must be true or false, got {config.flip_signal_semantics!r}")
+    return violations
 
 
 # each utility field: (the kind that uses it, range rule, the rule as text)

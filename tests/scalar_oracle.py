@@ -461,9 +461,7 @@ def advance_round(
     return new_state, record
 
 
-def run_records(
-    config: MarketConfig, scenario: ScenarioSpec, flip_signal_semantics: bool = False
-) -> tuple[RoundRecord, list[RoundRecord]]:
+def run_records(config: MarketConfig, scenario: ScenarioSpec) -> tuple[RoundRecord, list[RoundRecord]]:
     """The round-0 record and the records of rounds 1..horizon, drawing
     one uniform per agent per round from the same streams as the package."""
     state, initial_record = initialize_market(config, scenario)
@@ -481,7 +479,7 @@ def run_records(
             consumer_params,
             supplier_draws,
             consumer_draws,
-            flip_signal_semantics,
+            config.flip_signal_semantics,
         )
         records.append(record)
     return initial_record, records

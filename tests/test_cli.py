@@ -149,6 +149,25 @@ def test_flip_signal_semantics_flag(tmp_path, config_file):
     assert main(["run", "--config", str(config_file), "--flip-signal-semantics",
                  "--out", str(flipped)]) == 0
     assert (normal / "records.csv").read_bytes() != (flipped / "records.csv").read_bytes()
+    # a flipped run_config.json records the flip, and an unflipped one keeps its bytes (no key)
+    assert "flip_signal_semantics" not in json.loads((normal / "run_config.json").read_text())["config"]
+    assert json.loads((flipped / "run_config.json").read_text())["config"]["flip_signal_semantics"] is True
+
+
+@pytest.mark.parametrize("first,replay", [
+    (["paper-a", "--flip-signal-semantics", "--horizon", "300", "--format", "json"], ["run", "--format", "json"]),
+    (["replicate", "--reference", "paper-a", "--flip-signal-semantics", "--replicates", "3", "--horizon", "300"],
+     ["replicate", "--replicates", "3"]),
+], ids=["run", "replicate"])
+def test_a_flipped_run_replays_from_its_run_config(tmp_path, first, replay):
+    # run_config.json records the flip, so running it again writes the same bytes, itself included
+    original, replayed = tmp_path / "original", tmp_path / "replayed"
+    assert main([*first, "--out", str(original)]) == 0
+    assert main([*replay, "--config", str(original / "run_config.json"), "--out", str(replayed)]) == 0
+    names = sorted(path.name for path in original.iterdir())
+    assert names == sorted(path.name for path in replayed.iterdir())
+    for name in names:
+        assert (original / name).read_bytes() == (replayed / name).read_bytes(), name
 
 
 def test_lambda_keeps_signed_zero(tmp_path):
@@ -188,11 +207,17 @@ BAD_FIELDS = [
     (("scenario", "consumer_utilities", 0, "optimum"), "5"),
     (("config", "supplier_params", "gamma"), 3.0),  # the top-level gamma stays 2.0
     (("scenario", "target_sum"), "5"),
+    (("config", "flip_signal_semantics"), 1),
+    (("config", "flip_signal_semantics"), "true"),
+    (("config", "flip_signal_semantics"), None),
 ]
-# the violation a bad utility field gives, naming its agent and field
-UTILITY_VIOLATIONS = {
+# the only violation some bad fields give, naming the field (and a utility's agent)
+FIELD_VIOLATIONS = {
     ("curvature", -1.0): "consumer[0]: curvature must be positive, got -1.0",
     ("optimum", "5"): "consumer[0]: optimum must be a finite number, got '5'",
+    ("flip_signal_semantics", 1): "flip_signal_semantics must be true or false, got 1",
+    ("flip_signal_semantics", "true"): "flip_signal_semantics must be true or false, got 'true'",
+    ("flip_signal_semantics", None): "flip_signal_semantics must be true or false, got None",
 }
 
 
@@ -214,13 +239,15 @@ def test_non_finite_or_non_integer_input_is_rejected(tmp_path, config_file, caps
     assert main(["validate", "--config", str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("violation:") and captured.err == ""
-    assert UTILITY_VIOLATIONS.get((leaf, value), "") in captured.out
+    expected = FIELD_VIOLATIONS.get((leaf, value))
+    assert expected is None or captured.out == f"violation: {expected}\n"
 
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    assert "error" in json.loads(captured.err.splitlines()[-1])
+    (line,) = captured.err.splitlines()
+    assert (expected or "") in json.loads(line)["error"]
     assert not out.exists() or not any(out.iterdir())
 
 

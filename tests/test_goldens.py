@@ -23,6 +23,8 @@ PAPER_B_CONFIG = "a373f2bd155215c7c5f5b9dab529493670c878ecc0df13b4246480108548bb
 PAPER_B_SUMMARY = "7943a21c0b55ce54f26f374a375d9b63c855622d82a359d0e934f31a075c5f3a"
 PAPER_A_H0_CONFIG = "a5d58ca3fe16b1e236f2fb3899e69a26d0cdbde1b3496a7d013f6aa101b019e7"
 REPLICATE_META = "d08ad157de55a080f8dd04d695e3000da5b34a0f5692bfd19488ba7c101d1251"
+# PAPER_A_CONFIG with "flip_signal_semantics": true, the one key a flipped run adds to its config
+PAPER_A_FLIPPED_CONFIG = "b6508f18744c92ea9e1423385381767fda7187b6f37bb8ac4137e59375ceef4a"
 
 GOLDENS = {
     "paper-a-csv": (
@@ -62,7 +64,7 @@ GOLDENS = {
         ["paper-a", "--flip-signal-semantics", "--horizon", "300", "--format", "json"],
         {
             "records.json": "fee3d4c0d7ff12d42ea3af93a8d4dbfcb493d6150ffc4b70d8a13b196851a3c2",
-            "run_config.json": PAPER_A_CONFIG,
+            "run_config.json": PAPER_A_FLIPPED_CONFIG,
             "summary.json": "2727e38388381a61654652d36631ed369381b101707e33d4254981f6d30751f2",
         },
     ),
@@ -100,7 +102,7 @@ GOLDENS = {
             "band_supplier_derivative.csv": "d334eba560030baaa7de4d51f852941a47bb9787f4f924ec8f82e9d9c5ff8b32",
             "replicate_meta.json": "3b7a07327ef1a158c58276b674dfd2d4343cc9bc80b4b51b2b335893db6c0a50",
             "replicate_summaries.json": "69a59d67450dcb3e7e231e95b8af333f4fcef614f25995ad2595a961b454494e",
-            "run_config.json": "828f070cceb00bd86e90e4c5fcbbd75e5e9ffa38d82026c73d70af51a813f875",
+            "run_config.json": "5eaecaedd9c41659256d29f5bdf7ebdca4990829e2ef9af86ab0142faa8133a9",
         },
     ),
     "replicate-paper-b-r3": (

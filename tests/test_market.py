@@ -191,13 +191,19 @@ def test_numpy_error_state_does_not_leak(caller):
     # and the caller's error state holds outside simulate's round loops
     config = small_config(horizon=300, initial_quantity=0.0)
     scenario = small_scenario(config)
+    population = Population.build(config, scenario)
+    # the witness: the bound step, outside simulate's error state, refuses that 0/0
+    shape, cold = (4, 1), np.zeros((4, 1))
+    after = tuple(np.empty(shape) for _ in range(3)) + (np.empty(shape, dtype=bool),)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="divide"):
+        population.widened(1).bind_step()((cold,) * 3, after, 0, np.zeros(shape, dtype=bool), cold,
+                                          (np.empty(shape), np.empty(shape, dtype=bool)))
     with warnings.catch_warnings(), np.errstate(**caller):
         warnings.simplefilter("error")
         expected = np.geterr()
-        blocks = simulate(Population.build(config, scenario), config, [config.seed])
-        first = next(blocks)
+        blocks = simulate(population, config, [config.seed])
+        next(blocks)
         assert np.geterr() == expected
-        assert np.isnan(first.raw_lambda[0]).all()
         next(blocks)
         assert np.geterr() == expected
         result = run(config, scenario)
@@ -208,16 +214,16 @@ def test_numpy_error_state_does_not_leak(caller):
 @pytest.mark.parametrize("flip", [False, True])
 def test_block_signals_are_each_replicates_run_signals(flip):
     # every agent of replicate k read its side's signal of the run with seed + k; round 0 follows no round
-    config = small_config(horizon=600)
+    config = small_config(horizon=600, flip_signal_semantics=flip)
     scenario = small_scenario(config)
     s, seeds = config.num_suppliers, [config.seed + k for k in range(3)]
-    blocks = simulate(Population.build(config, scenario), config, seeds, flip_signal_semantics=flip)
+    blocks = simulate(Population.build(config, scenario), config, seeds)
     # copies, as the next block overwrites the buffers
     signalled = np.concatenate([block.signalled.copy() for block in blocks])
     assert signalled.shape == (config.horizon + 1, 4, len(seeds))
     assert not signalled[0].any()
     for k, seed in enumerate(seeds):
-        trajectory = run(dataclasses.replace(config, seed=seed), scenario, flip_signal_semantics=flip).trajectory
+        trajectory = run(dataclasses.replace(config, seed=seed), scenario).trajectory
         assert trajectory.supplier_signal.any() and trajectory.consumer_signal.any()
         assert (signalled[:, :s, k] == trajectory.supplier_signal[:, None]).all()
         assert (signalled[:, s:, k] == trajectory.consumer_signal[:, None]).all()
@@ -281,7 +287,7 @@ def test_flip_signal_semantics_changes_dynamics():
     config = small_config(horizon=100, initial_quantity=5.0)
     scenario = small_scenario(config)
     normal = run(config, scenario)
-    flipped = run(config, scenario, flip_signal_semantics=True)
+    flipped = run(dataclasses.replace(config, flip_signal_semantics=True), scenario)
     assert not same_columns(normal, flipped)
 
 

@@ -42,16 +42,16 @@ SCENARIO_SEEDS = (3, 12, 21)
 RUN_SEEDS = range(8)
 BOTH, MONOTONE = ScenarioMode.BOTH_CONCAVE, ScenarioMode.MONOTONE_SUPPLIERS
 
-# name: (MarketConfig keywords, mode, side target, flip signals,
+# name: (MarketConfig keywords, mode, side target,
 #        what the oracle trajectory must contain for the case to count)
 VARIANTS = {
-    "both-concave": (dict(initial_quantity=10.0), BOTH, 300.0, False, "backoff"),
-    "monotone-suppliers": (dict(initial_quantity=10.0), MONOTONE, 300.0, False, "lambda-one"),
-    "flipped-signals": (dict(initial_quantity=10.0), BOTH, 300.0, True, "backoff"),
-    "gamma-zero": (dict(gamma=0.0, initial_quantity=0.0), BOTH, 300.0, False, "no-backoff"),
-    "start-above-optimum": (dict(initial_quantity=250.0), BOTH, 300.0, False, "decrease-at-start"),
-    "clamp-at-zero": (dict(initial_quantity=4.0), BOTH, 12.0, False, "zero-quantity"),
-    "horizon-0": (dict(horizon=0, initial_quantity=10.0), MONOTONE, 300.0, False, "round-0-only"),
+    "both-concave": (dict(initial_quantity=10.0), BOTH, 300.0, "backoff"),
+    "monotone-suppliers": (dict(initial_quantity=10.0), MONOTONE, 300.0, "lambda-one"),
+    "flipped-signals": (dict(initial_quantity=10.0, flip_signal_semantics=True), BOTH, 300.0, "backoff"),
+    "gamma-zero": (dict(gamma=0.0, initial_quantity=0.0), BOTH, 300.0, "no-backoff"),
+    "start-above-optimum": (dict(initial_quantity=250.0), BOTH, 300.0, "decrease-at-start"),
+    "clamp-at-zero": (dict(initial_quantity=4.0), BOTH, 12.0, "zero-quantity"),
+    "horizon-0": (dict(horizon=0, initial_quantity=10.0), MONOTONE, 300.0, "round-0-only"),
 }
 
 
@@ -108,11 +108,11 @@ def _assert_utility_values_match(trajectory):
     assert mismatched == []
 
 
-def _assert_run_matches_oracle(config, scenario, flip):
+def _assert_run_matches_oracle(config, scenario):
     """``run``'s records and summary against the oracle's; returns the run,
     the oracle's records and its summary."""
-    initial, records = run_records(config, scenario, flip)
-    result = run(config, scenario, flip_signal_semantics=flip)
+    initial, records = run_records(config, scenario)
+    result = run(config, scenario)
     got_initial, *got_records = records_from(result.trajectory)
     assert repr(got_initial) == repr(initial)
     # round by round, so a mismatch reports its round instead of a diff of the whole run
@@ -127,20 +127,19 @@ def _assert_run_matches_oracle(config, scenario, flip):
 @pytest.mark.parametrize("scenario_seed", SCENARIO_SEEDS)
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
-    overrides, mode, target, flip, kind = VARIANTS[variant]
+    overrides, mode, target, kind = VARIANTS[variant]
     config = MarketConfig(3, 4, **{"horizon": 120, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, scenario_seed)
     # Replicate k of a batched run is the run with seed base + k: the
     # suppliers' series over all run seeds, the consumers' over the last 4.
     batches = [
-        (Role.SUPPLIER, 0, replicate_series(config, scenario, len(RUN_SEEDS), flip_signal_semantics=flip)),
-        (Role.CONSUMER, 4, replicate_series(replace(config, seed=4), scenario, 4,
-                                            flip_signal_semantics=flip, role=Role.CONSUMER)),
+        (Role.SUPPLIER, 0, replicate_series(config, scenario, len(RUN_SEEDS))),
+        (Role.CONSUMER, 4, replicate_series(replace(config, seed=4), scenario, 4, role=Role.CONSUMER)),
     ]
     exercised = False
     for k in RUN_SEEDS:
         seeded = replace(config, seed=k)
-        result, initial, records, expected_summary = _assert_run_matches_oracle(seeded, scenario, flip)
+        result, initial, records, expected_summary = _assert_run_matches_oracle(seeded, scenario)
         _assert_utility_values_match(result.trajectory)
         if not exercised and _exercised(kind, initial, records):
             # the first run that reaches the variant's case; the oracle's
@@ -163,14 +162,14 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 @pytest.mark.parametrize("horizon", [0, 1, 99, 255, 256, 257, 600, 1001])
 @pytest.mark.parametrize("variant", ["both-concave", "flipped-signals", "monotone-suppliers"])
 def test_block_boundaries_match_oracle(variant, horizon):
-    overrides, mode, target, flip, _ = VARIANTS[variant]
+    overrides, mode, target, _ = VARIANTS[variant]
     config = MarketConfig(3, 4, **{"horizon": horizon, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, SCENARIO_SEEDS[0])
     replicates = 3
-    series, summaries = replicate_series(config, scenario, replicates, flip_signal_semantics=flip)
-    consumers, _ = replicate_series(config, scenario, replicates, flip_signal_semantics=flip, role=Role.CONSUMER)
+    series, summaries = replicate_series(config, scenario, replicates)
+    consumers, _ = replicate_series(config, scenario, replicates, role=Role.CONSUMER)
     for k in range(replicates):
-        _, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario, flip)
+        _, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario)
         assert repr(series[k]) == repr(mean_derivative_series(records, Role.SUPPLIER))
         assert repr(consumers[k]) == repr(mean_derivative_series(records, Role.CONSUMER))
         assert repr(summaries[k]) == repr(expected_summary)
@@ -251,7 +250,7 @@ def test_negative_zero_optimum_matches_oracle():
     config = MarketConfig(1, 2, horizon=8, seed=0, initial_quantity=0.0)
     consumers = UtilitySpec.quadratic(-0.0, 20.0), UtilitySpec.quadratic(10.0, 20.0)
     scenario = ScenarioSpec((UtilitySpec.quadratic(10.0, 20.0),), consumers, 10.0, BOTH)
-    _, _, records, _ = _assert_run_matches_oracle(config, scenario, False)
+    _, _, records, _ = _assert_run_matches_oracle(config, scenario)
     assert [r.per_agent[1].trace.branch for r in records[:2]] == [Branch.ADDITIVE_DECREASE, Branch.ADDITIVE_INCREASE]
 
 
@@ -368,16 +367,17 @@ def _kernel_step(state, signal, params, draw):
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
     quantity, avg = np.array([[state.quantity]]), np.array([[state.running_average]])
     signalled, scratch = np.array([[bool(signal)]]), (np.empty((1, 1)), np.empty((1, 1), dtype=bool))
-    after = tuple(np.empty((1, 1)) for _ in range(4)) + (np.empty((1, 1), dtype=bool),)
+    after = tuple(np.empty((1, 1)) for _ in range(3)) + (np.empty((1, 1), dtype=bool),)
     before = (quantity, avg, np.array([[derivative(state.utility, state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
         step = population.widened(1).bind_step()
         step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
-    new_quantity, new_avg, new_marginal, raw, bernoulli = after
+        lam = backoff_probability(population.gamma * before[2] / avg, signalled, avg)
+    new_quantity, new_avg, new_marginal, bernoulli = after
     assert repr(float(new_marginal[0, 0])) == repr(derivative(state.utility, float(new_avg[0, 0])))
     branch = population.branches(quantity, bernoulli)
-    return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(backoff_probability(raw, signalled, avg)[0, 0]),
-            int(bernoulli[0, 0]), BRANCHES[branch[0, 0]])
+    return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(lam[0, 0]), int(bernoulli[0, 0]),
+            BRANCHES[branch[0, 0]])
 
 
 def test_simulate_runs_the_bound_step(monkeypatch):

@@ -215,6 +215,8 @@ def test_config_file_round_trip(tmp_path):
     without = tmp_path / "without-role-gamma.json"
     without.write_text(json.dumps(payload))
     assert load_config_file(without) == (config, scenario)
+    flipped = replace(config, flip_signal_semantics=True)
+    assert load_config_file(save_config_file(tmp_path / "flipped.json", flipped, scenario)) == (flipped, scenario)
 
 
 def test_config_file_is_json_with_mirrored_field_names(tmp_path):
@@ -241,14 +243,16 @@ def test_load_rejects_malformed_file(tmp_path):
 def test_with_overrides(tmp_path):
     # each of the CLI's override flags replaces its field, read back from run_config.json
     config, _ = reference_configs()["paper-a"]
-    every = {"seed": 1, "horizon": 10, "gamma": 0.5, "alpha_s": 2.0, "beta_s": 0.5, "alpha_c": 3.0, "beta_c": 0.25}
+    every = {"seed": 1, "horizon": 10, "gamma": 0.5, "alpha_s": 2.0, "beta_s": 0.5, "alpha_c": 3.0, "beta_c": 0.25,
+             "flip_signal_semantics": True}
     for given in (every, {"horizon": 10, "beta_c": 0.5}):
         out = tmp_path / f"out{len(given)}"
-        flags = [item for name, value in given.items() for item in (f"--{name.replace('_', '-')}", str(value))]
+        flags = [item for name, value in given.items()
+                 for item in (f"--{name.replace('_', '-')}", str(value))[:1 if value is True else 2]]
         assert main(["run", "--reference", "paper-a", *flags, "--out", str(out)]) == 0
         written, _ = load_config_file(out / "run_config.json")
         assert written == replace(config, **given)  # untouched values survive
-    written = json.loads((tmp_path / "out7" / "run_config.json").read_text())["config"]
+    written = json.loads((tmp_path / "out8" / "run_config.json").read_text())["config"]
     assert written["supplier_params"] == {"alpha": 2.0, "beta": 0.5, "gamma": 0.5}
     assert written["consumer_params"] == {"alpha": 3.0, "beta": 0.25, "gamma": 0.5}
     assert [written[name] for name in ("seed", "horizon", "gamma", "num_consumers")] == [1, 10, 0.5, 18]
