@@ -21,10 +21,11 @@ the branch codes are derived from those in ``metrics``, not here.  Given a
 ``metrics.RecordsExport``, it starts the export's workers before the first
 round and hands them each block's rounds once they are copied, so the
 records are formatted while the run is simulated.  ``replicate_series``
-reduces each block to its mean-derivative rows.  Both copy the totals of
-every block into one whole-run array, from which ``summarize_final`` takes
-the trailing-window means.  Every float sum outside the round loop is
-``utility.ordered_sum``, in the loop's order.
+writes each block's mean supplier u' into one C-ordered (replicates x
+horizon) array.  Both copy the totals of every block into one whole-run
+array, from which ``summarize_final`` takes the trailing-window means.
+Every float sum outside the round loop is ``utility.ordered_sum``, in the
+loop's order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .agent import Population, Role
+from .agent import Population
 from .metrics import RecordsExport, RunSummary, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
@@ -169,27 +170,23 @@ def run(config: MarketConfig, scenario: ScenarioSpec, *, records: Optional[Recor
 
 
 def replicate_series(
-    config: MarketConfig, scenario: ScenarioSpec, replicates: int, *, role: Role = Role.SUPPLIER
-) -> tuple[list[list[float]], list[RunSummary]]:
+    config: MarketConfig, scenario: ScenarioSpec, replicates: int
+) -> tuple[np.ndarray, list[RunSummary]]:
     """Run ``replicates`` seeds (seed+0..R-1) against one fixed scenario.
 
-    Returns the per-replicate mean utility-derivative series for ``role``
-    plus each run's summary, equal to those of ``run`` with each seed.
-    All replicates advance together in one ``simulate`` call; replicate k
+    Returns a C-ordered (replicates x horizon) array whose row k is replicate k's mean supplier
+    utility derivative over rounds 1..horizon, plus each run's summary, equal to those of ``run``
+    with each seed.  All replicates advance together in one ``simulate`` call; replicate k
     depends only on (config, k), so no result depends on the others.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     _validate(config, scenario)
-    population = Population.build(config, scenario)
-    s = population.num_suppliers
-    members = slice(0, s) if role is Role.SUPPLIER else slice(s, None)
-    count = len(population.agent_ids[members])
-    means, totals = [], np.empty((config.horizon + 1, 2, replicates))
-    seeds = [config.seed + k for k in range(replicates)]
-    for block in simulate(population, config, seeds):
-        # rounds 1.. only, in agent order
-        means.append(ordered_sum(block.derivative[max(1 - block.first, 0):, members], axis=1) / count)
-        totals[block.first:block.first + len(block.totals)] = block.totals
-    final = block.running_average[-1], block.derivative[-1]
-    return np.concatenate(means).T.tolist(), summarize_final(population, config.horizon, totals, *final)
+    population, s = Population.build(config, scenario), config.num_suppliers
+    series, totals = np.empty((replicates, config.horizon)), np.empty((config.horizon + 1, 2, replicates))
+    for block in simulate(population, config, [config.seed + k for k in range(replicates)]):
+        # rounds 1.. only, in agent order: column t - 1 holds round t
+        skip, stop = int(block.first == 0), block.first + len(block.totals)
+        series.T[block.first + skip - 1:stop - 1] = ordered_sum(block.derivative[skip:, :s], axis=1) / s
+        totals[block.first:stop] = block.totals
+    return series, summarize_final(population, config.horizon, totals, block.running_average[-1], block.derivative[-1])

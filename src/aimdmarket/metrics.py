@@ -1,4 +1,4 @@
-"""Run trajectories as columns, convergence detection, confidence bands, export.
+"""Run trajectories and confidence bands as columns, convergence detection, export.
 
 A run is stored as a ``Trajectory``: the (rounds x agents) arrays the
 kernel yields (each agent's quantity, running average, utility derivative
@@ -94,14 +94,13 @@ class Trajectory:
     sum_of_utilities = property(lambda self: self._derived["sum_of_utilities"])  # per round, in agent order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSeries:
-    """Per-round mean with a symmetric confidence band over replicates."""
+    """Per-round mean with a symmetric confidence band over replicates, as arrays over rounds 1..n."""
 
-    rounds: tuple[int, ...]
-    mean: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    mean: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     replicate_count: int
 
 
@@ -150,25 +149,16 @@ def detect_convergence(
     return None
 
 
-def confidence_band(replicates: Sequence[Sequence[float]]) -> BandSeries:
-    """Normal-approximation band at CONFIDENCE_LEVEL: mean +/- z * s / sqrt(R) per round,
-    with the sample standard deviation (n-1 denominator) across replicates."""
-    if len(replicates) < 2:
-        raise ValueError("confidence_band needs at least 2 replicates")
-    lengths = {len(r) for r in replicates}
-    if len(lengths) != 1:
-        raise ValueError("replicate trajectories must have equal length")
-    data = np.asarray(replicates, dtype=float)
-    r = data.shape[0]
-    mean = data.mean(axis=0)
+def confidence_band(replicates) -> BandSeries:
+    """Normal-approximation band at CONFIDENCE_LEVEL over the rows of an (R x rounds) input, R >= 2: mean
+    +/- z * s / sqrt(R) per round, s the sample standard deviation (n-1 denominator).  The input is made
+    C-ordered, so that both add the replicates in order whatever its layout; numpy refuses a ragged one."""
+    data = np.asarray(replicates, dtype=float, order="C")
+    if data.ndim != 2 or len(data) < 2:
+        raise ValueError("confidence_band needs an (R x rounds) input with R >= 2 replicates")
+    mean, r = data.mean(axis=0), len(data)
     half = CONFIDENCE_Z * data.std(axis=0, ddof=1) / math.sqrt(r)
-    return BandSeries(
-        rounds=tuple(range(1, data.shape[1] + 1)),
-        mean=tuple(mean.tolist()),
-        lower=tuple((mean - half).tolist()),
-        upper=tuple((mean + half).tolist()),
-        replicate_count=r,
-    )
+    return BandSeries(mean, mean - half, mean + half, r)
 
 
 def _distinct_text(values: np.ndarray) -> np.ndarray:
@@ -441,22 +431,22 @@ def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
     """Write a BandSeries as CSV or JSON, atomically; a non-finite band is
     refused with a ValueError before the file is opened."""
     destination = Path(destination)
+    columns = dict(rounds=np.arange(1, len(band.mean) + 1), mean=band.mean, lower=band.lower, upper=band.upper)
     for name in ("mean", "lower", "upper"):
-        if not all(map(math.isfinite, getattr(band, name))):
+        if not np.isfinite(columns[name]).all():
             raise ValueError(f"the run overflowed or went non-finite: band column {name}")
     try:
         if fmt == "csv":
-            columns = [np.asarray(getattr(band, name)) for name in ("rounds", "mean", "lower", "upper")]
             with atomic_writer(destination) as fh:
                 fh.write("round,mean,lower,upper,replicate_count\n")
                 fh.flush()
-                for start in range(0, len(band.rounds), BAND_CHUNK):
-                    rounds, mean, lower, upper = (column[start : start + BAND_CHUNK] for column in columns)
+                for start in range(0, len(band.mean), BAND_CHUNK):
+                    rounds, mean, lower, upper = (column[start : start + BAND_CHUNK] for column in columns.values())
                     fields = [int_text(rounds), ",", float_text(mean), ",", float_text(lower), ",", float_text(upper)]
                     fh.buffer.write(compact(join((len(rounds),), [*fields, f",{band.replicate_count}\n"])))
         elif fmt == "json":
-            payload = {"replicate_count": band.replicate_count, "rounds": list(band.rounds),
-                       **{name: list(getattr(band, name)) for name in ("mean", "lower", "upper")}}
+            payload = {"replicate_count": band.replicate_count,
+                       **{name: column.tolist() for name, column in columns.items()}}
             with atomic_writer(destination) as fh:
                 json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
                 fh.write("\n")

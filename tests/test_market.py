@@ -319,7 +319,7 @@ def test_replicate_series_order_independent():
     # replicate k is a run with seed + k regardless of execution order
     for k in [3, 1, 0, 2]:
         solo = run(dataclasses.replace(config, seed=config.seed + k), scenario)
-        assert series[k] == mean_derivative_series(records_from(solo.trajectory)[1:], Role.SUPPLIER)
+        assert series[k].tolist() == mean_derivative_series(records_from(solo.trajectory)[1:], Role.SUPPLIER)
 
 
 def test_package_root_reexports_the_public_names():

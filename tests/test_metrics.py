@@ -7,13 +7,14 @@ import signal
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aimdmarket import metrics
 from aimdmarket.agent import BRANCHES, Role
-from aimdmarket.market import run
+from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import (
     CSV_HEADER,
     BandSeries,
@@ -22,7 +23,14 @@ from aimdmarket.metrics import (
     export_band_series,
     export_run,
 )
-from aimdmarket.scenario import MarketConfig, ScenarioMode, atomic_writer, generate_scenario, strict_json
+from aimdmarket.scenario import (
+    MarketConfig,
+    ScenarioMode,
+    atomic_writer,
+    generate_scenario,
+    reference_configs,
+    strict_json,
+)
 from aimdmarket.text import compact, float_text
 from export_schedule import SCHEDULES, WORKER, expected_takers, forced
 from scalar_oracle import REPR_LAYOUTS as LAYOUTS, mean_derivative_series, records_from, summarize
@@ -87,7 +95,7 @@ def test_detect_parameter_validation():
 def test_band_identical_replicates_zero_width():
     series = [[3.0, 2.0, 1.0]] * 5
     band = confidence_band(series)
-    assert band.lower == band.mean == band.upper == (3.0, 2.0, 1.0)
+    assert band.lower.tolist() == band.mean.tolist() == band.upper.tolist() == [3.0, 2.0, 1.0]
     assert band.replicate_count == 5
 
 
@@ -124,6 +132,21 @@ def test_band_ordering_invariant():
     band = confidence_band(series)
     for lo, mid, hi in zip(band.lower, band.mean, band.upper):
         assert lo <= mid <= hi
+
+
+@pytest.mark.parametrize("replicates", [8, 20])
+def test_band_bits_do_not_depend_on_input_layout(replicates):
+    # numpy's mean and std along axis 0 add the rows in order only over a C-ordered array; over
+    # an F-ordered one they add pairwise, which changes hundreds of paper-a's 2000 rounds
+    config, scenario = reference_configs()["paper-a"]
+    series, _ = replicate_series(replace(config, horizon=2000), scenario, replicates)
+    assert (series.dtype, series.shape, series.flags.c_contiguous) == (np.float64, (replicates, 2000), True)
+    expected = confidence_band(series)
+    for layout in (np.asfortranarray(series), series.tolist()):
+        band = confidence_band(layout)
+        assert band.replicate_count == expected.replicate_count == replicates
+        for name in ("mean", "lower", "upper"):
+            assert getattr(band, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 # --- export -------------------------------------------------------------------
@@ -367,13 +390,13 @@ def test_band_export_csv_and_json(tmp_path):
 
 def test_band_csv_bytes_match_csv_writer(tmp_path):
     # the rows csv.writer wrote, for a value in every repr layout in each column
-    k = len(LAYOUTS)
-    band = BandSeries(tuple(range(1, k + 1)), LAYOUTS, LAYOUTS[1:] + LAYOUTS[:1], LAYOUTS[::-1], 7)
+    mean, lower, upper = LAYOUTS, LAYOUTS[1:] + LAYOUTS[:1], LAYOUTS[::-1]
+    band = BandSeries(np.array(mean), np.array(lower), np.array(upper), 7)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
-    for i, rnd in enumerate(band.rounds):
-        writer.writerow([rnd, repr(band.mean[i]), repr(band.lower[i]), repr(band.upper[i]), band.replicate_count])
+    for i in range(len(LAYOUTS)):
+        writer.writerow([i + 1, repr(mean[i]), repr(lower[i]), repr(upper[i]), band.replicate_count])
     written = export_band_series(band, "csv", tmp_path / "band.csv").read_bytes()
     assert written == expected.getvalue().encode()
     assert written.endswith(b"15,0.30000000000000004,1.5,0.0001,7\n16,1.5,1e-05,1e-05,7\n")
