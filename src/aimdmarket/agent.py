@@ -9,18 +9,19 @@ finite optimum always take the increase branch when not backed off.
 
 Agents are coupled only through the one-bit side signal, so the rule runs
 in lockstep on (agents x replicates) arrays, in place, as one round step
-function that ``Population.bind_step`` hands out with the population's
-columns, constants and ufuncs bound; ``simulate`` and the oracle parity
-tests call that same function.  A run does not store the recorded lambda
-or the branch code: ``metrics.derived_columns`` derives them from the state
-entering each round (``backoff_probability``, ``Population.branches``).
-Every operation is elementwise and in the order of the one-agent formula, so
-each value is bit-identical to evaluating the agents one at a time.
+function that ``Population.bind_step(replicates)`` hands out with the
+population's columns broadcast to that shape and its constants and ufuncs
+bound; ``simulate`` and the oracle parity tests call that same function.
+A run does not store the recorded lambda or the branch code:
+``metrics.derived_columns`` derives them from the state entering each
+round (``backoff_probability``, ``Population.branches``).  Every operation
+is elementwise and in the order of the one-agent formula, so each value is
+bit-identical to evaluating the agents one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -78,17 +79,10 @@ class Population:
         return cls(ids, roles, utilities, len(scenario.supplier_utilities), UtilityColumns.of(utilities),
                    _column(alpha), _column(beta), config.gamma)
 
-    def widened(self, replicates: int) -> "Population":
-        """This population with every constant column broadcast to (agents x ``replicates``), so that
-        the round step's ufuncs run on same-shape arrays."""
-        shape = (len(self.agent_ids), replicates)
-        *family, alpha, beta = (np.ascontiguousarray(np.broadcast_to(value, shape))
-                                for value in (*self.family, self.alpha, self.beta))
-        return replace(self, family=UtilityColumns(*family), alpha=alpha, beta=beta)
-
-    def bind_step(self):
-        """The round step, with this population's columns, its scalar operands (as arrays of the columns'
-        shape) and the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
+    def bind_step(self, replicates: int):
+        """The round step on (agents x ``replicates``) arrays, with this population's columns broadcast to
+        that shape and its scalar operands as arrays of it, so that its ufuncs run on same-shape arrays, and
+        with the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
 
         ``step(before, after, rounds, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring divide,
         invalid and over: from ``before`` = (quantity, average, u'(average)), an average of ``rounds``
@@ -99,8 +93,12 @@ class Population:
         a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  u'(average) is
         ``UtilityColumns.bind_derivative``'s; a sqrt agent's average is never 0, as its quantity starts
         with +alpha and stays positive."""
-        optimum, alpha, beta, derivative = self.family.optimum, self.alpha, self.beta, self.family.bind_derivative()
-        zero, eps_avg, gamma = (np.full(optimum.shape, c) for c in (0.0, EPS_AVG, self.gamma))
+        shape = (len(self.agent_ids), replicates)
+        *family, alpha, beta = (np.ascontiguousarray(np.broadcast_to(value, shape))
+                                for value in (*self.family, self.alpha, self.beta))
+        family = UtilityColumns(*family)
+        optimum, derivative = family.optimum, family.bind_derivative()
+        zero, eps_avg, gamma = (np.full(shape, c) for c in (0.0, EPS_AVG, self.gamma))
         subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto = (
             np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,
             np.greater_equal, np.copyto)

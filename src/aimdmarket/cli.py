@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
     if args.command in ("paper-a", "paper-b"):
         return reference_configs()[args.command]
-    if getattr(args, "config", None) is not None:
+    if args.config is not None and args.reference is not None:
+        raise ValueError("give --config or --reference, not both")
+    if args.config is not None:
         return load_config_file(args.config)
-    if getattr(args, "reference", None) is not None:
+    if args.reference is not None:
         return reference_configs()[args.reference]
     raise ValueError(f"{args.command} requires --config or --reference")
 
 
 def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
-    """``config`` with each override flag that was given (each names its field)."""
-    flags = ("seed", "horizon", "gamma", "alpha_s", "beta_s", "alpha_c", "beta_c", "flip_signal_semantics")
-    return replace(config, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
+    """``config`` with each parsed option that was given and names a ``MarketConfig`` field."""
+    names = {field.name for field in fields(MarketConfig)}
+    return replace(config, **{name: value for name, value in vars(args).items()
+                              if name in names and value is not None})
 
 
 def _cmd_run(args) -> int:

@@ -8,12 +8,13 @@ is organized as one independent stream per agent with one uniform draw
 per round, so results do not depend on any execution schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, in blocks of ``DRAW_BLOCK`` rounds; each stream fills its row of a
+seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, so that each block
+completes one records chunk; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
 per-round loop walks views built once per call and keeps only what the next
 round needs: both signals from one comparison of the totals
-(``_excess_sides``), the signal each agent reads, the bound round step
-(``Population.bind_step``), the side totals (``np.add.accumulate``).
+(``_excess_sides``), the signal each agent reads, the round step bound for its
+replicates (``Population.bind_step``), the side totals (``np.add.accumulate``).
 ``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
 totals and the signals its agents read into the columns of a
 ``metrics.Trajectory``, which it keeps in shared anonymous memory; lambda and
@@ -36,13 +37,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .agent import Population
-from .metrics import RecordsExport, RunSummary, Trajectory, shared_empty, summarize_final
+from .metrics import EXPORT_CHUNK, RecordsExport, RunSummary, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
-
-# Rounds advanced per block: memory stays O(DRAW_BLOCK x agents x
-# replicates) whatever the horizon.
-DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +84,7 @@ def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
 
 def simulate(population: Population, config: MarketConfig, seeds: Sequence[int]) -> Iterator[Block]:
     """Yield rounds 0..horizon of one market per seed, in lockstep, in
-    blocks of ``DRAW_BLOCK`` rounds (the last one shorter), from buffers
+    blocks of ``EXPORT_CHUNK`` rounds (the last one shorter), from buffers
     allocated once per call.
 
     Round 0 is the initialization step from ``config.initial_quantity``:
@@ -95,8 +92,8 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     streams of ``seeds[k]``, so it equals a single-seed run with that seed.
     """
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
-    step, excess = population.widened(len(seeds)).bind_step(), _excess_sides(config.flip_signal_semantics)
-    rows = min(DRAW_BLOCK, config.horizon + 1)
+    step, excess = population.bind_step(len(seeds)), _excess_sides(config.flip_signal_semantics)
+    rows = min(EXPORT_CHUNK, config.horizon + 1)
     columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool] * 2]
     totals, partial_sums = np.empty((rows, 2, len(seeds))), np.empty(shape)
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
@@ -115,8 +112,8 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))
     before, (last, last_reversed) = (start, start, start), [np.zeros((2, len(seeds)))] * 2
-    for first in range(0, config.horizon + 1, DRAW_BLOCK):
-        block, skip = min(DRAW_BLOCK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
+    for first in range(0, config.horizon + 1, EXPORT_CHUNK):
+        block, skip = min(EXPORT_CHUNK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
         for fill, stream in fills:
             fill(out=stream[skip:block])
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield

@@ -1,4 +1,4 @@
-"""Run trajectories and confidence bands as columns, convergence detection, export.
+"""Run trajectories and confidence bands as columns, summaries, export.
 
 A run is stored as a ``Trajectory``: the (rounds x agents) arrays the
 kernel yields (each agent's quantity, running average, utility derivative
@@ -7,12 +7,13 @@ the kernel does not keep are derived here (``derived_columns``): the
 back-off probability and the branch code, from the state entering each
 round, its signal and its Bernoulli bit, and utility values and their sums,
 evaluated at the running average, which is the quantity the convergence
-claims are about.  Exports are written from the columns, checked finite and
-written atomically, and are byte-deterministic: repeated export of the same
-run is identical.  A records export (``RecordsExport``) hands its 256-round
-chunks to forked workers through a pipe of chunk tokens, while the run is
-simulated or at once, and writes them in chunk order; the bytes do not
-depend on which process formats which chunk.
+claims are about; no whole-run copy of them is kept.  Exports are written
+from the columns, checked finite and written atomically, and are
+byte-deterministic: repeated export of the same run is identical.  A records
+export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to forked
+workers through a pipe of chunk tokens, while the run is simulated or at
+once, and writes them in chunk order; whichever process formats a chunk
+derives its columns, and the bytes do not depend on which one it is.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import mmap
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +39,9 @@ CSV_HEADER = (
     "round,agent_id,role,quantity,running_average,utility_value,utility_derivative,"
     "lambda,bernoulli,branch,total_supply,total_consumption,s_signal,c_signal,sum_of_utilities"
 )
-# Rounds whose export rows are built at a time: export memory stays
-# O(EXPORT_CHUNK x agents) whatever the horizon.
+# Rounds whose export rows are built at a time, and rounds that ``market.simulate`` advances per
+# block, so that chunk k is complete once block k is: memory stays O(EXPORT_CHUNK x agents x
+# replicates) whatever the horizon.
 EXPORT_CHUNK = 256
 # Band rows built at a time, for the same reason.
 BAND_CHUNK = 8192
@@ -82,17 +83,6 @@ class Trajectory:
     consumer_signal: np.ndarray
     initial_quantity: float
 
-    @cached_property
-    def _derived(self) -> dict[str, np.ndarray]:
-        """The derived columns of the whole run.  An export does not read them: whichever process
-        formats a chunk derives that chunk's."""
-        return derived_columns(self, slice(0, len(self.total_supply)))
-
-    backoff_probability = property(lambda self: self._derived["backoff_probability"])
-    branch = property(lambda self: self._derived["branch"])  # indices into agent.BRANCHES
-    utility_value = property(lambda self: self._derived["utility_value"])  # u(running average)
-    sum_of_utilities = property(lambda self: self._derived["sum_of_utilities"])  # per round, in agent order
-
 
 @dataclass(frozen=True, eq=False)
 class BandSeries:
@@ -125,28 +115,6 @@ class RunSummary:
     final_consumer_utility_sum: float
     final_mean_abs_derivative: float
     agents: tuple[AgentSummary, ...]
-
-
-def detect_convergence(
-    series: Sequence[float],
-    target: float,
-    rel_tol: float,
-    window: int,
-) -> Optional[int]:
-    """Earliest index from which the series stays within rel_tol of target
-    for a full window, or None if it never does.  The index is positional:
-    callers map it back to round numbers."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    band = rel_tol * max(target, 1e-9)
-    consecutive = 0
-    for i, value in enumerate(series):
-        consecutive = consecutive + 1 if abs(value - target) <= band else 0
-        if consecutive >= window:
-            return i - window + 1
-    return None
 
 
 def confidence_band(replicates) -> BandSeries:
@@ -365,7 +333,9 @@ class RecordsExport:
         try:
             os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
             self._format_into(0)
-            self._join()
+            failed = [code for code in self._reap() if code]
+            if failed:
+                raise OSError(f"an export worker exited with status {failed[0]}")
             mask = int(np.bitwise_or.reduce(self._table[:, 3]))
             if mask:
                 name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
@@ -400,12 +370,6 @@ class RecordsExport:
             codes.append(os.waitstatus_to_exitcode(os.waitpid(self._workers[0], 0)[1]))
             self._workers.pop(0)
         return codes
-
-    def _join(self) -> None:
-        """Reap every worker; raise OSError if any failed."""
-        failed = [code for code in self._reap() if code]
-        if failed:
-            raise OSError(f"an export worker exited with status {failed[0]}")
 
 
 def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:

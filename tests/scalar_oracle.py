@@ -9,15 +9,18 @@ record-by-record writer the package used before it wrote exports from
 columns, as the oracle whose bytes ``metrics.export_run`` must match.
 
 The per-round record objects (``RoundRecord`` and its parts) live only
-here.  ``records_from`` views a package ``metrics.Trajectory`` as the
-same records, so a mismatch can be named by its round, and ``summarize``
-and ``mean_derivative_series`` are the record-by-record reductions that
-``market.run`` and ``market.replicate_series`` must reproduce.  The
-oracle's signal rule is its own, written out apart from the kernel's, and
-so are its utility forms: ``evaluate`` and ``derivative`` are the scalar
-formulas that ``utility.UtilityColumns`` evaluates on arrays, and
-``check_derivative`` checks the one against a central difference of the
-other.
+here.  ``run_columns`` gives every recorded column of a package
+``metrics.Trajectory``, the derived ones by ``metrics.derived_columns``
+over the whole run, and ``records_from`` views them as the same records,
+so a mismatch can be named by its round; ``summarize`` and
+``mean_derivative_series`` are the record-by-record reductions that
+``market.run`` and ``market.replicate_series`` must reproduce, and
+``detect_convergence`` is the scalar form of the "stays within a band"
+rule over such a series.  The oracle's signal rule is its own, written out
+apart from the kernel's, and so are its utility forms: ``evaluate`` and
+``derivative`` are the scalar formulas that ``utility.UtilityColumns``
+evaluates on arrays, and ``check_derivative`` checks the one against a
+central difference of the other.
 Its float totals use its own ``ordered_sum``, a scalar left-to-right
 reduction, the reference for ``utility.ordered_sum``'s array form, so the
 oracle adds in the package's order on every Python version.
@@ -30,13 +33,16 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
 from aimdmarket.market import agent_rng_streams
-from aimdmarket.metrics import CSV_HEADER, FLOAT_COLUMNS, AgentSummary, RunSummary, Trajectory, trailing_window
+from aimdmarket.metrics import (CSV_HEADER, FLOAT_COLUMNS, AgentSummary, RunSummary, Trajectory, derived_columns,
+                               trailing_window)
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UtilityKind, UtilitySpec
 
@@ -119,9 +125,17 @@ class RoundRecord:
     sum_of_utilities: float
 
 
+def run_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """Every recorded column of a package run by name, row t holding round t: the trajectory's
+    per-round fields and ``metrics.derived_columns`` of rounds 0..horizon."""
+    stored = {field.name: getattr(trajectory, field.name) for field in fields(trajectory)
+              if field.name not in ("population", "initial_quantity")}
+    return {**stored, **derived_columns(trajectory, slice(0, len(trajectory.total_supply)))}
+
+
 def records_from(trajectory: Trajectory) -> list[RoundRecord]:
     """Rounds 0..horizon of a package run as records: row t is round t."""
-    p = trajectory.population
+    p, columns = trajectory.population, run_columns(trajectory)
     records = []
     for t in range(len(trajectory.total_supply)):
         entries = tuple(
@@ -129,15 +143,15 @@ def records_from(trajectory: Trajectory) -> list[RoundRecord]:
             for agent_id, role, q, avg, value, derivative, lam, bit, code in zip(
                 p.agent_ids,
                 p.roles,
-                *(getattr(trajectory, name)[t].tolist() for name in FLOAT_COLUMNS),
+                *(columns[name][t].tolist() for name in FLOAT_COLUMNS),
                 trajectory.bernoulli[t].astype(int).tolist(),
-                trajectory.branch[t].tolist(),
+                columns["branch"][t].tolist(),
             )
         )
         signals = CapacitySignals(int(trajectory.supplier_signal[t]), int(trajectory.consumer_signal[t]))
         records.append(RoundRecord(t, entries, float(trajectory.total_supply[t]),
                                    float(trajectory.total_consumption[t]), signals,
-                                   float(trajectory.sum_of_utilities[t])))
+                                   float(columns["sum_of_utilities"][t])))
     return records
 
 
@@ -192,6 +206,23 @@ def mean_derivative_series(records: Sequence[RoundRecord], role: Role) -> list[f
         values = [e.utility_derivative for e in record.per_agent if e.role is role]
         out.append(ordered_sum(values) / len(values))
     return out
+
+
+def detect_convergence(series: Sequence[float], target: float, rel_tol: float, window: int) -> Optional[int]:
+    """Earliest index from which the series stays within rel_tol of target
+    for a full window, or None if it never does.  The index is positional:
+    callers map it back to round numbers."""
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    band = rel_tol * max(target, 1e-9)
+    consecutive = 0
+    for i, value in enumerate(series):
+        consecutive = consecutive + 1 if abs(value - target) <= band else 0
+        if consecutive >= window:
+            return i - window + 1
+    return None
 
 
 def check_derivative(u: UtilitySpec, z: float, h: float) -> float:

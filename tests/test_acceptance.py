@@ -25,7 +25,8 @@ from aimdmarket.scenario import (
     save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
-from scalar_oracle import check_derivative, derivative, mean_derivative_series, records_from, update_running_average
+from scalar_oracle import (check_derivative, derivative, mean_derivative_series, records_from, run_columns,
+                           update_running_average)
 
 TARGET = 900.0
 
@@ -144,8 +145,8 @@ def test_criterion_7_probability_validity_fuzz():
         scenario = generate_scenario(
             config, mode, float(rng.uniform(50.0, 2000.0)), int(rng.integers(0, 10_000))
         )
-        trajectory = run(config, scenario).trajectory
-        lam, quantity = trajectory.backoff_probability[1:], trajectory.quantity[1:]  # rounds 1..horizon
+        columns = run_columns(run(config, scenario).trajectory)
+        lam, quantity = columns["backoff_probability"][1:], columns["quantity"][1:]  # rounds 1..horizon
         assert ((0.0 <= lam) & (lam <= 1.0)).all()
         assert (quantity >= 0.0).all()
         checked_lambdas += lam.size

@@ -60,6 +60,47 @@ def test_run_requires_source(tmp_path):
     assert code != 0
 
 
+@pytest.mark.parametrize("command", [["run"], ["replicate", "--replicates", "2"]], ids=["run", "replicate"])
+def test_config_and_reference_together_are_refused(tmp_path, config_file, capsys, command):
+    out = tmp_path / "out"
+    args = [*command, "--config", str(config_file), "--reference", "paper-a", "--horizon", "5", "--out", str(out)]
+    assert main(args) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "give --config or --reference, not both"}
+    assert not out.exists()
+
+
+# each override flag, a value that neither config_file nor the defaults hold, and the run_config.json
+# "config" keys that it sets: gamma is written once for the market and once in each side's params
+OVERRIDES = {
+    "--seed": (["5"], {("seed",): 5}),
+    "--horizon": (["30"], {("horizon",): 30}),
+    "--gamma": (["1.5"], {("gamma",): 1.5, ("supplier_params", "gamma"): 1.5, ("consumer_params", "gamma"): 1.5}),
+    "--alpha-s": (["4.5"], {("supplier_params", "alpha"): 4.5}),
+    "--beta-s": (["0.5"], {("supplier_params", "beta"): 0.5}),
+    "--alpha-c": (["3.5"], {("consumer_params", "alpha"): 3.5}),
+    "--beta-c": (["0.25"], {("consumer_params", "beta"): 0.25}),
+    "--flip-signal-semantics": ([], {("flip_signal_semantics",): True}),
+}
+
+
+@pytest.mark.parametrize("flag", OVERRIDES)
+def test_every_override_flag_reaches_run_config(tmp_path, config_file, flag):
+    # the written config is the file's with exactly the flag's keys changed, to values of the field's type
+    values, changes = OVERRIDES[flag]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), flag, *values, "--out", str(out)]) == 0
+    expected = json.loads(config_file.read_text())["config"]
+    for (*parents, key), value in changes.items():
+        target = expected
+        for parent in parents:
+            target = target[parent]
+        assert target.get(key) != value
+        target[key] = value
+    written = json.loads((out / "run_config.json").read_text())["config"]
+    assert repr(written) == repr(expected)
+
+
 def test_run_reference_with_overrides(tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -7,7 +7,6 @@ import pytest
 
 from aimdmarket.agent import Branch, Population, Role
 from aimdmarket.market import _excess_sides, agent_rng_streams, replicate_series, run, simulate
-from aimdmarket.metrics import Trajectory
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -25,6 +24,7 @@ from scalar_oracle import (
     mean_derivative_series,
     records_from,
     role_params,
+    run_columns,
 )
 
 
@@ -38,15 +38,11 @@ def small_scenario(config):
     return generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 200.0, 3)
 
 
-# every per-round column of a Trajectory, and the lambda and branch codes of its whole-run view
-COLUMNS = [field.name for field in dataclasses.fields(Trajectory)
-           if field.name not in ("population", "initial_quantity")] + ["backoff_probability", "branch"]
-
-
 def same_columns(a, b):
-    """Whether two runs store equal values in every column of a round."""
-    return all(np.array_equal(getattr(a.trajectory, name), getattr(b.trajectory, name))
-               for name in COLUMNS)
+    """Whether two runs hold equal values in every recorded column of a round, lambda and the branch
+    codes included."""
+    a, b = run_columns(a.trajectory), run_columns(b.trajectory)
+    return all(np.array_equal(a[name], b[name]) for name in a)
 
 
 def signals(supply, consumption, flip=False):
@@ -139,20 +135,20 @@ def test_round_record_conservation():
     config = small_config()
     scenario = small_scenario(config)
     trajectory = run(config, scenario).trajectory
-    s = trajectory.population.num_suppliers
+    s, columns = trajectory.population.num_suppliers, run_columns(trajectory)
     for t in range(1, config.horizon + 1):
         quantities = trajectory.quantity[t].tolist()
         assert trajectory.total_supply[t] == sum(quantities[:s])
         assert trajectory.total_consumption[t] == sum(quantities[s:])
-        value_sum = sum(trajectory.utility_value[t].tolist())
-        assert trajectory.sum_of_utilities[t] == pytest.approx(value_sum, rel=1e-12)
+        value_sum = sum(columns["utility_value"][t].tolist())
+        assert columns["sum_of_utilities"][t] == pytest.approx(value_sum, rel=1e-12)
 
 
 def test_records_numbered_from_one():
     config = small_config(horizon=7)
     trajectory = run(config, small_scenario(config)).trajectory
     # rows 0..7: round 0, the initialization step, then rounds 1..7
-    assert {len(getattr(trajectory, name)) for name in COLUMNS} == {8}
+    assert {len(column) for column in run_columns(trajectory).values()} == {8}
 
 
 # --- run ------------------------------------------------------------------
@@ -196,8 +192,8 @@ def test_numpy_error_state_does_not_leak(caller):
     shape, cold = (4, 1), np.zeros((4, 1))
     after = tuple(np.empty(shape) for _ in range(3)) + (np.empty(shape, dtype=bool),)
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="divide"):
-        population.widened(1).bind_step()((cold,) * 3, after, 0, np.zeros(shape, dtype=bool), cold,
-                                          (np.empty(shape), np.empty(shape, dtype=bool)))
+        population.bind_step(1)((cold,) * 3, after, 0, np.zeros(shape, dtype=bool), cold,
+                                (np.empty(shape), np.empty(shape, dtype=bool)))
     with warnings.catch_warnings(), np.errstate(**caller):
         warnings.simplefilter("error")
         expected = np.geterr()
@@ -208,7 +204,7 @@ def test_numpy_error_state_does_not_leak(caller):
         assert np.geterr() == expected
         result = run(config, scenario)
         assert np.geterr() == expected
-    assert repr(result.trajectory.backoff_probability[0].tolist()) == repr([0.0] * 4)
+    assert repr(run_columns(result.trajectory)["backoff_probability"][0].tolist()) == repr([0.0] * 4)
 
 
 @pytest.mark.parametrize("flip", [False, True])

@@ -19,7 +19,6 @@ from aimdmarket.metrics import (
     CSV_HEADER,
     BandSeries,
     confidence_band,
-    detect_convergence,
     export_band_series,
     export_run,
 )
@@ -33,7 +32,8 @@ from aimdmarket.scenario import (
 )
 from aimdmarket.text import compact, float_text
 from export_schedule import SCHEDULES, WORKER, expected_takers, forced
-from scalar_oracle import REPR_LAYOUTS as LAYOUTS, mean_derivative_series, records_from, summarize
+from scalar_oracle import (REPR_LAYOUTS as LAYOUTS, detect_convergence, mean_derivative_series, records_from,
+                           run_columns, summarize)
 
 
 def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
@@ -42,7 +42,7 @@ def small_run(horizon=20, seed=5, suppliers=1, consumers=1, initial=10.0):
     return config, scenario, run(config, scenario)
 
 
-# --- detect_convergence -----------------------------------------------------
+# --- detect_convergence (the oracle's) --------------------------------------
 
 
 def test_detect_constant_series():
@@ -171,16 +171,17 @@ def test_json_round_trip(tmp_path):
     # every column of rounds 1..horizon comes back from the JSON export
     _, _, result = small_run(horizon=25, suppliers=2, consumers=3)
     trajectory, p = result.trajectory, result.trajectory.population
+    columns = run_columns(trajectory)
     rounds = json.loads(export_run(trajectory, "json", tmp_path / "r.json").read_text())
     assert [r["round"] for r in rounds] == list(range(1, 26))
     agents = [[{**e, **e["trace"]} for e in r["per_agent"]] for r in rounds]
     totals = [{**r, **r["signals"]} for r in rounds]
     for column in ("quantity", "running_average", "utility_value", "derivative", "backoff_probability", "bernoulli"):
         key = "utility_derivative" if column == "derivative" else column
-        assert np.array_equal([[e[key] for e in row] for row in agents], getattr(trajectory, column)[1:]), column
+        assert np.array_equal([[e[key] for e in row] for row in agents], columns[column][1:]), column
     for column in ("total_supply", "total_consumption", "supplier_signal", "consumer_signal", "sum_of_utilities"):
-        assert np.array_equal([r[column] for r in totals], getattr(trajectory, column)[1:]), column
-    branches = [[BRANCHES[code].value for code in row] for row in trajectory.branch[1:].tolist()]
+        assert np.array_equal([r[column] for r in totals], columns[column][1:]), column
+    branches = [[BRANCHES[code].value for code in row] for row in columns["branch"][1:].tolist()]
     assert [[e["branch"] for e in row] for row in agents] == branches
     ids = [(agent_id, role.value) for agent_id, role in zip(p.agent_ids, p.roles)]
     assert all([(e["agent_id"], e["role"]) for e in row] == ids for row in agents)
@@ -427,7 +428,7 @@ def test_summarize_single_round_equals_that_round():
     assert s.window == 1
     assert s.trailing_mean_supply == trajectory.total_supply[1]
     assert s.trailing_mean_consumption == trajectory.total_consumption[1]
-    assert s.final_sum_of_utilities == trajectory.sum_of_utilities[1]
+    assert s.final_sum_of_utilities == run_columns(trajectory)["sum_of_utilities"][1]
 
 
 def test_summarize_window_rule():

@@ -32,6 +32,7 @@ from scalar_oracle import (
     mean_derivative_series,
     ordered_sum,
     records_from,
+    run_columns,
     run_records,
     step,
     summarize,
@@ -98,7 +99,7 @@ def _assert_exports_match(trajectory, records, directory):
 
 def _assert_utility_values_match(trajectory):
     utilities = trajectory.population.utilities
-    rows = zip(trajectory.running_average.tolist(), trajectory.utility_value.tolist())
+    rows = zip(trajectory.running_average.tolist(), run_columns(trajectory)["utility_value"].tolist())
     mismatched = [
         (t, i, value, evaluate(u, avg))
         for t, (averages, values) in enumerate(rows)
@@ -263,7 +264,8 @@ def test_every_repr_layout_exports_as_oracle(tmp_path):
     names = ("quantity", "derivative", "total_supply", "total_consumption")
     replaced = replace(trajectory, running_average=np.resize(abs(layouts[abs(layouts) < 1e100]), (21, 5)),
                        **{name: np.resize(layouts, getattr(trajectory, name).shape) for name in names})
-    assert np.isfinite(replaced.utility_value).all() and np.isfinite(replaced.sum_of_utilities).all()
+    columns = run_columns(replaced)
+    assert np.isfinite(columns["utility_value"]).all() and np.isfinite(columns["sum_of_utilities"]).all()
     _assert_exports_match(replaced, records_from(replaced)[1:], tmp_path)
 
 
@@ -368,7 +370,7 @@ def _kernel_step(state, signal, params, draw):
     after = tuple(np.empty((1, 1)) for _ in range(3)) + (np.empty((1, 1), dtype=bool),)
     before = (quantity, avg, np.array([[derivative(state.utility, state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
-        step = population.widened(1).bind_step()
+        step = population.bind_step(1)
         step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
         lam = backoff_probability(population.gamma * before[2] / avg, signalled, avg)
     new_quantity, new_avg, new_marginal, bernoulli = after
@@ -382,10 +384,10 @@ def test_simulate_runs_the_bound_step(monkeypatch):
     # the step _kernel_step drives is the one simulate calls each round: Population.bind_step's
     bound, bind = [], Population.bind_step
 
-    def recording_bind(population):
-        step = bind(population)
-        bound.append([])
-        return lambda before, after, rounds, *rest: bound[-1].append(rounds) or step(before, after, rounds, *rest)
+    def recording_bind(population, replicates):
+        step = bind(population, replicates)
+        bound.append((replicates, []))
+        return lambda before, after, rounds, *rest: bound[-1][1].append(rounds) or step(before, after, rounds, *rest)
 
     monkeypatch.setattr(Population, "bind_step", recording_bind)
     config, scenario = reference_configs()["paper-b"]
@@ -395,7 +397,7 @@ def test_simulate_runs_the_bound_step(monkeypatch):
     assert len(got) == len(records) + 1
     for t, (record, expected) in enumerate(zip(got, [initial, *records])):
         assert repr(record) == repr(expected), f"round {t}"
-    assert bound == [list(range(301))]  # bound once, then called for rounds 0..horizon
+    assert bound == [(1, list(range(301)))]  # bound once for one replicate, then called for rounds 0..horizon
 
 
 def _step_cases():

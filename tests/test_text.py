@@ -17,6 +17,7 @@ from aimdmarket.market import run
 from aimdmarket.metrics import EXPORT_CHUNK, FLOAT_COLUMNS
 from aimdmarket.scenario import reference_configs
 from aimdmarket.text import _exponent_tables, compact, float_text, int_text, join
+from scalar_oracle import run_columns
 
 
 def _assert_reprs(values):
@@ -98,9 +99,9 @@ def test_an_export_sized_batch_formats_as_repr():
     bits = bits[(bits >> np.uint64(52) & np.uint64(0x7FF)) != 0x7FF][:65536]
     columns = [bits.view(np.float64)]
     for reference in ("paper-a", "paper-b"):
-        trajectory = run(*reference_configs()[reference]).trajectory
+        recorded = run_columns(run(*reference_configs()[reference]).trajectory)
         for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
-            columns.append(getattr(trajectory, name)[1 : 1 + EXPORT_CHUNK].ravel())
+            columns.append(recorded[name][1 : 1 + EXPORT_CHUNK].ravel())
     values = np.concatenate(columns)
     assert len(bits) == 65536 and len(values) == 65536 + 2 * EXPORT_CHUNK * (5 * 27 + 3)
     _assert_batch_reprs(values)
