@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -95,6 +96,23 @@ def test_utility_sum_coupling_monotone_consumer_side():
     spec = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 900.0, 6, couple_utility_sum=True)
     peak_consumers = sum(1.5 * u.curvature for u in spec.consumer_utilities)
     assert peak_consumers == pytest.approx(900.0, rel=1e-9)
+
+
+# sha256 over json.dumps(spec.to_dict()) of every scenario in test_sampler_output_is_pinned, in its loop order
+SAMPLER_DIGEST = "ba0ae2de79f1a03fca06513b774dcf1d11be3bdc4bbbf7e4dcdacfc7ac9fcdfc"
+
+
+def test_sampler_output_is_pinned():
+    # every draw, its order and the coupling arithmetic, bit for bit, for both modes and both couplings
+    digest = hashlib.sha256()
+    for mode in ScenarioMode:
+        for coupled in (False, True):
+            for target in (900.0, 1e-3):
+                for seed in range(50):
+                    for sides in ((1, 1), (3, 5), (9, 18), (7, 2)):
+                        spec = generate_scenario(MarketConfig(*sides), mode, target, seed, couple_utility_sum=coupled)
+                        digest.update(json.dumps(spec.to_dict()).encode())
+    assert digest.hexdigest() == SAMPLER_DIGEST
 
 
 def test_generate_rejects_bad_target():
