@@ -156,6 +156,15 @@ def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float) 
     return [float(target_sum * w / total) for w in weights]
 
 
+def _sample_side(rng: np.random.Generator, kind: UtilityKind, count: int, target_sum: float) -> tuple[UtilitySpec, ...]:
+    """One side's utilities, drawn in order: a quadratic side's optima, then its curvatures; a sqrt side's scales."""
+    if kind is UtilityKind.SQRT_MONOTONE:
+        return tuple(UtilitySpec.sqrt_monotone(float(l)) for l in rng.uniform(*DEFAULT_SCALE_RANGE, size=count))
+    optima = _normalized_optima(rng, count, target_sum)
+    curvatures = rng.uniform(*DEFAULT_CURVATURE_RANGE, size=count)
+    return tuple(UtilitySpec.quadratic(z, float(h)) for z, h in zip(optima, curvatures))
+
+
 def generate_scenario(
     config: MarketConfig,
     mode: ScenarioMode,
@@ -169,45 +178,22 @@ def generate_scenario(
     Draw order is fixed (supplier parameters, then consumer optima, then
     consumer curvatures), so equal seeds give identical scenarios.
 
-    With ``couple_utility_sum`` the quadratic curvatures are rescaled so
-    the attainable maximum-utility sum equals ``target_sum`` as well:
-    over all agents in ``BOTH_CONCAVE`` mode, over the consumer side in
-    ``MONOTONE_SUPPLIERS`` mode (the suppliers then have no maximum).
+    With ``couple_utility_sum`` every quadratic agent's curvature, on either
+    side, is rescaled so that their maximum utilities add to ``target_sum``
+    (sqrt suppliers have no maximum).  ``validate_scenario`` checks ``target_sum``.
     """
-    if target_sum <= 0:
-        raise ValueError("target_sum must be positive")
     rng = np.random.default_rng(sampler_seed)
-
-    if mode is ScenarioMode.BOTH_CONCAVE:
-        supplier_optima = _normalized_optima(rng, config.num_suppliers, target_sum)
-        supplier_curvatures = [float(v) for v in rng.uniform(*DEFAULT_CURVATURE_RANGE, size=config.num_suppliers)]
-    else:
-        supplier_scales = [float(v) for v in rng.uniform(*DEFAULT_SCALE_RANGE, size=config.num_suppliers)]
-
-    consumer_optima = _normalized_optima(rng, config.num_consumers, target_sum)
-    consumer_curvatures = [float(v) for v in rng.uniform(*DEFAULT_CURVATURE_RANGE, size=config.num_consumers)]
-
+    kinds = (UtilityKind.QUADRATIC if mode is ScenarioMode.BOTH_CONCAVE else UtilityKind.SQRT_MONOTONE,
+             UtilityKind.QUADRATIC)
+    sides = [_sample_side(rng, kind, count, target_sum)
+             for kind, count in zip(kinds, (config.num_suppliers, config.num_consumers))]
     if couple_utility_sum:
-        if mode is ScenarioMode.BOTH_CONCAVE:
-            current = 1.5 * (ordered_sum(supplier_curvatures) + ordered_sum(consumer_curvatures))
-            factor = target_sum / current
-            supplier_curvatures = [h * factor for h in supplier_curvatures]
-        else:
-            current = 1.5 * ordered_sum(consumer_curvatures)
-            factor = target_sum / current
-        consumer_curvatures = [h * factor for h in consumer_curvatures]
-
-    if mode is ScenarioMode.BOTH_CONCAVE:
-        suppliers = tuple(
-            UtilitySpec.quadratic(z, h) for z, h in zip(supplier_optima, supplier_curvatures)
-        )
-    else:
-        suppliers = tuple(UtilitySpec.sqrt_monotone(l) for l in supplier_scales)
-
-    consumers = tuple(
-        UtilitySpec.quadratic(z, h) for z, h in zip(consumer_optima, consumer_curvatures)
-    )
-    return ScenarioSpec(suppliers, consumers, float(target_sum), mode)
+        quadratic = [i for i, kind in enumerate(kinds) if kind is UtilityKind.QUADRATIC]
+        # summed per side, then over the sides: the order the pinned scenarios were sampled in
+        factor = target_sum / (1.5 * ordered_sum([ordered_sum([u.curvature for u in sides[i]]) for i in quadratic]))
+        for i in quadratic:
+            sides[i] = tuple(dataclasses.replace(u, curvature=u.curvature * factor) for u in sides[i])
+    return ScenarioSpec(*sides, float(target_sum), mode)
 
 
 def _not_finite(value) -> bool:
@@ -260,53 +246,35 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
     """Collect scenario violations against its invariants and the config.
     Each utility field must be unset unless its kind uses it; a used one is
     checked as ``validate_config`` checks a field."""
-    violations = []
-    if len(spec.supplier_utilities) != config.num_suppliers:
-        violations.append(
-            f"expected {config.num_suppliers} supplier utilities, got {len(spec.supplier_utilities)}"
-        )
-    if len(spec.consumer_utilities) != config.num_consumers:
-        violations.append(
-            f"expected {config.num_consumers} consumer utilities, got {len(spec.consumer_utilities)}"
-        )
+    counts, misplaced = [], []
     fields = [("target_sum", spec.target_sum, False, lambda v: v > 0, "must be positive")]
-    for label, u in [(f"supplier[{i}]", u) for i, u in enumerate(spec.supplier_utilities)] + [
-        (f"consumer[{j}]", u) for j, u in enumerate(spec.consumer_utilities)
-    ]:
-        for name, (kind, in_range, rule) in _UTILITY_FIELDS.items():
-            value = getattr(u, name)
-            if u.kind is kind:
-                fields.append((f"{label}: {name}", value, False, in_range, rule))
-            elif value is not None:
-                violations.append(f"{label}: {name} is not a {u.kind.value} parameter")
-    violations += _field_violations(fields)
+    for side, utilities, expected in (("supplier", spec.supplier_utilities, config.num_suppliers),
+                                      ("consumer", spec.consumer_utilities, config.num_consumers)):
+        if len(utilities) != expected:
+            counts.append(f"expected {expected} {side} utilities, got {len(utilities)}")
+        for i, u in enumerate(utilities):
+            for name, (kind, in_range, rule) in _UTILITY_FIELDS.items():
+                if u.kind is kind:
+                    fields.append((f"{side}[{i}]: {name}", getattr(u, name), False, in_range, rule))
+                elif getattr(u, name) is not None:
+                    misplaced.append(f"{side}[{i}]: {name} is not a {u.kind.value} parameter")
+    violations = counts + misplaced + _field_violations(fields)  # the order the messages have always come in
     if violations:  # the sums below assume a valid target and valid utilities
         return violations
 
-    def optima_sum(utilities) -> Optional[float]:
-        optima = [u.argmax() for u in utilities]
-        return None if None in optima else ordered_sum(optima)
-
-    consumer_sum = optima_sum(spec.consumer_utilities)
-    if consumer_sum is None:
-        violations.append("consumer utilities must all have finite optima")
-    elif abs(consumer_sum - spec.target_sum) > SUM_REL_TOL * spec.target_sum:
-        violations.append(
-            f"consumer optima sum {consumer_sum} differs from target {spec.target_sum}"
-        )
-
+    # each side whose optima must add to the target, with its message for an agent that has no optimum
+    balanced = [("consumer", spec.consumer_utilities, "consumer utilities must all have finite optima")]
     if spec.mode is ScenarioMode.BOTH_CONCAVE:
-        supplier_sum = optima_sum(spec.supplier_utilities)
-        if supplier_sum is None:
-            violations.append("both_concave mode requires finite supplier optima")
-        elif abs(supplier_sum - spec.target_sum) > SUM_REL_TOL * spec.target_sum:
-            violations.append(
-                f"supplier optima sum {supplier_sum} differs from target {spec.target_sum}"
-            )
-    else:
-        for i, u in enumerate(spec.supplier_utilities):
-            if u.kind is not UtilityKind.SQRT_MONOTONE:
-                violations.append(f"supplier[{i}]: monotone_suppliers mode requires sqrt utilities")
+        balanced.append(("supplier", spec.supplier_utilities, "both_concave mode requires finite supplier optima"))
+    for side, utilities, unbounded in balanced:
+        optima = [u.argmax() for u in utilities]
+        if None in optima:
+            violations.append(unbounded)
+        elif abs((total := ordered_sum(optima)) - spec.target_sum) > SUM_REL_TOL * spec.target_sum:
+            violations.append(f"{side} optima sum {total} differs from target {spec.target_sum}")
+    if spec.mode is ScenarioMode.MONOTONE_SUPPLIERS:
+        violations += [f"supplier[{i}]: monotone_suppliers mode requires sqrt utilities"
+                       for i, u in enumerate(spec.supplier_utilities) if u.kind is not UtilityKind.SQRT_MONOTONE]
     return violations
 
 
@@ -319,39 +287,23 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
 # agent's average escapes the certain-back-off zone); experiment B starts
 # at 25 because its sqrt suppliers already keep the opening rounds noisy
 # while its consumers need the extra headroom.
-PAPER_A_RUN_SEED = 42
-PAPER_A_SCENARIO_SEED = 9001
-PAPER_A_INITIAL_QUANTITY = 10.0
-PAPER_B_RUN_SEED = 43
-PAPER_B_SCENARIO_SEED = 9002
-PAPER_B_INITIAL_QUANTITY = 25.0
 PAPER_TARGET_SUM = 900.0
-REFERENCE_NAMES = ("paper-a", "paper-b")  # the keys of reference_configs(), known without sampling
+# name: (mode, run seed, sampler seed, initial quantity)
+REFERENCE_EXPERIMENTS = {
+    "paper-a": (ScenarioMode.BOTH_CONCAVE, 42, 9001, 10.0),
+    "paper-b": (ScenarioMode.MONOTONE_SUPPLIERS, 43, 9002, 25.0),
+}
+REFERENCE_NAMES = tuple(REFERENCE_EXPERIMENTS)  # the keys of reference_configs(), known without sampling
 
 
 def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
-    """The two named reference experiments with documented seeds."""
-    config_a = MarketConfig(
-        9, 18, horizon=5000, seed=PAPER_A_RUN_SEED, initial_quantity=PAPER_A_INITIAL_QUANTITY
-    )
-    scenario_a = generate_scenario(
-        config_a,
-        ScenarioMode.BOTH_CONCAVE,
-        PAPER_TARGET_SUM,
-        PAPER_A_SCENARIO_SEED,
-        couple_utility_sum=True,
-    )
-    config_b = MarketConfig(
-        9, 18, horizon=5000, seed=PAPER_B_RUN_SEED, initial_quantity=PAPER_B_INITIAL_QUANTITY
-    )
-    scenario_b = generate_scenario(
-        config_b,
-        ScenarioMode.MONOTONE_SUPPLIERS,
-        PAPER_TARGET_SUM,
-        PAPER_B_SCENARIO_SEED,
-        couple_utility_sum=True,
-    )
-    return dict(zip(REFERENCE_NAMES, ((config_a, scenario_a), (config_b, scenario_b))))
+    """The named reference experiments with documented seeds."""
+    references = {}
+    for name, (mode, run_seed, sampler_seed, initial_quantity) in REFERENCE_EXPERIMENTS.items():
+        config = MarketConfig(9, 18, horizon=5000, seed=run_seed, initial_quantity=initial_quantity)
+        scenario = generate_scenario(config, mode, PAPER_TARGET_SUM, sampler_seed, couple_utility_sum=True)
+        references[name] = config, scenario
+    return references
 
 
 @contextmanager

@@ -115,9 +115,18 @@ def test_sampler_output_is_pinned():
     assert digest.hexdigest() == SAMPLER_DIGEST
 
 
-def test_generate_rejects_bad_target():
-    with pytest.raises(ValueError):
-        generate_scenario(paper_geometry(), ScenarioMode.BOTH_CONCAVE, 0.0, 1)
+def test_generate_rejects_bad_target(tmp_path, capsys):
+    # the sampler draws for any target; validation refuses a nonpositive one, and so does run
+    config = paper_geometry()
+    for target in (0.0, -1.0):
+        spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, target, 1)
+        assert f"target_sum must be positive, got {target}" in validate_scenario(spec, config)
+        saved = save_config_file(tmp_path / "bad-target.json", config, spec)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(saved), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"target_sum must be positive, got {target}" in json.loads(line)["error"]
+        assert not out.exists()
 
 
 # --- validation -----------------------------------------------------------
