@@ -12,19 +12,19 @@ seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, so that each block
 completes one records chunk; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
 per-round loop walks views built once per call and keeps only what the next
-round needs: both signals from one comparison of the totals
-(``_excess_sides``), the signal each agent reads, the round step bound for its
-replicates (``Population.bind_step``), the side totals (``np.add.accumulate``).
+round needs: each round's two side signals, written in place by one
+comparison of the totals (``_excess_sides``), the signal each agent reads, in
+one buffer reused every round, the round step bound for its replicates
+(``Population.bind_step``), the side totals (``np.add.accumulate``).
 ``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
-totals and the signals its agents read into the columns of a
-``metrics.Trajectory``, which it keeps in shared anonymous memory; lambda and
-the branch codes are derived from those in ``metrics``, not here.  Given a
-``metrics.RecordsExport``, it starts the export's workers before the first
-round and hands them each block's rounds once they are copied, so the
-records are formatted while the run is simulated.  ``replicate_series``
-writes each block's mean supplier u' into one C-ordered (replicates x
-horizon) array.  Both copy the totals of every block into one whole-run
-array, from which ``summarize_final`` takes the trailing-window means.
+totals and signals into the columns of a ``metrics.Trajectory``, which it keeps
+in shared anonymous memory; lambda and the branch codes are derived from those
+in ``metrics``, not here.  Given a ``metrics.RecordsExport``, it starts the
+export's workers before the first round and hands them each block's rounds once
+they are copied, so the records are formatted while the run is simulated.
+``replicate_series`` writes each block's mean supplier u' into one C-ordered
+(replicates x horizon) array.  Both copy the totals of every block into one
+whole-run array, from which ``summarize_final`` takes the trailing-window means.
 Every float sum outside the round loop is ``utility.ordered_sum``, in the
 loop's order.
 """
@@ -37,30 +37,30 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .agent import Population
-from .metrics import EXPORT_CHUNK, RecordsExport, RunSummary, Trajectory, shared_empty, summarize_final
+from .metrics import EXPORT_CHUNK, RecordsExport, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
 
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """The trajectory's columns (rounds 0..horizon) and its summary."""
+    """The trajectory's columns (rounds 0..horizon) and its summary, the object ``summary.json`` holds."""
 
     trajectory: Trajectory
-    summary: RunSummary
+    summary: dict
 
 
 class Block(NamedTuple):
-    """Rounds ``first``.. of ``simulate``: per-agent arrays are (rounds x agents
-    x replicates), views of buffers that the next block overwrites."""
+    """Rounds ``first``.. of ``simulate``: per-agent arrays are (rounds x agents x replicates) and
+    per-side arrays (rounds x 2 x replicates), views of buffers that the next block overwrites."""
 
     first: int
     quantity: np.ndarray
     running_average: np.ndarray
     derivative: np.ndarray  # u'(running_average)
     bernoulli: np.ndarray
-    signalled: np.ndarray  # the side signal each agent read
-    totals: np.ndarray  # (rounds x 2 x replicates): total supply, total consumption
+    totals: np.ndarray  # total supply, total consumption
+    signals: np.ndarray  # supplier signal, consumer signal: each agent read its side's
 
 
 def _excess_sides(flip_semantics: bool):
@@ -94,19 +94,19 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
     step, excess = population.bind_step(len(seeds)), _excess_sides(config.flip_signal_semantics)
     rows = min(EXPORT_CHUNK, config.horizon + 1)
-    columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool] * 2]
-    totals, partial_sums = np.empty((rows, 2, len(seeds))), np.empty(shape)
+    columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool]]
+    totals, signals = np.empty((rows, 2, len(seeds))), np.empty((rows, 2, len(seeds)), dtype=bool)
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
     fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
              for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
-    sides = np.empty((2, len(seeds)), dtype=bool)
-    # agent i reads the signal sides[side_of[i]]; side j's total is partial_sums[side_ends[j]]
+    # agent i reads the signal signals[t, side_of[i]]; side j's total is partial_sums[side_ends[j]]
     side_of, side_ends = np.repeat([0, 1], [s, shape[0] - s]), np.array([s - 1, shape[0] - 1])
+    partial_sums, signalled = np.empty(shape), np.empty(shape, dtype=bool)
     scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for the round step
     # each round's views, built once: the step's `after` (whose first three are the next round's `before`),
-    # the signals it reads, its draws, each side's quantities, and the totals that the next round's signals
-    # compare, also reversed
-    views = list(zip(zip(*columns[:4]), columns[4], np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
+    # its signals, its draws, each side's quantities, and the totals that the next round's signals compare,
+    # also reversed
+    views = list(zip(zip(*columns), signals, np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
                      totals, totals[:, ::-1]))
     accumulate, supplier_sums, consumer_sums = np.add.accumulate, partial_sums[:s], partial_sums[s:]
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
@@ -118,9 +118,9 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
             fill(out=stream[skip:block])
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for b, (row, signalled, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
-                excess(last, last_reversed, out=sides)
-                sides.take(side_of, 0, signalled)
+            for b, (row, signal, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
+                excess(last, last_reversed, out=signal)
+                signal.take(side_of, 0, signalled)
                 # the average entering round t holds t samples (rounds 0..t-1)
                 step(before, row, first + b, signalled, draw, scratch)
                 # agent order, not np.sum's pairwise order: the totals decide the signals
@@ -128,7 +128,7 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
                 accumulate(consumption, axis=0, out=consumer_sums)
                 partial_sums.take(side_ends, 0, total)
                 before, last, last_reversed = row[:3], total, reversed_total
-        yield Block(first, *(column[:block] for column in columns), totals[:block])
+        yield Block(first, *(column[:block] for column in (*columns, totals, signals)))
 
 
 def _validate(config: MarketConfig, scenario: ScenarioSpec) -> None:
@@ -145,20 +145,19 @@ def run(config: MarketConfig, scenario: ScenarioSpec, *, records: Optional[Recor
     """
     _validate(config, scenario)
     population = Population.build(config, scenario)
-    shape, s = (config.horizon + 1, len(population.agent_ids)), population.num_suppliers
-    quantity, running_average, derivative = (shared_empty(shape) for _ in range(3))
-    bernoulli = shared_empty(shape, bool)
-    totals, signals = shared_empty((shape[0], 2)), shared_empty((shape[0], 2), bool)
+    rounds, agents = config.horizon + 1, len(population.agent_ids)
+    # a Block's columns for one replicate: per agent (rounds x agents), per side (rounds x 2)
+    columns = [shared_empty((rounds, width), dtype)
+               for width, dtype in [(agents, float)] * 3 + [(agents, bool), (2, float), (2, bool)]]
+    quantity, running_average, derivative, bernoulli, totals, signals = columns
     trajectory = Trajectory(population, quantity, running_average, derivative, bernoulli, *totals.T, *signals.T,
                             float(config.initial_quantity))
     if records is not None:
         records.start(trajectory)
     for block in simulate(population, config, [config.seed]):
-        rows = slice(block.first, block.first + len(block.quantity))
-        for column, value in zip((quantity, running_average, derivative, bernoulli),
-                                 (block.quantity, block.running_average, block.derivative, block.bernoulli)):
+        rows = slice(block.first, block.first + len(block.totals))
+        for column, value in zip(columns, block[1:]):
             column[rows] = value[..., 0]  # replicate 0
-        totals[rows], signals[rows] = block.totals[..., 0], block.signalled[:, [0, s], 0]
         if records is not None:
             records.ready(rows.stop)
     (summary,) = summarize_final(population, config.horizon, totals[..., None], running_average[-1:].T,
@@ -168,7 +167,7 @@ def run(config: MarketConfig, scenario: ScenarioSpec, *, records: Optional[Recor
 
 def replicate_series(
     config: MarketConfig, scenario: ScenarioSpec, replicates: int
-) -> tuple[np.ndarray, list[RunSummary]]:
+) -> tuple[np.ndarray, list[dict]]:
     """Run ``replicates`` seeds (seed+0..R-1) against one fixed scenario.
 
     Returns a C-ordered (replicates x horizon) array whose row k is replicate k's mean supplier

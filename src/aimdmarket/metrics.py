@@ -7,7 +7,10 @@ the kernel does not keep are derived here (``derived_columns``): the
 back-off probability and the branch code, from the state entering each
 round, its signal and its Bernoulli bit, and utility values and their sums,
 evaluated at the running average, which is the quantity the convergence
-claims are about; no whole-run copy of them is kept.  Exports are written
+claims are about; no whole-run copy of them is kept.  A run's summary
+(``summarize_final``) exists only as the JSON object that ``summary.json``
+and each ``replicate_summaries.json`` entry hold, so this module alone
+knows its layout.  Exports are written
 from the columns, checked finite and written atomically, and are
 byte-deterministic: repeated export of the same run is identical.  A records
 export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to forked
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import BRANCHES, Population, Role, backoff_probability
+from .agent import BRANCHES, Population, backoff_probability
 from .scenario import atomic_writer
 from .text import compact, float_text, int_text, join, literals
 from .utility import ordered_sum
@@ -92,29 +95,6 @@ class BandSeries:
     lower: np.ndarray
     upper: np.ndarray
     replicate_count: int
-
-
-@dataclass(frozen=True)
-class AgentSummary:
-    agent_id: str
-    role: Role
-    final_running_average: float
-    optimum: Optional[float]
-    distance_to_optimum: Optional[float]
-    final_derivative: float
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    final_round: int
-    window: int
-    trailing_mean_supply: float
-    trailing_mean_consumption: float
-    final_sum_of_utilities: float
-    final_supplier_utility_sum: float
-    final_consumer_utility_sum: float
-    final_mean_abs_derivative: float
-    agents: tuple[AgentSummary, ...]
 
 
 def confidence_band(replicates) -> BandSeries:
@@ -432,9 +412,11 @@ def summarize_final(
     totals: np.ndarray,
     final_averages: np.ndarray,
     final_derivatives: np.ndarray,
-) -> list[RunSummary]:
+) -> list[dict]:
     """The summaries of R runs of ``population``, from their (horizon + 1 x 2 x R) totals of rounds
-    0..horizon and their (agents x R) final running averages and derivatives."""
+    0..horizon and their (agents x R) final running averages and derivatives, each as the JSON object
+    that ``summary.json`` and each ``replicate_summaries.json`` entry hold: an agent of a utility with
+    no finite optimum has ``optimum`` and ``distance_to_optimum`` null."""
     # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
     window = trailing_window(max(horizon, 1))
     supply, consumption = (ordered_sum(totals[horizon + 1 - window:]) / window).tolist()
@@ -447,12 +429,15 @@ def summarize_final(
     mean_abs_derivatives = (ordered_sum(np.abs(final_derivatives)) / len(final_derivatives)).tolist()
     optima = [u.argmax() for u in population.utilities]
     summaries = []
-    for k, (averages, derivatives, sums) in enumerate(
+    for k, (averages, derivatives, (total, supplier, consumer)) in enumerate(
             zip(final_averages.T.tolist(), final_derivatives.T.tolist(), utility_sums)):
-        agents = tuple(
-            AgentSummary(agent_id, role, avg, optimum, None if optimum is None else abs(avg - optimum), derivative)
-            for agent_id, role, avg, optimum, derivative in zip(
-                population.agent_ids, population.roles, averages, optima, derivatives)
-        )
-        summaries.append(RunSummary(horizon, window, supply[k], consumption[k], *sums, mean_abs_derivatives[k], agents))
+        agents = [{"agent_id": agent_id, "role": role.value, "final_running_average": avg, "optimum": optimum,
+                   "distance_to_optimum": None if optimum is None else abs(avg - optimum),
+                   "final_derivative": derivative}
+                  for agent_id, role, avg, optimum, derivative in zip(
+                      population.agent_ids, population.roles, averages, optima, derivatives)]
+        summaries.append({"final_round": horizon, "window": window, "trailing_mean_supply": supply[k],
+                          "trailing_mean_consumption": consumption[k], "final_sum_of_utilities": total,
+                          "final_supplier_utility_sum": supplier, "final_consumer_utility_sum": consumer,
+                          "final_mean_abs_derivative": mean_abs_derivatives[k], "agents": agents})
     return summaries

@@ -324,31 +324,21 @@ def atomic_writer(path: Path):
 
 
 def strict_json(payload) -> str:
-    """``payload`` as indented strict JSON, a dataclass instance (a summary) as the object of its
-    fields, as ``dataclasses.asdict`` gives them: a NaN or an infinity, which only a run that
-    overflowed can put there, is refused with a ValueError that names its field."""
+    """``payload`` as indented strict JSON: a NaN or an infinity, which only a run that overflowed can
+    put there, is refused with a ValueError that names its field."""
     try:
-        return json.dumps(payload, indent=2, allow_nan=False, default=_fields) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise ValueError(f"the run overflowed or went non-finite: {_non_finite_field(payload)}") from None
-
-
-def _fields(value) -> dict:
-    """``json.dumps``' hook for a value it cannot write: a dataclass instance's fields, not copied."""
-    if not dataclasses.is_dataclass(value) or isinstance(value, type):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
 
 
 def _non_finite_field(value, path: str = "") -> Optional[str]:
     """``<path> is <value>`` for the first NaN or infinity in a ``strict_json`` payload."""
     if isinstance(value, float) and not math.isfinite(value):
         return f"{path} is {value!r}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = _fields(value)
     if isinstance(value, dict):
         items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
-    elif isinstance(value, (list, tuple)):  # JSON writes a tuple as an array
+    elif isinstance(value, list):
         items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
     else:
         return None

@@ -41,8 +41,7 @@ import numpy as np
 
 from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
 from aimdmarket.market import agent_rng_streams
-from aimdmarket.metrics import (CSV_HEADER, FLOAT_COLUMNS, AgentSummary, RunSummary, Trajectory, derived_columns,
-                               trailing_window)
+from aimdmarket.metrics import CSV_HEADER, FLOAT_COLUMNS, Trajectory, derived_columns, trailing_window
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UtilityKind, UtilitySpec
 
@@ -170,23 +169,25 @@ def compute_signals(total_supply: float, total_consumption: float, flip_semantic
     return CapacitySignals(excess_supply, excess_consumption)
 
 
-def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> RunSummary:
-    """Trailing-window totals plus per-agent closing state, from the records alone.  The utility
-    sums add the final record's values, which ``evaluate`` computed."""
+def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> dict:
+    """Trailing-window totals plus per-agent closing state, from the records alone, as the JSON object
+    that ``summary.json`` holds.  The utility sums add the final record's values, which ``evaluate``
+    computed."""
     if not records:
         raise ValueError("summarize needs at least one round")
     window = trailing_window(len(records))
     tail = records[-window:]
     final = records[-1]
     optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
-    agents = tuple(
-        AgentSummary(e.agent_id, e.role, e.running_average, optimum,
-                     None if optimum is None else abs(e.running_average - optimum), e.utility_derivative)
+    agents = [
+        {"agent_id": e.agent_id, "role": e.role.value, "final_running_average": e.running_average,
+         "optimum": optimum, "distance_to_optimum": None if optimum is None else abs(e.running_average - optimum),
+         "final_derivative": e.utility_derivative}
         for e, optimum in zip(final.per_agent, optima)
-    )
+    ]
     values = [e.utility_value for e in final.per_agent]
     s = len(scenario.supplier_utilities)
-    return RunSummary(
+    return dict(
         final_round=final.round,
         window=window,
         trailing_mean_supply=ordered_sum(r.total_supply for r in tail) / window,

@@ -64,7 +64,7 @@ def test_criterion_1_experiment_a_totals(paper_a):
 def test_criterion_2_per_agent_optimality(paper_a):
     _, _, result, _ = paper_a
     worst = max(
-        a.distance_to_optimum / a.optimum for a in result.summary.agents
+        a["distance_to_optimum"] / a["optimum"] for a in result.summary["agents"]
     )
     assert worst <= 0.10
     report(2, f"worst relative distance to optimum {worst:.4f} over 27 agents")
@@ -83,7 +83,7 @@ def test_criterion_4_utility_sum_convergence(paper_a):
     _, scenario, result, _ = paper_a
     peak = sum(1.5 * u.curvature for u in scenario.supplier_utilities + scenario.consumer_utilities)
     assert peak == pytest.approx(TARGET, rel=1e-9)  # the coupled value constraint
-    final = result.summary.final_sum_of_utilities
+    final = result.summary["final_sum_of_utilities"]
     assert abs(final - TARGET) <= 0.05 * TARGET
     report(4, f"final sum of utilities {final:.1f} vs coupled peak {peak:.1f}")
 
@@ -94,7 +94,7 @@ def test_criterion_5_experiment_b(paper_b):
     consumption = result.trajectory.total_consumption[-500:].mean()
     assert abs(supply - TARGET) <= 0.07 * TARGET
     assert abs(consumption - TARGET) <= 0.07 * TARGET
-    consumer_sum = result.summary.final_consumer_utility_sum
+    consumer_sum = result.summary["final_consumer_utility_sum"]
     consumer_peak = sum(1.5 * u.curvature for u in scenario.consumer_utilities)
     assert consumer_peak == pytest.approx(TARGET, rel=1e-9)
     assert abs(consumer_sum - TARGET) <= 0.05 * TARGET

@@ -176,9 +176,9 @@ def test_run_horizon_zero_echoes_initial_state():
     scenario = small_scenario(config)
     result = run(config, scenario)
     assert len(result.trajectory.total_supply) == 1  # round 0 alone
-    assert result.summary.final_round == 0
-    assert result.summary.trailing_mean_supply == result.trajectory.total_supply[0]
-    assert result.summary.trailing_mean_consumption == result.trajectory.total_consumption[0]
+    assert result.summary["final_round"] == 0
+    assert result.summary["trailing_mean_supply"] == result.trajectory.total_supply[0]
+    assert result.summary["trailing_mean_consumption"] == result.trajectory.total_consumption[0]
 
 
 @pytest.mark.parametrize("caller", [{}, dict(divide="raise", over="warn", invalid="raise")])
@@ -209,20 +209,21 @@ def test_numpy_error_state_does_not_leak(caller):
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_block_signals_are_each_replicates_run_signals(flip):
-    # every agent of replicate k read its side's signal of the run with seed + k; round 0 follows no round
+    # replicate k's side signals are those of the run with seed + k; round 0 follows no round.  That each
+    # agent reads its side's signal is pinned by test_parity.py::test_kernel_matches_oracle
     config = small_config(horizon=600, flip_signal_semantics=flip)
     scenario = small_scenario(config)
-    s, seeds = config.num_suppliers, [config.seed + k for k in range(3)]
+    seeds = [config.seed + k for k in range(3)]
     blocks = simulate(Population.build(config, scenario), config, seeds)
     # copies, as the next block overwrites the buffers
-    signalled = np.concatenate([block.signalled.copy() for block in blocks])
-    assert signalled.shape == (config.horizon + 1, 4, len(seeds))
-    assert not signalled[0].any()
+    signals = np.concatenate([block.signals.copy() for block in blocks])
+    assert signals.shape == (config.horizon + 1, 2, len(seeds))
+    assert not signals[0].any()
     for k, seed in enumerate(seeds):
         trajectory = run(dataclasses.replace(config, seed=seed), scenario).trajectory
         assert trajectory.supplier_signal.any() and trajectory.consumer_signal.any()
-        assert (signalled[:, :s, k] == trajectory.supplier_signal[:, None]).all()
-        assert (signalled[:, s:, k] == trajectory.consumer_signal[:, None]).all()
+        assert (signals[:, 0, k] == trajectory.supplier_signal).all()
+        assert (signals[:, 1, k] == trajectory.consumer_signal).all()
 
 
 def test_run_rejects_invalid_config():
@@ -320,13 +321,12 @@ def test_replicate_series_order_independent():
 
 def test_package_root_reexports_the_public_names():
     import aimdmarket
-    from aimdmarket import MarketConfig, RunResult, RunSummary, export_run, run as root_run
+    from aimdmarket import MarketConfig, RunResult, export_run, run as root_run
 
-    assert (root_run, export_run, RunResult, RunSummary, MarketConfig) == (
-        run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult,
-        aimdmarket.metrics.RunSummary, aimdmarket.scenario.MarketConfig,
+    assert (root_run, export_run, RunResult, MarketConfig) == (
+        run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult, aimdmarket.scenario.MarketConfig,
     )
     # only what the CLI, the benchmark and the tests import from the root; they import cli, metrics
     # and scenario as submodules
-    assert sorted(aimdmarket.__all__) == ["MarketConfig", "RunResult", "RunSummary", "export_run", "run"]
+    assert sorted(aimdmarket.__all__) == ["MarketConfig", "RunResult", "export_run", "run"]
     assert all(hasattr(aimdmarket, name) for name in aimdmarket.__all__)

@@ -424,49 +424,49 @@ def test_mean_derivative_series_matches_manual():
 def test_summarize_single_round_equals_that_round():
     _, scenario, result = small_run(horizon=1)
     s, trajectory = result.summary, result.trajectory
-    assert s.final_round == 1
-    assert s.window == 1
-    assert s.trailing_mean_supply == trajectory.total_supply[1]
-    assert s.trailing_mean_consumption == trajectory.total_consumption[1]
-    assert s.final_sum_of_utilities == run_columns(trajectory)["sum_of_utilities"][1]
+    assert s["final_round"] == 1
+    assert s["window"] == 1
+    assert s["trailing_mean_supply"] == trajectory.total_supply[1]
+    assert s["trailing_mean_consumption"] == trajectory.total_consumption[1]
+    assert s["final_sum_of_utilities"] == run_columns(trajectory)["sum_of_utilities"][1]
 
 
 def test_summarize_window_rule():
     _, scenario, result = small_run(horizon=250)
-    assert result.summary.window == 100  # max(100, 10% of 250)
+    assert result.summary["window"] == 100  # max(100, 10% of 250)
     config = MarketConfig(1, 1, horizon=3000, seed=5, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 100.0, 2)
     result = run(config, scenario)
-    assert result.summary.window == 300
+    assert result.summary["window"] == 300
 
 
 def test_summarize_totals_match_tail():
     _, _, result = small_run(horizon=30)
     s = result.summary
-    tail = result.trajectory.total_supply[-s.window :].tolist()
-    assert s.trailing_mean_supply == pytest.approx(sum(tail) / s.window)
+    tail = result.trajectory.total_supply[-s["window"] :].tolist()
+    assert s["trailing_mean_supply"] == pytest.approx(sum(tail) / s["window"])
 
 
 def test_summarize_per_agent_distances():
     config = MarketConfig(2, 2, gamma=0.0, horizon=400, seed=9, initial_quantity=0.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 150.0, 7)
     result = run(config, scenario)
-    for agent in result.summary.agents:
-        assert agent.optimum is not None
-        assert agent.distance_to_optimum == pytest.approx(
-            abs(agent.final_running_average - agent.optimum)
+    for agent in result.summary["agents"]:
+        assert agent["optimum"] is not None
+        assert agent["distance_to_optimum"] == pytest.approx(
+            abs(agent["final_running_average"] - agent["optimum"])
         )
         # gamma=0: averages settle within alpha of the optimum
-        assert agent.distance_to_optimum <= 5.0 + 1.0
+        assert agent["distance_to_optimum"] <= 5.0 + 1.0
 
 
 def test_summarize_sqrt_suppliers_have_no_optimum():
     config = MarketConfig(1, 1, horizon=10, seed=3, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 100.0, 2)
     result = run(config, scenario)
-    supplier = next(a for a in result.summary.agents if a.role is Role.SUPPLIER)
-    assert supplier.optimum is None
-    assert supplier.distance_to_optimum is None
+    supplier = next(a for a in result.summary["agents"] if a["role"] == "supplier")
+    assert supplier["optimum"] is None
+    assert supplier["distance_to_optimum"] is None
 
 
 def test_summarize_requires_records():

@@ -218,13 +218,14 @@ def test_replicate_summaries_match_scalar_utilities(reference):
     utilities, s = scenario.supplier_utilities + scenario.consumer_utilities, len(scenario.supplier_utilities)
     _, summaries = replicate_series(config, scenario, 8)
     for summary in summaries:
-        averages = [agent.final_running_average for agent in summary.agents]
+        averages = [agent["final_running_average"] for agent in summary["agents"]]
         values = [evaluate(u, avg) for u, avg in zip(utilities, averages)]
-        sums = (summary.final_sum_of_utilities, summary.final_supplier_utility_sum, summary.final_consumer_utility_sum)
-        assert repr(sums) == repr((ordered_sum(values), ordered_sum(values[:s]), ordered_sum(values[s:])))
-        assert [repr(agent.final_derivative) for agent in summary.agents] == [
+        sums = [summary[name] for name in
+                ("final_sum_of_utilities", "final_supplier_utility_sum", "final_consumer_utility_sum")]
+        assert repr(sums) == repr([ordered_sum(values), ordered_sum(values[:s]), ordered_sum(values[s:])])
+        assert [repr(agent["final_derivative"]) for agent in summary["agents"]] == [
             repr(derivative(u, avg)) for u, avg in zip(utilities, averages)]
-    assert len({summary.final_sum_of_utilities for summary in summaries}) == 8
+    assert len({summary["final_sum_of_utilities"] for summary in summaries}) == 8
 
 
 def test_signed_zero_lambda_export_matches_oracle(tmp_path):

@@ -1,11 +1,10 @@
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
 from aimdmarket.cli import main
-from aimdmarket.market import replicate_series
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -14,7 +13,6 @@ from aimdmarket.scenario import (
     load_config_file,
     reference_configs,
     save_config_file,
-    strict_json,
     validate_config,
     validate_scenario,
 )
@@ -284,12 +282,3 @@ def test_with_overrides(tmp_path):
     assert written["consumer_params"] == {"alpha": 3.0, "beta": 0.25, "gamma": 0.5}
     assert [written[name] for name in ("seed", "horizon", "gamma", "num_consumers")] == [1, 10, 0.5, 18]
 
-
-def test_strict_json_writes_summaries_as_asdict_did():
-    # the default= hook writes each dataclass's fields, the nested agent summaries and sqrt optima of None too
-    config, scenario = reference_configs()["paper-b"]
-    _, summaries = replicate_series(replace(config, horizon=30), scenario, 3)
-    assert strict_json(summaries) == json.dumps([asdict(s) for s in summaries], indent=2, allow_nan=False) + "\n"
-    assert strict_json(summaries[0]) == json.dumps(asdict(summaries[0]), indent=2, allow_nan=False) + "\n"
-    with pytest.raises(TypeError, match="not JSON serializable"):  # only a dataclass instance is written
-        strict_json([MarketConfig])
