@@ -134,8 +134,8 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, record: dict) -> "ScenarioSpec":
         """Inverse of ``to_dict``.  A utility of unknown ``kind`` raises
-        ValueError naming its agent, as ``supplier[i]: ...``; ``validate_scenario``
-        checks the other fields."""
+        ValueError naming its agent, as ``supplier[i]: ...``, and an unknown
+        ``mode`` as ``mode: ...``; ``validate_scenario`` checks the other fields."""
         utilities = {}
         for side in ("supplier", "consumer"):
             specs = []
@@ -145,7 +145,11 @@ class ScenarioSpec:
                 except ValueError as exc:
                     raise ValueError(f"{side}[{i}]: {exc}") from None
             utilities[f"{side}_utilities"] = tuple(specs)
-        return cls(**utilities, target_sum=record["target_sum"], mode=ScenarioMode(record["mode"]))
+        try:
+            mode = ScenarioMode(record["mode"])
+        except ValueError as exc:
+            raise ValueError(f"mode: {exc}") from None
+        return cls(**utilities, target_sum=record["target_sum"], mode=mode)
 
 
 def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float) -> list[float]:
@@ -370,6 +374,24 @@ def _located(value, path: str):
     return value
 
 
+# the objects ({...}) and arrays ([item]) of a config file, in the order that the from_dict methods read them
+_CONTAINERS = {"config": {"supplier_params": {}, "consumer_params": {}},
+               "scenario": {"supplier_utilities": [{}], "consumer_utilities": [{}]}}
+
+
+def _mistyped(value, shape, path: str = "") -> Optional[str]:
+    """``<place> must be an object`` (or ``an array``) for the first value present in ``value`` that is not
+    of its type in ``shape``."""
+    if not isinstance(value, type(shape)):
+        expected = "an object" if isinstance(shape, dict) else "an array"
+        return f"{path or 'the top level'} must be {expected}, got {value!r}"
+    if isinstance(shape, dict):
+        items = ((value[key], inner, f"{path}.{key}" if path else key) for key, inner in shape.items() if key in value)
+    else:
+        items = ((item, shape[0], f"{path}[{i}]") for i, item in enumerate(value))
+    return next(filter(None, (_mistyped(*item) for item in items)), None)
+
+
 def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[MarketConfig, ScenarioSpec]:
     """A config file's config and scenario; ``violations`` is as in ``MarketConfig.from_dict``."""
     path = Path(path)
@@ -382,6 +404,8 @@ def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[Mark
         scenario = ScenarioSpec.from_dict(payload["scenario"])
     except KeyError as exc:  # from an _Object, naming the key and where it belongs
         raise ValueError(f"{path}: malformed config file: {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # an object or array of another type, read as one
+        raise ValueError(f"{path}: malformed config file: {_mistyped(payload, _CONTAINERS) or exc}") from exc
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed config file: {exc}") from exc
     return config, scenario

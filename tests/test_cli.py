@@ -316,6 +316,32 @@ def test_validate_names_a_missing_key_and_where_it_belongs(tmp_path, config_file
     assert f"missing key {leaf!r} in {where}" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("config",), "x", "config must be an object, got 'x'"),
+    (("config", "supplier_params"), 0, "config.supplier_params must be an object, got 0"),
+    (("scenario", "consumer_utilities"), -1, "scenario.consumer_utilities must be an array, got -1"),
+    (("scenario", "supplier_utilities", 1), "x", "scenario.supplier_utilities[1] must be an object, got 'x'"),
+    (("scenario", "mode"), "x", "mode: 'x' is not a valid ScenarioMode"),
+], ids=_field_id)
+def test_validate_names_the_place_of_a_wrongly_typed_field(tmp_path, config_file, capsys, path, value, message):
+    payload = json.loads(config_file.read_text())
+    *parents, leaf = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out == f"violation: {bad}: malformed config file: {message}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"{bad}: malformed config file: {message}"}
+    assert not out.exists()
+
+
 def test_validate_reports_every_config_violation(tmp_path, config_file, capsys):
     # a field that fails the finiteness check does not hide another field's range
     payload = json.loads(config_file.read_text())
