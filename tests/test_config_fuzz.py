@@ -17,8 +17,8 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -62,7 +62,8 @@ def _keys(node) -> set:
 
 # a refusal names a place: a key of the config file or of the summary, a records column, an agent as
 # validation writes it (supplier[3]), or one side's utilities or optima
-_SUMMARY = market.run(replace(reference_configs()["paper-a"][0], horizon=0), reference_configs()["paper-a"][1]).summary
+_config, _scenario = reference_configs()["paper-a"]
+_SUMMARY = market.run(replace(_config, horizon=0), _scenario).summary
 _PLACE = re.compile(r"\b(%s)\b|\b(supplier|consumer)(\[\d+\]| utilities| optima)"
                     % "|".join(sorted(_keys(_PAPER_A) | _keys(_SUMMARY) | set(metrics.CHECKED_COLUMNS))))
 
@@ -120,7 +121,7 @@ def _strict(text: str):
 @example(*OVERFLOWING_FIELDS[2])
 @example("paper-a", ("scenario", "consumer_utilities", 3, "kind"), "cubic")
 @example("paper-a", ("scenario", "supplier_utilities", 0, "scale"), 1.0)
-@example("paper-a", ("config",), "x")  # each of these three was refused with Python's TypeError text
+@example("paper-a", ("config",), "x")  # a wrongly typed object or array, named by its place
 @example("paper-a", ("config", "supplier_params"), 0)
 @example("paper-a", ("scenario", "consumer_utilities"), -1)
 @example("paper-a", ("scenario", "supplier_utilities"), AS_OBJECT)
