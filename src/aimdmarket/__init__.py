@@ -4,9 +4,8 @@ agent following an additive-increase/multiplicative-decrease rule with a
 probabilistic back-off tied to its private marginal utility."""
 
 from .market import RunResult, run
-from .metrics import export_run
 from .scenario import MarketConfig
 
 __version__ = "0.1.0"
 
-__all__ = ["MarketConfig", "RunResult", "export_run", "run"]
+__all__ = ["MarketConfig", "RunResult", "run"]

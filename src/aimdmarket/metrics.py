@@ -14,9 +14,9 @@ knows its layout.  Exports are written
 from the columns, checked finite and written atomically, and are
 byte-deterministic: repeated export of the same run is identical.  A records
 export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to forked
-workers through a pipe of chunk tokens, while the run is simulated or at
-once, and writes them in chunk order; whichever process formats a chunk
-derives its columns, and the bytes do not depend on which one it is.
+workers through a pipe of chunk tokens while the run is simulated, and writes
+them in chunk order; whichever process formats a chunk derives its columns,
+and the bytes do not depend on which one it is.
 """
 
 from __future__ import annotations
@@ -216,7 +216,14 @@ def _take(tokens: int) -> Optional[int]:
 
 
 class RecordsExport:
-    """``export_run`` in steps, so that a run's records are formatted while it is simulated.
+    """A run's records, rounds 1..horizon, formatted while it is simulated and written atomically.
+
+    CSV has one row per agent per round under ``CSV_HEADER``; JSON holds one object per round (its
+    per-agent entries, totals, signals and sum of utilities) in the bytes ``json.dump`` writes, as
+    its strings (agent ids, enum values) need no escaping.  The bytes are the same whatever the
+    number of CPUs and whichever process formats which chunk.  A run with a non-finite number is
+    refused with ValueError naming the first of CHECKED_COLUMNS that is not finite in any chunk;
+    failures carry the destination path and leave no partial file.
 
     ``start(trajectory)`` forks one worker per usable CPU but this one (at most one per chunk but
     one), on platforms with ``fork``; the trajectory's columns must be in memory shared with them,
@@ -350,25 +357,6 @@ class RecordsExport:
             codes.append(os.waitstatus_to_exitcode(os.waitpid(self._workers[0], 0)[1]))
             self._workers.pop(0)
         return codes
-
-
-def export_run(trajectory: Trajectory, fmt: str, destination) -> Path:
-    """Write rounds 1..horizon as CSV (one row per agent per round) or JSON.
-
-    The CSV schema is fixed (see ``CSV_HEADER``); JSON holds one object per round (its
-    per-agent entries, totals, signals and sum of utilities) in the bytes ``json.dump`` writes:
-    its strings (agent ids, enum values) need no escaping, and a run with a non-finite number
-    is refused with ValueError naming the first non-finite column.  Failures carry the
-    destination path and leave no partial file.
-
-    This is ``RecordsExport`` with every chunk ready at once: the chunks are formatted on up to
-    one process per usable CPU, and the bytes are the same whatever the number of CPUs and
-    whichever process formats which chunk.
-    """
-    with RecordsExport(fmt, destination) as records:
-        records.start(trajectory)
-        records.ready(len(trajectory.total_supply))
-        return records.commit()
 
 
 def export_band_series(band: BandSeries, fmt: str, destination) -> Path:

@@ -169,34 +169,25 @@ def _sample_side(rng: np.random.Generator, kind: UtilityKind, count: int, target
     return tuple(UtilitySpec.quadratic(z, float(h)) for z, h in zip(optima, curvatures))
 
 
-def generate_scenario(
-    config: MarketConfig,
-    mode: ScenarioMode,
-    target_sum: float,
-    sampler_seed: int,
-    *,
-    couple_utility_sum: bool = False,
-) -> ScenarioSpec:
+def generate_scenario(config: MarketConfig, mode: ScenarioMode, target_sum: float, sampler_seed: int) -> ScenarioSpec:
     """Sample agent utilities satisfying the scenario sum constraints.
 
     Draw order is fixed (supplier parameters, then consumer optima, then
-    consumer curvatures), so equal seeds give identical scenarios.
-
-    With ``couple_utility_sum`` every quadratic agent's curvature, on either
-    side, is rescaled so that their maximum utilities add to ``target_sum``
-    (sqrt suppliers have no maximum).  ``validate_scenario`` checks ``target_sum``.
+    consumer curvatures), so equal seeds give identical scenarios.  Every
+    quadratic agent's curvature, on either side, is then rescaled so that
+    their maximum utilities add to ``target_sum`` (sqrt suppliers have no
+    maximum).  ``validate_scenario`` checks ``target_sum``.
     """
     rng = np.random.default_rng(sampler_seed)
     kinds = (UtilityKind.QUADRATIC if mode is ScenarioMode.BOTH_CONCAVE else UtilityKind.SQRT_MONOTONE,
              UtilityKind.QUADRATIC)
     sides = [_sample_side(rng, kind, count, target_sum)
              for kind, count in zip(kinds, (config.num_suppliers, config.num_consumers))]
-    if couple_utility_sum:
-        quadratic = [i for i, kind in enumerate(kinds) if kind is UtilityKind.QUADRATIC]
-        # summed per side, then over the sides: the order the pinned scenarios were sampled in
-        factor = target_sum / (1.5 * ordered_sum([ordered_sum([u.curvature for u in sides[i]]) for i in quadratic]))
-        for i in quadratic:
-            sides[i] = tuple(dataclasses.replace(u, curvature=u.curvature * factor) for u in sides[i])
+    quadratic = [i for i, kind in enumerate(kinds) if kind is UtilityKind.QUADRATIC]
+    # summed per side, then over the sides: the order the pinned scenarios were sampled in
+    factor = target_sum / (1.5 * ordered_sum([ordered_sum([u.curvature for u in sides[i]]) for i in quadratic]))
+    for i in quadratic:
+        sides[i] = tuple(dataclasses.replace(u, curvature=u.curvature * factor) for u in sides[i])
     return ScenarioSpec(*sides, float(target_sum), mode)
 
 
@@ -305,7 +296,7 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
     references = {}
     for name, (mode, run_seed, sampler_seed, initial_quantity) in REFERENCE_EXPERIMENTS.items():
         config = MarketConfig(9, 18, horizon=5000, seed=run_seed, initial_quantity=initial_quantity)
-        scenario = generate_scenario(config, mode, PAPER_TARGET_SUM, sampler_seed, couple_utility_sum=True)
+        scenario = generate_scenario(config, mode, PAPER_TARGET_SUM, sampler_seed)
         references[name] = config, scenario
     return references
 
@@ -397,15 +388,16 @@ def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[Mark
     path = Path(path)
     try:
         payload = _located(json.loads(path.read_text()), "")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
+        # before from_dict reads it: an object or array of another type may be read as one, or as empty
+        if mistyped := _mistyped(payload, _CONTAINERS):
+            raise ValueError(mistyped)
         config = MarketConfig.from_dict(payload["config"], violations)
         scenario = ScenarioSpec.from_dict(payload["scenario"])
     except KeyError as exc:  # from an _Object, naming the key and where it belongs
         raise ValueError(f"{path}: malformed config file: {exc.args[0]}") from None
-    except TypeError as exc:  # an object or array of another type, read as one
-        raise ValueError(f"{path}: malformed config file: {_mistyped(payload, _CONTAINERS) or exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: malformed config file: {exc}") from exc
     return config, scenario

@@ -1,4 +1,8 @@
-"""Force which process formats which chunk of a records export.
+"""Write a run's records export, and force which process formats which chunk of it.
+
+``streamed_export`` writes a run's records as the CLI does, formatted while the run is simulated;
+``export_at_once`` writes a finished trajectory's, which may have been edited after its run, with
+every chunk ready before ``commit``.
 
 ``forced(monkeypatch, schedule)`` patches ``metrics._take``, through which this process and each
 forked worker take chunk tokens, and yields a shared array in which each chunk's entry becomes
@@ -15,9 +19,23 @@ from contextlib import contextmanager
 import numpy as np
 
 from aimdmarket import metrics
+from aimdmarket.market import run
 
 HERE, WORKER = 1, 2
 SCHEDULES = ("worker formats every chunk", "worker formats no chunk", "worker formats every other chunk")
+
+
+def streamed_export(config, scenario, fmt, destination):
+    with metrics.RecordsExport(fmt, destination) as records:
+        run(config, scenario, records=records)
+        return records.commit()
+
+
+def export_at_once(trajectory, fmt, destination):
+    with metrics.RecordsExport(fmt, destination) as records:
+        records.start(trajectory)
+        records.ready(len(trajectory.total_supply))
+        return records.commit()
 
 
 @contextmanager

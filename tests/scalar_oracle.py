@@ -6,7 +6,8 @@ kernel: frozen ``AgentState`` snapshots advanced by ``step``, and a
 tests keep it as the oracle that ``aimdmarket.market.simulate`` must
 reproduce exactly, record for record, and ``export_records``, the
 record-by-record writer the package used before it wrote exports from
-columns, as the oracle whose bytes ``metrics.export_run`` must match.
+columns, as the oracle whose bytes ``metrics.RecordsExport`` must match,
+whether it formats a run's chunks while the run is simulated or after.
 
 The per-round record objects (``RoundRecord`` and its parts) live only
 here.  ``run_columns`` gives every recorded column of a package

@@ -8,9 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from aimdmarket import cli, market, metrics
+from aimdmarket import cli, metrics
 from aimdmarket.cli import main
-from aimdmarket.metrics import export_run
 from aimdmarket.scenario import (
     REFERENCE_NAMES,
     MarketConfig,
@@ -21,6 +20,7 @@ from aimdmarket.scenario import (
     save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
+from export_schedule import streamed_export
 
 
 @pytest.fixture
@@ -140,6 +140,19 @@ def test_validate_unreadable_file(tmp_path, capsys):
     path = tmp_path / "nope.json"
     path.write_text("{")
     assert main(["validate", "--config", str(path)]) != 0
+
+
+def test_a_file_that_is_not_utf_8_is_refused_as_not_json(tmp_path, capsys):
+    path = tmp_path / "utf-16.json"
+    path.write_bytes(b"\xff\xfe\x00{}")
+    assert main(["validate", "--config", str(path)]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"violation: {path}: not valid JSON: ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"].startswith(f"{path}: not valid JSON: ")
+    assert not out.exists()
 
 
 def test_replicate_band(tmp_path, config_file):
@@ -320,6 +333,8 @@ def test_validate_names_a_missing_key_and_where_it_belongs(tmp_path, config_file
     (("config",), "x", "config must be an object, got 'x'"),
     (("config", "supplier_params"), 0, "config.supplier_params must be an object, got 0"),
     (("scenario", "consumer_utilities"), -1, "scenario.consumer_utilities must be an array, got -1"),
+    (("scenario", "supplier_utilities"), {}, "scenario.supplier_utilities must be an array, got {}"),
+    (("scenario", "supplier_utilities"), "", "scenario.supplier_utilities must be an array, got ''"),
     (("scenario", "supplier_utilities", 1), "x", "scenario.supplier_utilities[1] must be an object, got 'x'"),
     (("scenario", "mode"), "x", "mode: 'x' is not a valid ScenarioMode"),
 ], ids=_field_id)
@@ -431,14 +446,14 @@ def test_a_summary_refused_while_a_worker_formats_leaves_no_out_directory(tmp_pa
 
 @pytest.mark.parametrize("command,fmt,horizon", [("paper-b", "json", 769), ("paper-a", "csv", 1000)])
 def test_streamed_records_equal_an_export_of_the_finished_run(tmp_path, monkeypatch, command, fmt, horizon):
-    # the CLI formats the records while it simulates, with a worker; export_run formats them after, alone
+    # the CLI formats the records while it simulates, with a worker; with one CPU this process formats
+    # them all, after the run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main([command, "--format", fmt, "--horizon", str(horizon), "--out", str(tmp_path / "cli")]) == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     config, scenario = reference_configs()[command]
-    trajectory = market.run(replace(config, horizon=horizon), scenario).trajectory
-    expected = export_run(trajectory, fmt, tmp_path / f"records.{fmt}").read_bytes()
-    assert (tmp_path / "cli" / f"records.{fmt}").read_bytes() == expected
+    expected = streamed_export(replace(config, horizon=horizon), scenario, fmt, tmp_path / f"records.{fmt}")
+    assert (tmp_path / "cli" / f"records.{fmt}").read_bytes() == expected.read_bytes()
 
 
 # (reference, field path, value): a supplier curvature so small that u and

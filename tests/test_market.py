@@ -212,7 +212,9 @@ def test_block_signals_are_each_replicates_run_signals(flip):
     # replicate k's side signals are those of the run with seed + k; round 0 follows no round.  That each
     # agent reads its side's signal is pinned by test_parity.py::test_kernel_matches_oracle
     config = small_config(horizon=600, flip_signal_semantics=flip)
-    scenario = small_scenario(config)
+    # not small_scenario's sampler seed 3: one of its three runs (seed 7 unflipped, 9 flipped) locks into an
+    # exact tie of the totals from round 50 on, after which neither side is signalled
+    scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 200.0, 10)
     seeds = [config.seed + k for k in range(3)]
     blocks = simulate(Population.build(config, scenario), config, seeds)
     # copies, as the next block overwrites the buffers
@@ -321,12 +323,12 @@ def test_replicate_series_order_independent():
 
 def test_package_root_reexports_the_public_names():
     import aimdmarket
-    from aimdmarket import MarketConfig, RunResult, export_run, run as root_run
+    from aimdmarket import MarketConfig, RunResult, run as root_run
 
-    assert (root_run, export_run, RunResult, MarketConfig) == (
-        run, aimdmarket.metrics.export_run, aimdmarket.market.RunResult, aimdmarket.scenario.MarketConfig,
+    assert (root_run, RunResult, MarketConfig) == (
+        run, aimdmarket.market.RunResult, aimdmarket.scenario.MarketConfig,
     )
     # only what the CLI, the benchmark and the tests import from the root; they import cli, metrics
     # and scenario as submodules
-    assert sorted(aimdmarket.__all__) == ["MarketConfig", "RunResult", "export_run", "run"]
+    assert sorted(aimdmarket.__all__) == ["MarketConfig", "RunResult", "run"]
     assert all(hasattr(aimdmarket, name) for name in aimdmarket.__all__)

@@ -20,7 +20,6 @@ from aimdmarket.metrics import (
     BandSeries,
     confidence_band,
     export_band_series,
-    export_run,
 )
 from aimdmarket.scenario import (
     MarketConfig,
@@ -31,7 +30,7 @@ from aimdmarket.scenario import (
     strict_json,
 )
 from aimdmarket.text import compact, float_text
-from export_schedule import SCHEDULES, WORKER, expected_takers, forced
+from export_schedule import SCHEDULES, WORKER, expected_takers, export_at_once, forced, streamed_export
 from scalar_oracle import (REPR_LAYOUTS as LAYOUTS, detect_convergence, mean_derivative_series, records_from,
                            run_columns, summarize)
 
@@ -153,26 +152,26 @@ def test_band_bits_do_not_depend_on_input_layout(replicates):
 
 
 def test_csv_shape_and_header(tmp_path):
-    _, _, result = small_run(horizon=1, suppliers=1, consumers=1)
-    path = export_run(result.trajectory, "csv", tmp_path / "r.csv")
+    config, scenario, _ = small_run(horizon=1, suppliers=1, consumers=1)
+    path = streamed_export(config, scenario, "csv", tmp_path / "r.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # header + one row per agent for the single round
 
 
 def test_csv_export_byte_identical(tmp_path):
-    _, _, result = small_run(horizon=40)
-    a = export_run(result.trajectory, "csv", tmp_path / "a.csv").read_bytes()
-    b = export_run(result.trajectory, "csv", tmp_path / "b.csv").read_bytes()
+    config, scenario, _ = small_run(horizon=40)
+    a = streamed_export(config, scenario, "csv", tmp_path / "a.csv").read_bytes()
+    b = streamed_export(config, scenario, "csv", tmp_path / "b.csv").read_bytes()
     assert a == b
 
 
 def test_json_round_trip(tmp_path):
     # every column of rounds 1..horizon comes back from the JSON export
-    _, _, result = small_run(horizon=25, suppliers=2, consumers=3)
-    trajectory, p = result.trajectory, result.trajectory.population
-    columns = run_columns(trajectory)
-    rounds = json.loads(export_run(trajectory, "json", tmp_path / "r.json").read_text())
+    config, scenario, result = small_run(horizon=25, suppliers=2, consumers=3)
+    p = result.trajectory.population
+    columns = run_columns(result.trajectory)
+    rounds = json.loads(streamed_export(config, scenario, "json", tmp_path / "r.json").read_text())
     assert [r["round"] for r in rounds] == list(range(1, 26))
     agents = [[{**e, **e["trace"]} for e in r["per_agent"]] for r in rounds]
     totals = [{**r, **r["signals"]} for r in rounds]
@@ -188,23 +187,23 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_export_byte_identical(tmp_path):
-    _, _, result = small_run(horizon=25)
-    a = export_run(result.trajectory, "json", tmp_path / "a.json").read_bytes()
-    b = export_run(result.trajectory, "json", tmp_path / "b.json").read_bytes()
+    config, scenario, _ = small_run(horizon=25)
+    a = streamed_export(config, scenario, "json", tmp_path / "a.json").read_bytes()
+    b = streamed_export(config, scenario, "json", tmp_path / "b.json").read_bytes()
     assert a == b
 
 
 def test_export_unknown_format(tmp_path):
-    _, _, result = small_run(horizon=1)
+    config, scenario, _ = small_run(horizon=1)
     with pytest.raises(ValueError):
-        export_run(result.trajectory, "parquet", tmp_path / "r.x")
+        streamed_export(config, scenario, "parquet", tmp_path / "r.x")
 
 
 def test_export_write_failure_carries_path(tmp_path):
-    _, _, result = small_run(horizon=1)
+    config, scenario, _ = small_run(horizon=1)
     missing = tmp_path / "no" / "such" / "dir" / "r.csv"
     with pytest.raises(OSError, match="r.csv"):
-        export_run(result.trajectory, "csv", missing)
+        streamed_export(config, scenario, "csv", missing)
 
 
 def test_export_formatting_keeps_signed_zero():
@@ -216,12 +215,12 @@ def test_export_formatting_keeps_signed_zero():
 
 
 def test_failed_writes_leave_no_partial_file(tmp_path):
-    _, _, result = small_run(horizon=3)
+    config, scenario, _ = small_run(horizon=3)
     band = confidence_band([[0.0, 1.0], [2.0, 3.0]])
     missing = tmp_path / "no" / "such" / "dir"
     for fmt in ("csv", "json"):
         with pytest.raises(OSError):
-            export_run(result.trajectory, fmt, missing / f"r.{fmt}")
+            streamed_export(config, scenario, fmt, missing / f"r.{fmt}")
         with pytest.raises(OSError):
             export_band_series(band, fmt, missing / f"band.{fmt}")
     assert not (tmp_path / "no").exists()
@@ -277,7 +276,7 @@ def test_failed_export_chunk_leaves_no_file_or_process(failing, tmp_path, tempor
     for fmt in ("csv", "json"):
         with forced(monkeypatch, schedule):
             with pytest.raises(expected[0], match=expected[1] and expected[1].format(fmt=fmt)):
-                export_run(result.trajectory, fmt, out / f"r.{fmt}")
+                export_at_once(result.trajectory, fmt, out / f"r.{fmt}")
         _assert_no_leftovers(out, temporary)
 
 
@@ -295,7 +294,7 @@ def test_export_names_the_first_column_non_finite_in_any_chunk(schedule, tmp_pat
     for fmt in ("csv", "json"):
         with forced(monkeypatch, schedule) as takers:
             with pytest.raises(ValueError, match="non-finite: records column quantity$"):
-                export_run(trajectory, fmt, out / f"r.{fmt}")
+                export_at_once(trajectory, fmt, out / f"r.{fmt}")
         assert takers[2] == expected_takers(schedule, 4)[2]
         _assert_no_leftovers(out, temporary)
 
@@ -311,7 +310,7 @@ def test_export_names_a_utility_value_past_the_float_range(schedule, tmp_path, t
     out.mkdir()
     with forced(monkeypatch, schedule):
         with pytest.raises(ValueError, match="non-finite: records column utility_value$"):
-            export_run(result.trajectory, "csv", out / "r.csv")
+            export_at_once(result.trajectory, "csv", out / "r.csv")
     _assert_no_leftovers(out, temporary)
 
 
@@ -365,16 +364,16 @@ def test_an_export_worker_takes_every_chunk_of_a_long_run_before_commit(tmp_path
             assert takers.tolist() == [WORKER] * chunks
             records.commit()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    expected = export_run(trajectory, "csv", tmp_path / "expected.csv").read_bytes()
+    expected = export_at_once(trajectory, "csv", tmp_path / "expected.csv").read_bytes()
     assert (out / "r.csv").read_bytes() == expected
 
 
 def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):
-    _, _, result = small_run(horizon=769)
-    expected = export_run(result.trajectory, "csv", tmp_path / "forked.csv").read_bytes()
+    config, scenario, _ = small_run(horizon=769)
+    expected = streamed_export(config, scenario, "csv", tmp_path / "forked.csv").read_bytes()
     monkeypatch.delattr(os, "fork", raising=False)
     assert metrics._usable_cpus() == 1
-    assert export_run(result.trajectory, "csv", tmp_path / "r.csv").read_bytes() == expected
+    assert streamed_export(config, scenario, "csv", tmp_path / "r.csv").read_bytes() == expected
 
 
 def test_band_export_csv_and_json(tmp_path):

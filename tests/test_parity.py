@@ -8,10 +8,12 @@ seeds and scenario seeds are fixed in advance.
 """
 
 import builtins
+import itertools
 import math
 import mmap
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,10 +21,10 @@ import pytest
 from aimdmarket import metrics
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probability
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES, RecordsExport, export_run
+from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilityColumns, UtilitySpec
-from export_schedule import SCHEDULES, expected_takers, forced
+from export_schedule import SCHEDULES, expected_takers, export_at_once, forced, streamed_export
 from scalar_oracle import (
     REPR_LAYOUTS,
     AgentState,
@@ -91,10 +93,10 @@ def _oracle_exports(records, directory):
     return {fmt: export_records(records, fmt, directory / f"oracle.{fmt}").read_bytes() for fmt in ("csv", "json")}
 
 
-def _assert_exports_match(trajectory, records, directory):
+def _assert_exports_match(export, records, directory):
+    """``export(fmt, destination)``'s bytes against the oracle writer's of ``records``."""
     for fmt, expected in _oracle_exports(records, directory).items():
-        _assert_same_bytes(export_run(trajectory, fmt, directory / f"columns.{fmt}").read_bytes(), expected,
-                           f"{fmt} export")
+        _assert_same_bytes(export(fmt, directory / f"columns.{fmt}").read_bytes(), expected, f"{fmt} export")
 
 
 def _assert_utility_values_match(trajectory):
@@ -145,7 +147,7 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
         if not exercised and _exercised(kind, initial, records):
             # the first run that reaches the variant's case; the oracle's
             # pure-Python json.dump is too slow to export every run
-            _assert_exports_match(result.trajectory, records, tmp_path)
+            _assert_exports_match(partial(streamed_export, seeded, scenario), records, tmp_path)
             exercised = True
         for base, (series, summaries) in batches:
             if k >= base:
@@ -240,7 +242,7 @@ def test_signed_zero_lambda_export_matches_oracle(tmp_path):
     )
     _, records = run_records(config, scenario)
     assert [repr(e.trace.backoff_probability) for e in records[0].per_agent[1:]] == ["-0.0", "-0.0"]
-    _assert_exports_match(run(config, scenario).trajectory, records, tmp_path)
+    _assert_exports_match(partial(streamed_export, config, scenario), records, tmp_path)
 
 
 def test_negative_zero_optimum_matches_oracle():
@@ -267,19 +269,12 @@ def test_every_repr_layout_exports_as_oracle(tmp_path):
                        **{name: np.resize(layouts, getattr(trajectory, name).shape) for name in names})
     columns = run_columns(replaced)
     assert np.isfinite(columns["utility_value"]).all() and np.isfinite(columns["sum_of_utilities"]).all()
-    _assert_exports_match(replaced, records_from(replaced)[1:], tmp_path)
+    _assert_exports_match(partial(export_at_once, replaced), records_from(replaced)[1:], tmp_path)
 
 
 def _export_chunks(horizon):
     # rounds 1..horizon in chunks aligned to EXPORT_CHUNK = 256 rounds from round 0
     return len(range(0, horizon + 1, EXPORT_CHUNK)) if horizon else 0
-
-
-def _streamed_export(config, scenario, fmt, directory):
-    # the records export of `run` itself, formatted while the run is simulated
-    with RecordsExport(fmt, directory / f"streamed.{fmt}") as export:
-        run(config, scenario, records=export)
-        return export.commit().read_bytes()
 
 
 # 0 chunks; 1; 1 ending on a chunk's last round; 2, the second of one round; 2; 3; and 4, among 1, 2 or 3 workers
@@ -296,10 +291,10 @@ def test_split_export_matches_oracle(horizon, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         forks.clear()
         for fmt, expected in oracle.items():
-            got = export_run(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
+            got = export_at_once(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
             _assert_same_bytes(got, expected, f"{fmt} export with {cpus} CPUs")
-            _assert_same_bytes(_streamed_export(config, scenario, fmt, tmp_path), expected,
-                               f"streamed {fmt} export with {cpus} CPUs")
+            got = streamed_export(config, scenario, fmt, tmp_path / f"streamed.{fmt}").read_bytes()
+            _assert_same_bytes(got, expected, f"streamed {fmt} export with {cpus} CPUs")
         # min(usable CPUs, chunks) - 1 workers, per format and path
         assert len(forks) == 4 * max(0, min(cpus, chunks) - 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -316,23 +311,26 @@ def test_export_bytes_do_not_depend_on_the_schedule(horizon, schedule, tmp_path,
     trajectory = run(config, scenario).trajectory
     chunks = _export_chunks(horizon)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for path in ("export_run", "streamed"):
+    for path in ("at once", "streamed"):
         for fmt, expected in oracle.items():
             with forced(monkeypatch, schedule) as takers:
-                if path == "export_run":
-                    got = export_run(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
+                if path == "at once":
+                    got = export_at_once(trajectory, fmt, tmp_path / f"columns.{fmt}").read_bytes()
                 else:
-                    got = _streamed_export(config, scenario, fmt, tmp_path)
+                    got = streamed_export(config, scenario, fmt, tmp_path / f"streamed.{fmt}").read_bytes()
             assert takers[:chunks].tolist() == expected_takers(schedule, chunks), (path, fmt)
             _assert_same_bytes(got, expected, f"{path} {fmt} export")
 
 
 def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
     # a token pipe that takes two tokens and then is full: this process formats the rest in commit,
-    # and the worker none of them
+    # and the worker none of them, whether the run is simulated while they are handed out or before
     config = MarketConfig(3, 4, horizon=1300, seed=2, initial_quantity=10.0)
     scenario = generate_scenario(config, BOTH, 300.0, 3)
     oracle = _oracle_exports(run_records(config, scenario)[1], tmp_path)
+    trajectory = run(config, scenario).trajectory
+    exports = {"at once": lambda fmt: export_at_once(trajectory, fmt, tmp_path / f"columns.{fmt}"),
+               "streamed": lambda fmt: streamed_export(config, scenario, fmt, tmp_path / f"streamed.{fmt}")}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     write, tokens, chunk_rows, here = os.write, [], metrics._chunk_rows, os.getpid()
     # formats[side, k]: how often this process (side 0) or the worker (side 1) formatted chunk k
@@ -351,13 +349,13 @@ def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "write", write_two_tokens)
     monkeypatch.setattr(metrics, "_chunk_rows", counted_chunk_rows)
-    for fmt, expected in oracle.items():
+    for (path, export), (fmt, expected) in itertools.product(exports.items(), oracle.items()):
         tokens.clear()
         formats[:] = 0
-        _assert_same_bytes(_streamed_export(config, scenario, fmt, tmp_path), expected, f"streamed {fmt} export")
-        assert tokens == [0, 1]
-        assert formats.sum(axis=0).tolist() == [1] * formats.shape[1]
-        assert formats[1, 2:].tolist() == [0] * (formats.shape[1] - 2)
+        _assert_same_bytes(export(fmt).read_bytes(), expected, f"{path} {fmt} export")
+        assert tokens == [0, 1], (path, fmt)
+        assert formats.sum(axis=0).tolist() == [1] * formats.shape[1], (path, fmt)
+        assert formats[1, 2:].tolist() == [0] * (formats.shape[1] - 2), (path, fmt)
 
 
 def _kernel_step(state, signal, params, draw):

@@ -84,14 +84,14 @@ def test_monotone_mode_supplier_kinds():
 
 def test_utility_sum_coupling_both_concave():
     config = paper_geometry()
-    spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, 6, couple_utility_sum=True)
+    spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, 6)
     peak_total = sum(1.5 * u.curvature for u in spec.supplier_utilities + spec.consumer_utilities)
     assert peak_total == pytest.approx(900.0, rel=1e-9)
 
 
 def test_utility_sum_coupling_monotone_consumer_side():
     config = paper_geometry()
-    spec = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 900.0, 6, couple_utility_sum=True)
+    spec = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 900.0, 6)
     peak_consumers = sum(1.5 * u.curvature for u in spec.consumer_utilities)
     assert peak_consumers == pytest.approx(900.0, rel=1e-9)
 
@@ -107,7 +107,7 @@ def test_sampler_output_is_pinned():
         for target in (900.0, 1e-3):
             for seed in range(50):
                 for sides in ((1, 1), (3, 5), (9, 18), (7, 2)):
-                    spec = generate_scenario(MarketConfig(*sides), mode, target, seed, couple_utility_sum=True)
+                    spec = generate_scenario(MarketConfig(*sides), mode, target, seed)
                     digest.update(json.dumps(spec.to_dict()).encode())
     assert digest.hexdigest() == SAMPLER_DIGEST
 
