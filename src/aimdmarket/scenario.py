@@ -390,10 +390,10 @@ def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[Mark
         payload = _located(json.loads(path.read_text()), "")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    # checked before from_dict reads them: an object or array of another type may be read as one, or as empty
+    if mistyped := _mistyped(payload, _CONTAINERS):
+        raise ValueError(f"{path}: malformed config file: {mistyped}")
     try:
-        # before from_dict reads it: an object or array of another type may be read as one, or as empty
-        if mistyped := _mistyped(payload, _CONTAINERS):
-            raise ValueError(mistyped)
         config = MarketConfig.from_dict(payload["config"], violations)
         scenario = ScenarioSpec.from_dict(payload["scenario"])
     except KeyError as exc:  # from an _Object, naming the key and where it belongs
