@@ -161,12 +161,20 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 # the 100-round trailing window starts at round 501, inside the second block.
 # The horizons also take every branch of the trailing window: round 0 alone
 # (0), every round below 100 (1, 99), the 100-round floor (255..600) and 10%
-# of the horizon (1001, 101 rounds).
-@pytest.mark.parametrize("horizon", [0, 1, 99, 255, 256, 257, 600, 1001])
+# of the horizon (1001, 101 rounds).  The kernel reads the side totals as the
+# partial sums of agents s - 1 and n - 1; markets with one agent on a side
+# put them at the edges: the first agent's with one supplier, adjacent
+# agents' with one consumer, and agents 0 and 1 in a 1 x 1 market.
+BOUNDARY_CASES = ([((3, 4), h) for h in (0, 1, 99, 255, 256, 257, 600, 1001)]
+                  + [(size, h) for size in ((1, 1), (1, 3), (3, 1)) for h in (0, 1, 255, 257, 600)])
+
+
+@pytest.mark.parametrize("size, horizon", BOUNDARY_CASES,
+                         ids=[f"{h}" if size == (3, 4) else f"{size[0]}x{size[1]}-{h}" for size, h in BOUNDARY_CASES])
 @pytest.mark.parametrize("variant", ["both-concave", "flipped-signals", "monotone-suppliers"])
-def test_block_boundaries_match_oracle(variant, horizon):
+def test_block_boundaries_match_oracle(variant, size, horizon):
     overrides, mode, target, _ = VARIANTS[variant]
-    config = MarketConfig(3, 4, **{"horizon": horizon, "seed": 0, **overrides})
+    config = MarketConfig(*size, **{"horizon": horizon, "seed": 0, **overrides})
     scenario = generate_scenario(config, mode, target, SCENARIO_SEEDS[0])
     replicates = 3
     series, summaries = replicate_series(config, scenario, replicates)
