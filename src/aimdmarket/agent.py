@@ -84,10 +84,12 @@ class Population:
         that shape and its scalar operands as arrays of it, so that its ufuncs run on same-shape arrays, and
         with the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
 
-        ``step(before, after, rounds, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring divide,
-        invalid and over: from ``before`` = (quantity, average, u'(average)), an average of ``rounds``
-        samples, each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity,
-        average, u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
+        ``step(before, after, samples, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring
+        divide, invalid and over: from ``before`` = (quantity, average, u'(average)), ``samples`` = (t,
+        t + 1) for an average of t samples, as floats (``simulate`` passes 0-d float arrays, which its
+        ufuncs take without converting a Python number), each agent's side signal and one draw in [0, 1)
+        each, it writes ``after`` = (quantity, average, u'(average), Bernoulli bit) in place, with (float,
+        bool) ``scratch`` arrays.  The raw
         lambda Gamma u'(avg) / avg, held in the float scratch until the Bernoulli bit is drawn, is
         unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
         a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  u'(average) is
@@ -103,28 +105,29 @@ class Population:
             np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,
             np.greater_equal, np.copyto)
 
-        def step(before, after, rounds: int, signalled, draws, scratch) -> None:
+        def step(before, after, samples, signalled, draws, scratch) -> None:
             quantity, avg, marginal = before
+            count, next_count = samples
             new_quantity, new_avg, new_marginal, bernoulli = after
             floats, flags = scratch
             # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as UtilityColumns stores an optimum
             # of -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
-            subtract(optimum, quantity, out=new_quantity)
-            copysign(alpha, new_quantity, out=new_quantity)
-            add(quantity, new_quantity, out=new_quantity)
-            maximum(new_quantity, zero, out=new_quantity)
-            multiply(gamma, marginal, out=floats)  # the raw lambda
-            divide(floats, avg, out=floats)
-            less(draws, floats, out=bernoulli)
-            logical_and(bernoulli, signalled, out=bernoulli)
-            greater_equal(avg, eps_avg, out=flags)
-            logical_and(bernoulli, flags, out=bernoulli)
-            multiply(quantity, beta, out=floats)
+            subtract(optimum, quantity, new_quantity)
+            copysign(alpha, new_quantity, new_quantity)
+            add(quantity, new_quantity, new_quantity)
+            maximum(new_quantity, zero, out=new_quantity)  # numpy deprecates a positional out for maximum
+            multiply(gamma, marginal, floats)  # the raw lambda
+            divide(floats, avg, floats)
+            less(draws, floats, bernoulli)
+            logical_and(bernoulli, signalled, bernoulli)
+            greater_equal(avg, eps_avg, flags)
+            logical_and(bernoulli, flags, bernoulli)
+            multiply(quantity, beta, floats)
             copyto(new_quantity, floats, where=bernoulli)
-            # the running average of rounds + 1 samples: (avg * rounds + quantity) / (rounds + 1)
-            multiply(avg, rounds, out=new_avg)
-            add(new_avg, new_quantity, out=new_avg)
-            divide(new_avg, rounds + 1, out=new_avg)
+            # the running average of count + 1 samples: (avg * count + quantity) / (count + 1)
+            multiply(avg, count, new_avg)
+            add(new_avg, new_quantity, new_avg)
+            divide(new_avg, next_count, new_avg)
             derivative(new_avg, new_marginal, floats)
 
         return step

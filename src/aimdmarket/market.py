@@ -11,11 +11,15 @@ per round, so results do not depend on any execution schedule.
 seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, so that each block
 completes one records chunk; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
-per-round loop walks views built once per call and keeps only what the next
-round needs: each round's two side signals, written in place by one
-comparison of the totals (``_excess_sides``), the signal each agent reads, in
-one buffer reused every round, the round step bound for its replicates
-(``Population.bind_step``), the side totals (``np.add.accumulate``).
+per-round loop walks views built once per call and makes only the numpy
+calls of the round's arithmetic: one comparison of last round's totals and
+their reverse (``_excess_sides``) writes the round's two side signals in
+place, one ``take`` spreads them to the signal each agent reads, in one
+buffer reused every round, the round step bound for its replicates
+(``Population.bind_step``) reads the round's sample counts as 0-d views,
+and ``np.add.accumulate`` writes each side's partial sums in agent order
+into a (rounds x agents x replicates) buffer, whose rows s - 1 and
+agents - 1 are the side totals, read in place as one strided view.
 ``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
 totals and signals into the columns of a ``metrics.Trajectory``, which it keeps
 in shared anonymous memory; lambda and the branch codes are derived from those
@@ -95,20 +99,26 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     step, excess = population.bind_step(len(seeds)), _excess_sides(config.flip_signal_semantics)
     rows = min(EXPORT_CHUNK, config.horizon + 1)
     columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool]]
-    totals, signals = np.empty((rows, 2, len(seeds))), np.empty((rows, 2, len(seeds)), dtype=bool)
+    signals = np.empty((rows, 2, len(seeds)), dtype=bool)
+    # each round's partial sums of the quantities, per side in agent order; side j's total is the sum that
+    # ends it, so the (rounds x 2 x replicates) totals are the rows s - 1 and agents - 1 of each round's sums
+    partial_sums = np.empty((rows, *shape))
+    totals = partial_sums[:, s - 1::shape[0] - s]
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
     fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
              for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
-    # agent i reads the signal signals[t, side_of[i]]; side j's total is partial_sums[side_ends[j]]
-    side_of, side_ends = np.repeat([0, 1], [s, shape[0] - s]), np.array([s - 1, shape[0] - 1])
-    partial_sums, signalled = np.empty(shape), np.empty(shape, dtype=bool)
-    scratch = np.empty(shape), np.empty(shape, dtype=bool)  # for the round step
-    # each round's views, built once: the step's `after` (whose first three are the next round's `before`),
-    # its signals, its draws, each side's quantities, and the totals that the next round's signals compare,
-    # also reversed
-    views = list(zip(zip(*columns), signals, np.moveaxis(draws, -1, 0), columns[0][:, :s], columns[0][:, s:],
-                     totals, totals[:, ::-1]))
-    accumulate, supplier_sums, consumer_sums = np.add.accumulate, partial_sums[:s], partial_sums[s:]
+    side_of = np.repeat([0, 1], [s, shape[0] - s])  # agent i reads the signal signals[t, side_of[i]]
+    signalled, scratch = np.empty(shape, dtype=bool), (np.empty(shape), np.empty(shape, dtype=bool))
+    # the average entering round t holds t samples (rounds 0..t-1): each block sets counts to its rounds, and
+    # the step reads t and t + 1 as 0-d views of it, so that its ufuncs convert no Python number
+    block_rounds, counts = np.arange(rows + 1, dtype=float), np.empty(rows + 1)
+    # each round's views, built once: the step's `after` and the first three of it, the next round's `before`;
+    # its signals, its draws, each side's quantities and partial sums, its totals, which the next round's
+    # signals compare, also reversed, and its sample counts
+    views = [(*round_views, (counts[b, ...], counts[b + 1, ...])) for b, round_views in enumerate(zip(
+        zip(*columns), (row[:3] for row in zip(*columns)), signals, np.moveaxis(draws, -1, 0), columns[0][:, :s],
+        columns[0][:, s:], partial_sums[:, :s], partial_sums[:, s:], totals, totals[:, ::-1]))]
+    accumulate = np.add.accumulate
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))
     before, (last, last_reversed) = (start, start, start), [np.zeros((2, len(seeds)))] * 2
@@ -116,18 +126,18 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
         block, skip = min(EXPORT_CHUNK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
         for fill, stream in fills:
             fill(out=stream[skip:block])
+        np.add(block_rounds, first, counts)
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for b, (row, signal, draw, supply, consumption, total, reversed_total) in enumerate(views[:block]):
-                excess(last, last_reversed, out=signal)
-                signal.take(side_of, 0, signalled)
-                # the average entering round t holds t samples (rounds 0..t-1)
-                step(before, row, first + b, signalled, draw, scratch)
+            for (row, next_before, signal, draw, supply, consumption, supplier_sums, consumer_sums, total,
+                 reversed_total, samples) in views[:block]:
+                excess(last, last_reversed, signal)
+                signal.take(side_of, 0, signalled, "clip")  # in range: unlike "raise", "clip" writes no copy
+                step(before, row, samples, signalled, draw, scratch)
                 # agent order, not np.sum's pairwise order: the totals decide the signals
-                accumulate(supply, axis=0, out=supplier_sums)
-                accumulate(consumption, axis=0, out=consumer_sums)
-                partial_sums.take(side_ends, 0, total)
-                before, last, last_reversed = row[:3], total, reversed_total
+                accumulate(supply, 0, None, supplier_sums)
+                accumulate(consumption, 0, None, consumer_sums)
+                before, last, last_reversed = next_before, total, reversed_total
         yield Block(first, *(column[:block] for column in (*columns, totals, signals)))
 
 

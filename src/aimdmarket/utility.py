@@ -148,13 +148,13 @@ class UtilityColumns(NamedTuple):
 
         def derivative(avg, out, scratch) -> None:
             # -2 (avg - z*) / h, or scale / (2 sqrt(avg)) on the sqrt agents' entries
-            subtract(avg, optimum, out=out)
-            multiply(minus_two, out, out=out)
-            divide(out, curvature, out=out)
+            subtract(avg, optimum, out)
+            multiply(minus_two, out, out)
+            divide(out, curvature, out)
             if has_sqrt:
-                sqrt(avg, out=scratch)
-                multiply(two, scratch, out=scratch)
-                divide(scale, scratch, out=scratch)
+                sqrt(avg, scratch)
+                multiply(two, scratch, scratch)
+                divide(scale, scratch, scratch)
                 copyto(out, scratch, where=is_sqrt)
 
         return derivative

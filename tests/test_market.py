@@ -192,7 +192,7 @@ def test_numpy_error_state_does_not_leak(caller):
     shape, cold = (4, 1), np.zeros((4, 1))
     after = tuple(np.empty(shape) for _ in range(3)) + (np.empty(shape, dtype=bool),)
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="divide"):
-        population.bind_step(1)((cold,) * 3, after, 0, np.zeros(shape, dtype=bool), cold,
+        population.bind_step(1)((cold,) * 3, after, (0.0, 1.0), np.zeros(shape, dtype=bool), cold,
                                 (np.empty(shape), np.empty(shape, dtype=bool)))
     with warnings.catch_warnings(), np.errstate(**caller):
         warnings.simplefilter("error")

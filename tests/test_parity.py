@@ -378,7 +378,9 @@ def _kernel_step(state, signal, params, draw):
     before = (quantity, avg, np.array([[derivative(state.utility, state.running_average)]]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as simulate runs the step
         step = population.bind_step(1)
-        step(before, after, state.rounds_elapsed + 1, signalled, np.array([[draw]]), scratch)
+        # the samples the average holds and will hold, as 0-d float arrays, as simulate passes them
+        samples = np.array(float(state.rounds_elapsed + 1)), np.array(float(state.rounds_elapsed + 2))
+        step(before, after, samples, signalled, np.array([[draw]]), scratch)
         lam = backoff_probability(population.gamma * before[2] / avg, signalled, avg)
     new_quantity, new_avg, new_marginal, bernoulli = after
     assert repr(float(new_marginal[0, 0])) == repr(derivative(state.utility, float(new_avg[0, 0])))
@@ -394,7 +396,9 @@ def test_simulate_runs_the_bound_step(monkeypatch):
     def recording_bind(population, replicates):
         step = bind(population, replicates)
         bound.append((replicates, []))
-        return lambda before, after, rounds, *rest: bound[-1][1].append(rounds) or step(before, after, rounds, *rest)
+        # the values of the sample counts, which simulate passes as views of a buffer that each block sets
+        return lambda before, after, samples, *rest: (bound[-1][1].append(tuple(map(float, samples)))
+                                                      or step(before, after, samples, *rest))
 
     monkeypatch.setattr(Population, "bind_step", recording_bind)
     config, scenario = reference_configs()["paper-b"]
@@ -404,7 +408,8 @@ def test_simulate_runs_the_bound_step(monkeypatch):
     assert len(got) == len(records) + 1
     for t, (record, expected) in enumerate(zip(got, [initial, *records])):
         assert repr(record) == repr(expected), f"round {t}"
-    assert bound == [(1, list(range(301)))]  # bound once for one replicate, then called for rounds 0..horizon
+    # bound once for one replicate, then called for rounds 0..horizon, an average of t samples entering round t
+    assert bound == [(1, [(t, t + 1) for t in range(301)])]
 
 
 def _step_cases():
