@@ -85,11 +85,10 @@ class Population:
         with the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
 
         ``step(before, after, samples, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring
-        divide, invalid and over: from ``before`` = (quantity, average, u'(average)), ``samples`` = (t,
-        t + 1) for an average of t samples, as floats (``simulate`` passes 0-d float arrays, which its
-        ufuncs take without converting a Python number), each agent's side signal and one draw in [0, 1)
-        each, it writes ``after`` = (quantity, average, u'(average), Bernoulli bit) in place, with (float,
-        bool) ``scratch`` arrays.  The raw
+        divide, invalid and over: from ``before`` = (quantity, average, u'(average)), an average of t samples,
+        ``samples`` = (t, t + 1) as floats or 0-d float arrays (``simulate``'s, which no ufunc converts),
+        each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity, average,
+        u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
         lambda Gamma u'(avg) / avg, held in the float scratch until the Bernoulli bit is drawn, is
         unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
         a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  u'(average) is

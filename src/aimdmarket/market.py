@@ -12,14 +12,12 @@ seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, so that each block
 completes one records chunk; each stream fills its row of a
 stream-major (agents x replicates x rounds) draw buffer in place.  Its
 per-round loop walks views built once per call and makes only the numpy
-calls of the round's arithmetic: one comparison of last round's totals and
-their reverse (``_excess_sides``) writes the round's two side signals in
-place, one ``take`` spreads them to the signal each agent reads, in one
-buffer reused every round, the round step bound for its replicates
-(``Population.bind_step``) reads the round's sample counts as 0-d views,
-and ``np.add.accumulate`` writes each side's partial sums in agent order
-into a (rounds x agents x replicates) buffer, whose rows s - 1 and
-agents - 1 are the side totals, read in place as one strided view.
+calls of the round's arithmetic: one comparison of last round's totals
+(``_excess_sides``) writes the two side signals, one ``take`` spreads them
+to the agents, the round step (``Population.bind_step``) reads its sample
+counts as 0-d views, and ``np.add.accumulate`` writes each side's partial
+sums into a (rounds x agents x replicates) buffer, whose rows s - 1 and
+agents - 1 are the totals, read in place as one strided view.
 ``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
 totals and signals into the columns of a ``metrics.Trajectory``, which it keeps
 in shared anonymous memory; lambda and the branch codes are derived from those
@@ -100,8 +98,7 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     rows = min(EXPORT_CHUNK, config.horizon + 1)
     columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool]]
     signals = np.empty((rows, 2, len(seeds)), dtype=bool)
-    # each round's partial sums of the quantities, per side in agent order; side j's total is the sum that
-    # ends it, so the (rounds x 2 x replicates) totals are the rows s - 1 and agents - 1 of each round's sums
+    # each side's partial sums in agent order: the (rounds x 2 x replicates) totals are rows s - 1 and agents - 1
     partial_sums = np.empty((rows, *shape))
     totals = partial_sums[:, s - 1::shape[0] - s]
     draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
@@ -109,8 +106,8 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
              for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
     side_of = np.repeat([0, 1], [s, shape[0] - s])  # agent i reads the signal signals[t, side_of[i]]
     signalled, scratch = np.empty(shape, dtype=bool), (np.empty(shape), np.empty(shape, dtype=bool))
-    # the average entering round t holds t samples (rounds 0..t-1): each block sets counts to its rounds, and
-    # the step reads t and t + 1 as 0-d views of it, so that its ufuncs convert no Python number
+    # the average entering round t holds t samples (rounds 0..t-1); the step reads t and t + 1 as 0-d views of
+    # counts, which each block sets to its rounds, so that its ufuncs convert no Python number
     block_rounds, counts = np.arange(rows + 1, dtype=float), np.empty(rows + 1)
     # each round's views, built once: the step's `after` and the first three of it, the next round's `before`;
     # its signals, its draws, each side's quantities and partial sums, its totals, which the next round's
