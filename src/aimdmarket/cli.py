@@ -157,8 +157,9 @@ def _cmd_validate(args) -> int:
     else:
         violations += validate_config(config) + validate_scenario(scenario, config)
     if violations:
-        for v in violations:
-            print(f"violation: {v}")
+        text, encoding = "".join(f"violation: {v}\n" for v in violations), sys.stdout.encoding or "utf-8"
+        # a character stdout's encoding lacks is written escaped, as \xe9, rather than failing the line
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
         return 1
     print("ok")
     return 0

@@ -387,7 +387,7 @@ def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[Mark
     """A config file's config and scenario; ``violations`` is as in ``MarketConfig.from_dict``."""
     path = Path(path)
     try:
-        payload = _located(json.loads(path.read_text()), "")
+        payload = _located(json.loads(path.read_text(encoding="utf-8")), "")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     # checked before from_dict reads them: an object or array of another type may be read as one, or as empty

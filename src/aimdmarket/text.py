@@ -2,11 +2,11 @@
 
 ``float_text`` finds each float's shortest round-trip digits with Ryu (Adams, "Ryū: fast
 float-to-string conversion", PLDI 2018), vectorised over uint64 arrays, and lays them out as
-``float.__repr__`` does: fixed notation while the decimal point sits at -4 < decpt <= 16
-(value = 0.d1d2... x 10**decpt), else ``d.ddde±XX``.  ``int_text`` writes non-negative ints.
-Each returns one row per value: its text right-aligned in uint8, NUL-padded on the left to the
-longest, so that ``join`` can lay such rows beside ``literals`` in one array, and ``compact``
-drops every NUL at the end.
+``float.__repr__`` does in fixed notation, while the decimal point sits at -4 < decpt <= 16
+(value = 0.d1d2... x 10**decpt); zero, the powers of two and the few values in exponent notation
+(``d.ddde±XX``) it leaves to ``repr``.  ``int_text`` writes non-negative ints.  Each returns one
+row per value: its text right-aligned in uint8, NUL-padded on the left to the longest, so that
+``join`` can lay such rows beside ``literals`` in one array, and ``compact`` drops every NUL.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per biased exponent, as columns: the widened multiplier C as five 32-bit limbs, low first,
     and as its two 64-bit words below 2**128; H and the words (high, low) of T, 2C = H 2**128 + T,
-    and of ~T.  Then e10 (vr's decimal exponent), mv's hidden bit, and 1 in Ryu's exact-product
-    window (e2 >= 0, q <= 21).  Then, as rows for the rare paths: q, and a mask of the bits of mv
-    that are all zero where vr is an exact product (all ones where it cannot be).
+    and of ~T.  Then e10 (vr's decimal exponent) and mv's hidden bit.  Then, for exact halves, a
+    mask of the bits of mv that are all zero where vr is an exact product (all ones where it is not).
 
     Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
     bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
@@ -56,9 +55,9 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h = carried[3] << one | high >> np.uint64(63)
     bounds = np.array([*c, carried[3], low, high, h, t_high, t_low, ~t_high, ~t_low])
     e10 = np.where(up, q, q + e2).astype(np.uint64)
-    digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0), up & (q <= 21)], dtype=np.uint64)
+    digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0)], dtype=np.uint64)
     mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
-    return bounds.T.copy(), digits.T.copy(), np.array([q.astype(np.uint64), mask])
+    return bounds.T.copy(), digits.T.copy(), mask
 
 
 def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,45 +73,35 @@ def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return high[1] + m * c[4] + (low_high < high[0]), low_high, m * c[5]
 
 
-def _interval(mv: np.ndarray, key: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ryu's vr, vp and vm, floor((mv + d) C / 2**128) for d = 0, 2 and -2 (-1 at ``powers``, below
-    which the interval is half as wide), from one product: mv C +- 2C = (vr +- H) 2**128 + (low +- T),
-    where low carries (low > ~T) or borrows (low < T), compared word by word.  T's high word is
-    never all ones, so one more or less on it (or on ~T's) cannot wrap."""
+def _interval(mv: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ryu's vr, vp and vm, floor((mv + d) C / 2**128) for d = 0, 2 and -2, from one product:
+    mv C +- 2C = (vr +- H) 2**128 + (low +- T), where low carries (low > ~T) or borrows (low < T),
+    compared word by word.  T's high word is never all ones, so one more or less on it (or on
+    ~T's) cannot wrap."""
     c = _exponent_tables()[0].take(key, axis=0).T
     vr, low_high, low_low = _product(mv, c)
     vp = vr + c[7] + (low_high > c[10] - (low_low > c[11]))
     vm = vr - c[7] - (low_high < c[8] + (low_low < c[9]))
-    if powers.size:
-        vm[powers] = _product(mv[powers] - np.uint64(1), c[:7, powers])[0]
     return vr, vp, vm
 
 
-def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, exponent) with |value| = digits * 10**exponent, digits as short as round-trips
-    and closest to the value among those: Ryu's d2d on finite float64 values.  Zero is (0, 0)."""
+def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, no_fraction) with |value| = digits * 10**exponent, digits as short as
+    round-trips and closest to the value among those: Ryu's d2d on finite float64 values, without
+    the steps of two cases.  Zero and the powers of two (``no_fraction``) have an interval half as
+    wide below.  In Ryu's exact-product window, 2**54 <= |value| < 2**131 (e2 >= 0, q <= 21), vm,
+    vr or vp may be exact with trailing decimal zeros, so the digits may be too long or one off in
+    the last; the value and the digits are past 10**16 all the same, in exponent notation."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
     key = bits >> np.uint64(52) & np.uint64(0x7FF)
-    _, exponents, rare = _exponent_tables()
-    e10, hidden, window = exponents.take(key, axis=0).T
+    _, exponents, mask = _exponent_tables()
+    e10, hidden = exponents.take(key, axis=0).T
     fraction = bits << np.uint64(12) >> np.uint64(10)
     mv = fraction | hidden
-    zeros = np.flatnonzero(fraction == 0)  # zero, and powers of two past the subnormals
-    vr, vp, vm = _interval(mv, key, zeros[key[zeros] > 1])
-    # Ryu's step 3 in the exact-product window: is vm an exact product with trailing decimal
-    # zeros, or vp one that the (excluded) upper bound reaches?  Its other tests cannot change a
-    # digit of a double: vr's here, as a tie needs both neighbours 5 * 10**(r - 1) away, beyond
-    # the interval; vm's and vp's at -4 <= e2 < 0, whose bounds never end in a zero.
-    exact = ends = np.flatnonzero(window)
-    if exact.size:
-        pow5 = np.uint64(5) ** rare[0, key[exact]]
-        m = mv[exact]
-        on_five, accept = m % np.uint64(5) == 0, m & np.uint64(4) == 0
-        ends = exact[~on_five & accept & ((m - np.uint64(1) - (m != np.uint64(1 << 54))) % pow5 == 0)]
-        vp[exact] -= ~on_five & ~accept & ((m + np.uint64(2)) % pow5 == 0)
-
-    # Step 4: drop the digits below the highest place at which vp and vm still differ.  Most
-    # values drop 1-3; the few that may drop more find the rest by binary lifting.
+    vr, vp, vm = _interval(mv, key)
+    # Ryu's step 4: drop the digits below the highest place at which vp and vm still differ.
+    # Most values drop 1-3; the few that may drop more find the rest by binary lifting.  Outside
+    # the window vm never ends in dropped zeros (at -4 <= e2 < 0 its bounds cannot).
     removed = np.zeros(len(bits), np.intp)
     p, m = vp, vm
     for _ in range(3):
@@ -125,13 +114,8 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             go = p // _POW10[step] > m // _POW10[step]
             p, m, extra = np.where(go, p // _POW10[step], p), np.where(go, m // _POW10[step], m), extra + go * step
         removed[more] += extra
-    # where vm and its dropped digits are exact, vm's own trailing zeros go too (the window only)
-    ends = vm_ends = ends[vm[ends] % _POW10[removed[ends]] == 0]
-    while ends.size:
-        ends = ends[vm[ends] // _POW10[removed[ends]] % _10 == 0]
-        removed[ends] += 1
-    # round vr up past the last dropped digit's half, or where vm's digits equal vr's and vm
-    # cannot itself stand; an exact half rounds to even
+    # round vr up past the last dropped digit's half, or where vm's digits equal vr's; an exact
+    # half rounds to even
     scale = _POW10.take(removed)
     digits = vr // scale
     base = digits * scale
@@ -139,27 +123,21 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     up = dropped >= half
     ties = np.flatnonzero(dropped == half)
     if ties.size:
-        even = (mv[ties] & rare[1, key[ties]] == 0) & (digits[ties] & np.uint64(1) == 0)
+        even = (mv[ties] & mask[key[ties]] == 0) & (digits[ties] & np.uint64(1) == 0)
         up[ties[even]] = False
-    same = vm >= base
-    same[vm_ends] = False  # there vm itself stands
-    up |= same
+    up |= vm >= base
     digits += up
-    exponent = e10.view(np.int64) + removed
-    zeros = zeros[key[zeros] == 0]  # they ran with mv = 0
-    digits[zeros], exponent[zeros] = 0, 0
-    return digits, exponent
+    return digits, e10.view(np.int64) + removed, fraction == 0
 
 
 @cache
-def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four ASCII digits of 0..9999 as one uint32 each, in memory order, and entry 10000 two
     NULs and two zeros (the places of 10**21 and 10**20 that a zero-filled value may reach);
     byte masks and literals of a 24-byte row, indexed by the code ``_rows`` takes: digits kept in
     place right of the point, digits to move one place left of it, and point and sign.  Then
-    ``float_text``'s layout by exponent (-21..17), digit count and sign: the code, 10**pad (the
-    zeros that fill fixed notation), 4 for a suffix "e±XX" (0 in fixed notation) and the row's
-    width; and each suffix "e±XX(X)", right-aligned in 5 bytes, from power -330."""
+    ``float_text``'s fixed-notation layout by exponent (-20..15), digit count and sign: the code,
+    10**pad (the zeros that fill it) and the row's width, or 0, 1 and 0 (no text) as at key 0."""
     k = np.arange(10000, dtype=np.int16)
     four = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
     four = np.vstack([four, [0, 0, ord("0"), ord("0")]]).astype(np.uint8).view(np.uint32).ravel()
@@ -172,21 +150,16 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np
     left = ((r >= tail) & (r < length)) * full
     marks = (r == tail) * (point * dot) + (r == length + 1) * (sign * minus)
     masks = (np.broadcast_to(a, shape).reshape(-1, 24).astype(np.uint8) for a in (right, left, marks))
-    suffixes = np.array([f"e{p:+03d}".rjust(5, "\0").encode() for p in range(-330, 330)]).view(np.uint8).reshape(-1, 5)
-    # past these exponents every layout is an exponent's (float_text widens three-digit ones)
-    exponent, count, sign = np.meshgrid(np.arange(-21, 18), np.arange(18), np.arange(2), indexing="ij")
+    exponent, count, sign = np.meshgrid(np.arange(-20, 16), np.arange(18), np.arange(2), indexing="ij")
     decpt = exponent + count
-    fixed, below = (decpt > -4) & (decpt <= 16), decpt < count
-    # fixed notation writes every digit of digits * 10**pad, zero-filled to `length`, with the point
-    # before the last `tail`; an exponent's mantissa its digits, with the point before count - 1
-    # (or, for one digit, no point: length 0 lays the digit out as the tail)
-    tail = np.where(fixed, np.where(below, count - decpt, 1), np.maximum(count - 1, 1))
-    pad = np.where(fixed & ~below, decpt - count + 1, 0)
-    length = np.where(fixed, np.maximum(decpt, 1) + tail, np.where(count > 1, count, 0))
-    suffix = np.where(fixed, 0, 4)
-    code = ((length * 21 + tail) * 2 + sign) * 2 + (fixed | (count > 1))
-    layout = np.stack([code, 10**pad, suffix, np.maximum(length, 1) + (fixed | (count > 1)) + suffix + sign], axis=-1)
-    return four, *masks, layout.reshape(-1, 4).astype(np.uint64), suffixes
+    fixed = (decpt > -4) & (decpt <= 16)
+    # every digit of digits * 10**pad, zero-filled to `length`, with the point before the last `tail`
+    tail = np.where(exponent < 0, -exponent, 1)
+    length = np.maximum(decpt, 1) + tail
+    code = np.where(fixed, ((length * 21 + tail) * 2 + sign) * 2 + 1, 0)
+    layout = np.stack([code, 10 ** np.where(fixed & (exponent >= 0), exponent + 1, 0), fixed * (length + 1 + sign)],
+                      axis=-1)
+    return four, *masks, layout.reshape(-1, 3).astype(np.uint64)
 
 
 def _rows(v: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -218,27 +191,24 @@ def _digit_count(v: np.ndarray) -> np.ndarray:
     return np.maximum(t + (v >= _POW10.take(t)), 1)
 
 
-# an exponent row's bytes: its mantissa's, moved left by the width (5 or 4) of the suffix after them
-_SUFFIX_FROM = np.arange(24) + 5 - np.array([[0], [1]]) * (np.arange(24) < 20)
-
-
 def float_text(values: np.ndarray) -> np.ndarray:
     """``repr`` of each finite float64 of ``values`` (flattened), as uint8 rows right-aligned and
-    NUL-padded to the longest."""
-    digits, exponent = shortest_digits(values)
+    NUL-padded to the longest.  Rows in fixed notation are laid out from ``shortest_digits``; zero,
+    the powers of two and the rows in exponent notation are ``repr``'s text, at most 24 bytes."""
+    values = np.ravel(values)
+    digits, exponent, no_fraction = shortest_digits(values)
     count = _digit_count(digits)
-    *_, layout, suffixes = _layout_tables()
-    key = (np.clip(exponent, -21, 17) + 21) * 36 + count * 2 + np.signbit(values).ravel()
-    code, scale, suffix, width = layout.take(key, axis=0).T
+    decpt = exponent + count
+    rare = np.flatnonzero(no_fraction | (decpt <= -4) | (decpt > 16))
+    key = (exponent + 20) * 36 + count * 2 + np.signbit(values)
+    key[rare] = 0  # a row of NULs, for repr's text below
+    code, scale, width = _layout_tables()[4].take(key, axis=0).T
     rows = _rows(digits * scale, code)
     widest = int(width.max(initial=1))
-    exponential = np.flatnonzero(suffix)
-    if exponential.size:
-        power = exponent[exponential] + count[exponential] - 1
-        three = np.abs(power) >= 100
-        moved = np.concatenate([rows[exponential], suffixes.take(power + 330, axis=0)], axis=1)
-        rows[exponential] = np.take_along_axis(moved, _SUFFIX_FROM[(~three).astype(np.intp)], axis=1)
-        widest = max(widest, int((width[exponential] + three).max()))
+    if rare.size:  # repr's text, right-aligned in 24 NUL-padded bytes
+        text = ("{:\0>24}" * rare.size).format(*map(repr, values[rare].tolist())).encode()
+        rows[rare] = text = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        widest = max(widest, 24 - int(text.any(axis=0).argmax()))
     return rows[:, 24 - widest:]
 
 

@@ -2,9 +2,12 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,32 @@ def test_a_file_that_is_not_utf_8_is_refused_as_not_json(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"].startswith(f"{path}: not valid JSON: ")
     assert not out.exists()
+
+
+def test_validate_reads_utf_8_and_writes_its_lines_under_an_ascii_locale(tmp_path, config_file):
+    # a C locale without UTF-8 mode: the locale's encoding is ASCII, for reading files and for stdout
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    payload = json.loads(config_file.read_text())
+    noted = tmp_path / "noted.json"
+    noted.write_text(json.dumps({**payload, "note": "café"}, ensure_ascii=False), encoding="utf-8")
+    latin = tmp_path / "latin-1.json"
+    latin.write_bytes(noted.read_text(encoding="utf-8").encode("latin-1"))
+    payload["scenario"]["mode"] = "café"
+    mode = tmp_path / "mode.json"
+    mode.write_text(json.dumps(payload))  # ASCII, the mode written as \u00e9
+
+    def validate(path):
+        done = subprocess.run([sys.executable, "-m", "aimdmarket.cli", "validate", "--config", str(path)], env=env,
+                              capture_output=True, timeout=60)
+        return done.returncode, done.stdout.decode("ascii"), done.stderr
+
+    assert validate(noted) == (0, "ok\n", b"")
+    code, out, err = validate(latin)
+    assert (code, err) == (1, b"") and out.startswith(f"violation: {latin}: not valid JSON: 'utf-8' codec")
+    code, out, err = validate(mode)
+    assert (code, err) == (1, b"")
+    assert out == f"violation: {mode}: malformed config file: mode: 'caf\\xe9' is not a valid ScenarioMode\n"
 
 
 def test_replicate_band(tmp_path, config_file):

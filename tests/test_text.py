@@ -5,14 +5,20 @@ value: random bit patterns, every power of two and both of its neighbours,
 and the values at which ``repr`` changes layout (``test_metrics`` formats
 ``scalar_oracle.REPR_LAYOUTS``, a value in each layout).  An export-sized
 batch goes through in one call, as the exporters send a chunk's column, and
-each branch of Ryu's step 3 and digit removal that can change a digit has a
-value set of its own.
+pins which of its values ``float_text`` hands to ``repr``: zero and the
+powers of two, Ryu's exact-product window and exponent notation, never an
+exact half.  Each branch of Ryu that can change a digit has a value set of
+its own; the sets for the window, mantissa 0 and vm's trailing zeros pin
+that those values reach ``repr`` in any batch.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aimdmarket import text
 from aimdmarket.market import run
 from aimdmarket.metrics import EXPORT_CHUNK, FLOAT_COLUMNS
 from aimdmarket.scenario import reference_configs
@@ -92,19 +98,52 @@ def test_compact_drops_only_nuls():
     assert compact(rows) == b"1.5-0.0"
 
 
-def test_an_export_sized_batch_formats_as_repr():
+def _to_repr(values):
+    """The values ``float_text`` must hand to ``repr``: no fraction bits (zero and the powers of
+    two), in Ryu's exact-product window (2**54 <= |value| < 2**131), or in exponent notation."""
+    magnitude = np.abs(values)
+    window = (magnitude >= 2.0**54) & (magnitude < 2.0**131)
+    exponent = np.array(["e" in repr(v) for v in values.tolist()], dtype=bool)
+    return (values.view(np.uint64) << np.uint64(12) == 0) | window | exponent
+
+
+def _exact_halves(values):
+    """The values exactly halfway between their shortest digits and the neighbour they round from."""
+    with localcontext() as context:
+        context.prec = 800  # every float64 and every difference of two is exact
+        shortest = [Decimal(repr(v)) for v in values.tolist()]
+        return np.array([abs(Decimal(v) - s) * 2 == Decimal(1).scaleb(s.as_tuple().exponent)
+                         for v, s in zip(values.tolist(), shortest)], dtype=bool)
+
+
+def _assert_routed(monkeypatch, values):
+    """``_assert_batch_reprs``, and ``repr`` called on exactly the values of ``_to_repr``, in order;
+    those values are returned."""
+    sent = []
+    monkeypatch.setattr(text, "repr", lambda v: sent.append(v) or repr(v), raising=False)
+    _assert_batch_reprs(values)
+    sent = np.array(sent, dtype=np.float64)
+    assert sent.view(np.uint64).tolist() == values[_to_repr(values)].view(np.uint64).tolist()
+    return sent
+
+
+def test_an_export_sized_batch_formats_as_repr(monkeypatch):
     # random bit patterns and the first chunk of every float column of both reference runs, in
     # one call: the exporters' mixes reach the paths that depend on the whole batch
     bits = np.random.default_rng(20181).integers(0, 2**64, 2 * 65536, dtype=np.uint64, endpoint=False)
     bits = bits[(bits >> np.uint64(52) & np.uint64(0x7FF)) != 0x7FF][:65536]
-    columns = [bits.view(np.float64)]
+    columns = []
     for reference in ("paper-a", "paper-b"):
         recorded = run_columns(run(*reference_configs()[reference]).trajectory)
         for name in (*FLOAT_COLUMNS, "total_supply", "total_consumption", "sum_of_utilities"):
             columns.append(recorded[name][1 : 1 + EXPORT_CHUNK].ravel())
-    values = np.concatenate(columns)
+    recorded = np.concatenate(columns)
+    values = np.concatenate([bits.view(np.float64), recorded])
     assert len(bits) == 65536 and len(values) == 65536 + 2 * EXPORT_CHUNK * (5 * 27 + 3)
-    _assert_batch_reprs(values)
+    _assert_routed(monkeypatch, values)
+    # the runs' exact halves, which round to even, stay vectorised
+    halves = _exact_halves(recorded)
+    assert halves.any() and not (halves & _to_repr(recorded)).any()
 
 
 def _exact_window():
@@ -148,9 +187,13 @@ BRANCH_VALUES = {
 
 
 @pytest.mark.parametrize("branch", sorted(BRANCH_VALUES))
-def test_each_digit_changing_branch_formats_as_repr(branch):
+def test_each_digit_changing_branch_formats_as_repr(branch, monkeypatch):
     values = _with_neighbours(BRANCH_VALUES[branch]())
-    _assert_batch_reprs(np.concatenate([values, -values]))
+    values = np.concatenate([values, -values])
+    sent = _assert_routed(monkeypatch, values)
+    if branch in ("exact-product window", "mantissa 0", "vm trailing zeros"):  # Ryu's steps for these are left out
+        own = BRANCH_VALUES[branch]()
+        assert np.isin(np.concatenate([own, -own]), sent).all()
 
 
 def test_a_column_is_as_wide_as_its_longest_repr():
