@@ -311,7 +311,7 @@ def atomic_writer(path: Path):
     """
     temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with temp.open("x", newline="") as fh:
+        with temp.open("x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(temp, path)
     finally:

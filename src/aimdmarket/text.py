@@ -3,10 +3,12 @@
 ``float_text`` finds each float's shortest round-trip digits with Ryu (Adams, "Ryū: fast
 float-to-string conversion", PLDI 2018), vectorised over uint64 arrays, and lays them out as
 ``float.__repr__`` does in fixed notation, while the decimal point sits at -4 < decpt <= 16
-(value = 0.d1d2... x 10**decpt); zero, the powers of two and the few values in exponent notation
-(``d.ddde±XX``) it leaves to ``repr``.  ``int_text`` writes non-negative ints.  Each returns one
-row per value: its text right-aligned in uint8, NUL-padded on the left to the longest, so that
-``join`` can lay such rows beside ``literals`` in one array, and ``compact`` drops every NUL.
+(value = 0.d1d2... x 10**decpt), that is for 1e-4 <= |value| < 1e16.  There Ryu's multiplier is
+a power of five below 2**52, so its quotients come exact from one small product, with no table.
+Zero, the powers of two and the few values in exponent notation (``d.ddde±XX``) it leaves to
+``repr``.  ``int_text`` writes non-negative ints.  Each returns one row per value: its text
+right-aligned in uint8, NUL-padded on the left to the longest, so that ``join`` can lay such
+rows beside ``literals`` in one array, and ``compact`` drops every NUL.
 """
 
 from __future__ import annotations
@@ -15,93 +17,43 @@ from functools import cache
 
 import numpy as np
 
-_BITCOUNT = 125  # bits of Ryu's 5**i and 2**j / 5**q multipliers
-_SHIFT = 128  # each multiplier is widened so that one shift by 128 bits ends every multiply
-_MASK32, _32, _10 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(10)
+_MASK32, _1, _32, _63, _10 = (np.uint64(n) for n in (0xFFFFFFFF, 1, 32, 63, 10))
+_POW5 = 5 ** np.arange(23, dtype=np.uint64)
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _NUL, _DOT, _MINUS = 0, ord("."), ord("-")
 
 
-# The tables are built on first use, in whichever process formats first: a run that exports
-# little (a replicate's band) builds them after its memory peak rather than at import.  They
-# are read-only.
-@cache
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per biased exponent, as columns: the widened multiplier C as five 32-bit limbs, low first,
-    and as its two 64-bit words below 2**128; H and the words (high, low) of T, 2C = H 2**128 + T,
-    and of ~T.  Then e10 (vr's decimal exponent) and mv's hidden bit.  Then, for exact halves, a
-    mask of the bits of mv that are all zero where vr is an exact product (all ones where it is not).
-
-    Ryu's multipliers are 2**j / 5**q, rounded up (for e2 >= 0), and 5**i, each scaled to 125
-    bits (Python ints); with the shift that ends each multiply they depend on e2 alone."""
-    powers = [5**k for k in range(326)]
-    bits = np.array([p.bit_length() for p in powers])
-    inverse = [(1 << p.bit_length() - 1 + _BITCOUNT) // p + 1 for p in powers[:292]]
-    scaled = [p >> b - _BITCOUNT if b >= _BITCOUNT else p << _BITCOUNT - b for p, b in zip(powers, bits.tolist())]
-    table = b"".join(m.to_bytes(16, "little") for m in inverse + scaled)
-    limbs = np.frombuffer(table, "<u4").reshape(-1, 4).astype(np.uint64)
-    e2 = np.maximum(np.arange(2048), 1) - 1077
-    up = e2 >= 0
-    # q is floor(e2 log10 2), less one past e2 = 3; or floor(-e2 log10 5), less one past -e2 = 1
-    q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
-    i = np.where(up, q, -e2 - q)
-    shift = np.where(up, q - e2 + _BITCOUNT + bits[i] - 1, q + _BITCOUNT - bits[i])  # 118..125
-    limbs = limbs[np.where(up, i, len(inverse) + i)].T
-    widen = (_SHIFT - shift).astype(np.uint64)
-    carried = [limb >> (_32 - widen) for limb in limbs]
-    c = [(limbs[0] << widen) & _MASK32] + [(limbs[k] << widen | carried[k - 1]) & _MASK32 for k in (1, 2, 3)]
-    one, low, high = np.uint64(1), c[0] | c[1] << _32, c[2] | c[3] << _32
-    t_low, t_high = low << one, high << one | low >> np.uint64(63)
-    h = carried[3] << one | high >> np.uint64(63)
-    bounds = np.array([*c, carried[3], low, high, h, t_high, t_low, ~t_high, ~t_low])
-    e10 = np.where(up, q, q + e2).astype(np.uint64)
-    digits = np.array([e10, np.where(np.arange(2048) > 0, np.uint64(1 << 54), 0)], dtype=np.uint64)
-    mask = np.where(~up & (q < 63), (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1), ~np.uint64(0))
-    return bounds.T.copy(), digits.T.copy(), mask
+def _quotients(mv: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ryu's e10 = q + e2, with q = floor(-e2 log10 5) less one past -e2 = 1, and vr, vp and vm,
+    floor((mv + d) 5**i / 2**q) for d = 0, 2 and -2 and i = -e2 - q; then whether vr is exact.  For
+    mv < 2**55 and -68 <= e2 <= -1, so i <= 22 and 5**i < 2**52, each quotient is exact: the product
+    mv 5**i = hi 2**64 + lo < 2**107 is summed in 32-bit columns, and its remainder r mod 2**q plus
+    or minus 2 5**i carries into vp or borrows from vm.  vr is exact where r is 0 (5**i is odd, so
+    where mv has q trailing zero bits)."""
+    q = (-e2 * 732923 >> 20) - (e2 < -1)
+    shift, five = q.astype(np.uint64), _POW5.take(-e2 - q)
+    m0, m1, f0, f1 = mv & _MASK32, mv >> _32, five & _MASK32, five >> _32
+    hi = m1 * f1 + ((m0 * f0 >> _32) + m1 * f0 + m0 * f1 >> _32)  # the middle column is < 2**56
+    lo = mv * five  # numpy's uint64 products keep the low 64 bits
+    vr = hi << _63 - shift << _1 | lo >> shift  # hi << 64 - q in two shifts, for q = 0
+    below = (_1 << shift) - _1
+    r, two = lo & below, five << _1
+    return q + e2, vr, vr + (r + two >> shift), vr - (below - r + two >> shift), r == 0
 
 
-def _product(m: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m * C for m < 2**55 and C given as five 32-bit limbs (low first), then as its low and
-    high 64-bit words: floor(m C / 2**128), and the high and low words of m C mod 2**128."""
-    m0, m1 = m & _MASK32, m >> _32
-    high = []
-    for k in (0, 2):  # the high word of m times C's word of limbs k, k + 1, by 32-bit columns
-        low, cross = m0 * c[k], m0 * c[k + 1]
-        column = (low >> _32) + (cross & _MASK32) + m1 * c[k]  # < 2**56
-        high.append((column >> _32) + (cross >> _32) + m1 * c[k + 1])
-    low_high = m * c[6] + high[0]  # numpy's uint64 products keep the low 64 bits
-    return high[1] + m * c[4] + (low_high < high[0]), low_high, m * c[5]
-
-
-def _interval(mv: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ryu's vr, vp and vm, floor((mv + d) C / 2**128) for d = 0, 2 and -2, from one product:
-    mv C +- 2C = (vr +- H) 2**128 + (low +- T), where low carries (low > ~T) or borrows (low < T),
-    compared word by word.  T's high word is never all ones, so one more or less on it (or on
-    ~T's) cannot wrap."""
-    c = _exponent_tables()[0].take(key, axis=0).T
-    vr, low_high, low_low = _product(mv, c)
-    vp = vr + c[7] + (low_high > c[10] - (low_low > c[11]))
-    vm = vr - c[7] - (low_high < c[8] + (low_low < c[9]))
-    return vr, vp, vm
-
-
-def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digits, exponent, no_fraction) with |value| = digits * 10**exponent, digits as short as
-    round-trips and closest to the value among those: Ryu's d2d on finite float64 values, without
-    the steps of two cases.  Zero and the powers of two (``no_fraction``) have an interval half as
-    wide below.  In Ryu's exact-product window, 2**54 <= |value| < 2**131 (e2 >= 0, q <= 21), vm,
-    vr or vp may be exact with trailing decimal zeros, so the digits may be too long or one off in
-    the last; the value and the digits are past 10**16 all the same, in exponent notation."""
+def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, exponent) with |value| = digits * 10**exponent, digits as short as round-trips and
+    closest to the value among those: Ryu's d2d on the float64 values that have fraction bits and
+    lie in 2**-14 <= |value| < 2**54 (Ryu's e2 in -68..-1), which holds every value ``float_text``
+    writes in fixed notation.  Any other value runs on a clipped exponent, and its digits are not
+    its own."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
-    key = bits >> np.uint64(52) & np.uint64(0x7FF)
-    _, exponents, mask = _exponent_tables()
-    e10, hidden = exponents.take(key, axis=0).T
-    fraction = bits << np.uint64(12) >> np.uint64(10)
-    mv = fraction | hidden
-    vr, vp, vm = _interval(mv, key)
+    e2 = np.clip((bits >> np.uint64(52) & np.uint64(0x7FF)).view(np.int64), 1009, 1076) - 1077
+    mv = bits << np.uint64(12) >> np.uint64(10) | np.uint64(1 << 54)
+    e10, vr, vp, vm, exact = _quotients(mv, e2)
     # Ryu's step 4: drop the digits below the highest place at which vp and vm still differ.
-    # Most values drop 1-3; the few that may drop more find the rest by binary lifting.  Outside
-    # the window vm never ends in dropped zeros (at -4 <= e2 < 0 its bounds cannot).
+    # Most values drop 1-3; the few that may drop more find the rest by binary lifting.  Here vm
+    # never ends in dropped zeros (at -4 <= e2 < 0 its bounds cannot).
     removed = np.zeros(len(bits), np.intp)
     p, m = vp, vm
     for _ in range(3):
@@ -123,11 +75,11 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     up = dropped >= half
     ties = np.flatnonzero(dropped == half)
     if ties.size:
-        even = (mv[ties] & mask[key[ties]] == 0) & (digits[ties] & np.uint64(1) == 0)
+        even = exact[ties] & (digits[ties] & _1 == 0)
         up[ties[even]] = False
     up |= vm >= base
     digits += up
-    return digits, e10.view(np.int64) + removed, fraction == 0
+    return digits, e10 + removed
 
 
 @cache
@@ -193,13 +145,14 @@ def _digit_count(v: np.ndarray) -> np.ndarray:
 
 def float_text(values: np.ndarray) -> np.ndarray:
     """``repr`` of each finite float64 of ``values`` (flattened), as uint8 rows right-aligned and
-    NUL-padded to the longest.  Rows in fixed notation are laid out from ``shortest_digits``; zero,
-    the powers of two and the rows in exponent notation are ``repr``'s text, at most 24 bytes."""
-    values = np.ravel(values)
-    digits, exponent, no_fraction = shortest_digits(values)
+    NUL-padded to the longest.  Rows in fixed notation are laid out from ``shortest_digits``.  Zero,
+    the powers of two, and |value| < 1e-4 or >= 1e16, where ``repr`` writes exponent notation, are
+    ``repr``'s text, at most 24 bytes."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    digits, exponent = shortest_digits(values)
     count = _digit_count(digits)
-    decpt = exponent + count
-    rare = np.flatnonzero(no_fraction | (decpt <= -4) | (decpt > 16))
+    magnitude = np.abs(values)
+    rare = np.flatnonzero((values.view(np.uint64) << np.uint64(12) == 0) | (magnitude < 1e-4) | (magnitude >= 1e16))
     key = (exponent + 20) * 36 + count * 2 + np.signbit(values)
     key[rare] = 0  # a row of NULs, for repr's text below
     code, scale, width = _layout_tables()[4].take(key, axis=0).T

@@ -184,6 +184,20 @@ def test_validate_reads_utf_8_and_writes_its_lines_under_an_ascii_locale(tmp_pat
     assert out == f"violation: {mode}: malformed config file: mode: 'caf\\xe9' is not a valid ScenarioMode\n"
 
 
+def test_no_command_opens_a_file_in_the_locale_encoding(tmp_path, config_file):
+    # every text file is opened with an explicit encoding: the warning Python gives otherwise fails the command
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    commands = [["run", "--config", str(config_file), "--out", str(tmp_path / "run")],
+                ["replicate", "--config", str(config_file), "--replicates", "2", "--out", str(tmp_path / "rep")],
+                ["validate", "--config", str(tmp_path / "run" / "run_config.json")]]
+    for command in commands:
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "aimdmarket.cli", *command], env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), command
+    assert (tmp_path / "run" / "run_config.json").read_bytes() == config_file.read_bytes()
+
+
 def test_replicate_band(tmp_path, config_file):
     out = tmp_path / "rep"
     code = main(

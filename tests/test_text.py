@@ -5,11 +5,14 @@ value: random bit patterns, every power of two and both of its neighbours,
 and the values at which ``repr`` changes layout (``test_metrics`` formats
 ``scalar_oracle.REPR_LAYOUTS``, a value in each layout).  An export-sized
 batch goes through in one call, as the exporters send a chunk's column, and
-pins which of its values ``float_text`` hands to ``repr``: zero and the
-powers of two, Ryu's exact-product window and exponent notation, never an
-exact half.  Each branch of Ryu that can change a digit has a value set of
-its own; the sets for the window, mantissa 0 and vm's trailing zeros pin
-that those values reach ``repr`` in any batch.
+pins which of its values ``float_text`` hands to ``repr``: zero, the powers
+of two and exponent notation, never an exact half.  Each branch of Ryu that
+can change a digit has a value set of its own, and so do the bounds of the
+magnitude rule that picks exponent notation; the sets for Ryu's
+exact-product window, mantissa 0 and vm's trailing zeros pin that those
+values reach ``repr`` in any batch.  Ryu's three quotients, the only
+arithmetic that depends on the exponent, are checked against Python ints
+for every exponent whose digits are kept.
 """
 
 from decimal import Decimal, localcontext
@@ -22,7 +25,7 @@ from aimdmarket import text
 from aimdmarket.market import run
 from aimdmarket.metrics import EXPORT_CHUNK, FLOAT_COLUMNS
 from aimdmarket.scenario import reference_configs
-from aimdmarket.text import _exponent_tables, compact, float_text, int_text, join
+from aimdmarket.text import _quotients, compact, float_text, int_text, join
 from scalar_oracle import run_columns
 
 
@@ -100,11 +103,9 @@ def test_compact_drops_only_nuls():
 
 def _to_repr(values):
     """The values ``float_text`` must hand to ``repr``: no fraction bits (zero and the powers of
-    two), in Ryu's exact-product window (2**54 <= |value| < 2**131), or in exponent notation."""
-    magnitude = np.abs(values)
-    window = (magnitude >= 2.0**54) & (magnitude < 2.0**131)
+    two), or in exponent notation (which holds Ryu's exact-product window, 2**54 <= |value| < 2**131)."""
     exponent = np.array(["e" in repr(v) for v in values.tolist()], dtype=bool)
-    return (values.view(np.uint64) << np.uint64(12) == 0) | window | exponent
+    return (values.view(np.uint64) << np.uint64(12) == 0) | exponent
 
 
 def _exact_halves(values):
@@ -181,6 +182,9 @@ BRANCH_VALUES = {
                                             2.9802322387695312e-08, 1130000000000000.2]]),
     # mantissa 0: the interval below a power of two is half as wide
     "mantissa 0": lambda: np.ldexp(1.0, np.arange(-1074, 1024)),
+    # the bounds of the magnitude rule (1e-4 <= |value| < 1e16 is fixed notation) and of the exponents
+    # whose digits are kept (2**-14 <= |value| < 2**54), with the largest value below 1e16
+    "notation bounds": lambda: np.array([1e-4, 1e16, 9999999999999998.0, 2.0**-14, 2.0**52, 2.0**53, 2.0**54]),
     "subnormals": lambda: np.concatenate([np.arange(4096), np.random.default_rng(7).integers(1, 2**52, 4096),
                                           2**52 - 1 - np.arange(64)]).astype(np.uint64).view(np.float64),
 }
@@ -196,6 +200,21 @@ def test_each_digit_changing_branch_formats_as_repr(branch, monkeypatch):
         assert np.isin(np.concatenate([own, -own]), sent).all()
 
 
+def test_the_quotients_equal_python_ints():
+    # every e2 whose digits are kept, including q = 0 at e2 = -1 and -2, where the product's high
+    # word would be shifted left by 64
+    mantissas = [0, 1, 2**52 - 1, *np.random.default_rng(25).integers(0, 2**52, 64).tolist()]
+    mv = [4 * (2**52 + m) for m in mantissas]
+    for e2 in range(-68, 0):
+        q = len(str(5**-e2)) - 1 - (e2 < -1)  # floor(-e2 log10 5), less one past -e2 = 1
+        assert (q == 0) == (e2 > -3)
+        e10, *quotients, exact = _quotients(np.array(mv, dtype=np.uint64), np.full(len(mv), e2))
+        assert e10.tolist() == [q + e2] * len(mv)
+        for got, d in zip(quotients, (0, 2, -2)):
+            assert got.tolist() == [(m + d) * 5 ** (-e2 - q) >> q for m in mv]
+        assert exact.tolist() == [m * 5 ** (-e2 - q) % 2**q == 0 for m in mv]
+
+
 def test_a_column_is_as_wide_as_its_longest_repr():
     # each row is its repr right-aligned, exponent rows too: one 1e-05 does not widen the column
     assert float_text(np.array([0.5, 1e-05, 123.456])).tobytes() == b"\0\0\0\x000.5" b"\0\x001e-05" b"123.456"
@@ -207,7 +226,3 @@ def test_a_column_is_as_wide_as_its_longest_repr():
         width = max(map(len, texts))
         assert rows.shape == (len(column), width) and rows.tobytes() == b"".join(t.rjust(width, b"\0") for t in texts)
 
-
-def test_no_high_word_of_the_bounds_tables_is_all_ones():
-    # vm's borrow adds one to T's high word, and vp's carry takes one from ~T's: neither may wrap
-    assert (_exponent_tables()[0][:, 8] != np.uint64(2**64 - 1)).all()
