@@ -3,32 +3,30 @@
 Each round the center compares last round's total supply with total
 consumption and broadcasts at most one one-bit signal: the supplier side
 is signaled on excess supply, the consumer side on excess consumption,
-nobody on an exact tie.  All agents then step synchronously.  Randomness
-is organized as one independent stream per agent with one uniform draw
-per round, so results do not depend on any execution schedule.
+nobody on an exact tie.  All agents then step synchronously.  Each agent
+draws one uniform per round from its own stream, numpy's PCG64 stream
+keyed on (seed, role, index), all of them seeded in one array pass
+(``agent_rng_streams``), so results do not depend on any schedule.
 
 ``simulate`` advances an (agents x replicates) state, one replicate per
-seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, so that each block
-completes one records chunk; each stream fills its row of a
-stream-major (agents x replicates x rounds) draw buffer in place.  Its
-per-round loop walks views built once per call and makes only the numpy
-calls of the round's arithmetic: one comparison of last round's totals
-(``_excess_sides``) writes the two side signals, one ``take`` spreads them
+seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, each of which
+completes one records chunk.  Each stream fills its row of a stream-major
+(agents x replicates x rounds) draw buffer in place, once per draw block:
+as many whole blocks as ``DRAW_BYTES`` holds, at least one; each block
+copies its rounds' draws round-major.  The per-round loop walks views
+built once per call and makes only the numpy calls of the round's
+arithmetic: one comparison of last round's totals
+(``_excess_sides``) writes both side signals, one ``take`` spreads them
 to the agents, the round step (``Population.bind_step``) reads its sample
 counts as 0-d views, and ``np.add.accumulate`` writes each side's partial
-sums into a (rounds x agents x replicates) buffer, whose rows s - 1 and
-agents - 1 are the totals, read in place as one strided view.
-``run`` copies each block's quantities, averages, derivatives, Bernoulli bits,
-totals and signals into the columns of a ``metrics.Trajectory``, which it keeps
-in shared anonymous memory; lambda and the branch codes are derived from those
-in ``metrics``, not here.  Given a ``metrics.RecordsExport``, it starts the
-export's workers before the first round and hands them each block's rounds once
-they are copied, so the records are formatted while the run is simulated.
-``replicate_series`` writes each block's mean supplier u' into one C-ordered
-(replicates x horizon) array.  Both copy the totals of every block into one
-whole-run array, from which ``summarize_final`` takes the trailing-window means.
-Every float sum outside the round loop is ``utility.ordered_sum``, in the
-loop's order.
+sums, whose rows s - 1 and agents - 1 are the totals, read in place.
+``run`` copies each block into the columns of a ``metrics.Trajectory`` in
+shared memory and, given a ``metrics.RecordsExport``, hands the block's
+rounds to its workers, so the records are formatted while the run is
+simulated.  ``replicate_series`` writes each block's mean supplier u'
+into one C-ordered (replicates x horizon) array.  Both keep every block's
+totals for ``summarize_final``'s trailing-window means.  Every float sum
+outside the round loop is ``utility.ordered_sum``, in the loop's order.
 """
 
 from __future__ import annotations
@@ -42,6 +40,9 @@ from .agent import Population
 from .metrics import EXPORT_CHUNK, RecordsExport, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
+
+# the byte budget of simulate's draw buffer, which sets how many rounds each stream fills per call
+DRAW_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +73,62 @@ def _excess_sides(flip_semantics: bool):
     return np.less if flip_semantics else np.greater
 
 
-def agent_rng_streams(seed: int, num_suppliers: int, num_consumers: int):
-    """One PCG64 stream per agent, keyed on (seed, role, index).
+# numpy's SeedSequence (NEP 19): each hash's initial constant and multiplier, for mixing and for output,
+# and the multipliers of its mix
+INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R = (
+    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, first: int) -> np.ndarray:
+    """SeedSequence's running hash constant before hash ``first`` and after it and the next 7: hash j xors
+    its word with init * mult**j and multiplies it by init * mult**(j + 1), mod 2**32."""
+    return np.array([init * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(first, first + 9)], np.uint32)
+
+
+def _hash(words, constants: np.ndarray) -> np.ndarray:
+    """``words`` hashed by each constant but the last of ``constants``, along their first axis; uint32
+    arithmetic wraps mod 2**32, as SeedSequence's does."""
+    words = (words ^ constants[:-1]) * constants[1:]
+    return words ^ words >> 16
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that returns its lane's precomputed state words: all that PCG64 asks of one."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def agent_rng_streams(seeds: Sequence[int], num_suppliers: int, num_consumers: int) -> list:
+    """One PCG64 stream per agent and seed, keyed on (seed, role, index): the stream of agent a (suppliers
+    first) and ``seeds[k]`` is at position a * len(seeds) + k, and draws what
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(role, index)))`` draws.
 
     Each stream is consumed at exactly one draw per round, so the round-t
-    variate of an agent is fixed by the seed alone.
+    variate of an agent is fixed by the seed alone.  Numpy mixes a seed's
+    32-bit words into a pool of 4, hashing 4 times per word, and with a
+    spawn key pads them to 4 words first; so each seed's pool, numpy's own,
+    then takes the role and the index words of every agent in one array pass,
+    by the hash constants that follow its words.  An index is one word, as
+    every index below 2**32 is.
     """
-    return tuple(
-        [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, i))) for i in range(count)]
-        for role, count in enumerate((num_suppliers, num_consumers))
-    )
+    role = np.repeat(np.array([0, 1], np.uint32), [num_suppliers, num_consumers])[:, None]
+    index = np.concatenate([np.arange(num_suppliers), np.arange(num_consumers)]).astype(np.uint32)[:, None]
+    pool = np.array([np.random.SeedSequence(seed).pool for seed in seeds], np.uint32).T[:, None]  # (4 x 1 x R)
+    # the hashes each pool has had: 4 per seed word, of which there are 4 below 2**128
+    hashed = [4 * max(4, -(-seed.bit_length() // 32)) for seed in seeds]
+    following = {n: _hash_constants(INIT_A, MULT_A, n) for n in set(hashed)}
+    constants = np.array([following[n] for n in hashed]).T[:, None]  # (9 x 1 x R)
+    for word, first in ((role, 0), (index, 4)):  # each word into every pool word
+        pool = pool * MIX_MULT_L - _hash(word, constants[first:first + 5]) * MIX_MULT_R
+        pool ^= pool >> 16
+    state = _hash(pool[[0, 1, 2, 3] * 2], _hash_constants(INIT_B, MULT_B, 0)[:, None, None])
+    # eight 32-bit words per lane, read as four little-endian 64-bit words, lanes in (agent, seed) order
+    words = np.moveaxis(state, 0, -1).astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_StateWords(lane))) for lane in words.reshape(-1, 4)]
 
 
 def simulate(population: Population, config: MarketConfig, seeds: Sequence[int]) -> Iterator[Block]:
@@ -101,9 +148,14 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # each side's partial sums in agent order: the (rounds x 2 x replicates) totals are rows s - 1 and agents - 1
     partial_sums = np.empty((rows, *shape))
     totals = partial_sums[:, s - 1::shape[0] - s]
-    draws = np.zeros((*shape, rows))  # stream-major: each stream fills its own rounds in place
-    fills = [(rng.random, draws[i, k]) for k, seed in enumerate(seeds)
-             for i, rng in enumerate(sum(agent_rng_streams(seed, config.num_suppliers, config.num_consumers), []))]
+    # stream-major: each stream fills its rounds of a draw block in place, one call per draw block, which holds as
+    # many blocks of EXPORT_CHUNK rounds as DRAW_BYTES holds float64 draws of every stream for, at least one; each
+    # block copies its rounds round-major, so that a round reads its draws contiguously, not a page per stream
+    chunks = max(DRAW_BYTES // (8 * shape[0] * shape[1] * EXPORT_CHUNK), 1)
+    draw_rows = min(chunks * EXPORT_CHUNK, config.horizon + 1)
+    draws, block_draws = np.zeros((*shape, draw_rows)), np.empty((rows, *shape))
+    fills = [(rng.random, stream) for rng, stream in zip(
+        agent_rng_streams(seeds, config.num_suppliers, config.num_consumers), draws.reshape(-1, draw_rows))]
     side_of = np.repeat([0, 1], [s, shape[0] - s])  # agent i reads the signal signals[t, side_of[i]]
     signalled, scratch = np.empty(shape, dtype=bool), (np.empty(shape), np.empty(shape, dtype=bool))
     # the average entering round t holds t samples (rounds 0..t-1); the step reads t and t + 1 as 0-d views of
@@ -113,16 +165,18 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # its signals, its draws, each side's quantities and partial sums, its totals, which the next round's
     # signals compare, also reversed, and its sample counts
     views = [(*round_views, (counts[b, ...], counts[b + 1, ...])) for b, round_views in enumerate(zip(
-        zip(*columns), (row[:3] for row in zip(*columns)), signals, np.moveaxis(draws, -1, 0), columns[0][:, :s],
+        zip(*columns), (row[:3] for row in zip(*columns)), signals, block_draws, columns[0][:, :s],
         columns[0][:, s:], partial_sums[:, :s], partial_sums[:, s:], totals, totals[:, ::-1]))]
     accumulate = np.add.accumulate
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))
     before, (last, last_reversed) = (start, start, start), [np.zeros((2, len(seeds)))] * 2
     for first in range(0, config.horizon + 1, EXPORT_CHUNK):
-        block, skip = min(EXPORT_CHUNK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
-        for fill, stream in fills:
-            fill(out=stream[skip:block])
+        block, offset = min(EXPORT_CHUNK, config.horizon + 1 - first), first % draw_rows
+        if offset == 0:  # the first block of a draw block; round 0 draws nothing
+            for fill, stream in fills:
+                fill(out=stream[int(first == 0):config.horizon + 1 - first])
+        np.copyto(block_draws[:block], np.moveaxis(draws[..., offset:offset + block], -1, 0))
         np.add(block_rounds, first, counts)
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Role
-from aimdmarket.market import agent_rng_streams
 from aimdmarket.metrics import CSV_HEADER, FLOAT_COLUMNS, Trajectory, derived_columns, trailing_window
 from aimdmarket.scenario import MarketConfig, ScenarioSpec
 from aimdmarket.utility import UtilityKind, UtilitySpec
@@ -496,10 +495,13 @@ def advance_round(
 
 def run_records(config: MarketConfig, scenario: ScenarioSpec) -> tuple[RoundRecord, list[RoundRecord]]:
     """The round-0 record and the records of rounds 1..horizon, drawing
-    one uniform per agent per round from the same streams as the package."""
+    one uniform per agent per round from numpy's stream keyed on (seed,
+    role, index), built here from numpy's own ``SeedSequence``, so that every
+    comparison with the package also checks how the package seeds its streams."""
     state, initial_record = initialize_market(config, scenario)
-    supplier_rngs, consumer_rngs = agent_rng_streams(
-        config.seed, config.num_suppliers, config.num_consumers
+    supplier_rngs, consumer_rngs = (
+        [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(role, i))) for i in range(count)]
+        for role, count in enumerate((config.num_suppliers, config.num_consumers))
     )
     supplier_params, consumer_params = role_params(config)
     records = []

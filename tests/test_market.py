@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -120,7 +121,8 @@ def test_tie_means_no_signals_everyone_moves_additively():
     )
     state, initial = initialize_market(config, scenario)
     assert initial.total_supply == initial.total_consumption  # 25+25 each side
-    sup_rngs, con_rngs = agent_rng_streams(config.seed, 2, 2)
+    streams = agent_rng_streams([config.seed], 2, 2)
+    sup_rngs, con_rngs = streams[:2], streams[2:]
     new_state, record = advance_round(
         state, *role_params(config),
         [r.random() for r in sup_rngs], [r.random() for r in con_rngs],
@@ -129,6 +131,31 @@ def test_tie_means_no_signals_everyone_moves_additively():
     for entry in record.per_agent:
         assert entry.trace.branch in (Branch.ADDITIVE_INCREASE, Branch.ADDITIVE_DECREASE)
         assert entry.trace.backoff_probability == 0.0
+
+
+# 2**128 + 1 takes five entropy words, so its lanes are 7 words long where the others' are 6
+PINNED_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 7, 2**127, 2**128 + 1)
+
+
+@pytest.mark.parametrize("seeds, num_suppliers, num_consumers", [
+    (PINNED_SEEDS, 2, 1800),
+    (range(2**32 - 2, 2**32 + 2), 3, 4),  # a replicate range across 2**32: seeds of one and two entropy words
+    (range(2**128 - 2, 2**128 + 2), 3, 4),  # and across 2**128: lanes of 6 and 7 words in one call
+], ids=["pinned", "across-2-32", "across-2-128"])
+def test_streams_are_numpys_seed_sequence_streams(seeds, num_suppliers, num_consumers):
+    # lane by lane, the state words that numpy's SeedSequence gives PCG64 and the first draws of its stream:
+    # a change to SeedSequence fails here instead of silently changing every stream
+    streams = agent_rng_streams(list(seeds), num_suppliers, num_consumers)
+    keys = [(role, i) for role, count in enumerate((num_suppliers, num_consumers)) for i in range(count)]
+    assert len(streams) == len(keys) * len(seeds)
+    got = [(stream.bit_generator.seed_seq.generate_state(4, np.uint64).tolist(), stream.random(3).tolist())
+           for stream in streams]
+    expected = []
+    for (role, i), seed in itertools.product(keys, seeds):  # agent-major, as the streams are
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(role, i))
+        expected.append((sequence.generate_state(4, np.uint64).tolist(),
+                         np.random.default_rng(sequence).random(3).tolist()))
+    assert [lane for lane, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]] == []
 
 
 def test_round_record_conservation():
@@ -253,7 +280,8 @@ def test_markov_replay_mid_trajectory():
 
     t_split = 17
     state, _ = initialize_market(config, scenario)
-    sup_rngs, con_rngs = agent_rng_streams(config.seed, config.num_suppliers, config.num_consumers)
+    streams = agent_rng_streams([config.seed], config.num_suppliers, config.num_consumers)
+    sup_rngs, con_rngs = streams[:config.num_suppliers], streams[config.num_suppliers:]
     for _ in range(t_split - 1):
         sup_draws = [r.random() for r in sup_rngs]
         con_draws = [r.random() for r in con_rngs]
