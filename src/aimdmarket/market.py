@@ -109,11 +109,12 @@ def agent_rng_streams(seeds: Sequence[int], num_suppliers: int, num_consumers: i
 
     Each stream is consumed at exactly one draw per round, so the round-t
     variate of an agent is fixed by the seed alone.  Numpy mixes a seed's
-    32-bit words into a pool of 4, hashing 4 times per word, and with a
-    spawn key pads them to 4 words first; so each seed's pool, numpy's own,
-    then takes the role and the index words of every agent in one array pass,
-    by the hash constants that follow its words.  An index is one word, as
-    every index below 2**32 is.
+    32-bit words, at least 4 (zeros pad a short seed), into a pool of 4
+    words with 4 hashes per word, then the spawn key's words.  So each
+    seed's pool is numpy's own ``SeedSequence(seed).pool``, and the role and
+    index words of every agent are mixed in, and the state hashed out, in one
+    array pass, by the hash constants that follow the seed's words.  An
+    index is one word, as every index below 2**32 is.
     """
     role = np.repeat(np.array([0, 1], np.uint32), [num_suppliers, num_consumers])[:, None]
     index = np.concatenate([np.arange(num_suppliers), np.arange(num_consumers)]).astype(np.uint32)[:, None]
