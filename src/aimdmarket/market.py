@@ -11,9 +11,9 @@ keyed on (seed, role, index), all of them seeded in one array pass
 ``simulate`` advances an (agents x replicates) state, one replicate per
 seed, in blocks of ``metrics.EXPORT_CHUNK`` rounds, each of which
 completes one records chunk.  Each stream fills its row of a stream-major
-(agents x replicates x rounds) draw buffer in place, once per draw block:
-as many whole blocks as ``DRAW_BYTES`` holds, at least one; each block
-copies its rounds' draws round-major.  The per-round loop walks views
+(agents x replicates x rounds) draw buffer in place, once per block; the
+block copies the draws round-major into the partial-sums buffer, whose
+row each round reads before it overwrites it.  The per-round loop walks views
 built once per call and makes only the numpy calls of the round's
 arithmetic: one comparison of last round's totals
 (``_excess_sides``) writes both side signals, one ``take`` spreads them
@@ -40,9 +40,6 @@ from .agent import Population
 from .metrics import EXPORT_CHUNK, RecordsExport, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
-
-# the byte budget of simulate's draw buffer, which sets how many rounds each stream fills per call
-DRAW_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +89,6 @@ def _hash(words, constants: np.ndarray) -> np.ndarray:
     return words ^ words >> 16
 
 
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that returns its lane's precomputed state words: all that PCG64 asks of one."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def agent_rng_streams(seeds: Sequence[int], num_suppliers: int, num_consumers: int) -> list:
     """One PCG64 stream per agent and seed, keyed on (seed, role, index): the stream of agent a (suppliers
     first) and ``seeds[k]`` is at position a * len(seeds) + k, and draws what
@@ -129,7 +116,18 @@ def agent_rng_streams(seeds: Sequence[int], num_suppliers: int, num_consumers: i
     state = _hash(pool[[0, 1, 2, 3] * 2], _hash_constants(INIT_B, MULT_B, 0)[:, None, None])
     # eight 32-bit words per lane, read as four little-endian 64-bit words, lanes in (agent, seed) order
     words = np.moveaxis(state, 0, -1).astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_StateWords(lane))) for lane in words.reshape(-1, 4)]
+
+    # defined here, so that only a run that builds streams imports numpy.random
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        """A seed sequence that returns its lane's precomputed state words: all that PCG64 asks of one."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(StateWords(lane))) for lane in words.reshape(-1, 4)]
 
 
 def simulate(population: Population, config: MarketConfig, seeds: Sequence[int]) -> Iterator[Block]:
@@ -149,14 +147,12 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # each side's partial sums in agent order: the (rounds x 2 x replicates) totals are rows s - 1 and agents - 1
     partial_sums = np.empty((rows, *shape))
     totals = partial_sums[:, s - 1::shape[0] - s]
-    # stream-major: each stream fills its rounds of a draw block in place, one call per draw block, which holds as
-    # many blocks of EXPORT_CHUNK rounds as DRAW_BYTES holds float64 draws of every stream for, at least one; each
-    # block copies its rounds round-major, so that a round reads its draws contiguously, not a page per stream
-    chunks = max(DRAW_BYTES // (8 * shape[0] * shape[1] * EXPORT_CHUNK), 1)
-    draw_rows = min(chunks * EXPORT_CHUNK, config.horizon + 1)
-    draws, block_draws = np.zeros((*shape, draw_rows)), np.empty((rows, *shape))
+    # stream-major: each stream fills its block's rounds in place, one call per block; the block then copies them
+    # round-major into the partial sums, whose row t the round-t step reads as its draws before accumulate
+    # overwrites it, so that a round reads its draws contiguously, not one cache line per stream
+    draws = np.zeros((*shape, rows))
     fills = [(rng.random, stream) for rng, stream in zip(
-        agent_rng_streams(seeds, config.num_suppliers, config.num_consumers), draws.reshape(-1, draw_rows))]
+        agent_rng_streams(seeds, config.num_suppliers, config.num_consumers), draws.reshape(-1, rows))]
     side_of = np.repeat([0, 1], [s, shape[0] - s])  # agent i reads the signal signals[t, side_of[i]]
     signalled, scratch = np.empty(shape, dtype=bool), (np.empty(shape), np.empty(shape, dtype=bool))
     # the average entering round t holds t samples (rounds 0..t-1); the step reads t and t + 1 as 0-d views of
@@ -166,18 +162,20 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # its signals, its draws, each side's quantities and partial sums, its totals, which the next round's
     # signals compare, also reversed, and its sample counts
     views = [(*round_views, (counts[b, ...], counts[b + 1, ...])) for b, round_views in enumerate(zip(
-        zip(*columns), (row[:3] for row in zip(*columns)), signals, block_draws, columns[0][:, :s],
+        zip(*columns), (row[:3] for row in zip(*columns)), signals, partial_sums, columns[0][:, :s],
         columns[0][:, s:], partial_sums[:, :s], partial_sums[:, s:], totals, totals[:, ::-1]))]
     accumulate = np.add.accumulate
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))
-    before, (last, last_reversed) = (start, start, start), [np.zeros((2, len(seeds)))] * 2
+    carry = np.zeros((2, len(seeds)))  # last round's totals, which the next block's draws overwrite
+    before, (last, last_reversed) = (start, start, start), (carry, carry[::-1])
     for first in range(0, config.horizon + 1, EXPORT_CHUNK):
-        block, offset = min(EXPORT_CHUNK, config.horizon + 1 - first), first % draw_rows
-        if offset == 0:  # the first block of a draw block; round 0 draws nothing
-            for fill, stream in fills:
-                fill(out=stream[int(first == 0):config.horizon + 1 - first])
-        np.copyto(block_draws[:block], np.moveaxis(draws[..., offset:offset + block], -1, 0))
+        block, skip = min(EXPORT_CHUNK, config.horizon + 1 - first), int(first == 0)  # round 0 draws nothing
+        for fill, stream in fills:
+            fill(out=stream[skip:block])
+        np.copyto(carry, last)
+        np.copyto(partial_sums[:block], np.moveaxis(draws[..., :block], -1, 0))
+        last, last_reversed = carry, carry[::-1]
         np.add(block_rounds, first, counts)
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

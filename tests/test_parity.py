@@ -18,9 +18,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from aimdmarket import market, metrics
+from aimdmarket import metrics
 from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probability
-from aimdmarket.market import replicate_series, run, simulate
+from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
 from aimdmarket.utility import UtilityColumns, UtilitySpec
@@ -182,40 +182,6 @@ def test_block_boundaries_match_oracle(variant, size, horizon):
         _, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario)
         assert repr(series[k].tolist()) == repr(mean_derivative_series(records, Role.SUPPLIER))
         assert repr(summaries[k]) == repr(expected_summary)
-
-
-@pytest.mark.parametrize("replicates", [1, 3])
-@pytest.mark.parametrize("horizon", [0, 1, 23, 24, 50])
-def test_draw_blocks_do_not_change_the_blocks(horizon, replicates, monkeypatch):
-    # blocks of 8 rounds, and each stream filling 3 of them per call against 1 per call, as before the draws
-    # were sized apart from the blocks: at 23 the run is one draw block, at 24 a second one holds one round,
-    # and at 50 a third holds three; round 0 draws nothing, so the first draw block fills from its row 1
-    monkeypatch.setattr(market, "EXPORT_CHUNK", 8)
-    config = MarketConfig(3, 4, horizon=horizon, seed=0, initial_quantity=10.0)
-    population = Population.build(config, generate_scenario(config, BOTH, 300.0, SCENARIO_SEEDS[0]))
-    streams, fills = 7 * replicates, []
-    rng_streams = market.agent_rng_streams
-
-    class Recorded:  # a stream that records how many rounds each call fills
-        def __init__(self, rng):
-            self.rng = rng
-
-        def random(self, out):
-            fills.append(len(out))
-            return self.rng.random(out=out)
-
-    monkeypatch.setattr(market, "agent_rng_streams", lambda *args: [Recorded(rng) for rng in rng_streams(*args)])
-
-    def blocks(draw_rows):
-        monkeypatch.setattr(market, "DRAW_BYTES", draw_rows * 8 * streams)  # float64 draws of every stream
-        fills.clear()
-        got = [(block.first, [(column.shape, column.tobytes()) for column in block[1:]])
-               for block in simulate(population, config, range(replicates))]
-        rounds = [min(draw_rows, horizon + 1 - first) - (first == 0) for first in range(0, horizon + 1, draw_rows)]
-        assert fills == [n for n in rounds for _ in range(streams)]
-        return got
-
-    assert blocks(24) == blocks(8)
 
 
 @pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
