@@ -166,13 +166,17 @@ def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], branch: np.nda
         tail = join((r,), [supply, ",", consumption, signals, total, "\n"])
         return join((r, n), [int_text(t)[:, None], agents, quantity, ",", average, ",", value, ",", derivative,
                               ",", backoff, trace, tail[:, None]])
-    entries = join((r, n), [agents, quantity, ',"running_average":', average, ',"utility_value":', value,
-                             ',"utility_derivative":', derivative, ',"trace":{"backoff_probability":', backoff,
-                             trace])
+    entry = [agents, quantity, ',"running_average":', average, ',"utility_value":', value, ',"utility_derivative":',
+             derivative, ',"trace":{"backoff_probability":', backoff, trace]
     lead = np.where(t > 1, ord(","), 0).astype(np.uint8)[:, None]
-    return join((r,), [lead, '{"round":', int_text(t), ',"per_agent":[', entries.reshape(r, -1),
-                        '],"total_supply":', supply, ',"total_consumption":', consumption, signals,
-                        ',"sum_of_utilities":', total, "}"])
+    head = join((r,), [lead, '{"round":', int_text(t), ',"per_agent":['])
+    tail = join((r,), ['],"total_supply":', supply, ',"total_consumption":', consumption, signals,
+                       ',"sum_of_utilities":', total, "}"])
+    w = sum(len(piece) if isinstance(piece, str) else piece.shape[-1] for piece in entry)
+    rows = np.empty((r, head.shape[1] + n * w + tail.shape[1]), np.uint8)
+    rows[:, :head.shape[1]], rows[:, rows.shape[1] - tail.shape[1]:] = head, tail
+    join((r, n), entry, rows[:, head.shape[1]:rows.shape[1] - tail.shape[1]].reshape(r, n, w))
+    return rows
 
 
 def _literal_text(population: Population, fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,21 +233,23 @@ class RecordsExport:
     one), on platforms with ``fork``; the trajectory's columns must be in memory shared with them,
     as ``market.run`` allocates them, if they are written after ``start``.  ``ready(rounds)``
     hands out every chunk whose rounds lie below ``rounds`` through one pipe of chunk tokens.
-    Every process runs one loop, ``_format_into``: each worker on the tokens it takes, this process
-    in ``commit`` on the tokens left and then on the chunks never sent.  Each process writes its
-    chunks into its own unnamed temporary file and notes (process, offset, length, mask of
-    non-finite columns) in a chunk table in shared memory.  ``commit()`` then reaps the workers and
-    copies each chunk's byte range in chunk order.  Whichever process formats a chunk derives its
-    columns and checks them finite.  Leaving the ``with`` block kills and reaps any worker left, so
-    that an export that fails, or that is never committed, leaves no process or file behind.
+    Each worker writes the chunks it takes into its own unnamed temporary file, notes (worker,
+    offset, length, mask of non-finite columns) in a chunk table in shared memory, then announces
+    each on a second pipe, which ``ready`` drains.  ``commit()`` opens the destination and writes
+    each chunk once all before it are written: a worker's from its file once announced, its own
+    from memory.  It formats the tokens left, then the chunks never sent, and waits for a worker
+    once it holds two chunks beyond the written prefix or has none left.  Whichever process formats
+    a chunk derives its columns and checks them finite.  Leaving the ``with`` block kills and reaps
+    any worker left, so that an export that fails, or that is never committed, leaves no process or
+    file behind.
     """
 
     def __init__(self, fmt: str, destination):
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown export format: {fmt}")
         self.fmt, self.destination = fmt, Path(destination)
-        self._fds = {}  # "take" and "give", the token pipe's ends
-        self._workers, self._files = [], []  # pids not yet reaped; each process's temporary file, this one's first
+        self._fds = {}  # "take" and "give", the token pipe's ends; "done" and "announce", the announcement pipe's
+        self._workers, self._files = [], []  # pids not yet reaped; each worker's temporary file
 
     def __enter__(self) -> "RecordsExport":
         return self
@@ -265,34 +271,42 @@ class RecordsExport:
         self._trajectory, self._text = trajectory, _literal_text(trajectory.population, self.fmt)
         self._rounds = len(trajectory.total_supply)
         self._count = -(-self._rounds // EXPORT_CHUNK) if self._rounds > 1 else 0
-        self._sent = 0  # chunks handed out through the pipe
-        self._table = shared_empty((self._count, 4), np.int64)  # per chunk: process, offset, length, mask
+        self._sent, self._announced = 0, set()  # chunks handed out through the pipe; chunks announced
+        self._table = shared_empty((self._count, 4), np.int64)  # per chunk: worker, offset, length, mask
         workers = max(min(_usable_cpus(), self._count) - 1, 0)
         try:
             self._fds["take"], self._fds["give"] = os.pipe()
+            self._fds["done"], self._fds["announce"] = os.pipe()
             os.set_blocking(self._fds["give"], False)
-            self._files = [tempfile.TemporaryFile() for _ in range(1 + workers)]
-            for w in range(1, 1 + workers):
+            self._files = [tempfile.TemporaryFile() for _ in range(workers)]
+            for w in range(workers):
                 self._workers.append(self._fork(w))
+            os.close(self._fds.pop("announce"))  # the announcements end once every worker has exited
         except OSError as exc:
             raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
 
     def _fork(self, w: int) -> int:
-        """Fork worker ``w``, which runs ``_format_into(w)``; return its pid.  It leaves through
-        ``os._exit`` on every path, status 0 once the tokens end."""
+        """Fork worker ``w`` and return its pid.  The worker formats into file ``w`` the chunks it
+        takes from the token pipe until the tokens end, notes each in the table, then announces it.
+        It leaves through ``os._exit`` on every path, status 0 once the tokens end."""
         pid = os.fork()
         if pid:
             return pid
-        status = 1
+        status, file = 1, self._files[w]
         try:
             os.close(self._fds["give"])  # the tokens end once the parent has closed its end too
-            self._format_into(w)
+            for k in iter(lambda: _take(self._fds["take"]), None):
+                text, mask = self._format(k)
+                file.write(text)
+                file.flush()  # before the announcement, after which the parent may read the bytes
+                self._table[k] = w, file.tell() - len(text), len(text), mask
+                os.write(self._fds["announce"], k.to_bytes(TOKEN_BYTES, "little"))
             status = 0
         finally:
             os._exit(status)
 
     def ready(self, rounds: int) -> None:
-        """Hand out every chunk whose rounds all lie below ``rounds``."""
+        """Hand out every chunk whose rounds all lie below ``rounds``, and note the chunks announced."""
         ready = self._count if rounds >= self._rounds else rounds // EXPORT_CHUNK
         try:
             while self._sent < ready:
@@ -300,40 +314,50 @@ class RecordsExport:
                 self._sent += 1
         except BlockingIOError:
             pass  # the pipe is full: the chunks not sent are left to commit
+        self._drain(wait=False)
 
-    def _format_into(self, w: int) -> None:
-        """Format into file ``w`` the chunks that process ``w`` takes from the token pipe until the
-        tokens end, then, in this process (w = 0), the chunks never sent; note each in the table."""
-        tokens = iter(lambda: _take(self._fds["take"]), None)
-        file, offset = self._files[w], 0
-        for k in chain(tokens, range(self._sent, self._count)) if w == 0 else tokens:
-            text, mask = self._format(k)
-            file.write(text)
-            self._table[k] = w, offset, len(text), mask
-            offset += len(text)
-        file.flush()
+    def _drain(self, wait: bool) -> bool:
+        """Note the chunks announced, waiting for one if ``wait``; False once every worker has exited."""
+        os.set_blocking(self._fds["done"], wait)
+        try:
+            announced = os.read(self._fds["done"], 1 << 16)  # a full pipe of the default size
+        except BlockingIOError:
+            return True
+        self._announced.update(np.frombuffer(announced, "<i8").tolist())
+        return bool(announced)
 
     def commit(self) -> Path:
-        """Format the chunks left, reap the workers and write the destination atomically; return
-        the destination.  A run with a non-finite chunk is refused by the first of CHECKED_COLUMNS
-        that is not finite in any chunk."""
+        """Write the destination atomically as the chunks finish, reap the workers and return the
+        destination.  A run with a non-finite chunk is refused by the first of CHECKED_COLUMNS that
+        is not finite in any chunk."""
+        mine = chain(iter(lambda: _take(self._fds["take"]), None), range(self._sent, self._count))
+        held, k = {}, 0  # this process's chunks not yet written; the next chunk to write
         try:
             os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
-            self._format_into(0)
-            failed = [code for code in self._reap() if code]
-            if failed:
-                raise OSError(f"an export worker exited with status {failed[0]}")
-            mask = int(np.bitwise_or.reduce(self._table[:, 3]))
-            if mask:
-                name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
-                raise ValueError(f"the run overflowed or went non-finite: records column {name}")
             with atomic_writer(self.destination) as fh:
-                fh.write(CSV_HEADER + "\n" if self.fmt == "csv" else "[")
-                fh.flush()  # the rows are bytes, written under the text layer
-                for w, offset, length, _ in self._table.tolist():
-                    fh.buffer.write(os.pread(self._files[w].fileno(), length, offset))
+                out = fh.buffer  # every byte is written under the text layer
+                out.write(CSV_HEADER.encode() + b"\n" if self.fmt == "csv" else b"[")
+                while k < self._count:
+                    if k in held or k in self._announced:
+                        out.write(held.pop(k, b""))
+                        w, offset, length, _ = self._table[k].tolist()  # length 0 if this process's
+                        while length:  # one pread returns at most 0x7ffff000 bytes on Linux
+                            text = os.pread(self._files[w].fileno(), length, offset)
+                            offset, length = offset + out.write(text), length - len(text)
+                        k += 1
+                    elif len(held) < 2 and (j := next(mine, None)) is not None:
+                        held[j], self._table[j, 3] = self._format(j)
+                    elif not self._drain(wait=True):
+                        break  # every worker has exited without announcing chunk k: the reap names the failure
+                failed = [code for code in self._reap() if code]
+                if failed:
+                    raise OSError(f"an export worker exited with status {failed[0]}")
+                mask = int(np.bitwise_or.reduce(self._table[:, 3]))
+                if mask:
+                    name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
+                    raise ValueError(f"the run overflowed or went non-finite: records column {name}")
                 if self.fmt == "json":
-                    fh.write("]\n")
+                    out.write(b"]\n")
         except OSError as exc:
             raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
         return self.destination

@@ -178,11 +178,11 @@ def literals(strings) -> np.ndarray:
     return np.array([text.encode() for text in strings]).view(np.uint8).reshape(len(strings), -1)
 
 
-def join(shape: tuple, pieces) -> np.ndarray:
-    """The uint8 pieces side by side along a last axis, each broadcast to ``shape`` + its width;
-    a str piece is that literal in every row."""
+def join(shape: tuple, pieces, joined=None) -> np.ndarray:
+    """The uint8 pieces side by side along a last axis, each broadcast to ``shape`` + its width, in
+    ``joined`` if given; a str piece is that literal in every row."""
     pieces = [literals([p])[0] if isinstance(p, str) else p for p in pieces]
-    joined = np.empty((*shape, sum(p.shape[-1] for p in pieces)), np.uint8)
+    joined = np.empty((*shape, sum(p.shape[-1] for p in pieces)), np.uint8) if joined is None else joined
     at = 0
     for piece in pieces:
         joined[..., at : at + piece.shape[-1]] = piece

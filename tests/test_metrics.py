@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import signal
 import sys
 import tempfile
+import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -366,6 +369,140 @@ def test_an_export_worker_takes_every_chunk_of_a_long_run_before_commit(tmp_path
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     expected = export_at_once(trajectory, "csv", tmp_path / "expected.csv").read_bytes()
     assert (out / "r.csv").read_bytes() == expected
+
+
+def _one_cpu_export(trajectory, fmt, destination, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return export_at_once(trajectory, fmt, destination).read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fcntl.F_SETPIPE_SZ is Linux's")
+def test_an_export_worker_announces_more_chunks_than_a_pipe_holds_before_commit(tmp_path, monkeypatch):
+    # a one-page pipe holds 512 announcements of 8 B; ready() drains them while the run is simulated,
+    # so that the worker formats all 530 chunks before commit and none waits on its announcement
+    import fcntl
+
+    pipe, chunks = os.pipe, 530
+
+    def one_page_pipe():
+        ends = pipe()
+        fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, 4096)
+        return ends
+
+    config, scenario, _ = small_run(horizon=chunks * metrics.EXPORT_CHUNK - 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with forced(monkeypatch, SCHEDULES[0], chunks=chunks) as takers:
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        with metrics.RecordsExport("csv", tmp_path / "r.csv") as records:
+            trajectory = run(config, scenario, records=records).trajectory
+            deadline = time.monotonic() + 30
+            while (takers == 0).any() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert takers.tolist() == [WORKER] * chunks
+            records.commit()
+    expected = _one_cpu_export(trajectory, "csv", tmp_path / "expected.csv", monkeypatch)
+    assert (tmp_path / "r.csv").read_bytes() == expected
+
+
+def test_export_holds_at_most_two_of_its_own_chunks_beyond_the_written_prefix(tmp_path, monkeypatch):
+    # the worker takes chunks 0 and 1, the only ones handed out, and formats chunk 0 only once this
+    # process has formatted two of the chunks never sent (2..5) and has had time for a third: this
+    # process finishes chunks 2 and 3 before the worker finishes 0 and 1, holds them, then waits
+    _, _, result = small_run(horizon=6 * metrics.EXPORT_CHUNK - 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, chunk_rows = os.getpid(), metrics._chunk_rows
+    # formatted[0]: chunks this process has formatted; formatted[1]: that count when the worker went on
+    formatted = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+
+    def worker_waits_on_chunk_0(fmt, rows, *args):
+        if os.getpid() == here:
+            text = chunk_rows(fmt, rows, *args)
+            formatted[0] += 1
+            return text
+        if rows.start < metrics.EXPORT_CHUNK:
+            deadline = time.monotonic() + 20
+            while formatted[0] < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.3)
+            formatted[1] = formatted[0]
+        return chunk_rows(fmt, rows, *args)
+
+    for fmt in ("csv", "json"):
+        expected = _one_cpu_export(result.trajectory, fmt, tmp_path / f"expected.{fmt}", monkeypatch)
+        formatted[:] = 0
+        with forced(monkeypatch, SCHEDULES[0]) as takers:
+            monkeypatch.setattr(metrics, "_chunk_rows", worker_waits_on_chunk_0)
+            with metrics.RecordsExport(fmt, tmp_path / f"r.{fmt}") as records:
+                records.start(result.trajectory)
+                records.ready(2 * metrics.EXPORT_CHUNK)
+                records.commit()
+        assert takers[:6].tolist() == [WORKER, WORKER, 0, 0, 0, 0]
+        assert formatted.tolist() == [4, 2], fmt
+        assert (tmp_path / f"r.{fmt}").read_bytes() == expected, fmt
+
+
+def test_a_worker_killed_once_the_export_destination_is_open_fails_it(tmp_path, temporary, monkeypatch):
+    _, _, result = small_run(horizon=769)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, chunk_rows = os.getpid(), metrics._chunk_rows
+    out = tmp_path / "out"
+    out.mkdir()
+    opened = np.frombuffer(mmap.mmap(-1, 1), np.int8)  # the worker saw the destination's temporary file
+
+    def killed_once_the_destination_is_open(*args):
+        if os.getpid() != here:
+            deadline = time.monotonic() + 20
+            while not opened[0] and time.monotonic() < deadline:
+                opened[0] = any(path.name.startswith(".r.csv.") for path in out.iterdir())
+                time.sleep(0.005)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk_rows(*args)
+
+    monkeypatch.setattr(metrics, "_chunk_rows", killed_once_the_destination_is_open)
+    failure = r"cannot write run export to .*r\.csv: an export worker exited with status -9"
+    with forced(monkeypatch, SCHEDULES[0]):
+        with pytest.raises(OSError, match=failure):
+            export_at_once(result.trajectory, "csv", out / "r.csv")
+    assert opened[0]
+    _assert_no_leftovers(out, temporary)
+
+
+def test_export_reads_each_worker_chunk_in_full(tmp_path, monkeypatch):
+    # one pread returns at most 0x7ffff000 bytes on Linux; here at most 4096, and every chunk is the worker's
+    _, _, result = small_run(horizon=769)
+    expected = _one_cpu_export(result.trajectory, "json", tmp_path / "expected.json", monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pread, reads = os.pread, []
+
+    def short_pread(fd, length, offset):
+        reads.append(length)
+        return pread(fd, min(length, 4096), offset)
+
+    monkeypatch.setattr(os, "pread", short_pread)
+    with forced(monkeypatch, SCHEDULES[0]) as takers:
+        got = export_at_once(result.trajectory, "json", tmp_path / "r.json").read_bytes()
+    assert takers[:4].tolist() == [WORKER] * 4
+    assert len(reads) > 4 * 2 and got == expected
+
+
+def test_export_forks_its_workers_while_a_helper_thread_runs(tmp_path, monkeypatch):
+    # from Python 3.12, os.fork() in a process with more than one thread issues a DeprecationWarning;
+    # as an error it is cleared inside os.fork(), which returns in both processes
+    _, _, result = small_run(horizon=769)
+    expected = _one_cpu_export(result.trajectory, "csv", tmp_path / "expected.csv", monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            got = export_at_once(result.trajectory, "csv", tmp_path / "r.csv").read_bytes()
+    finally:
+        stop.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive() and got == expected
 
 
 def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):
