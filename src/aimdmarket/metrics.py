@@ -15,8 +15,8 @@ from the columns, checked finite and written atomically, and are
 byte-deterministic: repeated export of the same run is identical.  A records
 export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to forked
 workers through a pipe of chunk tokens while the run is simulated, and writes
-them in chunk order; whichever process formats a chunk derives its columns,
-and the bytes do not depend on which one it is.
+each chunk as soon as all before it are written; whichever process formats a
+chunk derives its columns, and the bytes do not depend on which one it is.
 """
 
 from __future__ import annotations
@@ -234,14 +234,13 @@ class RecordsExport:
     as ``market.run`` allocates them, if they are written after ``start``.  ``ready(rounds)``
     hands out every chunk whose rounds lie below ``rounds`` through one pipe of chunk tokens.
     Each worker writes the chunks it takes into its own unnamed temporary file, notes (worker,
-    offset, length, mask of non-finite columns) in a chunk table in shared memory, then announces
-    each on a second pipe, which ``ready`` drains.  ``commit()`` opens the destination and writes
-    each chunk once all before it are written: a worker's from its file once announced, its own
-    from memory.  It formats the tokens left, then the chunks never sent, and waits for a worker
-    once it holds two chunks beyond the written prefix or has none left.  Whichever process formats
-    a chunk derives its columns and checks them finite.  Leaving the ``with`` block kills and reaps
-    any worker left, so that an export that fails, or that is never committed, leaves no process or
-    file behind.
+    offset, length, mask of non-finite columns) in a chunk table in shared memory and announces each
+    on a second pipe, which ``ready`` drains.  ``commit()`` writes each chunk once all before it are
+    written, a worker's from its file and its own from memory: it formats the tokens left, then the
+    chunks never sent, pausing while it holds two beyond the written prefix.  Whichever process
+    formats a chunk derives its columns and checks them finite.  Leaving the ``with`` block kills
+    and reaps any worker left, so that an export that fails, or that is never committed, leaves no
+    process or file behind.
     """
 
     def __init__(self, fmt: str, destination):
@@ -317,7 +316,7 @@ class RecordsExport:
         self._drain(wait=False)
 
     def _drain(self, wait: bool) -> bool:
-        """Note the chunks announced, waiting for one if ``wait``; False once every worker has exited."""
+        """Note the chunks announced, waiting for one if ``wait``; False at the announcements' end."""
         os.set_blocking(self._fds["done"], wait)
         try:
             announced = os.read(self._fds["done"], 1 << 16)  # a full pipe of the default size

@@ -483,7 +483,7 @@ def test_export_reads_each_worker_chunk_in_full(tmp_path, monkeypatch):
     with forced(monkeypatch, SCHEDULES[0]) as takers:
         got = export_at_once(result.trajectory, "json", tmp_path / "r.json").read_bytes()
     assert takers[:4].tolist() == [WORKER] * 4
-    assert len(reads) > 4 * 2 and got == expected
+    assert len(reads) > 4 and got == expected  # more reads than chunks
 
 
 def test_export_forks_its_workers_while_a_helper_thread_runs(tmp_path, monkeypatch):
