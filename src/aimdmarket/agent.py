@@ -16,7 +16,10 @@ A run does not store the recorded lambda or the branch code:
 ``metrics.derived_columns`` derives them from the state entering each
 round (``backoff_probability``, ``Population.branches``).  Every operation
 is elementwise and in the order of the one-agent formula, so each value is
-bit-identical to evaluating the agents one at a time.
+bit-identical to evaluating the agents one at a time.  The step skips the
+guards that cannot act: the floor at 0, if every optimum is at least its
+alpha (then q - alpha > z* - alpha >= 0), and, where its caller asks, the
+EPS_AVG guard (on averages that are all at least EPS_AVG).
 """
 
 from __future__ import annotations
@@ -84,27 +87,29 @@ class Population:
         that shape and its scalar operands as arrays of it, so that its ufuncs run on same-shape arrays, and
         with the ufuncs bound once, so that ``simulate``'s per-round loop looks nothing up.
 
-        ``step(before, after, samples, signalled, draws, scratch)`` runs under ``np.errstate`` ignoring
-        divide, invalid and over: from ``before`` = (quantity, average, u'(average)), an average of t samples,
-        ``samples`` = (t, t + 1) as floats or 0-d float arrays (``simulate``'s, which no ufunc converts),
-        each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity, average,
-        u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
+        ``step(before, after, samples, signalled, draws, scratch, guarded=True)`` runs under ``np.errstate``
+        ignoring divide, invalid and over: from ``before`` = (quantity, average, u'(average)), an average of t
+        samples, ``samples`` = (t, t + 1) as floats or 0-d float arrays (``simulate``'s, which no ufunc
+        converts), each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity,
+        average, u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
         lambda Gamma u'(avg) / avg, held in the float scratch until the Bernoulli bit is drawn, is
         unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
-        a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  u'(average) is
-        ``UtilityColumns.bind_derivative``'s; a sqrt agent's average is never 0, as its quantity starts
-        with +alpha and stays positive."""
+        a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  With
+        ``guarded`` false the step skips the avg >= EPS_AVG test, which changes no bit where every average
+        is at least EPS_AVG.  u'(average) is ``UtilityColumns.bind_derivative``'s; a sqrt agent's average
+        is never 0, as its quantity starts with +alpha and stays positive."""
         shape = (len(self.agent_ids), replicates)
         *family, alpha, beta = (np.ascontiguousarray(np.broadcast_to(value, shape))
                                 for value in (*self.family, self.alpha, self.beta))
         family = UtilityColumns(*family)
         optimum, derivative = family.optimum, family.bind_derivative()
         zero, eps_avg, gamma = (np.full(shape, c) for c in (0.0, EPS_AVG, self.gamma))
-        subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, copyto = (
+        floored = not (self.family.optimum >= self.alpha).all()  # a sqrt agent's +inf optimum counts
+        subtract, copysign, add, maximum, multiply, divide, less, logical_and, greater_equal, putmask = (
             np.subtract, np.copysign, np.add, np.maximum, np.multiply, np.divide, np.less, np.logical_and,
-            np.greater_equal, np.copyto)
+            np.greater_equal, np.putmask)
 
-        def step(before, after, samples, signalled, draws, scratch) -> None:
+        def step(before, after, samples, signalled, draws, scratch, guarded=True) -> None:
             quantity, avg, marginal = before
             count, next_count = samples
             new_quantity, new_avg, new_marginal, bernoulli = after
@@ -114,15 +119,17 @@ class Population:
             subtract(optimum, quantity, new_quantity)
             copysign(alpha, new_quantity, new_quantity)
             add(quantity, new_quantity, new_quantity)
-            maximum(new_quantity, zero, out=new_quantity)  # numpy deprecates a positional out for maximum
+            if floored:
+                maximum(new_quantity, zero, out=new_quantity)  # numpy deprecates a positional out for maximum
             multiply(gamma, marginal, floats)  # the raw lambda
             divide(floats, avg, floats)
             less(draws, floats, bernoulli)
             logical_and(bernoulli, signalled, bernoulli)
-            greater_equal(avg, eps_avg, flags)
-            logical_and(bernoulli, flags, bernoulli)
+            if guarded:
+                greater_equal(avg, eps_avg, flags)
+                logical_and(bernoulli, flags, bernoulli)
             multiply(quantity, beta, floats)
-            copyto(new_quantity, floats, where=bernoulli)
+            putmask(new_quantity, bernoulli, floats)
             # the running average of count + 1 samples: (avg * count + quantity) / (count + 1)
             multiply(avg, count, new_avg)
             add(new_avg, new_quantity, new_avg)

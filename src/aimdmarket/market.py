@@ -15,11 +15,13 @@ completes one records chunk.  Each stream fills its row of a stream-major
 block copies the draws round-major into the partial-sums buffer, whose
 row each round reads before it overwrites it.  The per-round loop walks views
 built once per call and makes only the numpy calls of the round's
-arithmetic: one comparison of last round's totals
-(``_excess_sides``) writes both side signals, one ``take`` spreads them
-to the agents, the round step (``Population.bind_step``) reads its sample
-counts as 0-d views, and ``np.add.accumulate`` writes each side's partial
-sums, whose rows s - 1 and agents - 1 are the totals, read in place.
+arithmetic: one comparison of last round's totals writes both side
+signals, one ``take`` spreads them to the agents, the round step
+(``Population.bind_step``) reads its sample counts as 0-d views, and
+``np.add.accumulate`` writes each side's partial sums in agent order, the
+consumers' from the last row back, so that the totals are the adjacent
+rows s - 1 and s, read in place.  A block whose entering averages cannot
+fall below EPS_AVG within it runs the step without its EPS_AVG guard.
 ``run`` copies each block into the columns of a ``metrics.Trajectory`` in
 shared memory and, given a ``metrics.RecordsExport``, hands the block's
 rounds to its workers, so the records are formatted while the run is
@@ -36,7 +38,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .agent import Population
+from .agent import EPS_AVG, Population
 from .metrics import EXPORT_CHUNK, RecordsExport, Trajectory, shared_empty, summarize_final
 from .scenario import MarketConfig, ScenarioSpec, validate_config, validate_scenario
 from .utility import ordered_sum
@@ -61,13 +63,6 @@ class Block(NamedTuple):
     bernoulli: np.ndarray
     totals: np.ndarray  # total supply, total consumption
     signals: np.ndarray  # supplier signal, consumer signal: each agent read its side's
-
-
-def _excess_sides(flip_semantics: bool):
-    """The signal rule, as a ufunc of last round's (supply, consumption) totals and the same totals reversed,
-    along the first axis: it gives the (supplier, consumer) signals, the side in excess, neither on a tie;
-    ``flip_semantics`` signals the side in deficit instead, for comparison studies."""
-    return np.less if flip_semantics else np.greater
 
 
 # numpy's SeedSequence (NEP 19): each hash's initial constant and multiplier, for mixing and for output,
@@ -140,13 +135,16 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     streams of ``seeds[k]``, so it equals a single-seed run with that seed.
     """
     shape, s = (len(population.agent_ids), len(seeds)), population.num_suppliers
-    step, excess = population.bind_step(len(seeds)), _excess_sides(config.flip_signal_semantics)
+    # the signal rule on last round's (supply, consumption) totals and the same reversed: the side in excess is
+    # signalled, neither on a tie; flipped semantics signal the side in deficit, for comparison studies
+    step, excess = population.bind_step(len(seeds)), np.less if config.flip_signal_semantics else np.greater
     rows = min(EXPORT_CHUNK, config.horizon + 1)
     columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool]]
     signals = np.empty((rows, 2, len(seeds)), dtype=bool)
-    # each side's partial sums in agent order: the (rounds x 2 x replicates) totals are rows s - 1 and agents - 1
+    # each side's partial sums in agent order, the consumers' from the last row back to row s: the (rounds x 2 x
+    # replicates) totals are the adjacent rows s - 1 and s
     partial_sums = np.empty((rows, *shape))
-    totals = partial_sums[:, s - 1::shape[0] - s]
+    totals = partial_sums[:, s - 1:s + 1]
     # stream-major: each stream fills its block's rounds in place, one call per block; the block then copies them
     # round-major into the partial sums, whose row t the round-t step reads as its draws before accumulate
     # overwrites it, so that a round reads its draws contiguously, not one cache line per stream
@@ -163,7 +161,7 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # signals compare, also reversed, and its sample counts
     views = [(*round_views, (counts[b, ...], counts[b + 1, ...])) for b, round_views in enumerate(zip(
         zip(*columns), (row[:3] for row in zip(*columns)), signals, partial_sums, columns[0][:, :s],
-        columns[0][:, s:], partial_sums[:, :s], partial_sums[:, s:], totals, totals[:, ::-1]))]
+        columns[0][:, s:], partial_sums[:, :s], partial_sums[:, :s - 1:-1], totals, totals[:, ::-1]))]
     accumulate = np.add.accumulate
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))
@@ -177,13 +175,16 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
         np.copyto(partial_sums[:block], np.moveaxis(draws[..., :block], -1, 0))
         last, last_reversed = carry, carry[::-1]
         np.add(block_rounds, first, counts)
+        # the EPS_AVG guard is inert on a block whose averages stay >= EPS_AVG: quantities are >= 0, so an average
+        # of t samples falls by at most t / (t + 1) a round; the half covers rounding, and a NaN keeps the guard
+        guarded = not before[1].min() * first / (first + block) * 0.5 >= EPS_AVG
         # the round step's lambda divides by averages of 0; the caller's state holds across the yield
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for (row, next_before, signal, draw, supply, consumption, supplier_sums, consumer_sums, total,
                  reversed_total, samples) in views[:block]:
                 excess(last, last_reversed, signal)
                 signal.take(side_of, 0, signalled, "clip")  # in range: unlike "raise", "clip" writes no copy
-                step(before, row, samples, signalled, draw, scratch)
+                step(before, row, samples, signalled, draw, scratch, guarded)
                 # agent order, not np.sum's pairwise order: the totals decide the signals
                 accumulate(supply, 0, None, supplier_sums)
                 accumulate(consumption, 0, None, consumer_sums)

@@ -102,16 +102,9 @@ class MarketConfig:
                 disagreements.append(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
         if disagreements and violations is None:
             raise ValueError("; ".join(disagreements))
-        return cls(
-            record["num_suppliers"],
-            record["num_consumers"],
-            **params,
-            gamma=gamma,
-            horizon=record["horizon"],
-            seed=record["seed"],
-            initial_quantity=record.get("initial_quantity", 0.0),
-            flip_signal_semantics=record.get("flip_signal_semantics", False),
-        )
+        return cls(record["num_suppliers"], record["num_consumers"], **params, gamma=gamma, horizon=record["horizon"],
+                   seed=record["seed"], initial_quantity=record.get("initial_quantity", 0.0),
+                   flip_signal_semantics=record.get("flip_signal_semantics", False))
 
 
 @dataclass(frozen=True)

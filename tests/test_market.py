@@ -6,14 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from aimdmarket import market
 from aimdmarket.agent import Branch, Population, Role
-from aimdmarket.market import _excess_sides, agent_rng_streams, replicate_series, run, simulate
+from aimdmarket.market import agent_rng_streams, replicate_series, run, simulate
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
     ScenarioSpec,
     generate_scenario,
+    reference_configs,
 )
+from aimdmarket.metrics import EXPORT_CHUNK
 from aimdmarket.utility import UtilitySpec
 from scalar_oracle import (
     AgentState,
@@ -47,10 +50,18 @@ def same_columns(a, b):
 
 
 def signals(supply, consumption, flip=False):
-    """The kernel's (supplier, consumer) signals for lists of totals, as lists of ints."""
-    totals = np.array([supply, consumption])
-    s, c = _excess_sides(flip)(totals, totals[::-1])
-    return s.astype(int).tolist(), c.astype(int).tolist()
+    """The kernel's (supplier, consumer) signals for lists of totals, as lists of ints: each pair's round-1
+    signals in a 1 x 1 market whose agents start at 0 below their optima, so that round 0 moves them to
+    alpha_s = supply and alpha_c = consumption, the totals round 1 compares."""
+    below = UtilitySpec.quadratic(1e4, 1.0)
+    scenario = ScenarioSpec((below,), (below,), 1e4, ScenarioMode.BOTH_CONCAVE)
+    rounds = []
+    for s, c in zip(supply, consumption):
+        config = MarketConfig(1, 1, alpha_s=s, alpha_c=c, horizon=1, flip_signal_semantics=flip)
+        block = next(simulate(Population.build(config, scenario), config, [0]))
+        assert block.totals[0, :, 0].tolist() == [s, c]
+        rounds.append(block.signals[1, :, 0])
+    return tuple(np.array(rounds).T.astype(int).tolist())
 
 
 # --- signals --------------------------------------------------------------
@@ -75,8 +86,8 @@ def test_flipped_semantics():
 def test_signals_never_both_set():
     rng = np.random.default_rng(1)
     totals = rng.uniform(0.0, 1000.0, size=(2, 500))
-    s, c = _excess_sides(False)(totals, totals[::-1])
-    assert not (s & c).any()
+    s, c = signals(*totals.tolist())
+    assert not any(a & b for a, b in zip(s, c))
 
 
 def test_signals_reject_negative_totals():
@@ -232,6 +243,77 @@ def test_numpy_error_state_does_not_leak(caller):
         result = run(config, scenario)
         assert np.geterr() == expected
     assert repr(run_columns(result.trajectory)["backoff_probability"][0].tolist()) == repr([0.0] * 4)
+
+
+def _recording(calls, name, function):
+    return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+
+def _bound_step_calls(population, monkeypatch, guarded):
+    """The calls of ``np.maximum``, ``np.greater_equal``, ``np.putmask`` and ``np.copyto`` that one call of the
+    population's bound step makes, by name, in order."""
+    calls, shape = [], (len(population.agent_ids), 1)
+    with monkeypatch.context() as patch:  # the step binds the functions it calls
+        for name in ("maximum", "greater_equal", "putmask", "copyto"):
+            patch.setattr(np, name, _recording(calls, name, getattr(np, name)))
+        step = population.bind_step(1)
+    after = tuple(np.empty(shape) for _ in range(3)) + (np.empty(shape, dtype=bool),)
+    scratch = np.empty(shape), np.empty(shape, dtype=bool)
+    step((np.ones(shape),) * 3, after, (1.0, 2.0), np.ones(shape, dtype=bool), np.zeros(shape), scratch, guarded)
+    return calls
+
+
+@pytest.mark.parametrize("name, floor, derivative", [
+    ("paper-a", [], []),
+    ("paper-b", [], ["copyto"]),  # the sqrt suppliers' u' is written over the quadratic form
+    ("optima below alpha", ["maximum"], []),  # test_parity's clamp-at-zero scenario
+], ids=["paper-a", "paper-b", "optima-below-alpha"])
+def test_bound_step_skips_the_guards_that_cannot_act(name, floor, derivative, monkeypatch):
+    # the floor at 0 runs only if some agent's optimum is below its alpha (else q - alpha > z* - alpha >= 0),
+    # the EPS_AVG guard only while the caller asks for it, and the back-off writes its quantities by one putmask
+    references = reference_configs()
+    if name in references:
+        population = Population.build(*references[name])
+    else:
+        config = MarketConfig(3, 4, horizon=10)
+        population = Population.build(config, generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 12.0, 3))
+    assert (population.family.optimum < population.alpha).any() == bool(floor)
+    assert _bound_step_calls(population, monkeypatch, True) == floor + ["greater_equal", "putmask"] + derivative
+    assert _bound_step_calls(population, monkeypatch, False) == floor + ["putmask"] + derivative
+
+
+@pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
+def test_skipped_eps_guard_changes_no_bit(reference, monkeypatch):
+    # simulate runs every block but the first without the EPS_AVG guard, as no average can fall below EPS_AVG
+    # inside them, and its blocks equal bit for bit those of the run with the skip disabled by an unreachable bound
+    config, scenario = reference_configs()[reference]
+    config, seeds = dataclasses.replace(config, horizon=1300), [config.seed + k for k in range(8)]
+    guards, bind = [], Population.bind_step
+
+    def recording_bind(population, replicates):
+        step = bind(population, replicates)
+        return lambda *args: guards.append(args[6]) or step(*args)
+
+    def blocks():
+        guards.clear()
+        return [(block.first, *(column.tobytes() for column in block[1:]))
+                for block in simulate(Population.build(config, scenario), config, seeds)]
+
+    monkeypatch.setattr(Population, "bind_step", recording_bind)
+    skipped = blocks()
+    assert len(guards) == 1301 and guards[::EXPORT_CHUNK] == [True] + [False] * 5
+    monkeypatch.setattr(market, "EPS_AVG", math.inf)
+    assert blocks() == skipped
+    assert set(guards) == {True}
+
+
+def test_side_totals_are_adjacent_rows():
+    # each side's partial sums are in agent order, the consumers' written from the last row back, so that a round's
+    # (supply, consumption) totals are the adjacent rows s - 1 and s: one contiguous row that the signal rule reads
+    config, scenario = reference_configs()["paper-a"]
+    config = dataclasses.replace(config, horizon=300)
+    for block in simulate(Population.build(config, scenario), config, [1, 2, 3]):
+        assert block.totals.shape[1:] == (2, 3) and block.totals[0].flags.c_contiguous
 
 
 @pytest.mark.parametrize("flip", [False, True])

@@ -380,20 +380,22 @@ def _one_cpu_export(trajectory, fmt, destination, monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="fcntl.F_SETPIPE_SZ is Linux's")
 def test_an_export_worker_announces_more_chunks_than_a_pipe_holds_before_commit(tmp_path, monkeypatch):
     # a one-page pipe holds 512 announcements of 8 B; ready() drains them while the run is simulated,
-    # so that the worker formats all 530 chunks before commit and none waits on its announcement
+    # so that the worker formats all 530 chunks before commit and none waits on its announcement.  Only
+    # the announcement pipe is cut to one page: a one-page token pipe refuses tokens once its page is
+    # full, until the worker has read the whole page, so a worker that fell behind the run would leave
+    # the last chunks to commit, as designed, and this test would wait for them in vain
     import fcntl
 
-    pipe, chunks = os.pipe, 530
+    start, chunks = metrics.RecordsExport.start, 530
 
-    def one_page_pipe():
-        ends = pipe()
-        fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, 4096)
-        return ends
+    def start_with_one_page_announcements(records, trajectory):
+        start(records, trajectory)
+        fcntl.fcntl(records._fds["done"], fcntl.F_SETPIPE_SZ, 4096)  # empty: no token is handed out yet
 
     config, scenario, _ = small_run(horizon=chunks * metrics.EXPORT_CHUNK - 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with forced(monkeypatch, SCHEDULES[0], chunks=chunks) as takers:
-        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        monkeypatch.setattr(metrics.RecordsExport, "start", start_with_one_page_announcements)
         with metrics.RecordsExport("csv", tmp_path / "r.csv") as records:
             trajectory = run(config, scenario, records=records).trajectory
             deadline = time.monotonic() + 30

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from aimdmarket import metrics
-from aimdmarket.agent import BRANCHES, Branch, Population, Role, backoff_probability
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role, backoff_probability
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -161,10 +161,11 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 # the 100-round trailing window starts at round 501, inside the second block.
 # The horizons also take every branch of the trailing window: round 0 alone
 # (0), every round below 100 (1, 99), the 100-round floor (255..600) and 10%
-# of the horizon (1001, 101 rounds).  The kernel reads the side totals as the
-# partial sums of agents s - 1 and n - 1; markets with one agent on a side
-# put them at the edges: the first agent's with one supplier, adjacent
-# agents' with one consumer, and agents 0 and 1 in a 1 x 1 market.
+# of the horizon (1001, 101 rounds).  The kernel reads the side totals from
+# the partial-sum rows s - 1 and s, the consumers' sums written from row
+# n - 1 back to row s; markets with one agent on a side put them at the
+# edges: row 0 with one supplier, the last row with one consumer, and rows 0
+# and 1 in a 1 x 1 market.
 BOUNDARY_CASES = ([((3, 4), h) for h in (0, 1, 99, 255, 256, 257, 600, 1001)]
                   + [(size, h) for size in ((1, 1), (1, 3), (3, 1)) for h in (0, 1, 255, 257, 600)])
 
@@ -182,6 +183,24 @@ def test_block_boundaries_match_oracle(variant, size, horizon):
         _, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario)
         assert repr(series[k].tolist()) == repr(mean_derivative_series(records, Role.SUPPLIER))
         assert repr(summaries[k]) == repr(expected_summary)
+
+
+def test_averages_below_eps_avg_across_blocks_match_oracle():
+    # alpha = 1e-12 keeps every average below EPS_AVG for 600 rounds, across the block boundaries at rounds
+    # 256 and 512, so the EPS_AVG guard acts in every block: the consumers are signalled every round, and
+    # their raw lambda, near 1 / avg, is far above 1
+    config = MarketConfig(1, 2, alpha_s=1e-12, alpha_c=1e-12, horizon=600, seed=0, initial_quantity=0.0)
+    consumer = UtilitySpec.quadratic(5.0, 20.0)
+    scenario = ScenarioSpec((UtilitySpec.quadratic(10.0, 20.0),), (consumer, consumer), 10.0, BOTH)
+    series, summaries = replicate_series(config, scenario, 3)
+    for k in range(3):
+        result, _, records, expected_summary = _assert_run_matches_oracle(replace(config, seed=k), scenario)
+        assert repr(series[k].tolist()) == repr(mean_derivative_series(records, Role.SUPPLIER))
+        assert repr(summaries[k]) == repr(expected_summary)
+        # the raw lambda of the consumers in rounds 1..600, from the state entering each
+        avg, marginal = result.trajectory.running_average[:-1, 1:], result.trajectory.derivative[:-1, 1:]
+        assert avg.max() < EPS_AVG and (config.gamma * marginal / avg > 1.0).all()
+        assert result.trajectory.consumer_signal[1:].all() and not result.trajectory.bernoulli.any()
 
 
 @pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
