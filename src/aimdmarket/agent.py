@@ -18,7 +18,7 @@ round (``backoff_probability``, ``Population.branches``).  Every operation
 is elementwise and in the order of the one-agent formula, so each value is
 bit-identical to evaluating the agents one at a time.  The step skips the
 guards that cannot act: the floor at 0, if every optimum is at least its
-alpha (then q - alpha > z* - alpha >= 0), and, where its caller asks, the
+alpha (then q - alpha >= z* - alpha >= 0), and, where its caller asks, the
 EPS_AVG guard (on averages that are all at least EPS_AVG).
 """
 
@@ -55,10 +55,6 @@ BRANCHES = tuple(Branch)  # the arrays hold branch codes indexing this
 DECREASE_MULT, INCREASE, DECREASE_ADD = range(3)
 
 
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(-1, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
     """Every agent's constants as (agents x 1) columns, suppliers first."""
@@ -80,7 +76,7 @@ class Population:
                    for j, u in enumerate(scenario.consumer_utilities)]
         ids, roles, utilities, alpha, beta = zip(*agents)
         return cls(ids, roles, utilities, len(scenario.supplier_utilities), UtilityColumns.of(utilities),
-                   _column(alpha), _column(beta), config.gamma)
+                   *(np.array(column, dtype=float).reshape(-1, 1) for column in (alpha, beta)), config.gamma)
 
     def bind_step(self, replicates: int):
         """The round step on (agents x ``replicates``) arrays, with this population's columns broadcast to
@@ -96,8 +92,11 @@ class Population:
         unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
         a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  With
         ``guarded`` false the step skips the avg >= EPS_AVG test, which changes no bit where every average
-        is at least EPS_AVG.  u'(average) is ``UtilityColumns.bind_derivative``'s; a sqrt agent's average
-        is never 0, as its quantity starts with +alpha and stays positive."""
+        is at least EPS_AVG.  The quantity entering the step must be >= 0, as a validated initial quantity
+        is and the step keeps it: then q + alpha > 0, and the floor of q - alpha at 0 runs only if some
+        agent's optimum is below its alpha (else q - alpha >= z* - alpha >= 0).  u'(average) is
+        ``UtilityColumns.bind_derivative``'s; a sqrt agent's average is never 0, as its quantity starts
+        with +alpha and stays positive."""
         shape = (len(self.agent_ids), replicates)
         *family, alpha, beta = (np.ascontiguousarray(np.broadcast_to(value, shape))
                                 for value in (*self.family, self.alpha, self.beta))
@@ -115,7 +114,8 @@ class Population:
             new_quantity, new_avg, new_marginal, bernoulli = after
             floats, flags = scratch
             # +alpha at or below the optimum (z* - q is +0.0 at q = z*, as UtilityColumns stores an optimum
-            # of -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha floored at 0; q is never NaN, alpha > 0
+            # of -0.0 as +0.0, and +inf for a sqrt agent), else q - alpha, floored at 0 if some optimum is below
+            # its alpha; q is never NaN, alpha > 0
             subtract(optimum, quantity, new_quantity)
             copysign(alpha, new_quantity, new_quantity)
             add(quantity, new_quantity, new_quantity)

@@ -18,10 +18,10 @@ built once per call and makes only the numpy calls of the round's
 arithmetic: one comparison of last round's totals writes both side
 signals, one ``take`` spreads them to the agents, the round step
 (``Population.bind_step``) reads its sample counts as 0-d views, and
-``np.add.accumulate`` writes each side's partial sums in agent order, the
-consumers' from the last row back, so that the totals are the adjacent
-rows s - 1 and s, read in place.  A block whose entering averages cannot
-fall below EPS_AVG within it runs the step without its EPS_AVG guard.
+``np.add.accumulate`` writes each side's partial sums, whose rows s - 1
+and agents - 1 are the totals, read in place.  A block whose entering
+averages cannot fall below EPS_AVG within it runs the step without its
+EPS_AVG guard.
 ``run`` copies each block into the columns of a ``metrics.Trajectory`` in
 shared memory and, given a ``metrics.RecordsExport``, hands the block's
 rounds to its workers, so the records are formatted while the run is
@@ -141,10 +141,9 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     rows = min(EXPORT_CHUNK, config.horizon + 1)
     columns = [np.empty((rows, *shape), dtype) for dtype in [float] * 3 + [bool]]
     signals = np.empty((rows, 2, len(seeds)), dtype=bool)
-    # each side's partial sums in agent order, the consumers' from the last row back to row s: the (rounds x 2 x
-    # replicates) totals are the adjacent rows s - 1 and s
+    # each side's partial sums in agent order: the (rounds x 2 x replicates) totals are rows s - 1 and agents - 1
     partial_sums = np.empty((rows, *shape))
-    totals = partial_sums[:, s - 1:s + 1]
+    totals = partial_sums[:, s - 1::shape[0] - s]
     # stream-major: each stream fills its block's rounds in place, one call per block; the block then copies them
     # round-major into the partial sums, whose row t the round-t step reads as its draws before accumulate
     # overwrites it, so that a round reads its draws contiguously, not one cache line per stream
@@ -161,7 +160,7 @@ def simulate(population: Population, config: MarketConfig, seeds: Sequence[int])
     # signals compare, also reversed, and its sample counts
     views = [(*round_views, (counts[b, ...], counts[b + 1, ...])) for b, round_views in enumerate(zip(
         zip(*columns), (row[:3] for row in zip(*columns)), signals, partial_sums, columns[0][:, :s],
-        columns[0][:, s:], partial_sums[:, :s], partial_sums[:, :s - 1:-1], totals, totals[:, ::-1]))]
+        columns[0][:, s:], partial_sums[:, :s], partial_sums[:, s:], totals, totals[:, ::-1]))]
     accumulate = np.add.accumulate
     # round 0 follows a tie, so nobody is signalled and u'(average) goes unread
     start = np.full(shape, float(config.initial_quantity))

@@ -417,8 +417,13 @@ def trailing_window(rounds: int) -> int:
     return min(rounds, max(MIN_TRAILING_WINDOW, math.ceil(0.1 * rounds)))
 
 
-def summarize_final(population: Population, horizon: int, totals: np.ndarray, final_averages: np.ndarray,
-                    final_derivatives: np.ndarray) -> list[dict]:
+def summarize_final(
+    population: Population,
+    horizon: int,
+    totals: np.ndarray,
+    final_averages: np.ndarray,
+    final_derivatives: np.ndarray,
+) -> list[dict]:
     """The summaries of R runs of ``population``, from their (horizon + 1 x 2 x R) totals of rounds
     0..horizon and their (agents x R) final running averages and derivatives, each as the JSON object
     that ``summary.json`` and each ``replicate_summaries.json`` entry hold: an agent of a utility with

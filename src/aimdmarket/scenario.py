@@ -102,9 +102,16 @@ class MarketConfig:
                 disagreements.append(f"{side}_params.gamma {role['gamma']!r} disagrees with config gamma {gamma!r}")
         if disagreements and violations is None:
             raise ValueError("; ".join(disagreements))
-        return cls(record["num_suppliers"], record["num_consumers"], **params, gamma=gamma, horizon=record["horizon"],
-                   seed=record["seed"], initial_quantity=record.get("initial_quantity", 0.0),
-                   flip_signal_semantics=record.get("flip_signal_semantics", False))
+        return cls(
+            record["num_suppliers"],
+            record["num_consumers"],
+            **params,
+            gamma=gamma,
+            horizon=record["horizon"],
+            seed=record["seed"],
+            initial_quantity=record.get("initial_quantity", 0.0),
+            flip_signal_semantics=record.get("flip_signal_semantics", False),
+        )
 
 
 @dataclass(frozen=True)
@@ -145,19 +152,13 @@ class ScenarioSpec:
         return cls(**utilities, target_sum=record["target_sum"], mode=mode)
 
 
-def _normalized_optima(rng: np.random.Generator, count: int, target_sum: float) -> list[float]:
-    # Open interval keeps every weight strictly positive, so no degenerate
-    # zero optima and the normalized sum hits the target exactly.
-    weights = rng.uniform(*DEFAULT_WEIGHT_RANGE, size=count)
-    total = float(weights.sum())
-    return [float(target_sum * w / total) for w in weights]
-
-
 def _sample_side(rng: np.random.Generator, kind: UtilityKind, count: int, target_sum: float) -> tuple[UtilitySpec, ...]:
     """One side's utilities, drawn in order: a quadratic side's optima, then its curvatures; a sqrt side's scales."""
     if kind is UtilityKind.SQRT_MONOTONE:
         return tuple(UtilitySpec.sqrt_monotone(float(l)) for l in rng.uniform(*DEFAULT_SCALE_RANGE, size=count))
-    optima = _normalized_optima(rng, count, target_sum)
+    # weights from an interval of positive numbers, normalized to the target: no optimum is 0
+    weights = rng.uniform(*DEFAULT_WEIGHT_RANGE, size=count)
+    optima = (target_sum * weights / weights.sum()).tolist()
     curvatures = rng.uniform(*DEFAULT_CURVATURE_RANGE, size=count)
     return tuple(UtilitySpec.quadratic(z, float(h)) for z, h in zip(optima, curvatures))
 

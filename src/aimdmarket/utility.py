@@ -80,14 +80,8 @@ class UtilitySpec:
         return None
 
     def to_dict(self) -> dict:
-        record = {"kind": self.kind.value}
-        if self.optimum is not None:
-            record["optimum"] = self.optimum
-        if self.curvature is not None:
-            record["curvature"] = self.curvature
-        if self.scale is not None:
-            record["scale"] = self.scale
-        return record
+        fields = {"optimum": self.optimum, "curvature": self.curvature, "scale": self.scale}
+        return {"kind": self.kind.value, **{name: value for name, value in fields.items() if value is not None}}
 
     @classmethod
     def from_dict(cls, record: dict) -> "UtilitySpec":

@@ -307,15 +307,6 @@ def test_skipped_eps_guard_changes_no_bit(reference, monkeypatch):
     assert set(guards) == {True}
 
 
-def test_side_totals_are_adjacent_rows():
-    # each side's partial sums are in agent order, the consumers' written from the last row back, so that a round's
-    # (supply, consumption) totals are the adjacent rows s - 1 and s: one contiguous row that the signal rule reads
-    config, scenario = reference_configs()["paper-a"]
-    config = dataclasses.replace(config, horizon=300)
-    for block in simulate(Population.build(config, scenario), config, [1, 2, 3]):
-        assert block.totals.shape[1:] == (2, 3) and block.totals[0].flags.c_contiguous
-
-
 @pytest.mark.parametrize("flip", [False, True])
 def test_block_signals_are_each_replicates_run_signals(flip):
     # replicate k's side signals are those of the run with seed + k; round 0 follows no round.  That each

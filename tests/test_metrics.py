@@ -380,25 +380,33 @@ def _one_cpu_export(trajectory, fmt, destination, monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="fcntl.F_SETPIPE_SZ is Linux's")
 def test_an_export_worker_announces_more_chunks_than_a_pipe_holds_before_commit(tmp_path, monkeypatch):
     # a one-page pipe holds 512 announcements of 8 B; ready() drains them while the run is simulated,
-    # so that the worker formats all 530 chunks before commit and none waits on its announcement.  Only
-    # the announcement pipe is cut to one page: a one-page token pipe refuses tokens once its page is
-    # full, until the worker has read the whole page, so a worker that fell behind the run would leave
-    # the last chunks to commit, as designed, and this test would wait for them in vain
+    # so that the worker formats all 530 chunks before commit and none waits on its announcement.  The
+    # token pipe holds one page too, which takes no token once it is full until the worker has read the
+    # whole page, so that a worker 18 chunks behind the run would leave the last ones to commit, as
+    # designed: ready() hands out chunks only once the worker has taken every chunk handed out before
     import fcntl
 
-    start, chunks = metrics.RecordsExport.start, 530
+    pipe, ready, chunks = os.pipe, metrics.RecordsExport.ready, 530
 
-    def start_with_one_page_announcements(records, trajectory):
-        start(records, trajectory)
-        fcntl.fcntl(records._fds["done"], fcntl.F_SETPIPE_SZ, 4096)  # empty: no token is handed out yet
+    def one_page_pipe():
+        ends = pipe()
+        fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, 4096)
+        return ends
 
     config, scenario, _ = small_run(horizon=chunks * metrics.EXPORT_CHUNK - 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with forced(monkeypatch, SCHEDULES[0], chunks=chunks) as takers:
-        monkeypatch.setattr(metrics.RecordsExport, "start", start_with_one_page_announcements)
+
+        def ready_once_every_chunk_sent_is_taken(records, rounds):
+            while not takers[:records._sent].all() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            ready(records, rounds)
+
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        monkeypatch.setattr(metrics.RecordsExport, "ready", ready_once_every_chunk_sent_is_taken)
         with metrics.RecordsExport("csv", tmp_path / "r.csv") as records:
-            trajectory = run(config, scenario, records=records).trajectory
             deadline = time.monotonic() + 30
+            trajectory = run(config, scenario, records=records).trajectory
             while (takers == 0).any() and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert takers.tolist() == [WORKER] * chunks

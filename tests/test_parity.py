@@ -161,11 +161,10 @@ def test_kernel_matches_oracle(variant, scenario_seed, tmp_path):
 # the 100-round trailing window starts at round 501, inside the second block.
 # The horizons also take every branch of the trailing window: round 0 alone
 # (0), every round below 100 (1, 99), the 100-round floor (255..600) and 10%
-# of the horizon (1001, 101 rounds).  The kernel reads the side totals from
-# the partial-sum rows s - 1 and s, the consumers' sums written from row
-# n - 1 back to row s; markets with one agent on a side put them at the
-# edges: row 0 with one supplier, the last row with one consumer, and rows 0
-# and 1 in a 1 x 1 market.
+# of the horizon (1001, 101 rounds).  The kernel reads the side totals as the
+# partial sums of agents s - 1 and n - 1; markets with one agent on a side
+# put them at the edges: the first agent's with one supplier, adjacent
+# agents' with one consumer, and agents 0 and 1 in a 1 x 1 market.
 BOUNDARY_CASES = ([((3, 4), h) for h in (0, 1, 99, 255, 256, 257, 600, 1001)]
                   + [(size, h) for size in ((1, 1), (1, 3), (3, 1)) for h in (0, 1, 255, 257, 600)])
 
