@@ -14,12 +14,12 @@ population's columns broadcast to that shape and its constants and ufuncs
 bound; ``simulate`` and the oracle parity tests call that same function.
 A run does not store the recorded lambda or the branch code:
 ``metrics.derived_columns`` derives them from the state entering each
-round (``backoff_probability``, ``Population.branches``).  Every operation
-is elementwise and in the order of the one-agent formula, so each value is
-bit-identical to evaluating the agents one at a time.  The step skips the
-guards that cannot act: the floor at 0, if every optimum is at least its
-alpha (then q - alpha >= z* - alpha >= 0), and, where its caller asks, the
-EPS_AVG guard (on averages that are all at least EPS_AVG).
+round (``Population.recorded``).  Every operation is elementwise and in
+the order of the one-agent formula, so each value is bit-identical to
+evaluating the agents one at a time.  The step skips the guards that
+cannot act: the floor at 0, if every optimum is at least its alpha (then
+q - alpha >= z* - alpha >= 0), and, where its caller asks, the EPS_AVG
+guard (on averages that are all at least EPS_AVG).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Population:
         converts), each agent's side signal and one draw in [0, 1) each, it writes ``after`` = (quantity,
         average, u'(average), Bernoulli bit) in place, with (float, bool) ``scratch`` arrays.  The raw
         lambda Gamma u'(avg) / avg, held in the float scratch until the Bernoulli bit is drawn, is
-        unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``backoff_probability``); there
+        unclamped and arbitrary unless signalled and avg >= EPS_AVG (see ``recorded``); there
         a draw is below it exactly when below its clamp to [0, 1], -0.0 and NaN included.  With
         ``guarded`` false the step skips the avg >= EPS_AVG test, which changes no bit where every average
         is at least EPS_AVG.  The quantity entering the step must be >= 0, as a validated initial quantity
@@ -138,18 +138,15 @@ class Population:
 
         return step
 
-    def branches(self, quantity: np.ndarray, bernoulli: np.ndarray) -> np.ndarray:
-        """The branch code of each step, from the quantity entering it (agents
-        along the last axis) and its Bernoulli bit."""
+    def recorded(self, quantity, avg, marginal, signalled, bernoulli) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded lambda and branch code of each step (agents along the last axis), from the quantity,
+        average and u'(average) entering it, its side signal and its Bernoulli bit.  lambda is Gamma u'(avg)
+        / avg if signalled and avg >= EPS_AVG, else 0, then clamped to [0, 1] as ``min(max(raw, 0.0), 1.0)``
+        does: a raw -0.0 stays -0.0 and NaN stays NaN."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as the round step runs
+            lam = self.gamma * marginal / avg
+            np.copyto(lam, 0.0, where=(lam < 0.0) | ~signalled | (avg < EPS_AVG))
+            np.copyto(lam, 1.0, where=lam > 1.0)
         codes = np.where(quantity <= self.family.optimum.T, INCREASE, DECREASE_ADD)
         codes[bernoulli] = DECREASE_MULT
-        return codes
-
-
-def backoff_probability(raw: np.ndarray, signalled: np.ndarray, avg: np.ndarray) -> np.ndarray:
-    """The recorded lambda, in place, from the raw lambda of the round step and the signal and average it
-    read: Gamma u'(avg) / avg if signalled and avg >= EPS_AVG, else 0, then clamped to [0, 1] as
-    ``min(max(raw, 0.0), 1.0)`` does: a raw -0.0 stays -0.0 and NaN stays NaN."""
-    np.copyto(raw, 0.0, where=(raw < 0.0) | ~signalled | (avg < EPS_AVG))
-    np.copyto(raw, 1.0, where=raw > 1.0)
-    return raw
+        return lam, codes

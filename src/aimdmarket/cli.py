@@ -82,27 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
+    """The command's config, with each parsed option applied that was given and names a ``MarketConfig``
+    field, and its scenario."""
     if args.command in ("paper-a", "paper-b"):
-        return reference_configs()[args.command]
-    if args.config is not None and args.reference is not None:
+        config, scenario = reference_configs()[args.command]
+    elif args.config is not None and args.reference is not None:
         raise ValueError("give --config or --reference, not both")
-    if args.config is not None:
-        return load_config_file(args.config)
-    if args.reference is not None:
-        return reference_configs()[args.reference]
-    raise ValueError(f"{args.command} requires --config or --reference")
-
-
-def _apply_overrides(config: MarketConfig, args) -> MarketConfig:
-    """``config`` with each parsed option that was given and names a ``MarketConfig`` field."""
+    elif args.config is not None:
+        config, scenario = load_config_file(args.config)
+    elif args.reference is not None:
+        config, scenario = reference_configs()[args.reference]
+    else:
+        raise ValueError(f"{args.command} requires --config or --reference")
     names = {field.name for field in fields(MarketConfig)}
     return replace(config, **{name: value for name, value in vars(args).items()
-                              if name in names and value is not None})
+                              if name in names and value is not None}), scenario
 
 
 def _cmd_run(args) -> int:
     config, scenario = _load_inputs(args)
-    config = _apply_overrides(config, args)
     # the records are formatted while the run is simulated, and written once its summary is accepted
     with RecordsExport(args.format, args.out / f"records.{args.format}") as records:
         result = run(config, scenario, records=records)
@@ -121,7 +119,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_replicate(args) -> int:
     config, scenario = _load_inputs(args)
-    config = _apply_overrides(config, args)
     if args.replicates < 2:
         raise ValueError("replicate needs --replicates >= 2")
     series, summaries = replicate_series(config, scenario, args.replicates)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import BRANCHES, Population, backoff_probability
+from .agent import BRANCHES, Population
 from .scenario import atomic_writer
 from .text import compact, float_text, int_text, join, literals
 from .utility import ordered_sum
@@ -117,7 +117,7 @@ def _distinct_text(values: np.ndarray) -> np.ndarray:
 
 def derived_columns(trajectory: Trajectory, rows: slice) -> dict[str, np.ndarray]:
     """The back-off probability, branch code, utility value and per-round utility sum (in agent
-    order) of ``rows``.  The first two are the round step's (``Population.bind_step``), from the
+    order) of ``rows``.  The first two are the round step's (``Population.recorded``), from the
     quantity, average and u'(average) entering each round (``initial_quantity`` for all three at
     round 0, as ``market.simulate`` starts), the side signal the agent read and its Bernoulli bit.
     A utility value past the float range is +inf."""
@@ -128,22 +128,14 @@ def derived_columns(trajectory: Trajectory, rows: slice) -> dict[str, np.ndarray
         for column in (trajectory.quantity, trajectory.running_average, trajectory.derivative))
     sides = np.stack([trajectory.supplier_signal[rows], trajectory.consumer_signal[rows]], axis=1)
     signalled = sides.repeat([population.num_suppliers, n - population.num_suppliers], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as the round step runs
-        lam = backoff_probability(population.gamma * marginal / avg, signalled, avg)
+    lam, branch = population.recorded(quantity, avg, marginal, signalled, trajectory.bernoulli[rows])
     try:
         values = population.family.values(trajectory.running_average[rows].T).T
         sums = ordered_sum(values, axis=1)
     except OverflowError:  # a square past the largest float
         values = np.full(avg.shape, math.inf)
         sums = values[:, 0]
-    return {"backoff_probability": lam, "branch": population.branches(quantity, trajectory.bernoulli[rows]),
-            "utility_value": values, "sum_of_utilities": sums}
-
-
-def _chunk_rounds(k: int, rounds: int) -> slice:
-    """The exported rounds of chunk ``k`` of a ``rounds``-round trajectory: the k-th EXPORT_CHUNK
-    rounds, without round 0, so that chunk k is complete once block k of ``market.simulate`` is."""
-    return slice(max(k * EXPORT_CHUNK, 1), min((k + 1) * EXPORT_CHUNK, rounds))
+    return {"backoff_probability": lam, "branch": branch, "utility_value": values, "sum_of_utilities": sums}
 
 
 def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], branch: np.ndarray, trajectory: Trajectory,
@@ -364,7 +356,9 @@ class RecordsExport:
     def _format(self, k: int) -> tuple[bytes, int]:
         """Chunk ``k``'s bytes and its mask, with bit i set if CHECKED_COLUMNS[i] is not finite; no
         bytes if any bit is set."""
-        rows = _chunk_rounds(k, self._rounds)
+        # the k-th EXPORT_CHUNK rounds, without round 0, so that chunk k is complete once block k of
+        # market.simulate is
+        rows = slice(max(k * EXPORT_CHUNK, 1), min((k + 1) * EXPORT_CHUNK, self._rounds))
         derived = derived_columns(self._trajectory, rows)
         columns = [derived[name] if name in derived else getattr(self._trajectory, name)[rows]
                    for name in CHECKED_COLUMNS]
@@ -438,7 +432,7 @@ def summarize_final(
     s = population.num_suppliers
     utility_sums = zip(*(ordered_sum(part).tolist() for part in (values, values[:s], values[s:])))
     mean_abs_derivatives = (ordered_sum(np.abs(final_derivatives)) / len(final_derivatives)).tolist()
-    optima = [u.argmax() for u in population.utilities]
+    optima = [u.optimum for u in population.utilities]
     summaries = []
     for k, (averages, derivatives, (total, supplier, consumer)) in enumerate(
             zip(final_averages.T.tolist(), final_derivatives.T.tolist(), utility_sums)):

@@ -256,7 +256,7 @@ def validate_scenario(spec: ScenarioSpec, config: MarketConfig) -> list[str]:
     if spec.mode is ScenarioMode.BOTH_CONCAVE:
         balanced.append(("supplier", spec.supplier_utilities, "both_concave mode requires finite supplier optima"))
     for side, utilities, unbounded in balanced:
-        optima = [u.argmax() for u in utilities]
+        optima = [u.optimum for u in utilities]
         if None in optima:
             violations.append(unbounded)
         elif abs((total := ordered_sum(optima)) - spec.target_sum) > SUM_REL_TOL * spec.target_sum:
@@ -349,45 +349,39 @@ class _Object(dict):
         raise KeyError(f"missing key {key!r} in {self.where}")
 
 
-def _located(value, path: str):
-    if isinstance(value, dict):  # every object becomes an _Object that knows its path
-        located = _Object((key, _located(item, f"{path}.{key}" if path else key)) for key, item in value.items())
-        located.where = path or "the top-level object"
-        return located
-    if isinstance(value, list):
-        return [_located(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    return value
-
-
 # the objects ({...}) and arrays ([item]) of a config file, in the order that the from_dict methods read them
 _CONTAINERS = {"config": {"supplier_params": {}, "consumer_params": {}},
                "scenario": {"supplier_utilities": [{}], "consumer_utilities": [{}]}}
 
 
-def _mistyped(value, shape, path: str = "") -> Optional[str]:
-    """``<place> must be an object`` (or ``an array``) for the first value present in ``value`` that is not
-    of its type in ``shape``."""
-    if not isinstance(value, type(shape)):
+def _located(value, path: str, shape=None):
+    """``value`` with every object an _Object that knows its path.  A value that ``shape`` has as an object
+    ({...}) or an array ([item]) and that is not one is refused by its place, as from_dict may read it as one
+    or as empty; ``shape``'s keys are walked first, in its order, so the place refused is the same whatever
+    the file's key order."""
+    if shape is not None and not isinstance(value, type(shape)):
         expected = "an object" if isinstance(shape, dict) else "an array"
-        return f"{path or 'the top level'} must be {expected}, got {value!r}"
-    if isinstance(shape, dict):
-        items = ((value[key], inner, f"{path}.{key}" if path else key) for key, inner in shape.items() if key in value)
-    else:
-        items = ((item, shape[0], f"{path}[{i}]") for i, item in enumerate(value))
-    return next(filter(None, (_mistyped(*item) for item in items)), None)
+        raise ValueError(f"{path or 'the top level'} must be {expected}, got {value!r}")
+    if isinstance(value, dict):  # shape's keys are located first; the _Object keeps the file's key order
+        shape, located = shape or {}, _Object.fromkeys(value)
+        for key in [*(key for key in shape if key in value), *(key for key in value if key not in shape)]:
+            located[key] = _located(value[key], f"{path}.{key}" if path else key, shape.get(key))
+        located.where = path or "the top-level object"
+        return located
+    if isinstance(value, list):
+        return [_located(item, f"{path}[{i}]", shape and shape[0]) for i, item in enumerate(value)]
+    return value
 
 
 def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[MarketConfig, ScenarioSpec]:
     """A config file's config and scenario; ``violations`` is as in ``MarketConfig.from_dict``."""
     path = Path(path)
     try:
-        payload = _located(json.loads(path.read_text(encoding="utf-8")), "")
+        document = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    # checked before from_dict reads them: an object or array of another type may be read as one, or as empty
-    if mistyped := _mistyped(payload, _CONTAINERS):
-        raise ValueError(f"{path}: malformed config file: {mistyped}")
     try:
+        payload = _located(document, "", _CONTAINERS)
         config = MarketConfig.from_dict(payload["config"], violations)
         scenario = ScenarioSpec.from_dict(payload["scenario"])
     except KeyError as exc:  # from an _Object, naming the key and where it belongs

@@ -7,9 +7,9 @@ Two families are supported:
 * ``sqrt_monotone`` -- f(z) = l * sqrt(z), strictly increasing and concave,
   with no finite maximum.
 
-A ``UtilitySpec`` holds one agent's fields as given, with its ``argmax``
-and dict I/O; ``scenario.validate_scenario`` checks the fields, so a
-config file's bad utilities are reported with the rest of its violations.
+A ``UtilitySpec`` holds one agent's fields as given, with its dict I/O.
+``scenario.validate_scenario`` checks them (a valid sqrt spec's ``optimum``
+is None), so a config file's bad utilities join its other violations.
 ``UtilityColumns`` holds a population's fields as columns and evaluates
 the family on arrays: the value (``values``) and, in place, the derivative
 (``bind_derivative``) that the round step runs.
@@ -72,12 +72,6 @@ class UtilitySpec:
     @classmethod
     def sqrt_monotone(cls, scale: float) -> "UtilitySpec":
         return cls(UtilityKind.SQRT_MONOTONE, scale=scale)
-
-    def argmax(self) -> Optional[float]:
-        """Location of the finite maximum, or None when none exists."""
-        if self.kind is UtilityKind.QUADRATIC:
-            return self.optimum
-        return None
 
     def to_dict(self) -> dict:
         fields = {"optimum": self.optimum, "curvature": self.curvature, "scale": self.scale}

@@ -178,7 +178,7 @@ def summarize(records: Sequence[RoundRecord], scenario: ScenarioSpec) -> dict:
     window = trailing_window(len(records))
     tail = records[-window:]
     final = records[-1]
-    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
+    optima = [u.optimum for u in scenario.supplier_utilities + scenario.consumer_utilities]
     agents = [
         {"agent_id": e.agent_id, "role": e.role.value, "final_running_average": e.running_average,
          "optimum": optimum, "distance_to_optimum": None if optimum is None else abs(e.running_average - optimum),
@@ -296,7 +296,7 @@ def compute_backoff_probability(state: AgentState, params: RoleParams) -> float:
 def _move(quantity: float, utility: UtilitySpec, params: RoleParams) -> tuple[float, Branch]:
     # Additive branch of the update: the optimum comparison uses the
     # current quantity, not the running average.
-    optimum = utility.argmax()
+    optimum = utility.optimum
     if optimum is None or quantity <= optimum:
         return quantity + params.alpha, Branch.ADDITIVE_INCREASE
     return max(0.0, quantity - params.alpha), Branch.ADDITIVE_DECREASE

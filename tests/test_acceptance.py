@@ -110,7 +110,7 @@ def test_criterion_6_gamma_zero_oracle():
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 400.0, 55)
     trajectory = run(config, scenario).trajectory
     alpha = 5.0
-    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
+    optima = [u.optimum for u in scenario.supplier_utilities + scenario.consumer_utilities]
 
     for agent_id, quantity, z_star in zip(trajectory.population.agent_ids, trajectory.quantity.T, optima):
         bound = max(math.ceil(abs(quantity[0] - z_star) / alpha), 1)

@@ -400,6 +400,44 @@ def test_validate_names_the_place_of_a_wrongly_typed_field(tmp_path, config_file
     assert not out.exists()
 
 
+def test_a_wrongly_typed_object_is_named_in_read_order_whatever_the_file_order(tmp_path, config_file, capsys):
+    # "scenario" is written before "config", and each holds a container of the wrong type: the one named is
+    # config's, which is read first
+    payload = json.loads(config_file.read_text())
+    payload["config"]["supplier_params"] = 0
+    payload["scenario"]["supplier_utilities"] = {}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"scenario": payload["scenario"], "config": payload["config"]}))
+    message = f"{bad}: malformed config file: config.supplier_params must be an object, got 0"
+
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out == f"violation: {message}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reference,unbounded,violation", [
+    ("paper-a", lambda s: replace(s, consumer_utilities=(UtilitySpec.sqrt_monotone(1.0), *s.consumer_utilities[1:])),
+     "consumer utilities must all have finite optima"),
+    ("paper-b", lambda s: replace(s, mode=ScenarioMode.BOTH_CONCAVE),
+     "both_concave mode requires finite supplier optima"),
+], ids=["a sqrt consumer", "both_concave with sqrt suppliers"])
+def test_a_side_whose_optima_must_add_up_refuses_a_sqrt_utility(tmp_path, capsys, reference, unbounded, violation):
+    config, scenario = reference_configs()[reference]
+    path = save_config_file(tmp_path / "unbounded.json", config, unbounded(scenario))
+
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == f"violation: {violation}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"invalid run inputs: {violation}"}
+    assert not out.exists()
+
+
 def test_validate_reports_every_config_violation(tmp_path, config_file, capsys):
     # a field that fails the finiteness check does not hide another field's range
     payload = json.loads(config_file.read_text())

@@ -344,6 +344,12 @@ def test_run_rejects_mismatched_scenario():
         run(wrong, scenario)
 
 
+def test_replicate_series_refuses_fewer_than_one_replicate():
+    config = small_config()
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+        replicate_series(config, small_scenario(config), 0)
+
+
 def test_markov_replay_mid_trajectory():
     # the record at round t is a function of the state at t-1 and the
     # round's draws: rebuild both independently and compare
@@ -372,7 +378,7 @@ def test_gamma_zero_market_oracle():
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 300.0, 21)
     trajectory = run(config, scenario).trajectory
     alpha = config.alpha_s
-    optima = [u.argmax() for u in scenario.supplier_utilities + scenario.consumer_utilities]
+    optima = [u.optimum for u in scenario.supplier_utilities + scenario.consumer_utilities]
 
     for agent_id, quantity, z_star in zip(trajectory.population.agent_ids, trajectory.quantity.T, optima):
         bound = math.ceil(abs(quantity[0] - z_star) / alpha)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -515,6 +516,35 @@ def test_export_forks_its_workers_while_a_helper_thread_runs(tmp_path, monkeypat
     assert not helper.is_alive() and got == expected
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="lists the open descriptors in /proc/self/fd")
+@pytest.mark.parametrize("failing", [0, 1], ids=["token pipe", "announcement pipe"])
+def test_an_export_that_cannot_make_its_pipes_leaks_no_descriptor(failing, tmp_path, temporary, monkeypatch):
+    # os.pipe fails with EMFILE on its first call, or on its second once the token pipe is made
+    _, _, result = small_run(horizon=769)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pipe, calls = os.pipe, []
+
+    def pipe_out_of_descriptors():
+        calls.append(len(calls))
+        if len(calls) > failing:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe_out_of_descriptors)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = sorted(os.listdir("/proc/self/fd"))
+    destination = out / "r.csv"
+    with pytest.raises(OSError) as refused:
+        with metrics.RecordsExport("csv", destination) as records:
+            records.start(result.trajectory)
+    assert str(refused.value) == f"cannot write run export to {destination}: [Errno {errno.EMFILE}] " \
+                                 f"{os.strerror(errno.EMFILE)}"
+    assert len(calls) == failing + 1
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    _assert_no_leftovers(out, temporary)
+
+
 def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):
     config, scenario, _ = small_run(horizon=769)
     expected = streamed_export(config, scenario, "csv", tmp_path / "forked.csv").read_bytes()
@@ -533,6 +563,13 @@ def test_band_export_csv_and_json(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["replicate_count"] == 3
     assert payload["mean"] == [2.0, 3.0]
+
+
+def test_band_export_refuses_an_unknown_format_and_writes_no_file(tmp_path):
+    band = confidence_band([[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match=r"^unknown export format: xml$"):
+        export_band_series(band, "xml", tmp_path / "band.xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_band_csv_bytes_match_csv_writer(tmp_path):

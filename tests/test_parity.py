@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from aimdmarket import metrics
-from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role, backoff_probability
+from aimdmarket.agent import BRANCHES, EPS_AVG, Branch, Population, Role
 from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import EXPORT_CHUNK, TOKEN_BYTES
 from aimdmarket.scenario import MarketConfig, ScenarioMode, ScenarioSpec, generate_scenario, reference_configs
@@ -385,8 +385,8 @@ def test_export_formats_the_chunks_it_could_not_hand_out(tmp_path, monkeypatch):
 
 
 def _kernel_step(state, signal, params, draw):
-    # the round step that simulate binds, from u'(avg) as the oracle computes it, then the derivations
-    # metrics.derived_columns applies; u'(new avg) is checked against the oracle's derivative here
+    # the round step that simulate binds, from u'(avg) as the oracle computes it, then Population.recorded,
+    # as metrics.derived_columns applies it; u'(new avg) is checked against the oracle's derivative here
     config = MarketConfig(1, 0, alpha_s=params.alpha, beta_s=params.beta, alpha_c=params.alpha, beta_c=params.beta,
                           gamma=params.gamma, horizon=1, seed=0)
     population = Population.build(config, ScenarioSpec((state.utility,), (), 1.0, BOTH))
@@ -399,10 +399,9 @@ def _kernel_step(state, signal, params, draw):
         # the samples the average holds and will hold, as 0-d float arrays, as simulate passes them
         samples = np.array(float(state.rounds_elapsed + 1)), np.array(float(state.rounds_elapsed + 2))
         step(before, after, samples, signalled, np.array([[draw]]), scratch)
-        lam = backoff_probability(population.gamma * before[2] / avg, signalled, avg)
     new_quantity, new_avg, new_marginal, bernoulli = after
     assert repr(float(new_marginal[0, 0])) == repr(derivative(state.utility, float(new_avg[0, 0])))
-    branch = population.branches(quantity, bernoulli)
+    lam, branch = population.recorded(*before, signalled, bernoulli)
     return (float(new_quantity[0, 0]), float(new_avg[0, 0]), float(lam[0, 0]), int(bernoulli[0, 0]),
             BRANCHES[branch[0, 0]])
 

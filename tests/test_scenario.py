@@ -26,8 +26,8 @@ def paper_geometry(seed=42):
 def test_sum_constraints_hold():
     config = paper_geometry()
     spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, 17)
-    sup = sum(u.argmax() for u in spec.supplier_utilities)
-    con = sum(u.argmax() for u in spec.consumer_utilities)
+    sup = sum(u.optimum for u in spec.supplier_utilities)
+    con = sum(u.optimum for u in spec.consumer_utilities)
     assert sup == pytest.approx(900.0, rel=1e-6)
     assert con == pytest.approx(900.0, rel=1e-6)
 
@@ -35,8 +35,8 @@ def test_sum_constraints_hold():
 def test_single_agent_gets_full_target():
     config = MarketConfig(1, 1, horizon=10, seed=1)
     spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, 5)
-    assert spec.supplier_utilities[0].argmax() == pytest.approx(900.0)
-    assert spec.consumer_utilities[0].argmax() == pytest.approx(900.0)
+    assert spec.supplier_utilities[0].optimum == pytest.approx(900.0)
+    assert spec.consumer_utilities[0].optimum == pytest.approx(900.0)
 
 
 def test_generation_reproducible():
@@ -57,8 +57,8 @@ def test_sum_constraint_over_many_seeds():
     config = paper_geometry()
     for seed in range(1000):
         spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, seed)
-        sup = sum(u.argmax() for u in spec.supplier_utilities)
-        con = sum(u.argmax() for u in spec.consumer_utilities)
+        sup = sum(u.optimum for u in spec.supplier_utilities)
+        con = sum(u.optimum for u in spec.consumer_utilities)
         assert abs(sup - 900.0) <= 1e-6 * 900.0
         assert abs(con - 900.0) <= 1e-6 * 900.0
 
@@ -69,7 +69,7 @@ def test_all_parameters_strictly_positive():
         both = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 900.0, seed)
         mono = generate_scenario(config, ScenarioMode.MONOTONE_SUPPLIERS, 900.0, seed)
         for u in both.supplier_utilities + both.consumer_utilities + mono.consumer_utilities:
-            assert u.argmax() > 0
+            assert u.optimum > 0
             assert u.curvature > 0
         for u in mono.supplier_utilities:
             assert u.scale > 0

@@ -66,9 +66,11 @@ def test_sqrt_derivative_unbounded_at_zero():
 
 
 def test_argmax():
-    assert quad().argmax() == 50.0
-    assert UtilitySpec.sqrt_monotone(3.0).argmax() is None
-    assert UtilitySpec.quadratic(0.0, 1.0).argmax() == 0.0  # boundary optimum
+    # a utility's finite maximum is at its optimum, which a sqrt utility leaves unset (validate_scenario
+    # refuses one that sets it: test_construction_validation)
+    assert quad().optimum == 50.0
+    assert UtilitySpec.sqrt_monotone(3.0).optimum is None
+    assert UtilitySpec.quadratic(0.0, 1.0).optimum == 0.0  # boundary optimum
 
 
 def test_construction_validation():
