@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .market import replicate_series, run
-from .metrics import CONFIDENCE_LEVEL, RecordsExport, confidence_band, export_band_series
+from .metrics import CONFIDENCE_LEVEL, RecordsExport, band_text, confidence_band
 from .scenario import (
     REFERENCE_NAMES,
     MarketConfig,
@@ -129,17 +129,15 @@ def _cmd_replicate(args) -> int:
         "series": "mean_supplier_derivative",
         "level": CONFIDENCE_LEVEL,
     }
-    # a non-finite summary fails here and a non-finite band in
-    # export_band_series, both before anything is written
-    texts = {"replicate_summaries.json": strict_json(summaries),
-             "replicate_meta.json": strict_json(meta)}
+    # a non-finite summary or band fails here, before --out exists
+    band_path = args.out / f"band_supplier_derivative.{args.format}"
+    parts = {args.out / "replicate_summaries.json": [strict_json(summaries)],
+             args.out / "replicate_meta.json": [strict_json(meta)],
+             band_path: band_text(confidence_band(series), args.format)}
     args.out.mkdir(parents=True, exist_ok=True)
-    band_path = export_band_series(
-        confidence_band(series), args.format, args.out / f"band_supplier_derivative.{args.format}"
-    )
-    for name, text in texts.items():
-        with atomic_writer(args.out / name) as fh:
-            fh.write(text)
+    for path, chunks in parts.items():
+        with atomic_writer(path) as fh:
+            fh.writelines(chunks)
     save_config_file(args.out / "run_config.json", config, scenario)
     print(f"wrote {band_path}")
     return 0

@@ -10,13 +10,13 @@ evaluated at the running average, which is the quantity the convergence
 claims are about; no whole-run copy of them is kept.  A run's summary
 (``summarize_final``) exists only as the JSON object that ``summary.json``
 and each ``replicate_summaries.json`` entry hold, so this module alone
-knows its layout.  Exports are written
-from the columns, checked finite and written atomically, and are
-byte-deterministic: repeated export of the same run is identical.  A records
-export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to forked
-workers through a pipe of chunk tokens while the run is simulated, and writes
-each chunk as soon as all before it are written; whichever process formats a
-chunk derives its columns, and the bytes do not depend on which one it is.
+knows its layout.  Exports are built from the columns, checked finite and
+byte-deterministic.  A band is returned as parts of bytes (``band_text``), which
+the caller writes; the records are the one file written here, atomically.  A
+records export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to
+forked workers through a pipe of chunk tokens while the run is simulated, and
+writes each chunk as soon as all before it are written; whichever process
+formats a chunk derives its columns, and the bytes do not depend on which one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ CSV_HEADER = (
 # block, so that chunk k is complete once block k is: memory stays O(EXPORT_CHUNK x agents x
 # replicates) whatever the horizon.
 EXPORT_CHUNK = 256
-# Band rows built at a time, for the same reason.
+# Band rows formatted at a time, so that a long band is never held whole as text or temporaries.
 BAND_CHUNK = 8192
 # The per-agent float columns of a Trajectory, in export order.
 FLOAT_COLUMNS = ("quantity", "running_average", "utility_value", "derivative", "backoff_probability")
@@ -120,7 +120,7 @@ def derived_columns(trajectory: Trajectory, rows: slice) -> dict[str, np.ndarray
     order) of ``rows``.  The first two are the round step's (``Population.recorded``), from the
     quantity, average and u'(average) entering each round (``initial_quantity`` for all three at
     round 0, as ``market.simulate`` starts), the side signal the agent read and its Bernoulli bit.
-    A utility value past the float range is +inf."""
+    A utility value past the float range is +-inf (``UtilityColumns.values``)."""
     population, n = trajectory.population, len(trajectory.population.agent_ids)
     start = np.full((1, n), trajectory.initial_quantity)
     quantity, avg, marginal = (
@@ -129,13 +129,9 @@ def derived_columns(trajectory: Trajectory, rows: slice) -> dict[str, np.ndarray
     sides = np.stack([trajectory.supplier_signal[rows], trajectory.consumer_signal[rows]], axis=1)
     signalled = sides.repeat([population.num_suppliers, n - population.num_suppliers], axis=1)
     lam, branch = population.recorded(quantity, avg, marginal, signalled, trajectory.bernoulli[rows])
-    try:
-        values = population.family.values(trajectory.running_average[rows].T).T
-        sums = ordered_sum(values, axis=1)
-    except OverflowError:  # a square past the largest float
-        values = np.full(avg.shape, math.inf)
-        sums = values[:, 0]
-    return {"backoff_probability": lam, "branch": branch, "utility_value": values, "sum_of_utilities": sums}
+    values = population.family.values(trajectory.running_average[rows].T).T
+    return {"backoff_probability": lam, "branch": branch, "utility_value": values,
+            "sum_of_utilities": ordered_sum(values, axis=1)}
 
 
 def _chunk_rows(fmt: str, rows: slice, columns: list[np.ndarray], branch: np.ndarray, trajectory: Trajectory,
@@ -274,7 +270,7 @@ class RecordsExport:
                 self._workers.append(self._fork(w))
             os.close(self._fds.pop("announce"))  # the announcements end once every worker has exited
         except OSError as exc:
-            raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
+            raise OSError(f"cannot write {self.destination}: {exc}") from exc
 
     def _fork(self, w: int) -> int:
         """Fork worker ``w`` and return its pid.  The worker formats into file ``w`` the chunks it
@@ -323,34 +319,30 @@ class RecordsExport:
         is not finite in any chunk."""
         mine = chain(iter(lambda: _take(self._fds["take"]), None), range(self._sent, self._count))
         held, k = {}, 0  # this process's chunks not yet written; the next chunk to write
-        try:
-            os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
-            with atomic_writer(self.destination) as fh:
-                out = fh.buffer  # every byte is written under the text layer
-                out.write(CSV_HEADER.encode() + b"\n" if self.fmt == "csv" else b"[")
-                while k < self._count:
-                    if k in held or k in self._announced:
-                        out.write(held.pop(k, b""))
-                        w, offset, length, _ = self._table[k].tolist()  # length 0 if this process's
-                        while length:  # one pread returns at most 0x7ffff000 bytes on Linux
-                            text = os.pread(self._files[w].fileno(), length, offset)
-                            offset, length = offset + out.write(text), length - len(text)
-                        k += 1
-                    elif len(held) < 2 and (j := next(mine, None)) is not None:
-                        held[j], self._table[j, 3] = self._format(j)
-                    elif not self._drain(wait=True):
-                        break  # every worker has exited without announcing chunk k: the reap names the failure
-                failed = [code for code in self._reap() if code]
-                if failed:
-                    raise OSError(f"an export worker exited with status {failed[0]}")
-                mask = int(np.bitwise_or.reduce(self._table[:, 3]))
-                if mask:
-                    name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
-                    raise ValueError(f"the run overflowed or went non-finite: records column {name}")
-                if self.fmt == "json":
-                    out.write(b"]\n")
-        except OSError as exc:
-            raise OSError(f"cannot write run export to {self.destination}: {exc}") from exc
+        os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
+        with atomic_writer(self.destination) as out:  # an OSError in the block names the destination
+            out.write(CSV_HEADER.encode() + b"\n" if self.fmt == "csv" else b"[")
+            while k < self._count:
+                if k in held or k in self._announced:
+                    out.write(held.pop(k, b""))
+                    w, offset, length, _ = self._table[k].tolist()  # length 0 if this process's
+                    while length:  # one pread returns at most 0x7ffff000 bytes on Linux
+                        text = os.pread(self._files[w].fileno(), length, offset)
+                        offset, length = offset + out.write(text), length - len(text)
+                    k += 1
+                elif len(held) < 2 and (j := next(mine, None)) is not None:
+                    held[j], self._table[j, 3] = self._format(j)
+                elif not self._drain(wait=True):
+                    break  # every worker has exited without announcing chunk k: the reap names the failure
+            failed = [code for code in self._reap() if code]
+            if failed:
+                raise OSError(f"an export worker exited with status {failed[0]}")
+            mask = int(np.bitwise_or.reduce(self._table[:, 3]))
+            if mask:
+                name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
+                raise ValueError(f"the run overflowed or went non-finite: records column {name}")
+            if self.fmt == "json":
+                out.write(b"]\n")
         return self.destination
 
     def _format(self, k: int) -> tuple[bytes, int]:
@@ -376,34 +368,24 @@ class RecordsExport:
         return codes
 
 
-def export_band_series(band: BandSeries, fmt: str, destination) -> Path:
-    """Write a BandSeries as CSV or JSON, atomically; a non-finite band is
-    refused with a ValueError before the file is opened."""
-    destination = Path(destination)
+def band_text(band: BandSeries, fmt: str) -> Iterator[bytes]:
+    """The bytes of a BandSeries as CSV or JSON, in parts to write in order, each made as it is taken; a
+    non-finite band is refused here, before any part is made, naming its first non-finite column."""
     columns = dict(rounds=np.arange(1, len(band.mean) + 1), mean=band.mean, lower=band.lower, upper=band.upper)
     for name in ("mean", "lower", "upper"):
         if not np.isfinite(columns[name]).all():
             raise ValueError(f"the run overflowed or went non-finite: band column {name}")
-    try:
-        if fmt == "csv":
-            with atomic_writer(destination) as fh:
-                fh.write("round,mean,lower,upper,replicate_count\n")
-                fh.flush()
-                for start in range(0, len(band.mean), BAND_CHUNK):
-                    rounds, mean, lower, upper = (column[start : start + BAND_CHUNK] for column in columns.values())
-                    fields = [int_text(rounds), ",", float_text(mean), ",", float_text(lower), ",", float_text(upper)]
-                    fh.buffer.write(compact(join((len(rounds),), [*fields, f",{band.replicate_count}\n"])))
-        elif fmt == "json":
-            payload = {"replicate_count": band.replicate_count,
-                       **{name: column.tolist() for name, column in columns.items()}}
-            with atomic_writer(destination) as fh:
-                json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown export format: {fmt}")
-    except OSError as exc:
-        raise OSError(f"cannot write band series to {destination}: {exc}") from exc
-    return destination
+    if fmt == "csv":  # BAND_CHUNK rows a part
+        chunks = ([column[start : start + BAND_CHUNK] for column in columns.values()]
+                  for start in range(0, len(band.mean), BAND_CHUNK))
+        rows = (join((len(rounds),), [int_text(rounds), ",", float_text(mean), ",", float_text(lower), ",",
+                                      float_text(upper), f",{band.replicate_count}\n"])
+                for rounds, mean, lower, upper in chunks)
+        return chain([b"round,mean,lower,upper,replicate_count\n"], map(compact, rows))
+    if fmt == "json":  # the bytes of json.dumps with separators (",", ":"), a column's list a part
+        lists = (f',"{name}":{json.dumps(column.tolist(), separators=(",", ":"))}' for name, column in columns.items())
+        return chain([b'{"replicate_count":%d' % band.replicate_count], map(str.encode, lists), [b"}\n"])
+    raise ValueError(f"unknown export format: {fmt}")
 
 
 def trailing_window(rounds: int) -> int:
@@ -425,10 +407,7 @@ def summarize_final(
     # the last `window` rounds of 1..horizon, or round 0 alone at horizon 0
     window = trailing_window(max(horizon, 1))
     supply, consumption = (ordered_sum(totals[horizon + 1 - window:]) / window).tolist()
-    try:
-        values = population.family.values(final_averages)
-    except OverflowError:  # (z - z*) ** 2 past the largest float
-        raise ValueError("the run overflowed: final_sum_of_utilities is out of range") from None
+    values = population.family.values(final_averages)
     s = population.num_suppliers
     utility_sums = zip(*(ordered_sum(part).tolist() for part in (values, values[:s], values[s:])))
     mean_abs_derivatives = (ordered_sum(np.abs(final_derivatives)) / len(final_derivatives)).tolist()

@@ -297,26 +297,27 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
 
 @contextmanager
 def atomic_writer(path: Path):
-    """A text file that replaces ``path`` only once the block completes.
+    """A binary file, written bytes only, that replaces ``path`` only once the block completes.
 
-    It is written beside ``path`` and moved onto it with ``os.replace``,
-    so a write that fails leaves no partial file and any earlier file
-    intact.
+    It is written beside ``path`` and moved onto it with ``os.replace``, so a write that fails leaves no
+    partial file and any earlier file intact, and its OSError is ``cannot write <path>: <error>``.
     """
     temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with temp.open("x", encoding="utf-8", newline="") as fh:
+        with temp.open("xb") as fh:
             yield fh
         os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
     finally:
         temp.unlink(missing_ok=True)
 
 
-def strict_json(payload) -> str:
-    """``payload`` as indented strict JSON: a NaN or an infinity, which only a run that overflowed can
-    put there, is refused with a ValueError that names its field."""
+def strict_json(payload) -> bytes:
+    """``payload`` as the bytes of indented strict JSON: a NaN or an infinity, which only a run that
+    overflowed can put there, is refused with a ValueError that names its field."""
     try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False).encode() + b"\n"
     except ValueError:
         raise ValueError(f"the run overflowed or went non-finite: {_non_finite_field(payload)}") from None
 
@@ -358,7 +359,7 @@ def _located(value, path: str, shape=None):
     """``value`` with every object an _Object that knows its path.  A value that ``shape`` has as an object
     ({...}) or an array ([item]) and that is not one is refused by its place, as from_dict may read it as one
     or as empty; ``shape``'s keys are walked first, in its order, so the place refused is the same whatever
-    the file's key order."""
+    the file's key order.  It descends into every value: one too deep for a later message's repr fails here."""
     if shape is not None and not isinstance(value, type(shape)):
         expected = "an object" if isinstance(shape, dict) else "an array"
         raise ValueError(f"{path or 'the top level'} must be {expected}, got {value!r}")
@@ -377,13 +378,13 @@ def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[Mark
     """A config file's config and scenario; ``violations`` is as in ``MarketConfig.from_dict``."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        payload = _located(document, "", _CONTAINERS)
+        payload = _located(json.loads(path.read_text(encoding="utf-8")), "", _CONTAINERS)
         config = MarketConfig.from_dict(payload["config"], violations)
         scenario = ScenarioSpec.from_dict(payload["scenario"])
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:  # from json.loads or the walk
+        raise ValueError(f"{path}: malformed config file: nested too deeply") from None
     except KeyError as exc:  # from an _Object, naming the key and where it belongs
         raise ValueError(f"{path}: malformed config file: {exc.args[0]}") from None
     except ValueError as exc:

@@ -12,7 +12,7 @@ A ``UtilitySpec`` holds one agent's fields as given, with its dict I/O.
 is None), so a config file's bad utilities join its other violations.
 ``UtilityColumns`` holds a population's fields as columns and evaluates
 the family on arrays: the value (``values``) and, in place, the derivative
-(``bind_derivative``) that the round step runs.
+(``bind_derivative``) that the round step runs, each overflow a quiet +-inf.
 
 A new family extends ``UtilityKind`` and this module, and also the field
 table of ``scenario.validate_scenario``.
@@ -116,10 +116,13 @@ class UtilityColumns(NamedTuple):
     def values(self, avg: np.ndarray) -> np.ndarray:
         """u(avg), with agents along the first axis of ``avg``.  The square of (z - z*) is libm ``pow``
         value by value, as ``** 2`` on a float is: ``d * d``, ``np.square`` and ``np.power`` each
-        differ from it on some values.  A square past the largest float raises OverflowError, as
-        ``** 2`` does; any other overflow gives +-inf quietly, as float arithmetic does."""
+        differ from it on some values.  If a square passes the largest float, where ``** 2`` raises,
+        every square is +inf and every quadratic value -inf, as other overflows are quiet +-inf."""
         gaps = (avg - self.optimum).ravel().tolist()
-        squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(avg.shape)
+        try:
+            squares = np.fromiter(map(math.pow, gaps, repeat(2.0)), float, len(gaps)).reshape(avg.shape)
+        except OverflowError:
+            squares = np.full(avg.shape, math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             return np.where(self.is_sqrt, self.scale * np.sqrt(avg), -squares / self.curvature + 1.5 * self.curvature)
 

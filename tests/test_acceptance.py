@@ -16,7 +16,7 @@ import pytest
 from aimdmarket.agent import Role
 from aimdmarket.cli import main
 from aimdmarket.market import replicate_series, run
-from aimdmarket.metrics import confidence_band, export_band_series
+from aimdmarket.metrics import band_text, confidence_band
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
@@ -207,8 +207,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     for k in reversed(range(4)):
         result = run(replace(config, seed=config.seed + k), scenario)
         series_by_index[k] = mean_derivative_series(records_from(result.trajectory)[1:], Role.SUPPLIER)
-    reordered = export_band_series(confidence_band(series_by_index), "json", tmp_path / "band_r.json")
-    assert reordered.read_bytes() == (rep1 / band_name).read_bytes()
+    assert b"".join(band_text(confidence_band(series_by_index), "json")) == (rep1 / band_name).read_bytes()
     report(9, "CSV/JSON artifacts byte-identical across reruns and replicate orderings")
 
 

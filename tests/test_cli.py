@@ -158,6 +158,50 @@ def test_a_file_that_is_not_utf_8_is_refused_as_not_json(tmp_path, capsys):
     assert not out.exists()
 
 
+def _nested_at(payload, keys, depth: int) -> str:
+    """``payload`` as JSON text with the value at ``keys`` an array nested ``depth`` deep; with no keys,
+    that array is the whole document."""
+    deep = "[" * depth + "]" * depth
+    if not keys:
+        return deep
+    *parents, leaf = keys
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = "deep"
+    return json.dumps(payload).replace('"deep"', deep)
+
+
+def test_a_config_file_nested_too_deeply_is_one_refusal_without_a_traceback(tmp_path, config_file):
+    # json.loads or the walk of the file recurses past the interpreter's limit on the two deepest on every
+    # interpreter, and on the other two before 3.12; from 3.12 the walk takes one frame a level rather than
+    # two, so those two may be read and then refused by their field, as any non-integer is
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    paper_a = save_config_file(tmp_path / "paper-a.json", *reference_configs()["paper-a"])
+    files = {"suppliers.json": _nested_at(json.loads(config_file.read_text()), ("config", "num_suppliers"), 985),
+             "top.json": _nested_at(None, (), 100_000),
+             "horizon.json": _nested_at(json.loads(paper_a.read_text()), ("config", "horizon"), 900),
+             "suppliers-1200.json": _nested_at(json.loads(config_file.read_text()), ("config", "num_suppliers"), 1200)}
+    lines = {}
+    for name, text in files.items():
+        path, out = tmp_path / name, tmp_path / "out"
+        path.write_text(text)
+        validate, run = (subprocess.run([sys.executable, "-m", "aimdmarket.cli", *command, "--config", str(path)],
+                                        env=env, capture_output=True, timeout=60)
+                         for command in (["validate"], ["run", "--out", str(out)]))
+        assert (validate.returncode, validate.stderr) == (1, b""), name
+        lines[name] = validate.stdout.decode().splitlines()
+        assert lines[name] and all(line.startswith("violation: ") for line in lines[name]), name
+        assert (run.returncode, run.stdout) == (1, b""), name
+        (line,) = run.stderr.decode().splitlines()  # one JSON error, no traceback
+        assert set(json.loads(line)) == {"error"}
+        assert not out.exists()
+    two_frames_a_level = sys.version_info < (3, 12)
+    for name in ["top.json", "suppliers-1200.json"] + two_frames_a_level * ["suppliers.json", "horizon.json"]:
+        assert lines[name] == [f"violation: {tmp_path / name}: malformed config file: nested too deeply"]
+
+
 def test_validate_reads_utf_8_and_writes_its_lines_under_an_ascii_locale(tmp_path, config_file):
     # a C locale without UTF-8 mode: the locale's encoding is ASCII, for reading files and for stdout
     env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
@@ -602,7 +646,31 @@ def test_replicate_refuses_a_band_that_overflows(tmp_path, capsys, fmt):
     assert main(["replicate", "--config", str(config), "--replicates", "3", "--format", fmt, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "the run overflowed or went non-finite: band column mean"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()  # the band is built before --out is made
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("csv", b"round,mean,lower,upper,replicate_count\n"),
+    ("json", b'{"replicate_count":2,"rounds":[],"mean":[],"lower":[],"upper":[]}\n'),
+])
+def test_replicate_writes_an_empty_band_at_horizon_zero(tmp_path, fmt, expected):
+    out = tmp_path / "out"
+    assert main(["replicate", "--reference", "paper-a", "--replicates", "2", "--horizon", "0", "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert (out / f"band_supplier_derivative.{fmt}").read_bytes() == expected
+
+
+@pytest.mark.parametrize("command,artifact", [("replicate", "band_supplier_derivative.csv"),
+                                              ("replicate", "run_config.json"), ("run", "summary.json")])
+def test_a_failed_write_names_its_artifact_not_its_temporary_file(tmp_path, config_file, capsys, command, artifact):
+    # a directory where the artifact belongs: moving the written file onto it fails
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    replicates = ["--replicates", "2"] if command == "replicate" else []
+    assert main([command, "--config", str(config_file), *replicates, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"].startswith(f"cannot write {out / artifact}: ")
+    assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
 
 
 def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, capsys):

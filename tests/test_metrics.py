@@ -5,6 +5,7 @@ import json
 import math
 import mmap
 import os
+import re
 import signal
 import sys
 import tempfile
@@ -22,8 +23,8 @@ from aimdmarket.market import replicate_series, run
 from aimdmarket.metrics import (
     CSV_HEADER,
     BandSeries,
+    band_text,
     confidence_band,
-    export_band_series,
 )
 from aimdmarket.scenario import (
     MarketConfig,
@@ -226,7 +227,8 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
         with pytest.raises(OSError):
             streamed_export(config, scenario, fmt, missing / f"r.{fmt}")
         with pytest.raises(OSError):
-            export_band_series(band, fmt, missing / f"band.{fmt}")
+            with atomic_writer(missing / f"band.{fmt}") as fh:
+                fh.writelines(band_text(band, fmt))
     assert not (tmp_path / "no").exists()
 
     earlier = tmp_path / "summary.json"
@@ -236,8 +238,11 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
             fh.write(strict_json({"value": float("inf")}))
     with pytest.raises(RuntimeError):
         with atomic_writer(earlier) as fh:
-            fh.write("partial")
+            fh.write(b"partial")
             raise RuntimeError("interrupted")
+    with pytest.raises(TypeError):  # bytes only
+        with atomic_writer(earlier) as fh:
+            fh.write("text")
     assert earlier.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
@@ -305,8 +310,8 @@ def test_export_names_the_first_column_non_finite_in_any_chunk(schedule, tmp_pat
 
 @pytest.mark.parametrize("schedule", SCHEDULES[:2])
 def test_export_names_a_utility_value_past_the_float_range(schedule, tmp_path, temporary, monkeypatch):
-    # a running average whose squared gap to the optimum overflows: u raises OverflowError, in
-    # whichever process computes it, and the refusal names the column
+    # a running average whose squared gap to the optimum overflows: u is -inf, in whichever process
+    # computes it, and the refusal names the column
     _, _, result = small_run(horizon=769)
     result.trajectory.running_average[600, 0] = 1e300
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -332,7 +337,8 @@ def test_a_worker_killed_mid_run_fails_the_export(tmp_path, temporary, monkeypat
     out = tmp_path / "out"
     out.mkdir()
     with forced(monkeypatch, SCHEDULES[0]):
-        with pytest.raises(OSError, match=r"cannot write run export to .*r\.csv: an export worker exited with status -9"):
+        failure = f"cannot write {out / 'r.csv'}: an export worker exited with status -9"
+        with pytest.raises(OSError, match=f"^{re.escape(failure)}$"):
             with metrics.RecordsExport("csv", out / "r.csv") as records:
                 run(config, scenario, records=records)
                 records.commit()
@@ -471,9 +477,9 @@ def test_a_worker_killed_once_the_export_destination_is_open_fails_it(tmp_path, 
         return chunk_rows(*args)
 
     monkeypatch.setattr(metrics, "_chunk_rows", killed_once_the_destination_is_open)
-    failure = r"cannot write run export to .*r\.csv: an export worker exited with status -9"
+    failure = f"cannot write {out / 'r.csv'}: an export worker exited with status -9"
     with forced(monkeypatch, SCHEDULES[0]):
-        with pytest.raises(OSError, match=failure):
+        with pytest.raises(OSError, match=f"^{re.escape(failure)}$"):
             export_at_once(result.trajectory, "csv", out / "r.csv")
     assert opened[0]
     _assert_no_leftovers(out, temporary)
@@ -538,7 +544,7 @@ def test_an_export_that_cannot_make_its_pipes_leaks_no_descriptor(failing, tmp_p
     with pytest.raises(OSError) as refused:
         with metrics.RecordsExport("csv", destination) as records:
             records.start(result.trajectory)
-    assert str(refused.value) == f"cannot write run export to {destination}: [Errno {errno.EMFILE}] " \
+    assert str(refused.value) == f"cannot write {destination}: [Errno {errno.EMFILE}] " \
                                  f"{os.strerror(errno.EMFILE)}"
     assert len(calls) == failing + 1
     assert sorted(os.listdir("/proc/self/fd")) == before
@@ -553,26 +559,23 @@ def test_one_writer_where_fork_is_missing(tmp_path, monkeypatch):
     assert streamed_export(config, scenario, "csv", tmp_path / "r.csv").read_bytes() == expected
 
 
-def test_band_export_csv_and_json(tmp_path):
+def test_band_export_csv_and_json():
     band = confidence_band([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-    csv_path = export_band_series(band, "csv", tmp_path / "band.csv")
-    lines = csv_path.read_text().splitlines()
+    lines = b"".join(band_text(band, "csv")).decode().splitlines()
     assert lines[0] == "round,mean,lower,upper,replicate_count"
     assert len(lines) == 3
-    json_path = export_band_series(band, "json", tmp_path / "band.json")
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(b"".join(band_text(band, "json")))
     assert payload["replicate_count"] == 3
     assert payload["mean"] == [2.0, 3.0]
 
 
-def test_band_export_refuses_an_unknown_format_and_writes_no_file(tmp_path):
+def test_band_text_refuses_an_unknown_format():
     band = confidence_band([[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(ValueError, match=r"^unknown export format: xml$"):
-        export_band_series(band, "xml", tmp_path / "band.xml")
-    assert list(tmp_path.iterdir()) == []
+        band_text(band, "xml")
 
 
-def test_band_csv_bytes_match_csv_writer(tmp_path):
+def test_band_csv_bytes_match_csv_writer():
     # the rows csv.writer wrote, for a value in every repr layout in each column
     mean, lower, upper = LAYOUTS, LAYOUTS[1:] + LAYOUTS[:1], LAYOUTS[::-1]
     band = BandSeries(np.array(mean), np.array(lower), np.array(upper), 7)
@@ -581,7 +584,7 @@ def test_band_csv_bytes_match_csv_writer(tmp_path):
     writer.writerow(["round", "mean", "lower", "upper", "replicate_count"])
     for i in range(len(LAYOUTS)):
         writer.writerow([i + 1, repr(mean[i]), repr(lower[i]), repr(upper[i]), band.replicate_count])
-    written = export_band_series(band, "csv", tmp_path / "band.csv").read_bytes()
+    written = b"".join(band_text(band, "csv"))
     assert written == expected.getvalue().encode()
     assert written.endswith(b"15,0.30000000000000004,1.5,0.0001,7\n16,1.5,1e-05,1e-05,7\n")
 

@@ -213,7 +213,7 @@ def test_utility_value_matches_evaluate(reference):
 def test_array_utility_forms_match_oracle_on_edges():
     # value and u' of each (utility, average) pair as one mixed population evaluates them, against
     # the oracle's scalar forms, by repr; the value form overflows to +-inf quietly, as the scalar
-    # form does, and u' under the round step's error state
+    # form does where it does not raise, and u' under the round step's error state
     quad, sqrt = UtilitySpec.quadratic, UtilitySpec.sqrt_monotone
     below, above = float(np.nextafter(50.0, 0.0)), float(np.nextafter(50.0, np.inf))
     edges = [
@@ -232,11 +232,12 @@ def test_array_utility_forms_match_oracle_on_edges():
     got = [(repr(value), repr(slope)) for value, slope in zip(values.ravel().tolist(), marginal.ravel().tolist())]
     assert got == [(repr(evaluate(u, z)), repr(derivative(u, z))) for u, z in cases]
     assert {"-inf", "inf", "-0.0"} <= {text for pair in got for text in pair}
-    # a gap whose square passes the largest float raises in both forms
+    # a gap whose square passes the largest float: the scalar ** 2 raises, and the array form makes
+    # every quadratic value -inf, that agent's and the others', while a sqrt agent keeps its value
     with pytest.raises(OverflowError):
         evaluate(quad(0.0, 1.0), 1e155)
-    with pytest.raises(OverflowError):
-        UtilityColumns.of([quad(0.0, 1.0)]).values(np.array([[1e155]]))
+    mixed = UtilityColumns.of([quad(0.0, 1.0), quad(50.0, 10.0), sqrt(4.0)])
+    assert mixed.values(np.array([[1e155], [50.0], [4.0]])).ravel().tolist() == [-math.inf, -math.inf, 8.0]
 
 
 @pytest.mark.parametrize("reference", ["paper-a", "paper-b"])
