@@ -24,10 +24,10 @@ from .scenario import (
     REFERENCE_NAMES,
     MarketConfig,
     ScenarioSpec,
-    atomic_writer,
+    artifact_set,
+    config_text,
     load_config_file,
     reference_configs,
-    save_config_file,
     strict_json,
     validate_config,
     validate_scenario,
@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("paper-a", "paper-b"):
         p_ref = sub.add_parser(name, help=f"run the {name} reference experiment")
         _add_common_options(p_ref, with_source=False)
+        p_ref.set_defaults(config=None, reference=name)
 
     p_val = sub.add_parser("validate", help="check a config file's inputs (not its run)", description=(
         "Check a config file's inputs and list violations.  The simulation is not run: a config whose "
@@ -84,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
     """The command's config, with each parsed option applied that was given and names a ``MarketConfig``
     field, and its scenario."""
-    if args.command in ("paper-a", "paper-b"):
-        config, scenario = reference_configs()[args.command]
-    elif args.config is not None and args.reference is not None:
+    if args.config is not None and args.reference is not None:
         raise ValueError("give --config or --reference, not both")
     elif args.config is not None:
         config, scenario = load_config_file(args.config)
@@ -101,18 +100,16 @@ def _load_inputs(args) -> tuple[MarketConfig, ScenarioSpec]:
 
 def _cmd_run(args) -> int:
     config, scenario = _load_inputs(args)
+    records = f"records.{args.format}"
     # the records are formatted while the run is simulated, and written once its summary is accepted
-    with RecordsExport(args.format, args.out / f"records.{args.format}") as records:
-        result = run(config, scenario, records=records)
-        # a non-finite summary fails here, before --out exists, and a non-finite round
-        # in commit, which leaves no file
+    with artifact_set(args.out) as put, RecordsExport(args.format, put(records)) as export:
+        result = run(config, scenario, records=export)
+        # a non-finite summary fails here, before the worker is waited for, and a non-finite round in commit
         summary = strict_json(result.summary)
-        args.out.mkdir(parents=True, exist_ok=True)
-        records_path = records.commit()
-    with atomic_writer(args.out / "summary.json") as fh:
-        fh.write(summary)
-    save_config_file(args.out / "run_config.json", config, scenario)
-    print(f"wrote {records_path}")
+        export.commit()
+        put("summary.json").write(summary)
+        put("run_config.json").write(config_text(config, scenario))
+    print(f"wrote {args.out / records}")
     print(f"wrote {args.out / 'summary.json'}")
     return 0
 
@@ -130,16 +127,13 @@ def _cmd_replicate(args) -> int:
         "level": CONFIDENCE_LEVEL,
     }
     # a non-finite summary or band fails here, before --out exists
-    band_path = args.out / f"band_supplier_derivative.{args.format}"
-    parts = {args.out / "replicate_summaries.json": [strict_json(summaries)],
-             args.out / "replicate_meta.json": [strict_json(meta)],
-             band_path: band_text(confidence_band(series), args.format)}
-    args.out.mkdir(parents=True, exist_ok=True)
-    for path, chunks in parts.items():
-        with atomic_writer(path) as fh:
-            fh.writelines(chunks)
-    save_config_file(args.out / "run_config.json", config, scenario)
-    print(f"wrote {band_path}")
+    band = f"band_supplier_derivative.{args.format}"
+    parts = {"replicate_summaries.json": [strict_json(summaries)], "replicate_meta.json": [strict_json(meta)],
+             band: band_text(confidence_band(series), args.format), "run_config.json": [config_text(config, scenario)]}
+    with artifact_set(args.out) as put:
+        for name, chunks in parts.items():
+            put(name).writelines(chunks)
+    print(f"wrote {args.out / band}")
     return 0
 
 

@@ -11,8 +11,8 @@ claims are about; no whole-run copy of them is kept.  A run's summary
 (``summarize_final``) exists only as the JSON object that ``summary.json``
 and each ``replicate_summaries.json`` entry hold, so this module alone
 knows its layout.  Exports are built from the columns, checked finite and
-byte-deterministic.  A band is returned as parts of bytes (``band_text``), which
-the caller writes; the records are the one file written here, atomically.  A
+byte-deterministic.  A band is returned as parts of bytes (``band_text``); the
+records go to a binary file the caller opens (``scenario.artifact_set``).  A
 records export (``RecordsExport``) hands its ``EXPORT_CHUNK``-round chunks to
 forked workers through a pipe of chunk tokens while the run is simulated, and
 writes each chunk as soon as all before it are written; whichever process
@@ -28,13 +28,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .agent import BRANCHES, Population
-from .scenario import atomic_writer
 from .text import compact, float_text, int_text, join, literals
 from .utility import ordered_sum
 
@@ -208,14 +206,14 @@ def _take(tokens: int) -> Optional[int]:
 
 
 class RecordsExport:
-    """A run's records, rounds 1..horizon, formatted while it is simulated and written atomically.
+    """A run's records, rounds 1..horizon, formatted while it is simulated and written to ``out``, a
+    binary file open for writing.
 
     CSV has one row per agent per round under ``CSV_HEADER``; JSON holds one object per round (its
     per-agent entries, totals, signals and sum of utilities) in the bytes ``json.dump`` writes, as
     its strings (agent ids, enum values) need no escaping.  The bytes are the same whatever the
     number of CPUs and whichever process formats which chunk.  A run with a non-finite number is
-    refused with ValueError naming the first of CHECKED_COLUMNS that is not finite in any chunk;
-    failures carry the destination path and leave no partial file.
+    refused with ValueError naming the first of CHECKED_COLUMNS that is not finite in any chunk.
 
     ``start(trajectory)`` forks one worker per usable CPU but this one (at most one per chunk but
     one), on platforms with ``fork``; the trajectory's columns must be in memory shared with them,
@@ -231,10 +229,10 @@ class RecordsExport:
     process or file behind.
     """
 
-    def __init__(self, fmt: str, destination):
+    def __init__(self, fmt: str, out):
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown export format: {fmt}")
-        self.fmt, self.destination = fmt, Path(destination)
+        self.fmt, self._out = fmt, out
         self._fds = {}  # "take" and "give", the token pipe's ends; "done" and "announce", the announcement pipe's
         self._workers, self._files = [], []  # pids not yet reaped; each worker's temporary file
 
@@ -261,16 +259,13 @@ class RecordsExport:
         self._sent, self._announced = 0, set()  # chunks handed out through the pipe; chunks announced
         self._table = shared_empty((self._count, 4), np.int64)  # per chunk: worker, offset, length, mask
         workers = max(min(_usable_cpus(), self._count) - 1, 0)
-        try:
-            self._fds["take"], self._fds["give"] = os.pipe()
-            self._fds["done"], self._fds["announce"] = os.pipe()
-            os.set_blocking(self._fds["give"], False)
-            self._files = [tempfile.TemporaryFile() for _ in range(workers)]
-            for w in range(workers):
-                self._workers.append(self._fork(w))
-            os.close(self._fds.pop("announce"))  # the announcements end once every worker has exited
-        except OSError as exc:
-            raise OSError(f"cannot write {self.destination}: {exc}") from exc
+        self._fds["take"], self._fds["give"] = os.pipe()
+        self._fds["done"], self._fds["announce"] = os.pipe()
+        os.set_blocking(self._fds["give"], False)
+        self._files = [tempfile.TemporaryFile() for _ in range(workers)]
+        for w in range(workers):
+            self._workers.append(self._fork(w))
+        os.close(self._fds.pop("announce"))  # the announcements end once every worker has exited
 
     def _fork(self, w: int) -> int:
         """Fork worker ``w`` and return its pid.  The worker formats into file ``w`` the chunks it
@@ -313,37 +308,34 @@ class RecordsExport:
         self._announced.update(np.frombuffer(announced, "<i8").tolist())
         return bool(announced)
 
-    def commit(self) -> Path:
-        """Write the destination atomically as the chunks finish, reap the workers and return the
-        destination.  A run with a non-finite chunk is refused by the first of CHECKED_COLUMNS that
-        is not finite in any chunk."""
+    def commit(self) -> None:
+        """Write the records to the open file as the chunks finish and reap the workers.  A run with a
+        non-finite chunk is refused by the first of CHECKED_COLUMNS that is not finite in any chunk."""
         mine = chain(iter(lambda: _take(self._fds["take"]), None), range(self._sent, self._count))
-        held, k = {}, 0  # this process's chunks not yet written; the next chunk to write
+        held, k, out = {}, 0, self._out  # this process's chunks not yet written; the next chunk to write; the file
         os.close(self._fds.pop("give"))  # no token follows: each process leaves its loop once the pipe is drained
-        with atomic_writer(self.destination) as out:  # an OSError in the block names the destination
-            out.write(CSV_HEADER.encode() + b"\n" if self.fmt == "csv" else b"[")
-            while k < self._count:
-                if k in held or k in self._announced:
-                    out.write(held.pop(k, b""))
-                    w, offset, length, _ = self._table[k].tolist()  # length 0 if this process's
-                    while length:  # one pread returns at most 0x7ffff000 bytes on Linux
-                        text = os.pread(self._files[w].fileno(), length, offset)
-                        offset, length = offset + out.write(text), length - len(text)
-                    k += 1
-                elif len(held) < 2 and (j := next(mine, None)) is not None:
-                    held[j], self._table[j, 3] = self._format(j)
-                elif not self._drain(wait=True):
-                    break  # every worker has exited without announcing chunk k: the reap names the failure
-            failed = [code for code in self._reap() if code]
-            if failed:
-                raise OSError(f"an export worker exited with status {failed[0]}")
-            mask = int(np.bitwise_or.reduce(self._table[:, 3]))
-            if mask:
-                name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
-                raise ValueError(f"the run overflowed or went non-finite: records column {name}")
-            if self.fmt == "json":
-                out.write(b"]\n")
-        return self.destination
+        out.write(CSV_HEADER.encode() + b"\n" if self.fmt == "csv" else b"[")
+        while k < self._count:
+            if k in held or k in self._announced:
+                out.write(held.pop(k, b""))
+                w, offset, length, _ = self._table[k].tolist()  # length 0 if this process's
+                while length:  # one pread returns at most 0x7ffff000 bytes on Linux
+                    text = os.pread(self._files[w].fileno(), length, offset)
+                    offset, length = offset + out.write(text), length - len(text)
+                k += 1
+            elif len(held) < 2 and (j := next(mine, None)) is not None:
+                held[j], self._table[j, 3] = self._format(j)
+            elif not self._drain(wait=True):
+                break  # every worker has exited without announcing chunk k: the reap names the failure
+        failed = [code for code in self._reap() if code]
+        if failed:
+            raise OSError(f"an export worker exited with status {failed[0]}")
+        mask = int(np.bitwise_or.reduce(self._table[:, 3]))
+        if mask:
+            name = CHECKED_COLUMNS[(mask & -mask).bit_length() - 1]
+            raise ValueError(f"the run overflowed or went non-finite: records column {name}")
+        if self.fmt == "json":
+            out.write(b"]\n")
 
     def _format(self, k: int) -> tuple[bytes, int]:
         """Chunk ``k``'s bytes and its mask, with bit i set if CHECKED_COLUMNS[i] is not finite; no

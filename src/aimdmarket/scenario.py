@@ -1,4 +1,4 @@
-"""Experiment configuration: run parameters and sampled agent populations.
+"""Experiment configuration: run parameters, sampled agent populations, config files and artifact sets.
 
 A scenario draws each agent's private utility at random while keeping the
 side totals deterministic: optimum quantities are normalized positive
@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 import dataclasses
 from dataclasses import KW_ONLY, dataclass
 from enum import Enum
@@ -296,21 +296,36 @@ def reference_configs() -> dict[str, tuple[MarketConfig, ScenarioSpec]]:
 
 
 @contextmanager
-def atomic_writer(path: Path):
-    """A binary file, written bytes only, that replaces ``path`` only once the block completes.
+def artifact_set(out: Path):
+    """A command's files, written as one: ``put(name)`` opens a binary temporary file beside ``out / name``, making
+    ``out`` and its parents and refusing a destination that is not a regular file, and once the block completes
+    each is closed and moved into place.  A failure leaves no temporary file, no file moved and no empty directory
+    made by the set; its OSError is ``cannot write <out/name>: <error>``, naming the file last put or moved."""
+    made, staged, moved, current, files = [], [], [], None, ExitStack()
 
-    It is written beside ``path`` and moved onto it with ``os.replace``, so a write that fails leaves no
-    partial file and any earlier file intact, and its OSError is ``cannot write <path>: <error>``.
-    """
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    def put(name: str):
+        nonlocal current
+        current = out / name
+        made.extend(directory for directory in (out, *out.parents) if not directory.exists())
+        out.mkdir(parents=True, exist_ok=True)
+        if current.exists() and not current.is_file():
+            raise OSError("exists and is not a regular file")
+        staged.append((out / f".{name}.{os.urandom(4).hex()}.tmp", current))
+        return files.enter_context(staged[-1][0].open("xb"))
+
     try:
-        with temp.open("xb") as fh:
-            yield fh
-        os.replace(temp, path)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    finally:
-        temp.unlink(missing_ok=True)
+        with files:
+            yield put
+        for temp, current in staged:
+            os.replace(temp, current)
+            moved.append(current)
+    except BaseException as exc:
+        for path in (*moved, *(temp for temp, _ in staged), *made):  # the deepest directory first
+            with suppress(OSError):  # a file never made, or a directory that is not empty
+                path.rmdir() if path in made else path.unlink()
+        if isinstance(exc, OSError) and current is not None:
+            raise OSError(f"cannot write {current}: {exc}") from exc
+        raise
 
 
 def strict_json(payload) -> bytes:
@@ -333,14 +348,6 @@ def _non_finite_field(value, path: str = "") -> Optional[str]:
     else:
         return None
     return next(filter(None, (_non_finite_field(item, where) for where, item in items)), None)
-
-
-def save_config_file(path, config: MarketConfig, scenario: ScenarioSpec) -> Path:
-    """Write config + scenario as one ``strict_json`` document, atomically; round-trips losslessly."""
-    path = Path(path)
-    with atomic_writer(path) as fh:
-        fh.write(strict_json({"config": config.to_dict(), "scenario": scenario.to_dict()}))
-    return path
 
 
 class _Object(dict):
@@ -372,6 +379,11 @@ def _located(value, path: str, shape=None):
     if isinstance(value, list):
         return [_located(item, f"{path}[{i}]", shape and shape[0]) for i, item in enumerate(value)]
     return value
+
+
+def config_text(config: MarketConfig, scenario: ScenarioSpec) -> bytes:
+    """Config + scenario as the ``strict_json`` bytes of a config file; ``load_config_file`` reads them back."""
+    return strict_json({"config": config.to_dict(), "scenario": scenario.to_dict()})
 
 
 def load_config_file(path, violations: Optional[list[str]] = None) -> tuple[MarketConfig, ScenarioSpec]:

@@ -1,8 +1,9 @@
 """Write a run's records export, and force which process formats which chunk of it.
 
-``streamed_export`` writes a run's records as the CLI does, formatted while the run is simulated;
-``export_at_once`` writes a finished trajectory's, which may have been edited after its run, with
-every chunk ready before ``commit``.
+``streamed_export`` writes a run's records as the CLI does, formatted while the run is simulated, into
+an artifact set of the one file ``destination``; ``export_at_once`` writes a finished trajectory's,
+which may have been edited after its run, with every chunk ready before ``commit``.  Both return
+``destination``.
 
 ``forced(monkeypatch, schedule)`` patches ``metrics._take``, through which this process and each
 forked worker take chunk tokens, and yields a shared array in which each chunk's entry becomes
@@ -20,22 +21,25 @@ import numpy as np
 
 from aimdmarket import metrics
 from aimdmarket.market import run
+from aimdmarket.scenario import artifact_set
 
 HERE, WORKER = 1, 2
 SCHEDULES = ("worker formats every chunk", "worker formats no chunk", "worker formats every other chunk")
 
 
 def streamed_export(config, scenario, fmt, destination):
-    with metrics.RecordsExport(fmt, destination) as records:
+    with artifact_set(destination.parent) as put, metrics.RecordsExport(fmt, put(destination.name)) as records:
         run(config, scenario, records=records)
-        return records.commit()
+        records.commit()
+    return destination
 
 
 def export_at_once(trajectory, fmt, destination):
-    with metrics.RecordsExport(fmt, destination) as records:
+    with artifact_set(destination.parent) as put, metrics.RecordsExport(fmt, put(destination.name)) as records:
         records.start(trajectory)
         records.ready(len(trajectory.total_supply))
-        return records.commit()
+        records.commit()
+    return destination
 
 
 @contextmanager

@@ -20,9 +20,9 @@ from aimdmarket.metrics import band_text, confidence_band
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
+    config_text,
     generate_scenario,
     reference_configs,
-    save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
 from scalar_oracle import (check_derivative, derivative, mean_derivative_series, records_from, run_columns,
@@ -184,7 +184,8 @@ def test_criterion_8_numerical_checks():
 def test_criterion_9_cli_determinism(tmp_path):
     config = MarketConfig(3, 4, horizon=120, seed=21, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 350.0, 12)
-    cfg_path = save_config_file(tmp_path / "cfg.json", config, scenario)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(config_text(config, scenario))
 
     for fmt in ("csv", "json"):
         out1, out2 = tmp_path / f"{fmt}1", tmp_path / f"{fmt}2"

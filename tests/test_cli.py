@@ -19,8 +19,8 @@ from aimdmarket.scenario import (
     ScenarioMode,
     ScenarioSpec,
     generate_scenario,
+    config_text,
     reference_configs,
-    save_config_file,
 )
 from aimdmarket.utility import UtilitySpec
 from export_schedule import streamed_export
@@ -30,7 +30,9 @@ from export_schedule import streamed_export
 def config_file(tmp_path):
     config = MarketConfig(2, 3, horizon=80, seed=11, initial_quantity=10.0)
     scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 300.0, 4)
-    return save_config_file(tmp_path / "market.json", config, scenario)
+    path = tmp_path / "market.json"
+    path.write_bytes(config_text(config, scenario))
+    return path
 
 
 def test_run_writes_artifacts(tmp_path, config_file):
@@ -133,7 +135,8 @@ def test_validate_ok(config_file, capsys):
 def test_validate_broken_config(tmp_path, capsys):
     config = MarketConfig(2, 2, horizon=10, seed=1)
     scenario = generate_scenario(MarketConfig(3, 2, horizon=10, seed=1), ScenarioMode.BOTH_CONCAVE, 100.0, 1)
-    path = save_config_file(tmp_path / "broken.json", config, scenario)
+    path = tmp_path / "broken.json"
+    path.write_bytes(config_text(config, scenario))
     assert main(["validate", "--config", str(path)]) != 0
     out = capsys.readouterr().out
     assert "violation:" in out
@@ -178,10 +181,10 @@ def test_a_config_file_nested_too_deeply_is_one_refusal_without_a_traceback(tmp_
     # two, so those two may be read and then refused by their field, as any non-integer is
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}
-    paper_a = save_config_file(tmp_path / "paper-a.json", *reference_configs()["paper-a"])
+    paper_a = json.loads(config_text(*reference_configs()["paper-a"]))
     files = {"suppliers.json": _nested_at(json.loads(config_file.read_text()), ("config", "num_suppliers"), 985),
              "top.json": _nested_at(None, (), 100_000),
-             "horizon.json": _nested_at(json.loads(paper_a.read_text()), ("config", "horizon"), 900),
+             "horizon.json": _nested_at(paper_a, ("config", "horizon"), 900),
              "suppliers-1200.json": _nested_at(json.loads(config_file.read_text()), ("config", "num_suppliers"), 1200)}
     lines = {}
     for name, text in files.items():
@@ -322,7 +325,8 @@ def test_lambda_keeps_signed_zero(tmp_path):
         target_sum=10.0,
         mode=ScenarioMode.BOTH_CONCAVE,
     )
-    path = save_config_file(tmp_path / "zero.json", config, scenario)
+    path = tmp_path / "zero.json"
+    path.write_bytes(config_text(config, scenario))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     with (tmp_path / "out" / "records.csv").open(newline="") as fh:
         rows = [row for row in csv.DictReader(fh) if row["round"] == "1" and row["role"] == "consumer"]
@@ -471,7 +475,8 @@ def test_a_wrongly_typed_object_is_named_in_read_order_whatever_the_file_order(t
 ], ids=["a sqrt consumer", "both_concave with sqrt suppliers"])
 def test_a_side_whose_optima_must_add_up_refuses_a_sqrt_utility(tmp_path, capsys, reference, unbounded, violation):
     config, scenario = reference_configs()[reference]
-    path = save_config_file(tmp_path / "unbounded.json", config, unbounded(scenario))
+    path = tmp_path / "unbounded.json"
+    path.write_bytes(config_text(config, unbounded(scenario)))
 
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out == f"violation: {violation}\n"
@@ -556,15 +561,15 @@ def test_a_summary_refused_while_a_worker_formats_leaves_no_out_directory(tmp_pa
 
     monkeypatch.setattr(metrics, "_chunk_rows", slow_in_a_worker)
     monkeypatch.setattr(cli, "run", run_with_an_infinite_summary)
-    out = tmp_path / "out"
-    started = time.monotonic()
-    assert main(["run", "--config", str(config_file), "--horizon", "600", "--out", str(out)]) == 1
-    assert time.monotonic() - started < 30  # the worker was killed, not waited for
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == "the run overflowed or went non-finite: trailing_mean_supply is inf"
-    assert not out.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for out in (tmp_path / "out", tmp_path / "a" / "b"):  # a nested --out leaves none of the parents it made
+        started = time.monotonic()
+        assert main(["run", "--config", str(config_file), "--horizon", "600", "--out", str(out)]) == 1
+        assert time.monotonic() - started < 30  # the worker was killed, not waited for
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "the run overflowed or went non-finite: trailing_mean_supply is inf"
+        assert list(tmp_path.iterdir()) == [config_file]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     for fd in formatting:
         os.close(fd)
 
@@ -593,6 +598,11 @@ OVERFLOWING_FIELDS = [
 # the summary field each of them leaves non-finite or out of range
 OVERFLOWING_SUMMARY_FIELD = {1e-320: "final_sum_of_utilities", 1e200: "final_sum_of_utilities",
                              1e305: "trailing_mean_supply"}
+# and one whose summaries are all finite: a sqrt supplier of scale 1e308, with the edits of
+# test_replicate_refuses_a_band_that_overflows, whose u' overflows in the opening rounds, so that
+# run refuses its records and replicate its band
+RECORDS_ONLY = ("paper-b", ("scenario", "supplier_utilities", 0, "scale"), 1e308)
+OPENING_ROUNDS = {("config", "initial_quantity"): 0.0, ("config", "supplier_params", "alpha"): 0.01}
 
 
 @pytest.mark.parametrize(
@@ -600,42 +610,44 @@ OVERFLOWING_SUMMARY_FIELD = {1e-320: "final_sum_of_utilities", 1e200: "final_sum
     [("run", "csv"), ("run", "json"), ("replicate", "csv"), ("replicate", "json")],
     ids=["csv", "json", "replicate-csv", "replicate-json"],
 )
-@pytest.mark.parametrize("reference,path,value", OVERFLOWING_FIELDS, ids=_field_id)
+@pytest.mark.parametrize("reference,path,value", [*OVERFLOWING_FIELDS, RECORDS_ONLY], ids=_field_id)
 def test_non_finite_run_fails_without_artifacts(tmp_path, capsys, reference, path, value, command, fmt):
-    saved = save_config_file(tmp_path / f"{reference}.json", *reference_configs()[reference])
-    payload = json.loads(saved.read_text())
+    payload = json.loads(config_text(*reference_configs()[reference]))
     payload["config"]["horizon"] = 20
-    *parents, leaf = path
-    target = payload
-    for key in parents:
-        target = target[key]
-    target[leaf] = value
+    records_only = (reference, path, value) == RECORDS_ONLY
+    for (*parents, leaf), edit in {path: value, **(OPENING_ROUNDS if records_only else {})}.items():
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[leaf] = edit
     config = tmp_path / "overflow.json"
     config.write_text(json.dumps(payload))
 
     assert main(["validate", "--config", str(config)]) == 0  # every input is finite
     assert "ok" in capsys.readouterr().out
 
-    out = tmp_path / "out"
     replicates = ["--replicates", "3"] if command == "replicate" else []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow notice either
-        assert main([command, "--config", str(config), "--format", fmt, *replicates, "--out", str(out)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    message = json.loads(line)["error"]
-    # replicate names the field within its list of summaries, as "[k].<field>"
-    where = ": " if command == "run" else r": (\[\d+\]\.)?"
-    assert message.startswith("the run overflowed")
-    assert re.search(where + f"{OVERFLOWING_SUMMARY_FIELD[value]} is ", message)
-    assert not out.exists() or not any(out.iterdir())  # no artifact, no temp file
+    for out in (tmp_path / "out", tmp_path / "a" / "b"):  # a nested --out leaves none of the parents it made
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow notice either
+            assert main([command, "--config", str(config), "--format", fmt, *replicates, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        message = json.loads(line)["error"]
+        assert message.startswith("the run overflowed")
+        if records_only:
+            assert message.endswith("records column derivative" if command == "run" else "band column mean")
+        else:
+            # replicate names the field within its list of summaries, as "[k].<field>"
+            where = ": " if command == "run" else r": (\[\d+\]\.)?"
+            assert re.search(where + f"{OVERFLOWING_SUMMARY_FIELD[value]} is ", message)
+        assert not out.exists() and not (tmp_path / "a").exists()  # no artifact, no temp file, no directory
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_replicate_refuses_a_band_that_overflows(tmp_path, capsys, fmt):
     # a sqrt supplier of scale 1e308 whose average starts near 0: u' overflows
     # in the opening rounds, and the band with it, while every summary is finite
-    saved = save_config_file(tmp_path / "paper-b.json", *reference_configs()["paper-b"])
-    payload = json.loads(saved.read_text())
+    payload = json.loads(config_text(*reference_configs()["paper-b"]))
     payload["config"].update(horizon=20, initial_quantity=0.0)
     payload["config"]["supplier_params"]["alpha"] = 0.01
     payload["scenario"]["supplier_utilities"][0]["scale"] = 1e308
@@ -660,17 +672,65 @@ def test_replicate_writes_an_empty_band_at_horizon_zero(tmp_path, fmt, expected)
     assert (out / f"band_supplier_derivative.{fmt}").read_bytes() == expected
 
 
-@pytest.mark.parametrize("command,artifact", [("replicate", "band_supplier_derivative.csv"),
-                                              ("replicate", "run_config.json"), ("run", "summary.json")])
+# each command's artifacts, in the order it puts them
+ARTIFACTS = {"run": ["records.csv", "summary.json", "run_config.json"],
+             "replicate": ["replicate_summaries.json", "replicate_meta.json", "band_supplier_derivative.csv",
+                           "run_config.json"]}
+
+
+def _cli_args(command, config_file, out, *options):
+    replicates = ["--replicates", "2"] if command == "replicate" else []
+    return [command, "--config", str(config_file), *replicates, *options, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command,artifact", [(command, artifact) for command in ("replicate", "run")
+                                              for artifact in ARTIFACTS[command]])
 def test_a_failed_write_names_its_artifact_not_its_temporary_file(tmp_path, config_file, capsys, command, artifact):
-    # a directory where the artifact belongs: moving the written file onto it fails
+    # a directory where the artifact belongs: the command fails, and leaves none of its artifacts
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)
-    replicates = ["--replicates", "2"] if command == "replicate" else []
-    assert main([command, "--config", str(config_file), *replicates, "--out", str(out)]) == 1
+    assert main(_cli_args(command, config_file, out)) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"].startswith(f"cannot write {out / artifact}: ")
-    assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
+    assert [path.name for path in out.iterdir()] == [artifact]  # no other artifact, no .tmp file
+    assert not any((out / artifact).iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "replicate"])
+def test_a_refused_rerun_keeps_the_earlier_runs_files(tmp_path, config_file, capsys, command):
+    # the rerun's run_config.json, its last file, is refused before any of its files is moved
+    out = tmp_path / "out"
+    assert main(_cli_args(command, config_file, out)) == 0
+    earlier = {name: (out / name).read_bytes() for name in ARTIFACTS[command][:-1]}
+    (out / "run_config.json").unlink()
+    (out / "run_config.json").mkdir()
+    capsys.readouterr()
+    assert main(_cli_args(command, config_file, out, "--seed", "3")) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == f"cannot write {out / 'run_config.json'}: exists and is not a regular file"
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == earlier
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS[command])
+
+
+@pytest.mark.parametrize("command", ["run", "replicate"])
+def test_a_failed_move_removes_the_artifacts_already_moved(tmp_path, config_file, capsys, monkeypatch, command):
+    # os.replace fails on its second call: the first artifact, already in place, is removed again
+    replace_file, calls = os.replace, []
+
+    def second_replace_fails(source, destination):
+        calls.append(destination)
+        if len(calls) == 2:
+            raise PermissionError(13, "Permission denied")
+        replace_file(source, destination)
+
+    monkeypatch.setattr(os, "replace", second_replace_fails)
+    out = tmp_path / "a" / "b"
+    assert main(_cli_args(command, config_file, out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    second = out / ARTIFACTS[command][1]
+    assert json.loads(line)["error"] == f"cannot write {second}: [Errno 13] Permission denied"
+    assert calls == [out / name for name in ARTIFACTS[command][:2]]
+    assert list(tmp_path.iterdir()) == [config_file]  # neither an artifact nor a directory the command made
 
 
 def test_run_refuses_a_role_gamma_that_validate_refuses(tmp_path, config_file, capsys):

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aimdmarket import market, metrics
 from aimdmarket.cli import main
-from aimdmarket.scenario import reference_configs, save_config_file
+from aimdmarket.scenario import config_text, reference_configs
 from test_cli import OVERFLOWING_FIELDS
 
 MISSING = object()  # the edit that deletes the field
@@ -35,8 +35,7 @@ AS_ARRAY, AS_OBJECT, AS_SCALAR = "as array", "as object", "as scalar"
 
 
 def _payload(reference: str) -> dict:
-    with tempfile.TemporaryDirectory() as scratch:
-        return json.loads(save_config_file(Path(scratch) / "saved.json", *reference_configs()[reference]).read_text())
+    return json.loads(config_text(*reference_configs()[reference]))
 
 
 def _paths(node, path=()):

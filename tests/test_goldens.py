@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from aimdmarket.cli import main
-from aimdmarket.scenario import MarketConfig, ScenarioMode, generate_scenario, save_config_file
+from aimdmarket.scenario import MarketConfig, ScenarioMode, config_text, generate_scenario
 
 PAPER_A_CONFIG = "a27478438aeaeeda06e4a7225dc9e9cbd7fe29d311a14baaee6c5237d67d9f90"
 PAPER_A_SUMMARY = "ff1fac55835379e901bb28a9054a54c538b6aa24a1a65f9b0f5756ae166f3137"
@@ -180,7 +180,8 @@ def test_cli_artifacts_match_goldens(case, tmp_path):
     if SAMPLED_270 in args:
         config = MarketConfig(90, 180, horizon=5000, seed=42, initial_quantity=10.0)
         scenario = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, 9000.0, 9001)
-        sampled = save_config_file(tmp_path / "sampled-270.json", config, scenario)
+        sampled = tmp_path / "sampled-270.json"
+        sampled.write_bytes(config_text(config, scenario))
         args = [str(sampled) if arg == SAMPLED_270 else arg for arg in args]
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0

@@ -29,7 +29,7 @@ from aimdmarket.metrics import (
 from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
-    atomic_writer,
+    artifact_set,
     generate_scenario,
     reference_configs,
     strict_json,
@@ -206,6 +206,7 @@ def test_export_unknown_format(tmp_path):
 
 def test_export_write_failure_carries_path(tmp_path):
     config, scenario, _ = small_run(horizon=1)
+    (tmp_path / "no").write_text("")  # a file where a directory of the destination belongs
     missing = tmp_path / "no" / "such" / "dir" / "r.csv"
     with pytest.raises(OSError, match="r.csv"):
         streamed_export(config, scenario, "csv", missing)
@@ -222,29 +223,29 @@ def test_export_formatting_keeps_signed_zero():
 def test_failed_writes_leave_no_partial_file(tmp_path):
     config, scenario, _ = small_run(horizon=3)
     band = confidence_band([[0.0, 1.0], [2.0, 3.0]])
+    (tmp_path / "no").write_text("")  # a file where a directory of the destination belongs
     missing = tmp_path / "no" / "such" / "dir"
     for fmt in ("csv", "json"):
         with pytest.raises(OSError):
             streamed_export(config, scenario, fmt, missing / f"r.{fmt}")
         with pytest.raises(OSError):
-            with atomic_writer(missing / f"band.{fmt}") as fh:
-                fh.writelines(band_text(band, fmt))
-    assert not (tmp_path / "no").exists()
+            with artifact_set(missing) as put:
+                put(f"band.{fmt}").writelines(band_text(band, fmt))
 
     earlier = tmp_path / "summary.json"
     earlier.write_text("earlier\n")
     with pytest.raises(ValueError):  # strict JSON: no NaN or Infinity tokens
-        with atomic_writer(earlier) as fh:
-            fh.write(strict_json({"value": float("inf")}))
+        with artifact_set(tmp_path) as put:
+            put("summary.json").write(strict_json({"value": float("inf")}))
     with pytest.raises(RuntimeError):
-        with atomic_writer(earlier) as fh:
-            fh.write(b"partial")
+        with artifact_set(tmp_path) as put:
+            put("summary.json").write(b"partial")
             raise RuntimeError("interrupted")
     with pytest.raises(TypeError):  # bytes only
-        with atomic_writer(earlier) as fh:
-            fh.write("text")
+        with artifact_set(tmp_path) as put:
+            put("summary.json").write("text")
     assert earlier.read_text() == "earlier\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no", "summary.json"]
 
 
 def _assert_no_leftovers(directory, temporary):
@@ -339,9 +340,7 @@ def test_a_worker_killed_mid_run_fails_the_export(tmp_path, temporary, monkeypat
     with forced(monkeypatch, SCHEDULES[0]):
         failure = f"cannot write {out / 'r.csv'}: an export worker exited with status -9"
         with pytest.raises(OSError, match=f"^{re.escape(failure)}$"):
-            with metrics.RecordsExport("csv", out / "r.csv") as records:
-                run(config, scenario, records=records)
-                records.commit()
+            streamed_export(config, scenario, "csv", out / "r.csv")
     _assert_no_leftovers(out, temporary)
 
 
@@ -366,7 +365,7 @@ def test_an_export_worker_takes_every_chunk_of_a_long_run_before_commit(tmp_path
     out.mkdir()
     with forced(monkeypatch, SCHEDULES[0], chunks=chunks) as takers:
         monkeypatch.setattr(os, "pipe", one_page_pipe)
-        with metrics.RecordsExport("csv", out / "r.csv") as records:
+        with artifact_set(out) as put, metrics.RecordsExport("csv", put("r.csv")) as records:
             trajectory = run(config, scenario, records=records).trajectory
             deadline = time.monotonic() + 20
             while (takers == 0).any() and time.monotonic() < deadline:
@@ -411,7 +410,7 @@ def test_an_export_worker_announces_more_chunks_than_a_pipe_holds_before_commit(
 
         monkeypatch.setattr(os, "pipe", one_page_pipe)
         monkeypatch.setattr(metrics.RecordsExport, "ready", ready_once_every_chunk_sent_is_taken)
-        with metrics.RecordsExport("csv", tmp_path / "r.csv") as records:
+        with artifact_set(tmp_path) as put, metrics.RecordsExport("csv", put("r.csv")) as records:
             deadline = time.monotonic() + 30
             trajectory = run(config, scenario, records=records).trajectory
             while (takers == 0).any() and time.monotonic() < deadline:
@@ -450,7 +449,7 @@ def test_export_holds_at_most_two_of_its_own_chunks_beyond_the_written_prefix(tm
         formatted[:] = 0
         with forced(monkeypatch, SCHEDULES[0]) as takers:
             monkeypatch.setattr(metrics, "_chunk_rows", worker_waits_on_chunk_0)
-            with metrics.RecordsExport(fmt, tmp_path / f"r.{fmt}") as records:
+            with artifact_set(tmp_path) as put, metrics.RecordsExport(fmt, put(f"r.{fmt}")) as records:
                 records.start(result.trajectory)
                 records.ready(2 * metrics.EXPORT_CHUNK)
                 records.commit()
@@ -542,7 +541,7 @@ def test_an_export_that_cannot_make_its_pipes_leaks_no_descriptor(failing, tmp_p
     before = sorted(os.listdir("/proc/self/fd"))
     destination = out / "r.csv"
     with pytest.raises(OSError) as refused:
-        with metrics.RecordsExport("csv", destination) as records:
+        with artifact_set(out) as put, metrics.RecordsExport("csv", put("r.csv")) as records:
             records.start(result.trajectory)
     assert str(refused.value) == f"cannot write {destination}: [Errno {errno.EMFILE}] " \
                                  f"{os.strerror(errno.EMFILE)}"

@@ -9,10 +9,10 @@ from aimdmarket.scenario import (
     MarketConfig,
     ScenarioMode,
     ScenarioSpec,
+    config_text,
     generate_scenario,
     load_config_file,
     reference_configs,
-    save_config_file,
     validate_config,
     validate_scenario,
 )
@@ -118,7 +118,8 @@ def test_generate_rejects_bad_target(tmp_path, capsys):
     for target in (0.0, -1.0):
         spec = generate_scenario(config, ScenarioMode.BOTH_CONCAVE, target, 1)
         assert f"target_sum must be positive, got {target}" in validate_scenario(spec, config)
-        saved = save_config_file(tmp_path / "bad-target.json", config, spec)
+        saved = tmp_path / "bad-target.json"
+        saved.write_bytes(config_text(config, spec))
         out = tmp_path / "out"
         assert main(["run", "--config", str(saved), "--out", str(out)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
@@ -183,7 +184,7 @@ def test_validate_config_catches_bad_fields():
 def test_validate_config_gamma_mismatch(tmp_path):
     # a config holds one gamma, so only a file can state two: loading refuses it
     config, scenario = reference_configs()["paper-a"]
-    payload = json.loads(save_config_file(tmp_path / "paper-a.json", config, scenario).read_text())
+    payload = json.loads(config_text(config, scenario))
     payload["config"]["gamma"] = 3.0
     inconsistent = tmp_path / "inconsistent.json"
     inconsistent.write_text(json.dumps(payload))
@@ -228,7 +229,8 @@ def test_reference_configs_reproducible():
 
 def test_config_file_round_trip(tmp_path):
     config, scenario = reference_configs()["paper-a"]
-    path = save_config_file(tmp_path / "paper-a.json", config, scenario)
+    path = tmp_path / "paper-a.json"
+    path.write_bytes(config_text(config, scenario))
     loaded_config, loaded_scenario = load_config_file(path)
     assert loaded_config == config
     assert loaded_scenario == scenario
@@ -240,13 +242,13 @@ def test_config_file_round_trip(tmp_path):
     without.write_text(json.dumps(payload))
     assert load_config_file(without) == (config, scenario)
     flipped = replace(config, flip_signal_semantics=True)
-    assert load_config_file(save_config_file(tmp_path / "flipped.json", flipped, scenario)) == (flipped, scenario)
+    path.write_bytes(config_text(flipped, scenario))
+    assert load_config_file(path) == (flipped, scenario)
 
 
-def test_config_file_is_json_with_mirrored_field_names(tmp_path):
+def test_config_file_is_json_with_mirrored_field_names():
     config, scenario = reference_configs()["paper-b"]
-    path = save_config_file(tmp_path / "cfg.json", config, scenario)
-    payload = json.loads(path.read_text())
+    payload = json.loads(config_text(config, scenario))
     assert set(payload) == {"config", "scenario"}
     assert payload["config"]["num_suppliers"] == 9
     assert payload["config"]["supplier_params"]["beta"] == 0.75
